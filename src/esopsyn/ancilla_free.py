@@ -25,7 +25,7 @@ from .circuit import (
     Circuit, CostReport, INPUT, LineState, ROLE_OUTPUT, VerificationError,
     cnot, not_gate, quantum_cost, toffoli, verify_equivalence,
 )
-from .funcs import Permutation, anf_from_truth_table, \
+from .funcs import Permutation, anf_from_truth_table, bit_support, \
     truth_table_from_permutation
 
 import time
@@ -120,13 +120,6 @@ def apply_substitution(state: ExpressionState, t: Transformation) -> ExpressionS
     return ExpressionState(state.n_vars, exprs, state.history + (t,))
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _t2_candidates(state: ExpressionState, policy: str):
     """Candidate CNOT substitutions from pairs of nonlinear cubes that
     share a variable, in a fixed deterministic order."""
@@ -139,10 +132,11 @@ def _t2_candidates(state: ExpressionState, policy: str):
                 continue
             u1, u2 = c1 & ~c2, c2 & ~c1
             if policy == POLICY_UNIQUE_PAIR:
-                pool = [(u, v) for u in _bits(u1) for v in _bits(u2)]
-                pool += [(u, v) for u in _bits(u2) for v in _bits(u1)]
+                pool = [(u, v) for u in bit_support(u1) for v in bit_support(u2)]
+                pool += [(u, v) for u in bit_support(u2) for v in bit_support(u1)]
             else:
-                pool = [(u, v) for v in _bits(common) for u in _bits(u1 | u2)]
+                pool = [(u, v) for v in bit_support(common)
+                        for u in bit_support(u1 | u2)]
             for target, control in sorted(set(pool)):
                 t = Transformation((control,), target)
                 if t not in seen:
@@ -412,8 +406,7 @@ def ancilla_free_synthesize(
     lines = []
     for i in range(n):
         lines.append(LineState(i, f"x{i + 1}", INPUT,
-                               role=ROLE_OUTPUT, output_name=tt.output_names[i],
-                               function=anf_from_truth_table(tt.single_output(i))))
+                               role=ROLE_OUTPUT, output_name=tt.output_names[i]))
     circuit = Circuit(n, [], lines)
     for t in state.history:
         if not t.controls:

@@ -239,7 +239,3 @@ def get(name: str) -> TruthTable | Permutation:
         return _REGISTRY[name].spec()
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; see benchmarks.names()") from None
-
-
-def info(name: str) -> Benchmark:
-    return _REGISTRY[name]

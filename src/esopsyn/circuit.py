@@ -97,11 +97,7 @@ PERES_COST = 4
 
 @dataclass
 class LineState:
-    """Metadata for one circuit line.
-
-    function, when set, is the expression the line carries at the end of
-    the circuit, over the primary inputs.
-    """
+    """Metadata for one circuit line."""
 
     line_id: int
     name: str
@@ -109,7 +105,6 @@ class LineState:
     init: int = 0              # initial value for constant lines
     role: str = ROLE_GARBAGE
     output_name: str | None = None
-    function: object | None = None
 
 
 @dataclass
@@ -286,6 +281,7 @@ class Verdict:
     equivalent: bool
     counterexample: tuple[int, int, int] | None = None  # (input, expected, got)
     restored_constants: tuple[int, ...] = ()
+    dirty_ancillae: tuple[int, ...] = ()  # declared ancillae left unrestored
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -293,7 +289,8 @@ class Verdict:
 
 def verify_equivalence(c: Circuit, spec: TruthTable,
                        sample_limit: int = 20, seed: int = 0) -> Verdict:
-    """Check the circuit against a truth table on its declared output lines.
+    """Check the circuit against a truth table on its declared output lines,
+    and check that every declared ancilla line ends at its init value.
 
     Exhaustive for spec.n_inputs <= sample_limit (the bit-parallel
     simulation makes this cheap); random-sampled above.
@@ -308,6 +305,7 @@ def verify_equivalence(c: Circuit, spec: TruthTable,
     missing = [name for name in spec.output_names if name not in out_lines]
     if missing:
         raise ValueError(f"circuit lacks output lines for {missing}")
+    ancillae = [l for l in c.lines if l.role == ROLE_ANCILLA]
 
     if n <= sample_limit:
         funcs = line_functions(c, n, input_ids)
@@ -319,30 +317,41 @@ def verify_equivalence(c: Circuit, spec: TruthTable,
             if l.origin == CONSTANT
             and funcs[l.line_id] == (((1 << (1 << n)) - 1) if l.init else 0)
         )
+        dirty = tuple(l.line_id for l in ancillae if l.line_id not in restored)
         if mismatch == 0:
-            return Verdict(True, None, restored)
+            return Verdict(not dirty, None, restored, dirty)
         x = (mismatch & -mismatch).bit_length() - 1
-        return Verdict(False, (x, spec.rows[x], _outputs_at(c, spec, input_ids, out_lines, x)), restored)
+        got = _outputs_at(spec, out_lines, _end_state(c, input_ids, x))
+        return Verdict(False, (x, spec.rows[x], got), restored, dirty)
 
     import random
 
     rng = random.Random(seed)
     for _ in range(4096):
         x = rng.randrange(1 << n)
-        got = _outputs_at(c, spec, input_ids, out_lines, x)
+        end = _end_state(c, input_ids, x)
+        got = _outputs_at(spec, out_lines, end)
+        dirty = tuple(l.line_id for l in ancillae
+                      if end >> l.line_id & 1 != l.init)
         if got != spec.rows[x]:
-            return Verdict(False, (x, spec.rows[x], got), ())
+            return Verdict(False, (x, spec.rows[x], got), (), dirty)
+        if dirty:
+            return Verdict(False, None, (), dirty)
     return Verdict(True, None, ())
 
 
-def _outputs_at(c: Circuit, spec: TruthTable, input_ids, out_lines, x: int) -> int:
+def _end_state(c: Circuit, input_ids, x: int) -> int:
+    """Every line's final bit for input x, constants starting at init."""
     bits = 0
     for pos, lid in enumerate(input_ids):
         bits |= (x >> pos & 1) << lid
     for l in c.lines:
         if l.origin == CONSTANT and l.init:
             bits |= 1 << l.line_id
-    end = simulate(c, bits)
+    return simulate(c, bits)
+
+
+def _outputs_at(spec: TruthTable, out_lines, end: int) -> int:
     got = 0
     for j, name in enumerate(spec.output_names):
         got |= (end >> out_lines[name] & 1) << j

@@ -275,8 +275,12 @@ def _cmd_verify(args) -> int:
     if verdict:
         print(f"equivalent to {name}")
         return EXIT_OK
-    x, want, got = verdict.counterexample
-    print(f"MISMATCH at input {x}: expected {want}, circuit gives {got}")
+    if verdict.counterexample is not None:
+        x, want, got = verdict.counterexample
+        print(f"MISMATCH at input {x}: expected {want}, circuit gives {got}")
+    for lid in verdict.dirty_ancillae:
+        line = circuit.lines[lid]
+        print(f"ancilla line {line.name} does not return to {line.init}")
     return EXIT_VERIFY_FAILED
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .funcs import EsopExpression
+from .funcs import EsopExpression, bit_support
 
 T_CONST = "t_constant"
 T_ID = "t_identifier"
@@ -81,15 +81,11 @@ class EsopDag:
         self._cons[self._key(node)] = nid
         return nid
 
-    @staticmethod
-    def _node_key(kind, children, label) -> tuple:
-        return (kind, tuple(children), label)
-
     def _key(self, node: DagNode) -> tuple:
         return (node.kind, tuple(node.children), node.label)
 
     def get_or_create(self, kind, children=(), label=None, line=None) -> int:
-        key = self._node_key(kind, children, label)
+        key = (kind, tuple(children), label)
         nid = self._cons.get(key)
         if nid is not None and nid in self.nodes:
             return nid
@@ -235,25 +231,6 @@ class EsopDag:
             if n.kind in (T_AND, T_XOR)
         )
 
-    def merge_duplicates(self):
-        """Re-establish structural sharing after rewrites."""
-        changed = True
-        while changed:
-            changed = False
-            index: dict[tuple, int] = {}
-            for nid in sorted(self.nodes):
-                node = self.nodes[nid]
-                if node.kind == T_ROOT:
-                    continue
-                key = (node.kind, tuple(sorted(node.children)), node.label)
-                other = index.get(key)
-                if other is None:
-                    index[key] = nid
-                else:
-                    self.merge_nodes(other, nid)
-                    changed = True
-                    break
-
     # -- semantics ----------------------------------------------------------
 
     def expand(self, nid: int, resolver=None, _memo=None) -> frozenset[int]:
@@ -351,7 +328,7 @@ def _node_of_tree(dag: EsopDag, tree, arity: int) -> int:
     if isinstance(tree, FCube):
         return _node_of_cube(dag, tree.mask, arity)
     if isinstance(tree, FAnd):
-        kids = [dag.var_node(i) for i in _bits(tree.cube_mask)]
+        kids = [dag.var_node(i) for i in bit_support(tree.cube_mask)]
         kids += [_node_of_tree(dag, s, arity) for s in tree.subs]
         return _and_chain(dag, kids, arity)
     if isinstance(tree, FXor):
@@ -389,7 +366,7 @@ def _node_of_cube(dag: EsopDag, mask: int, arity: int) -> int:
         return dag.const_node(1)
     if deg == 1:
         return dag.var_node(mask.bit_length() - 1)
-    kids = [dag.var_node(i) for i in _bits(mask)]
+    kids = [dag.var_node(i) for i in bit_support(mask)]
     return _and_chain(dag, kids, arity)
 
 
@@ -406,13 +383,6 @@ def _and_chain(dag: EsopDag, kids: list[int], arity: int) -> int:
         return dag.get_or_create(T_AND, kids)
     tail = _and_chain(dag, kids[arity - 1:], arity)
     return dag.get_or_create(T_AND, kids[:arity - 1] + [tail])
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # -- read-back / validation ----------------------------------------------------

@@ -245,11 +245,3 @@ def and_masks(a, b) -> frozenset[int]:
         for mb in b:
             acc ^= {ma | mb}
     return frozenset(acc)
-
-
-def evaluate_masks(masks, x: int) -> int:
-    acc = 0
-    for m in masks:
-        if x & m == m:
-            acc ^= 1
-    return acc

@@ -185,16 +185,9 @@ def _parse_cubes(lines, origin) -> TruthTable:
         per_output.append(masks)
     columns = []
     for masks in per_output:
-        expr = EsopExpression.from_masks(n_vars, _cancel(masks))
+        expr = EsopExpression.from_masks(n_vars, masks)
         columns.append(truth_table_from_anf(expr).column_bits(0))
     return TruthTable.from_columns(n_vars, columns)
-
-
-def _cancel(masks) -> frozenset[int]:
-    acc: set[int] = set()
-    for m in masks:
-        acc ^= {m}
-    return frozenset(acc)
 
 
 # -- circuit format -----------------------------------------------------------

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from .circuit import (
     CONSTANT, Circuit, CostReport, INPUT, LineState, ROLE_ANCILLA,
     ROLE_GARBAGE, ROLE_OUTPUT, VerificationError, cnot, line_functions,
-    not_gate, quantum_cost, toffoli, variable_pattern, verify_equivalence,
+    not_gate, quantum_cost, toffoli, verify_equivalence,
 )
 from .dag import (
     EsopDag, T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees, validate_dag,
 )
 from .funcs import (
-    Permutation, TruthTable, anf_from_truth_table, truth_table_from_permutation,
+    Permutation, TruthTable, anf_from_truth_table, bit_support, mobius_bits,
+    truth_table_from_permutation,
 )
 from .optimize import (
     OptimizeParams, _flat_tree, common_cube_sharing, factor_expression,
@@ -115,82 +116,57 @@ def find_target(dag: EsopDag) -> TargetChoice | None:
     return TargetChoice(best, RULE_MAX_CHILD)
 
 
-class _Mapper:
-    """Holds the circuit, line metadata and per-line function bitsets."""
+def _fresh_line(circuit: Circuit) -> int:
+    """Append a constant-0 line named by the lowest free w<k>."""
+    names = {l.name for l in circuit.lines}
+    k = 1
+    while f"w{k}" in names:
+        k += 1
+    lid = circuit.n_lines
+    circuit.lines.append(LineState(lid, f"w{k}", CONSTANT, 0))
+    circuit.n_lines += 1
+    return lid
 
-    def __init__(self, dag: EsopDag, n_inputs: int, input_names):
-        self.dag = dag
-        self.n = n_inputs
-        self.size = 1 << n_inputs
-        self.full = (1 << self.size) - 1
-        self.lines: list[LineState] = []
-        self.funcs: list[int] = []
-        self.gates = []
-        self.fresh_count = 0
-        self._names = set(input_names)
-        for i in range(n_inputs):
-            self.lines.append(LineState(i, input_names[i], INPUT))
-            self.funcs.append(variable_pattern(i, n_inputs))
 
-    def fresh_line(self) -> int:
-        name = None
-        while name is None or name in self._names:
-            self.fresh_count += 1
-            name = f"w{self.fresh_count}"
-        self._names.add(name)
-        lid = len(self.lines)
-        self.lines.append(LineState(lid, name, CONSTANT, 0))
-        self.funcs.append(0)
-        return lid
+def _xor_children(dag: EsopDag, children, leaf, target: int, circuit: Circuit):
+    """Xor every child except `leaf` onto the target line; inverters for a
+    constant-1 child come last."""
+    invert = False
+    for c in children:
+        if c == leaf:
+            continue
+        node = dag.nodes[c]
+        if node.kind == T_CONST:
+            invert |= bool(node.label)
+        elif node.kind == T_ID:
+            circuit.append(cnot(node.line, target))
+        else:  # flat and node: one Toffoli over its children's lines
+            controls = [dag.nodes[g].line for g in node.children]
+            circuit.append(toffoli(controls, target))
+    if invert:
+        circuit.append(not_gate(target))
 
-    def emit(self, gate):
-        self.gates.append(gate)
-        ctl = self.full
-        for c in gate.controls:
-            ctl &= self.funcs[c]
-        self.funcs[gate.targets[0]] ^= ctl
 
-    def emit_children_xor(self, children, leaf, target):
-        """Xor every child except `leaf` onto the target line; inverters
-        for a constant-1 child come last."""
-        invert = False
-        for c in children:
-            if c == leaf:
-                continue
-            node = self.dag.nodes[c]
-            if node.kind == T_CONST:
-                invert |= bool(node.label)
-            elif node.kind == T_ID:
-                self.emit(cnot(node.line, target))
-            else:  # flat and node: one Toffoli over its children's lines
-                controls = [self.dag.nodes[g].line for g in node.children]
-                self.emit(toffoli(controls, target))
-        if invert:
-            self.emit(not_gate(target))
-
-    def map_target(self, choice: TargetChoice) -> list:
-        dag = self.dag
-        node = dag.nodes[choice.node]
-        emitted_from = len(self.gates)
-        if choice.rule in (RULE_XOR_SINGLE, RULE_AND_XOR_PARENT):
-            leaf = _single_parent_leaf(dag, choice.node)
-            target = dag.nodes[leaf].line
-            self.emit_children_xor(node.children, leaf, target)
+def map_target(dag: EsopDag, choice: TargetChoice, circuit: Circuit) -> list:
+    """Rewrite one chosen node into gates appended to the circuit; the node
+    becomes an identifier for the line now carrying it.  Returns the
+    appended gates."""
+    node = dag.nodes[choice.node]
+    emitted_from = len(circuit.gates)
+    if choice.rule in (RULE_XOR_SINGLE, RULE_AND_XOR_PARENT):
+        leaf = _single_parent_leaf(dag, choice.node)
+        target = dag.nodes[leaf].line
+        _xor_children(dag, node.children, leaf, target, circuit)
+    else:
+        target = _fresh_line(circuit)
+        if node.kind == T_AND:
+            controls = [dag.nodes[c].line for c in node.children]
+            circuit.append(toffoli(controls, target))
         else:
-            target = self.fresh_line()
-            if node.kind == T_AND:
-                controls = [dag.nodes[c].line for c in node.children]
-                self.emit(toffoli(controls, target))
-            else:
-                self.emit_children_xor(node.children, None, target)
-        dag.to_identifier(choice.node, target, f"@{target}")
-        dag.recompute_depths(prune=True)
-        return self.gates[emitted_from:]
-
-
-def map_target(dag: EsopDag, choice: TargetChoice, mapper: _Mapper):
-    """Rewrite one chosen node into gates; returns the appended gates."""
-    return mapper.map_target(choice)
+            _xor_children(dag, node.children, None, target, circuit)
+    dag.to_identifier(choice.node, target, f"@{target}")
+    dag.recompute_depths(prune=True)
+    return circuit.gates[emitted_from:]
 
 
 def synthesize(
@@ -244,7 +220,8 @@ def synthesize(
             trace(f"cube_sharing: {len(rep.events)} shares, "
                   f"nodes {rep.nodes_before}->{rep.nodes_after}")
 
-    mapper = _Mapper(dag, n, list(tt.input_names))
+    circuit = Circuit(n, [], [LineState(i, name, INPUT)
+                              for i, name in enumerate(tt.input_names)])
     guard = 4 * len(dag) + 64
     iterations = 0
     while True:
@@ -255,7 +232,7 @@ def synthesize(
         choice = find_target(dag)
         if choice is None:
             break
-        gates = mapper.map_target(choice)
+        gates = map_target(dag, choice, circuit)
         iterations += 1
         if trace is not None:
             trace(f"iter {iterations}: {choice.rule} #{choice.node} -> "
@@ -264,13 +241,11 @@ def synthesize(
             problems = validate_dag(dag)
             if problems:
                 raise SynthesisError(f"graph invariant broken: {problems}")
-            _check_outputs_preserved(dag, mapper, exprs)
+            _check_outputs_preserved(dag, circuit, exprs)
         if iterations > guard:
             raise SynthesisError("mapping loop exceeded its iteration bound")
 
-    _claim_output_lines(mapper, tt)
-    circuit = Circuit(len(mapper.lines), mapper.gates, mapper.lines)
-    _refresh_roles(circuit, mapper.funcs, mapper.full)
+    order_outputs(circuit, tt)
 
     runtime = time.perf_counter() - t0
     report = quantum_cost(circuit, runtime)
@@ -285,13 +260,13 @@ def synthesize(
     return circuit, report
 
 
-def _check_outputs_preserved(dag: EsopDag, mapper: _Mapper, exprs):
+def _check_outputs_preserved(dag: EsopDag, circuit: Circuit, exprs):
     """Test-mode oracle: every pending output still expands to its spec."""
-    from .funcs import bit_support, mobius_bits
+    n = dag.n_vars
+    funcs = line_functions(circuit, n)
 
     def resolver(line_id):
-        return frozenset(bit_support(mobius_bits(mapper.funcs[line_id],
-                                                 mapper.n)))
+        return frozenset(bit_support(mobius_bits(funcs[line_id], n)))
 
     memo = {}
     for (name, nid), expr in zip(dag.output_order, exprs):
@@ -300,133 +275,46 @@ def _check_outputs_preserved(dag: EsopDag, mapper: _Mapper, exprs):
             raise SynthesisError(f"output {name} drifted: {sorted(got)}")
 
 
-def _claim_output_lines(mapper: _Mapper, tt: TruthTable):
-    """Assign every spec output to a line carrying its function, emitting
-    copy gates only for outputs whose function line is already claimed."""
-    wanted = [tt.column_bits(j) for j in range(tt.n_outputs)]
-    candidates = []
-    for j in range(tt.n_outputs):
-        candidates.append([l.line_id for l in mapper.lines
-                           if mapper.funcs[l.line_id] == wanted[j]])
-    assignment = _match_outputs(candidates, tt.n_outputs)
-    for j, line_id in enumerate(assignment):
-        name = tt.output_names[j]
-        if line_id is None:
-            # duplicate output or a constant: copy / build onto a fresh line
-            src = next((l.line_id for l in mapper.lines
-                        if mapper.funcs[l.line_id] == wanted[j]), None)
-            line_id = mapper.fresh_line()
-            if src is not None:
-                mapper.emit(cnot(src, line_id))
-            elif wanted[j] == mapper.full:
-                mapper.emit(not_gate(line_id))
-            elif wanted[j] != 0:
-                raise SynthesisError(
-                    f"no line carries output {name} after mapping")
-        mapper.lines[line_id].role = ROLE_OUTPUT
-        mapper.lines[line_id].output_name = name
-
-
-def _match_outputs(candidates: list[list[int]], m: int) -> list[int | None]:
-    """Injective output-to-line assignment maximizing direct (copy-free)
-    claims; exhaustive for up to 8 outputs, greedy beyond."""
-    if m > 8:
-        taken: set[int] = set()
-        out: list[int | None] = []
-        for cand in candidates:
-            pick = next((c for c in cand if c not in taken), None)
-            out.append(pick)
-            if pick is not None:
-                taken.add(pick)
-        return out
-    best: list[int | None] = [None] * m
-    best_score = -1
-
-    def rec(j: int, taken: set[int], acc: list[int | None], score: int):
-        nonlocal best, best_score
-        if j == m:
-            if score > best_score:
-                best, best_score = list(acc), score
-            return
-        if score + (m - j) <= best_score:
-            return
-        for c in candidates[j]:
-            if c not in taken:
-                taken.add(c)
-                acc.append(c)
-                rec(j + 1, taken, acc, score + 1)
-                acc.pop()
-                taken.remove(c)
-        acc.append(None)
-        rec(j + 1, taken, acc, score)
-        acc.pop()
-
-    rec(0, set(), [], 0)
-    return best
-
-
 def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
-    """Re-derive the cheapest output-to-line labeling for a finished circuit.
+    """Label the lines carrying the spec's outputs and re-derive every role.
 
-    Relabeling is free; only duplicated output functions cost a copy gate,
-    so the assignment maximizes copy-free claims (exhaustively for up to 8
-    outputs) and rewrites the line roles in place.
+    Relabeling is free; only an output whose function no unclaimed line
+    carries costs a fresh line (a copy, or an inverter for constant 1).
+    Candidate lines are grouped by the function they carry, so claiming in
+    output order already claims as many lines as possible.  Garbage is any
+    line ending with neither a claimed output nor its restored constant;
+    constant lines back at their init value are ancilla.
     """
     input_ids = [l.line_id for l in circuit.lines if l.origin == INPUT]
     funcs = line_functions(circuit, spec.n_inputs, input_ids)
-    wanted = [spec.column_bits(j) for j in range(spec.n_outputs)]
-    candidates = [
-        [l.line_id for l in circuit.lines if funcs[l.line_id] == w]
-        for w in wanted
-    ]
-    assignment = _match_outputs(candidates, spec.n_outputs)
-    for l in circuit.lines:
-        if l.role == ROLE_OUTPUT:
-            l.role = ROLE_GARBAGE
-            l.output_name = None
     full = (1 << (1 << spec.n_inputs)) - 1
-    taken_names = {l.name for l in circuit.lines}
-    for j, line_id in enumerate(assignment):
+    carriers: dict[int, list[int]] = {}
+    for lid, f in enumerate(funcs):
+        carriers.setdefault(f, []).append(lid)
+    wanted = [spec.column_bits(j) for j in range(spec.n_outputs)]
+    claims = [carriers[w].pop(0) if carriers.get(w) else None for w in wanted]
+    for l in circuit.lines:
+        l.role = ROLE_GARBAGE
+        l.output_name = None
+    for name, want, line_id in zip(spec.output_names, wanted, claims):
         if line_id is None:
-            line_id = circuit.n_lines
-            k = line_id
-            while f"w{k}" in taken_names:
-                k += 1
-            taken_names.add(f"w{k}")
-            circuit.lines.append(LineState(line_id, f"w{k}", CONSTANT, 0))
-            circuit.n_lines += 1
-            src = next((i for i in range(line_id) if funcs[i] == wanted[j]), None)
+            # duplicate output or a constant: copy / build onto a fresh line
+            src = next((i for i, f in enumerate(funcs) if f == want), None)
+            line_id = _fresh_line(circuit)
             if src is not None:
                 circuit.append(cnot(src, line_id))
-                funcs.append(funcs[src])
-            elif wanted[j] == full:
+            elif want == full:
                 circuit.append(not_gate(line_id))
-                funcs.append(full)
-            else:
-                funcs.append(0)
+            elif want != 0:
+                raise SynthesisError(f"no line carries output {name}")
+            funcs.append(want)
         circuit.lines[line_id].role = ROLE_OUTPUT
-        circuit.lines[line_id].output_name = spec.output_names[j]
-    _refresh_roles(circuit, funcs, full)
-    return circuit
-
-
-def _refresh_roles(circuit: Circuit, funcs: list[int], full: int):
-    """Garbage is any line ending with neither a declared output nor its
-    restored constant; constant lines back at their init value are ancilla.
-    Records each line's final function alongside the role."""
-    from .funcs import EsopExpression, bit_support, mobius_bits
-
-    n = (full.bit_length() - 1).bit_length()
+        circuit.lines[line_id].output_name = name
     for l in circuit.lines:
-        coeffs = mobius_bits(funcs[l.line_id], n)
-        l.function = EsopExpression.from_masks(n, bit_support(coeffs))
-        if l.role == ROLE_OUTPUT:
-            continue
-        if l.origin == CONSTANT:
-            init_pattern = full if l.init else 0
-            l.role = ROLE_ANCILLA if funcs[l.line_id] == init_pattern else ROLE_GARBAGE
-        else:
-            l.role = ROLE_GARBAGE
+        if l.role != ROLE_OUTPUT and l.origin == CONSTANT \
+                and funcs[l.line_id] == (full if l.init else 0):
+            l.role = ROLE_ANCILLA
+    return circuit
 
 
 __all__ = [

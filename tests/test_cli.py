@@ -51,6 +51,16 @@ def test_corrupted_circuit_fails_verification(mod5, tmp_path):
     assert run_cli(["verify", "--in", str(out), "--spec", mod5]) == 2
 
 
+def test_dirtied_ancilla_fails_verification(tmp_path, capsys):
+    spec = tmp_path / "y1_is_x2.pla"
+    spec.write_text(".i 2\n.o 1\n00 0\n10 0\n01 1\n11 1\n.e\n")
+    circ = tmp_path / "dirty.tfc"
+    # w is declared a restored ancilla but ends carrying a
+    circ.write_text(".v a,b,w\n.i a,b\n.o y1:b\n.c w=0\nt2 a,w\n")
+    assert run_cli(["verify", "--in", str(circ), "--spec", str(spec)]) == 2
+    assert "ancilla line w" in capsys.readouterr().out
+
+
 def test_cost_subcommand(mod5, tmp_path, capsys):
     out = tmp_path / "c.tfc"
     run_cli(["synth", "--in", mod5, "--out", str(out)])

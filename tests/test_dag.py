@@ -135,7 +135,8 @@ def test_dumps_carry_depth_suffixes():
 def test_long_random_rewrite_sequences_keep_the_graph_valid():
     # >1000 rewrite steps across sharing, parent reduction and mapping,
     # revalidating as we go
-    from esopsyn.mapper import find_target, _Mapper
+    from esopsyn.circuit import Circuit
+    from esopsyn.mapper import find_target, map_target
     from esopsyn.optimize import common_cube_sharing, parent_reduction_pass
 
     rng = random.Random(2718)
@@ -146,7 +147,7 @@ def test_long_random_rewrite_sequences_keep_the_graph_valid():
                           for _ in range(rng.randint(1, 10))})
                  for _ in range(rng.randint(1, 3))]
         dag = build_dag(exprs, rng.choice([3, 4]))
-        mapper = _Mapper(dag, n, [f"x{i+1}" for i in range(n)])
+        circuit = Circuit(n)
         while True:
             op = rng.randrange(3)
             if op == 0:
@@ -159,7 +160,7 @@ def test_long_random_rewrite_sequences_keep_the_graph_valid():
                 choice = find_target(dag)
                 if choice is None:
                     break
-                mapper.map_target(choice)
+                map_target(dag, choice, circuit)
                 steps += 1
             assert validate_dag(dag) == []
 
