@@ -3,12 +3,15 @@
 Five node kinds: t_root (collects the per-output top nodes), t_xor, t_and,
 t_identifier (a variable, or a circuit line once mapping starts) and
 t_constant.  Structural sharing is by hash-consing: one identifier node
-per variable, identical subterms reuse one node.  Depth labels are
-recomputed as longest-path-from-root after every mutation.
+per variable, identical subterms reuse one node.  Depth labels are the
+longest path from the root: the graph passes recompute them when they
+finish, and collapsing a mapped node into an identifier updates only the
+depths below it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .funcs import EsopExpression, bit_support
@@ -126,8 +129,16 @@ class EsopDag:
         self.set_children(nid, cur)
 
     def to_identifier(self, nid: int, line_id: int, label: str):
-        """Collapse a mapped node into an identifier for a circuit line."""
+        """Collapse a mapped node into an identifier for a circuit line.
+
+        Only the node's former descendants can lose depth or become
+        unreachable, so only they are re-derived, parents before children
+        (by old depth): a node left without parents is deleted, any other
+        takes one more than its deepest parent.  On a pruned graph with
+        fresh depths this equals a full `recompute_depths`.
+        """
         node = self.nodes[nid]
+        heap = [(self.nodes[c].depth, c) for c in set(node.children)]
         self.set_children(nid, [])
         old_key = self._key(node)
         if self._cons.get(old_key) == nid:
@@ -136,6 +147,21 @@ class EsopDag:
         node.label = label
         node.line = line_id
         self._cons.setdefault(self._key(node), nid)
+        heapq.heapify(heap)
+        queued = {c for _, c in heap}
+        while heap:
+            _, u = heapq.heappop(heap)
+            un = self.nodes[u]
+            if not un.parents:
+                self._delete(u)
+            else:
+                depth = 1 + max(self.nodes[p].depth for p in un.parents)
+                if depth == un.depth:
+                    continue
+                un.depth = depth
+            for c in set(un.children) - queued:
+                queued.add(c)
+                heapq.heappush(heap, (self.nodes[c].depth, c))
 
     def merge_nodes(self, keep: int, drop: int):
         """Redirect every reference to `drop` onto `keep` and delete it."""
@@ -188,7 +214,9 @@ class EsopDag:
 
     # -- depth / pruning -----------------------------------------------------
 
-    def recompute_depths(self, prune: bool = True):
+    def recompute_depths(self):
+        """Delete every node the root no longer reaches and relabel each
+        depth as the longest path from the root."""
         reach = {self.root}
         stack = [self.root]
         while stack:
@@ -196,16 +224,15 @@ class EsopDag:
                 if c not in reach:
                     reach.add(c)
                     stack.append(c)
-        if prune:
-            dead = [i for i in self.nodes if i not in reach]
-            for nid in dead:
-                node = self.nodes.pop(nid)
-                key = self._key(node)
-                if self._cons.get(key) == nid:
-                    del self._cons[key]
-                for c in node.children:
-                    if c in self.nodes:
-                        self.nodes[c].parents.remove(nid)
+        dead = [i for i in self.nodes if i not in reach]
+        for nid in dead:
+            node = self.nodes.pop(nid)
+            key = self._key(node)
+            if self._cons.get(key) == nid:
+                del self._cons[key]
+            for c in node.children:
+                if c in self.nodes:
+                    self.nodes[c].parents.remove(nid)
         indeg = {nid: sum(1 for p in self.nodes[nid].parents if p in reach)
                  for nid in reach}
         for nid in reach:

@@ -28,12 +28,22 @@ from .circuit import (
     ROLE_GARBAGE, ROLE_OUTPUT,
 )
 from .funcs import EsopExpression, Permutation, TruthTable, truth_table_from_anf
+from .mapper import DEFAULT_INPUT_LIMIT
 
 log = logging.getLogger("esopsyn")
 
 
 class SpecFormatError(ValueError):
     pass
+
+
+def _check_inputs(n: int, origin: str) -> int:
+    """Reject a spec wider than the synthesizer accepts before anything of
+    size 2^n is built."""
+    if n > DEFAULT_INPUT_LIMIT:
+        raise SpecFormatError(
+            f"{origin}: {n} inputs exceeds the limit {DEFAULT_INPUT_LIMIT}")
+    return n
 
 
 def parse_spec(path: str, fmt: str = "auto") -> TruthTable | Permutation:
@@ -72,6 +82,7 @@ def _parse_perm(lines, origin) -> Permutation:
         if parts[0] == "perm":
             parts = parts[1:]
         tokens.extend(parts)
+    _check_inputs((len(tokens) - 1).bit_length(), origin)
     try:
         images = tuple(int(t) for t in tokens)
     except ValueError as e:
@@ -92,7 +103,7 @@ def _parse_pla(lines, origin) -> TruthTable:
         parts = ln.split()
         key = parts[0]
         if key == ".i":
-            n = int(parts[1])
+            n = _check_inputs(int(parts[1]), origin)
         elif key == ".o":
             m = int(parts[1])
         elif key == ".ilb":
@@ -179,6 +190,7 @@ def _parse_cubes(lines, origin) -> TruthTable:
                 v = int(i)
                 if v < 1:
                     raise SpecFormatError(f"{origin}: variables start at x1")
+                _check_inputs(v, origin)
                 mask |= 1 << (v - 1)
                 n_vars = max(n_vars, v)
             masks.append(mask)

@@ -165,7 +165,6 @@ def map_target(dag: EsopDag, choice: TargetChoice, circuit: Circuit) -> list:
         else:
             _xor_children(dag, node.children, None, target, circuit)
     dag.to_identifier(choice.node, target, f"@{target}")
-    dag.recompute_depths(prune=True)
     return circuit.gates[emitted_from:]
 
 

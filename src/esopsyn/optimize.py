@@ -8,6 +8,7 @@ every rewrite here preserves the function computed by each output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .dag import (
@@ -276,7 +277,13 @@ def _share(dag: EsopDag, i: int, j: int, rule: str) -> str | None:
 
 def _find_with_children(dag: EsopDag, kind: str, child_set: set[int],
                         exclude=()) -> int | None:
-    for nid in dag.internal_ids():
+    """Lowest-id node of `kind` whose children are exactly `child_set`.
+
+    Such a node is a parent of every member, so the parents of the member
+    with the fewest parents are the only candidates.
+    """
+    pivot = min(child_set, key=lambda c: len(dag.nodes[c].parents))
+    for nid in sorted(set(dag.nodes[pivot].parents)):
         if nid in exclude:
             continue
         node = dag.nodes[nid]
@@ -285,41 +292,51 @@ def _find_with_children(dag: EsopDag, kind: str, child_set: set[int],
     return None
 
 
+def _share_candidates(dag: EsopDag, i: int) -> list[int]:
+    """Partners for node i, in (depth desc, id) order: the co-parents
+    sharing at least two distinct children with it, no deeper than i.
+
+    A merge or a subset shares every child of the smaller node and an
+    internal node has at least two, and an overlap needs two common
+    children, so no other node can be shareable with i.
+    """
+    shared = Counter(p for c in set(dag.nodes[i].children)
+                     for p in set(dag.nodes[c].parents))
+    depth = dag.nodes[i].depth
+    return sorted(
+        (j for j, k in shared.items()
+         if k >= 2 and j != i and 0 < dag.nodes[j].depth <= depth),
+        key=lambda j: (-dag.nodes[j].depth, j))
+
+
 def common_cube_sharing(dag: EsopDag, sweep_cap: int = 32) -> MutationReport:
     """Hoist shared child subsets so common subterms are computed once.
 
-    Scans node pairs from one level above the deepest leaves toward the
-    root, pairing each node with candidates at its own and every shallower
-    level; at most one share is applied per node per sweep, and sweeps
-    repeat to a fixpoint.
+    Scans nodes from one level above the deepest leaves toward the root,
+    pairing each node with its co-parents (nodes sharing at least two of
+    its children) at its own and every shallower level; at most one share
+    is applied per node per sweep, and sweeps repeat to a fixpoint.
+    Sharing creates no node, so depths stay as the sweep began.
     """
     report = MutationReport("cube_sharing", nodes_before=len(dag))
     for _ in range(sweep_cap):
         changed = False
         dag.recompute_depths()
-        for depth in range(dag.depth_max() - 1, 0, -1):
-            level = [nid for nid in dag.internal_ids()
-                     if nid in dag.nodes and dag.nodes[nid].depth == depth]
-            for i in level:
+        levels: dict[int, list[int]] = {}
+        for nid in dag.internal_ids():
+            levels.setdefault(dag.nodes[nid].depth, []).append(nid)
+        for depth in sorted(levels, reverse=True):
+            for i in levels[depth]:
                 if i not in dag.nodes:
                     continue
-                done = False
-                for depth_j in range(depth, 0, -1):
-                    for j in dag.internal_ids():
-                        if j == i or j not in dag.nodes or i not in dag.nodes:
-                            continue
-                        if dag.nodes[j].depth != depth_j:
-                            continue
-                        rule = _shareable(dag, i, j)
-                        if rule is None:
-                            continue
-                        event = _share(dag, i, j, rule)
-                        if event:
-                            report.events.append(event)
-                            changed = True
-                            done = True
-                            break
-                    if done:
+                for j in _share_candidates(dag, i):
+                    rule = _shareable(dag, i, j)
+                    if rule is None:
+                        continue
+                    event = _share(dag, i, j, rule)
+                    if event:
+                        report.events.append(event)
+                        changed = True
                         break
         if not changed:
             break
@@ -404,7 +421,8 @@ def reduce_parents(dag: EsopDag, leaf: int,
             rewrote = _general_expansion_step(dag, leaf, report)
         if not rewrote:
             break
-    dag.recompute_depths()
+    if report:
+        dag.recompute_depths()
     report.nodes_after = len(dag)
     return report
 

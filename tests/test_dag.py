@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -134,7 +135,8 @@ def test_dumps_carry_depth_suffixes():
 
 def test_long_random_rewrite_sequences_keep_the_graph_valid():
     # >1000 rewrite steps across sharing, parent reduction and mapping,
-    # revalidating as we go
+    # revalidating as we go; node set and depths must equal what a full
+    # recompute derives (validate_dag alone accepts depths that are too high)
     from esopsyn.circuit import Circuit
     from esopsyn.mapper import find_target, map_target
     from esopsyn.optimize import common_cube_sharing, parent_reduction_pass
@@ -163,6 +165,11 @@ def test_long_random_rewrite_sequences_keep_the_graph_valid():
                 map_target(dag, choice, circuit)
                 steps += 1
             assert validate_dag(dag) == []
+            fresh = copy.deepcopy(dag)
+            fresh.recompute_depths()
+            assert fresh.nodes.keys() == dag.nodes.keys()
+            assert {nid: n.depth for nid, n in fresh.nodes.items()} == \
+                {nid: n.depth for nid, n in dag.nodes.items()}
 
 
 def test_depths_increase_along_edges():

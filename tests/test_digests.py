@@ -51,6 +51,9 @@ CASES = {
         "4ed3348b209fd0291c0eda913d79f7aeca06b5802ee5da3176d0ad0af88751a6"),
     "hwb5-3100": (lambda: benchmarks.get("hwb5"), "3100",
         "2c61c1980f504bbaec16f95f4f2b9df9928adc737ab46322b3e48a8497885171"),
+    # cube sharing with overlap hoists, K=3 factoring, parent reduction
+    "aes_sbox-3131": (lambda: benchmarks.get("aes_sbox"), "3131",
+        "cb207abf522cb852db17895d16880d2b92632f09867bfaaf64f75613c8e527e4"),
 }
 
 

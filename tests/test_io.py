@@ -1,5 +1,6 @@
 import logging
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,18 @@ def test_malformed_specs():
             parse_spec_text(text)
     with pytest.raises(SpecFormatError):
         parse_spec_text("perm 0 1 2\n")
+
+
+@pytest.mark.parametrize("text", [
+    ".i 30\n.o 1\n",
+    "x1 ^ x40\n",
+    "perm " + " ".join(str(v) for v in range((1 << 17) + 1)) + "\n",
+])
+def test_oversized_specs_are_rejected_before_allocating(text):
+    start = time.perf_counter()
+    with pytest.raises(SpecFormatError, match="exceeds the limit 16"):
+        parse_spec_text(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_cube_tokens():

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 
+from esopsyn import optimize
 from esopsyn.dag import T_AND, T_XOR, build_dag, build_dag_from_trees, \
-    dag_to_expressions, validate_dag
+    dag_to_expressions, dump_text, validate_dag
 from esopsyn.funcs import EsopExpression, and_masks
 from esopsyn.optimize import (
-    OptimizeParams, common_cube_sharing, extract_kernels, divide,
-    factor_expression, parent_reduction_pass, reduce_parents, select_divisor,
+    MutationReport, OptimizeParams, common_cube_sharing, extract_kernels,
+    divide, factor_expression, parent_reduction_pass, reduce_parents,
+    select_divisor,
 )
 
 
@@ -183,6 +186,94 @@ def test_sharing_never_grows_the_graph_and_keeps_semantics():
         assert len(dag) <= before
         assert validate_dag(dag) == []
         assert [e.masks for e in dag_to_expressions(dag)] == want
+
+
+def _reference_find_with_children(dag, kind, child_set, exclude=()):
+    for nid in dag.internal_ids():
+        if nid in exclude:
+            continue
+        node = dag.nodes[nid]
+        if node.kind == kind and set(node.children) == child_set:
+            return nid
+    return None
+
+
+def _reference_cube_sharing(dag, sweep_cap=32):
+    """The all-pairs scan cube sharing replaced: every internal node at each
+    level from the deepest up, tried against every internal node at its own
+    and each shallower level, hoist nodes looked up over the whole graph."""
+    report = MutationReport("cube_sharing", nodes_before=len(dag))
+    for _ in range(sweep_cap):
+        changed = False
+        dag.recompute_depths()
+        for depth in range(dag.depth_max() - 1, 0, -1):
+            level = [nid for nid in dag.internal_ids()
+                     if nid in dag.nodes and dag.nodes[nid].depth == depth]
+            for i in level:
+                if i not in dag.nodes:
+                    continue
+                done = False
+                for depth_j in range(depth, 0, -1):
+                    for j in dag.internal_ids():
+                        if j == i or j not in dag.nodes or i not in dag.nodes:
+                            continue
+                        if dag.nodes[j].depth != depth_j:
+                            continue
+                        rule = optimize._shareable(dag, i, j)
+                        if rule is None:
+                            continue
+                        event = optimize._share(dag, i, j, rule)
+                        if event:
+                            report.events.append(event)
+                            changed = True
+                            done = True
+                            break
+                    if done:
+                        break
+        if not changed:
+            break
+    dag.recompute_depths()
+    report.nodes_after = len(dag)
+    return report
+
+
+def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
+    rng = random.Random(31)
+    rules = Counter()
+    for _ in range(240):
+        n = rng.randint(3, 6)
+        exprs = [expr(n, {rng.randrange(1 << n)
+                          for _ in range(rng.randint(2, 14))})
+                 for _ in range(rng.randint(1, 4))]
+        params = OptimizeParams(max_and_arity=rng.choice([3, 4]),
+                                kernel_threshold=rng.choice([0, 1, 2, 3]))
+        trees = [factor_expression(e, params) for e in exprs]
+        ours = build_dag_from_trees(trees, n, params.max_and_arity)
+        ref = build_dag_from_trees(trees, n, params.max_and_arity)
+        if rng.random() < 0.3:
+            # a structural twin under a new output, so merges fire too
+            twin_of = rng.choice(ours.internal_ids())
+            for dag in (ours, ref):
+                node = dag.nodes[twin_of]
+                twin = dag._fresh(node.kind, node.children[::-1])
+                dag.set_children(dag.root, dag.nodes[dag.root].children + [twin])
+                dag.output_order.append(("twin", twin))
+                dag.recompute_depths()
+        for nid in ours.internal_ids():
+            node = ours.nodes[nid]
+            key = (ours, node.kind, set(node.children))
+            assert optimize._find_with_children(*key) == \
+                _reference_find_with_children(*key)
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_find_with_children",
+                      _reference_find_with_children)
+            want = _reference_cube_sharing(ref)
+        got = common_cube_sharing(ours)
+        assert got.events == want.events
+        assert dump_text(ours) == dump_text(ref)
+        rules.update(event.split()[0] for event in got.events)
+    # merges, subset hoists and overlap hoists all fired
+    assert rules["merge"] and rules["subset:"] and rules["overlap:"]
 
 
 # -- parent reduction -------------------------------------------------------
