@@ -6,10 +6,14 @@ input side: a CNOT substitutes target <- target ^ control, a Toffoli
 substitutes target <- target ^ (product of controls).  Substituting with
 control set C turns every cube m containing the target t into
 m ^ (m without t | C), which cancels pairs of nonlinear cubes when chosen
-well.  Once every expression is linear the remaining system is an
-invertible affine map, finished deterministically by column elimination,
-inverters for complemented outputs, and swap triples for the residual
-line permutation.
+well.  Candidate substitutions come from one enumerator (`_candidates`)
+and are scored by one one-pass measure (`_measure`: cubes of three or
+more literals, nonlinear cubes, literals); the degree-clearing phase, the
+T3 step and the stall rescue differ only in the key they minimize (see
+`reduce_to_identity`).  Once every expression is linear the remaining
+system is an invertible affine map, finished deterministically by column
+elimination, inverters for complemented outputs, and swap triples for the
+residual line permutation.
 
 Gate order equals application order: if F composed with g1..gk is the
 identity then the circuit executing g1 first realizes F (all gates are
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .circuit import (
     Circuit, CostReport, INPUT, LineState, ROLE_OUTPUT, VerificationError,
-    cnot, not_gate, quantum_cost, toffoli, verify_equivalence,
+    quantum_cost, toffoli, verify_equivalence,
 )
 from .funcs import Permutation, anf_from_truth_table, bit_support, \
     truth_table_from_permutation
@@ -75,15 +79,6 @@ class ExpressionState:
     def last_applied(self) -> Transformation | None:
         return self.history[-1] if self.history else None
 
-    def nonlinear_count(self) -> int:
-        return sum(1 for e in self.exprs for m in e if m.bit_count() >= 2)
-
-    def literal_count(self) -> int:
-        return sum(m.bit_count() for e in self.exprs for m in e)
-
-    def high_degree_count(self, bound: int = 3) -> int:
-        return sum(1 for e in self.exprs for m in e if m.bit_count() >= bound)
-
     def is_linear(self) -> bool:
         return all(m.bit_count() <= 1 for e in self.exprs for m in e)
 
@@ -120,6 +115,58 @@ def apply_substitution(state: ExpressionState, t: Transformation) -> ExpressionS
     return ExpressionState(state.n_vars, exprs, state.history + (t,))
 
 
+def _measure(state: ExpressionState) -> tuple[int, int, int]:
+    """(cubes with three or more literals, nonlinear cubes, literals),
+    counted in one pass over the cubes."""
+    wide = nonlinear = literals = 0
+    for e in state.exprs:
+        for m in e:
+            k = m.bit_count()
+            literals += k
+            nonlinear += k >= 2
+            wide += k >= 3
+    return wide, nonlinear, literals
+
+
+def _candidates(n: int, widths):
+    """Every substitution with a control count in `widths`, ordered by
+    width, then target, then control combination; stops at the first
+    width that leaves no variable free for the target."""
+    for width in widths:
+        if width >= n:
+            return
+        for target in range(n):
+            others = [v for v in range(n) if v != target]
+            for controls in itertools.combinations(others, width):
+                yield Transformation(controls, target)
+
+
+def _best(state: ExpressionState, widths, key):
+    """(key, substitution) with the smallest key(t, _measure(after)), or
+    None when no candidate exists.  Every key ends in the substitution's
+    full (target, controls), so keys never tie."""
+    return min(((key(t, _measure(apply_substitution(state, t))), t)
+                for t in _candidates(state.n_vars, widths)), default=None)
+
+
+_WIDTHS = (1, 2, 3)
+
+
+def _t3_key(t, m):
+    """T3 step: fewest nonlinear cubes, then fewest literals."""
+    return m[1], m[2], t.target, t.controls
+
+
+def _degree_key(t, m):
+    """Degree-clearing phase: the whole measure, then the narrowest gate."""
+    return m, len(t.controls), t.target, t.controls
+
+
+def _rescue_key(t, m):
+    """Stall rescue: (nonlinear cubes, literals), then controls first."""
+    return m[1:], t.controls, t.target
+
+
 def _t2_candidates(state: ExpressionState, policy: str):
     """Candidate CNOT substitutions from pairs of nonlinear cubes that
     share a variable, in a fixed deterministic order."""
@@ -147,116 +194,27 @@ def _t2_candidates(state: ExpressionState, policy: str):
 def check_T2(state: ExpressionState,
              policy: str = POLICY_UNIQUE_PAIR) -> Transformation | None:
     """First CNOT substitution that strictly lowers the nonlinear cube
-    count; on an already-linear state, the first elimination step of the
-    affine finisher (literal reduction)."""
-    if state.is_linear():
-        for t in _linear_finish_ops(state):
-            if t.kind == "T2":
-                return t
-        return None
-    before = state.nonlinear_count()
+    count of a nonlinear state."""
+    before = _measure(state)[1]
     for t in _t2_candidates(state, policy):
-        if apply_substitution(state, t).nonlinear_count() < before:
+        if _measure(apply_substitution(state, t))[1] < before:
             return t
     return None
 
 
-def _search_controls(state: ExpressionState, n_controls: int, measure):
-    """Best substitution with the given control count under `measure`
-    (smaller is better); None when nothing strictly improves."""
-    before = measure(state)
-    best = None
-    best_key = None
-    for target in range(state.n_vars):
-        others = [v for v in range(state.n_vars) if v != target]
-        for controls in itertools.combinations(others, n_controls):
-            t = Transformation(controls, target)
-            after = apply_substitution(state, t)
-            m = measure(after)
-            key = (m, after.literal_count(), target, controls)
-            if best_key is None or key < best_key:
-                best, best_key = t, key
-    if best is None or best_key[0] >= before:
-        return None, best, best_key
-    return best, best, best_key
-
-
-def find_T3(state: ExpressionState) -> Transformation | None:
-    """Toffoli substitution strictly decreasing the nonlinear cube count
-    (ties: fewest literals, then lexicographic)."""
-    hit, _, _ = _search_controls(state, 2, ExpressionState.nonlinear_count)
-    return hit
-
-
-def find_T4(state: ExpressionState) -> Transformation | None:
-    """Three-control substitution strictly decreasing the count of cubes
-    with three or more literals (the scaling phase for four variables)."""
-    hit, _, _ = _search_controls(state, 3, ExpressionState.high_degree_count)
-    return hit
-
-
-def _degree_measure(state: ExpressionState) -> tuple[int, int, int]:
-    return (state.high_degree_count(), state.nonlinear_count(),
-            state.literal_count())
-
-
-def _best_degree_clearer(state: ExpressionState):
-    """Best substitution of any width for shedding 3-literal cubes, under
-    the lexicographic (wide cubes, nonlinear cubes, literals) measure.
-    Returns (strict_improver_or_None, overall_best)."""
-    before = _degree_measure(state)
-    best = None
-    best_key = None
-    for n_controls in (1, 2, 3):
-        if n_controls >= state.n_vars:
-            break
-        for target in range(state.n_vars):
-            others = [v for v in range(state.n_vars) if v != target]
-            for controls in itertools.combinations(others, n_controls):
-                t = Transformation(controls, target)
-                m = _degree_measure(apply_substitution(state, t))
-                key = (m, n_controls, target, controls)
-                if best_key is None or key < best_key:
-                    best, best_key = t, key
-    if best is not None and best_key[0] < before:
-        return best, best
-    return None, best
-
-
-def _lex_measure(state: ExpressionState) -> tuple[int, int]:
-    return (state.nonlinear_count(), state.literal_count())
-
-
-def _all_candidates(state: ExpressionState):
-    widths = (1, 2, 3) if state.n_vars >= 4 else (1, 2)
-    for n_controls in widths:
-        if n_controls >= state.n_vars:
-            return
-        for target in range(state.n_vars):
-            others = [v for v in range(state.n_vars) if v != target]
-            for controls in itertools.combinations(others, n_controls):
-                yield Transformation(controls, target)
-
-
-def _stall_rescue(state: ExpressionState) -> list[Transformation]:
+def _stall_rescue(state: ExpressionState,
+                  before: tuple[int, int]) -> list[Transformation]:
     """When no single preferred substitution helps, look for any width-1..3
-    substitution, then any pair, that strictly lowers (nonlinear cubes,
-    literals)."""
-    before = _lex_measure(state)
-    best: list[Transformation] = []
-    best_key = None
-    for t in _all_candidates(state):
-        key = (_lex_measure(apply_substitution(state, t)), t.controls, t.target)
-        if best_key is None or key < best_key:
-            best, best_key = [t], key
-    if best_key is not None and best_key[0] < before:
-        return best
-    for t1 in _all_candidates(state):
+    substitution, then the first pair in enumeration order, that strictly
+    lowers (nonlinear cubes, literals) below `before`."""
+    found = _best(state, _WIDTHS, _rescue_key)
+    if found is not None and found[0][0] < before:
+        return [found[1]]
+    candidates = list(_candidates(state.n_vars, _WIDTHS))
+    for t1 in candidates:
         mid = apply_substitution(state, t1)
-        for t2 in _all_candidates(mid):
-            if t2 == t1:
-                continue
-            if _lex_measure(apply_substitution(mid, t2)) < before:
+        for t2 in candidates:
+            if t2 != t1 and _measure(apply_substitution(mid, t2))[1:] < before:
                 return [t1, t2]
     return []
 
@@ -324,9 +282,14 @@ def reduce_to_identity(state: ExpressionState,
     """Run the substitution loop until every expression is a distinct
     single literal on its own line.
 
-    CNOT substitutions are preferred; Toffoli substitutions take over when
-    none qualifies or the same step would repeat.  When neither strictly
-    improves, the least-damaging Toffoli is accepted at most twice in a
+    While cubes of three or more literals remain, each step is the
+    `_degree_key` winner of one search over widths 1..3.  Then CNOT
+    substitutions are preferred; the T3 search (`_t3_key`, Toffolis only)
+    takes over when none qualifies or the same step would repeat, and the
+    stall rescue (`_rescue_key`, widths 1..3, then the first improving
+    pair) when the T3 winner does not lower the nonlinear count.  When
+    nothing strictly improves, the degree search's or (after a failed
+    rescue) the T3 search's overall winner is accepted at most twice in a
     row before giving up (reported as non-convergence).
     """
     n = state.n_vars
@@ -345,35 +308,37 @@ def reduce_to_identity(state: ExpressionState,
 
     # four-variable scaling phase: clear cubes of three or more literals
     # with whichever substitution width helps most
-    while state.high_degree_count() > 0:
-        t, best = _best_degree_clearer(state)
-        if t is None:
+    measure = _measure(state)
+    while measure[0] > 0:
+        found = _best(state, _WIDTHS, _degree_key)
+        if found is not None and found[0][0] < measure:
+            escapes = 0
+        else:
             escapes += 1
-            if best is None or escapes > 2:
+            if found is None or escapes > 2:
                 raise NonConvergenceError(
                     "stuck while clearing three-literal cubes")
-            t = best
-        else:
-            escapes = 0
+        (measure, _, _, _), t = found
         state = step(t)
 
     while not state.is_linear():
-        before = _lex_measure(state)
+        before = _measure(state)[1:]
         t = check_T2(state, policy)
         pending = [t] if t is not None and t != state.last_applied else []
         if not pending:
-            t = find_T3(state)
-            pending = [t] if t is not None else _stall_rescue(state)
-        if not pending:
-            _, best, _ = _search_controls(
-                state, 2, ExpressionState.nonlinear_count)
-            escapes += 1
-            if best is None or escapes > 2:
-                raise NonConvergenceError("no reducing substitution left")
-            pending = [best]
+            t3 = _best(state, (2,), _t3_key)
+            if t3 is not None and t3[0][0] < before[0]:
+                pending = [t3[1]]
+            else:
+                pending = _stall_rescue(state, before)
+            if not pending:
+                escapes += 1
+                if t3 is None or escapes > 2:
+                    raise NonConvergenceError("no reducing substitution left")
+                pending = [t3[1]]
         for t in pending:
             state = step(t)
-        if _lex_measure(state) < before:
+        if _measure(state)[1:] < before:
             escapes = 0
 
     for t in _linear_finish_ops(state):
@@ -386,7 +351,6 @@ def reduce_to_identity(state: ExpressionState,
 def ancilla_free_synthesize(
     spec: Permutation,
     policy: str = POLICY_UNIQUE_PAIR,
-    iteration_cap: int | None = None,
     verify: bool = True,
 ) -> tuple[Circuit, CostReport]:
     """Synthesize a reversible function on exactly its own lines.
@@ -401,7 +365,7 @@ def ancilla_free_synthesize(
     exprs = tuple(anf_from_truth_table(tt.single_output(j)).masks
                   for j in range(n))
     state = ExpressionState(n, exprs)
-    state = reduce_to_identity(state, policy, iteration_cap)
+    state = reduce_to_identity(state, policy)
 
     lines = []
     for i in range(n):
@@ -409,12 +373,7 @@ def ancilla_free_synthesize(
                                role=ROLE_OUTPUT, output_name=tt.output_names[i]))
     circuit = Circuit(n, [], lines)
     for t in state.history:
-        if not t.controls:
-            circuit.append(not_gate(t.target))
-        elif len(t.controls) == 1:
-            circuit.append(cnot(t.controls[0], t.target))
-        else:
-            circuit.append(toffoli(t.controls, t.target))
+        circuit.append(toffoli(t.controls, t.target))
     report = quantum_cost(circuit, time.perf_counter() - t0)
     if verify:
         verdict = verify_equivalence(circuit, tt)

@@ -210,6 +210,14 @@ def line_functions(c: Circuit, n_inputs: int, input_line_ids=None) -> list[int]:
     return funcs
 
 
+def restored_constants(c: Circuit, funcs: list[int], n_inputs: int) -> tuple[int, ...]:
+    """Constant lines whose final function (as from `line_functions`) is
+    their init value."""
+    full = (1 << (1 << n_inputs)) - 1
+    return tuple(l.line_id for l in c.lines if l.origin == CONSTANT
+                 and funcs[l.line_id] == (full if l.init else 0))
+
+
 def detect_peres(c: Circuit) -> list[tuple[int, int]]:
     """Greedy left-to-right scan for adjacent Toffoli_3 / CNOT pairs whose
     CNOT acts entirely inside the Toffoli's control set (either order).
@@ -312,11 +320,7 @@ def verify_equivalence(c: Circuit, spec: TruthTable,
         mismatch = 0
         for j, name in enumerate(spec.output_names):
             mismatch |= funcs[out_lines[name]] ^ spec.column_bits(j)
-        restored = tuple(
-            l.line_id for l in c.lines
-            if l.origin == CONSTANT
-            and funcs[l.line_id] == (((1 << (1 << n)) - 1) if l.init else 0)
-        )
+        restored = restored_constants(c, funcs, n)
         dirty = tuple(l.line_id for l in ancillae if l.line_id not in restored)
         if mismatch == 0:
             return Verdict(not dirty, None, restored, dirty)

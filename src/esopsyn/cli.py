@@ -18,7 +18,10 @@ from .ancilla_free import (
     NonConvergenceError, POLICY_COMMON_CONTROL, POLICY_UNIQUE_PAIR,
     ancilla_free_synthesize, exhaustive_sweep,
 )
-from .circuit import VerificationError, quantum_cost, verify_equivalence
+from .circuit import (
+    ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, VerificationError, line_functions,
+    quantum_cost, restored_constants, verify_equivalence,
+)
 from .funcs import Permutation, TruthTable, truth_table_from_permutation
 from .io import (
     SpecFormatError, format_circuit, parse_spec, read_circuit, report_row,
@@ -259,6 +262,13 @@ def _cmd_ancilla_exhaustive(args) -> int:
 
 def _cmd_cost(args) -> int:
     circuit = read_circuit(args.input)
+    # roles from simulation: a non-output constant line is ancilla iff restored
+    input_ids = [l.line_id for l in circuit.input_lines()]
+    funcs = line_functions(circuit, len(input_ids), input_ids)
+    restored = restored_constants(circuit, funcs, len(input_ids))
+    for l in circuit.constant_lines():
+        if l.role != ROLE_OUTPUT:
+            l.role = ROLE_ANCILLA if l.line_id in restored else ROLE_GARBAGE
     report = quantum_cost(circuit)
     print(f"qc={report.quantum_cost} gates={report.gate_count} "
           f"lines={report.line_count} garbage={report.garbage_count} "

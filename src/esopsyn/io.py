@@ -103,9 +103,9 @@ def _parse_pla(lines, origin) -> TruthTable:
         parts = ln.split()
         key = parts[0]
         if key == ".i":
-            n = _check_inputs(int(parts[1]), origin)
+            n = _check_inputs(_header_count(parts, origin), origin)
         elif key == ".o":
-            m = int(parts[1])
+            m = _header_count(parts, origin)
         elif key == ".ilb":
             input_names = tuple(parts[1:])
         elif key == ".ob":
@@ -146,6 +146,15 @@ def _parse_pla(lines, origin) -> TruthTable:
         raise SpecFormatError(f"{origin}: missing .i/.o header")
     rows = tuple(assigned.get(i, 0) for i in range(1 << n))
     return TruthTable(n, m, rows, input_names, output_names)
+
+
+def _header_count(parts: list[str], origin: str) -> int:
+    """The count a ``.i``/``.o`` header carries as its first value."""
+    if len(parts) < 2 or not parts[1].isdecimal():
+        raise SpecFormatError(
+            f"{origin}: {parts[0]} needs a non-negative integer, "
+            f"got {' '.join(parts[1:])!r}")
+    return int(parts[1])
 
 
 def _expand_input(bits: str, origin: str):
@@ -268,6 +277,10 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         elif key == ".c":
             for tok in rest.split(","):
                 lname, _, init = tok.strip().partition("=")
+                if init not in ("", "0", "1"):
+                    raise SpecFormatError(
+                        f"{origin}: constant {lname} starts at {init!r}, "
+                        f"not 0 or 1")
                 consts[lname] = int(init or 0)
         elif key == ".g":
             garbage = {t.strip() for t in rest.split(",") if t.strip()}
@@ -283,6 +296,7 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
             raise SpecFormatError(f"{origin}: unrecognized line {ln!r}")
     if not names:
         raise SpecFormatError(f"{origin}: missing .v line declaration")
+    _check_inputs(sum(nm not in consts for nm in names), origin)
     index = {nm: i for i, nm in enumerate(names)}
     lines = []
     for i, nm in enumerate(names):

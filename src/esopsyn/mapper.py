@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .circuit import (
     CONSTANT, Circuit, CostReport, INPUT, LineState, ROLE_ANCILLA,
     ROLE_GARBAGE, ROLE_OUTPUT, VerificationError, cnot, line_functions,
-    not_gate, quantum_cost, toffoli, verify_equivalence,
+    not_gate, quantum_cost, restored_constants, toffoli, verify_equivalence,
 )
 from .dag import (
     EsopDag, T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees, validate_dag,
@@ -309,10 +309,9 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
             funcs.append(want)
         circuit.lines[line_id].role = ROLE_OUTPUT
         circuit.lines[line_id].output_name = name
-    for l in circuit.lines:
-        if l.role != ROLE_OUTPUT and l.origin == CONSTANT \
-                and funcs[l.line_id] == (full if l.init else 0):
-            l.role = ROLE_ANCILLA
+    for lid in restored_constants(circuit, funcs, spec.n_inputs):
+        if circuit.lines[lid].role != ROLE_OUTPUT:
+            circuit.lines[lid].role = ROLE_ANCILLA
     return circuit
 
 

@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from esopsyn.ancilla_free import (
     ExpressionState, NonConvergenceError, POLICY_COMMON_CONTROL,
-    Transformation, ancilla_free_synthesize, apply_substitution, check_T2,
-    find_T3, find_T4, reduce_to_identity,
+    Transformation, _WIDTHS, _best, _degree_key, _linear_finish_ops,
+    _measure, _stall_rescue, _t3_key, ancilla_free_synthesize,
+    apply_substitution, check_T2, reduce_to_identity,
 )
 from esopsyn.circuit import simulate
-from esopsyn.funcs import Permutation
+from esopsyn.funcs import Permutation, anf_from_truth_table, \
+    truth_table_from_permutation
 
 # the three-output benchmark whose reduction is traced in the docs:
 # f1 = ac^bc^a^c^1, f2 = a^b^c^1, f3 = ab^bc^b^c^1 (a=x1, b=x2, c=x3)
@@ -28,7 +31,7 @@ def test_substituting_the_shared_pair_merges_two_products():
         frozenset({0b001, 0b100, 0b000}),                  # a^c^1
         frozenset({0b011, 0b110, 0b100, 0b000}),           # ab^bc^c^1
     )
-    assert after.nonlinear_count() == 3
+    assert _measure(after) == (0, 3, 12)     # no 3-literal cube, 3 nonlinear
 
 
 def test_substitution_is_an_involution():
@@ -41,31 +44,44 @@ def test_substitution_is_an_involution():
 
 
 def test_check_T2_on_linear_states_reduces_literals():
+    # a linear state is the affine finisher's job; its first step is the
+    # literal-reducing CNOT
     state = ExpressionState(3, (frozenset({0b001, 0b010}),  # a^b
                                 frozenset({0b010}),         # b
                                 frozenset({0b100})))        # c
-    t = check_T2(state)
-    assert t == Transformation((1,), 0)       # reroute through b
-    assert check_T2(ExpressionState(2, (frozenset({0b01}),
-                                        frozenset({0b10})))) is None
+    ops = _linear_finish_ops(state)
+    assert ops[0] == Transformation((1,), 0)       # reroute through b
+    assert _linear_finish_ops(ExpressionState(2, (frozenset({0b01}),
+                                                  frozenset({0b10})))) == []
+
+
+def _find_T3(state):
+    """The T3 step of reduce_to_identity: the winner when it strictly
+    lowers the nonlinear cube count, else None."""
+    found = _best(state, (2,), _t3_key)
+    if found is not None and found[0][0] < _measure(state)[1]:
+        return found[1]
+    return None
 
 
 def test_find_T3_cancels_a_lone_product():
     state = ExpressionState(3, (frozenset({0b011, 0b100}),  # ab ^ c
                                 frozenset({0b001}),
                                 frozenset({0b010})))
-    t = find_T3(state)
+    t = _find_T3(state)
     assert t == Transformation((0, 1), 2)
     after = apply_substitution(state, t)
-    assert after.nonlinear_count() == 0
+    assert _measure(after)[1] == 0
+    assert reduce_to_identity(state).history[0] == t
 
 
 def test_find_T3_gives_up_when_nothing_decreases():
     linear = ExpressionState(2, (frozenset({0b01}), frozenset({0b10})))
-    assert find_T3(linear) is None
+    assert _best(linear, (2,), _t3_key) is None     # no Toffoli on 2 lines
+    assert _find_T3(linear) is None
     stuck = ExpressionState(3, (frozenset({0b011}), frozenset({0b101}),
                                 frozenset({0b110})))
-    assert find_T3(stuck) is None
+    assert _find_T3(stuck) is None
 
 
 def test_find_T4_clears_a_wide_cube():
@@ -73,9 +89,19 @@ def test_find_T4_clears_a_wide_cube():
                                 frozenset({0b0001}),
                                 frozenset({0b0010}),
                                 frozenset({0b0100})))
-    t = find_T4(state)
+    assert _measure(state) == (1, 1, 7)
+    key, t = _best(state, _WIDTHS, _degree_key)
     assert t == Transformation((0, 1, 2), 3)
-    assert apply_substitution(state, t).high_degree_count() == 0
+    assert key[0] == _measure(apply_substitution(state, t)) == (0, 0, 4)
+    # the degree-clearing phase takes it as the first step
+    assert reduce_to_identity(state).history[0] == t
+
+
+def test_measure_counts_wide_and_nonlinear_cubes_and_literals():
+    state = ExpressionState(4, (frozenset({0b1111, 0b0111, 0b0011, 0b0001}),
+                                frozenset({0b0000, 0b1010})))
+    assert _measure(state) == (2, 4, 4 + 3 + 2 + 1 + 0 + 2)
+    assert _measure(ExpressionState(2, (frozenset(),) * 2)) == (0, 0, 0)
 
 
 def test_identity_needs_no_gates():
@@ -142,3 +168,160 @@ def test_four_variable_benchmarks_converge():
         circ, rep = ancilla_free_synthesize(spec)
         assert rep.line_count == 4
         assert rep.garbage_count == 0 and rep.ancilla_count == 0
+
+
+# -- the search before it was folded into one enumerator -----------------------
+# A test-side copy of the three loops the engine used to run: the T3
+# search, the degree clearer and the stall rescue, each with its own
+# enumeration and its own measures.  The single search must pick exactly
+# what they picked.
+
+def _ref_nonlinear(state):
+    return sum(1 for e in state.exprs for m in e if m.bit_count() >= 2)
+
+
+def _ref_literals(state):
+    return sum(m.bit_count() for e in state.exprs for m in e)
+
+
+def _ref_high_degree(state):
+    return sum(1 for e in state.exprs for m in e if m.bit_count() >= 3)
+
+
+def _ref_search_controls(state, n_controls, measure):
+    before = measure(state)
+    best = None
+    best_key = None
+    for target in range(state.n_vars):
+        others = [v for v in range(state.n_vars) if v != target]
+        for controls in itertools.combinations(others, n_controls):
+            t = Transformation(controls, target)
+            after = apply_substitution(state, t)
+            key = (measure(after), _ref_literals(after), target, controls)
+            if best_key is None or key < best_key:
+                best, best_key = t, key
+    if best is None or best_key[0] >= before:
+        return None, best
+    return best, best
+
+
+def _ref_degree_measure(state):
+    return (_ref_high_degree(state), _ref_nonlinear(state),
+            _ref_literals(state))
+
+
+def _ref_best_degree_clearer(state):
+    before = _ref_degree_measure(state)
+    best = None
+    best_key = None
+    for n_controls in (1, 2, 3):
+        if n_controls >= state.n_vars:
+            break
+        for target in range(state.n_vars):
+            others = [v for v in range(state.n_vars) if v != target]
+            for controls in itertools.combinations(others, n_controls):
+                t = Transformation(controls, target)
+                m = _ref_degree_measure(apply_substitution(state, t))
+                key = (m, n_controls, target, controls)
+                if best_key is None or key < best_key:
+                    best, best_key = t, key
+    if best is not None and best_key[0] < before:
+        return best, best
+    return None, best
+
+
+def _ref_lex(state):
+    return (_ref_nonlinear(state), _ref_literals(state))
+
+
+def _ref_all_candidates(state):
+    widths = (1, 2, 3) if state.n_vars >= 4 else (1, 2)
+    for n_controls in widths:
+        if n_controls >= state.n_vars:
+            return
+        for target in range(state.n_vars):
+            others = [v for v in range(state.n_vars) if v != target]
+            for controls in itertools.combinations(others, n_controls):
+                yield Transformation(controls, target)
+
+
+def _ref_stall_rescue(state):
+    before = _ref_lex(state)
+    best = []
+    best_key = None
+    for t in _ref_all_candidates(state):
+        key = (_ref_lex(apply_substitution(state, t)), t.controls, t.target)
+        if best_key is None or key < best_key:
+            best, best_key = [t], key
+    if best_key is not None and best_key[0] < before:
+        return best
+    for t1 in _ref_all_candidates(state):
+        mid = apply_substitution(state, t1)
+        for t2 in _ref_all_candidates(mid):
+            if t2 == t1:
+                continue
+            if _ref_lex(apply_substitution(mid, t2)) < before:
+                return [t1, t2]
+    return []
+
+
+def _pick(found, before):
+    """(strict improver or None, overall winner or None) from _best."""
+    if found is None:
+        return None, None
+    key, t = found
+    return (t if key[0] < before else None), t
+
+
+def _search_states():
+    """Seeded 3- and 4-variable states: permutation ANFs, states taken
+    mid-reduction from reduce_to_identity histories, and random cube sets
+    (which often stall, so the rescue's pair search runs)."""
+    rng = random.Random(2024)
+    states = []
+    for n, count in ((3, 60), (4, 40)):
+        for _ in range(count):
+            images = list(range(1 << n))
+            rng.shuffle(images)
+            tt = truth_table_from_permutation(Permutation(tuple(images)))
+            start = ExpressionState(n, tuple(
+                anf_from_truth_table(tt.single_output(j)).masks
+                for j in range(n)))
+            states.append(start)
+            try:
+                history = reduce_to_identity(start).history
+            except NonConvergenceError:
+                continue
+            state = start
+            for k, t in enumerate(history):
+                state = apply_substitution(state, t)
+                if rng.random() < 0.3 and not state.is_linear():
+                    states.append(ExpressionState(n, state.exprs,
+                                                  history[:k + 1]))
+    for _ in range(40):
+        n = rng.choice((3, 4))
+        states.append(ExpressionState(n, tuple(
+            frozenset(m for m in range(1 << n) if rng.random() < 0.3)
+            for _ in range(n))))
+    return states
+
+
+def test_single_search_picks_what_the_three_loops_picked():
+    states = _search_states()
+    assert len(states) >= 300
+    rescued = paired = 0
+    for state in states:
+        measure = _measure(state)
+        assert measure == _ref_degree_measure(state)
+        assert _pick(_best(state, _WIDTHS, _degree_key), measure) == \
+            _ref_best_degree_clearer(state)
+        assert _pick(_best(state, (2,), _t3_key), measure[1]) == \
+            _ref_search_controls(state, 2, _ref_nonlinear)
+        if state.is_linear():
+            continue
+        picks = _stall_rescue(state, measure[1:])
+        assert picks == _ref_stall_rescue(state)
+        rescued += len(picks) == 1
+        paired += len(picks) == 2
+    # both halves of the rescue were exercised
+    assert rescued and paired

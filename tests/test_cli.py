@@ -68,6 +68,30 @@ def test_cost_subcommand(mod5, tmp_path, capsys):
     assert "qc=" in capsys.readouterr().out
 
 
+def test_cost_derives_roles_from_simulation(tmp_path, capsys):
+    # w is declared a restored ancilla but ends carrying a: garbage
+    dirty = tmp_path / "dirty.tfc"
+    dirty.write_text(".v a,w\n.i a\n.o a\n.c w=0\nt2 a,w\n")
+    assert run_cli(["cost", "--in", str(dirty)]) == 0
+    assert "garbage=1 ancilla=0" in capsys.readouterr().out
+    # w is declared garbage but is computed and uncomputed: ancilla
+    clean = tmp_path / "clean.tfc"
+    clean.write_text(".v a,w\n.i a\n.o a\n.c w=1\n.g w\nt2 a,w\nt2 a,w\n")
+    assert run_cli(["cost", "--in", str(clean)]) == 0
+    assert "garbage=0 ancilla=1" in capsys.readouterr().out
+
+
+def test_malformed_files_fail_with_one_line(tmp_path, capsys):
+    cases = {"bare.pla": (["synth"], ".i\n.o 1\n"),
+             "init.tfc": (["cost"], ".v a,w\n.c w=5\nt2 a,w\n")}
+    for name, (cmd, text) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli(cmd + ["--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_ancilla_free_subcommand(tmp_path):
     spec = tmp_path / "p.perm"
     spec.write_text("perm 0 2 3 5 7 1 4 6\n")

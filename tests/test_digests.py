@@ -6,11 +6,12 @@ even when the circuit still verifies.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from esopsyn import benchmarks
-from esopsyn.ancilla_free import ancilla_free_synthesize
+from esopsyn.ancilla_free import NonConvergenceError, ancilla_free_synthesize
 from esopsyn.funcs import Permutation, TruthTable
 from esopsyn.io import format_circuit
 from esopsyn.mapper import synthesize
@@ -71,3 +72,22 @@ def test_ancilla_free_circuit_digest():
     perm = Permutation((0, 7, 1, 14, 2, 9, 3, 12, 4, 11, 5, 10, 6, 13, 8, 15))
     assert _digest(*ancilla_free_synthesize(perm)) == \
         "e6717346593929312bfd303fbedd555410cad3418a2605a197c56ec00f5a3fa4"
+
+
+def test_ancilla_free_four_variable_batch_digest():
+    # 100 seeded 4-variable permutations; 5 of them do not converge (4 stuck
+    # clearing three-literal cubes, 1 at the substitution cap), so the
+    # messages are pinned along with the circuits
+    rng = random.Random(2)
+    h = hashlib.sha256()
+    for _ in range(100):
+        images = list(range(16))
+        rng.shuffle(images)
+        try:
+            text = format_circuit(*ancilla_free_synthesize(
+                Permutation(tuple(images))))
+        except NonConvergenceError as e:
+            text = f"NonConvergenceError: {e}\n"
+        h.update(text.encode())
+    assert h.hexdigest() == \
+        "8d6057fbc06b7d71bebb7674281fa84a546e110d52ffec8360a7fed6a8abe787"

@@ -85,6 +85,13 @@ def test_oversized_specs_are_rejected_before_allocating(text):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("text", [".i\n.o 1\n", ".i 2\n.o\n",
+                                  ".i two\n.o 1\n", ".i 2\n.o -1\n"])
+def test_pla_header_without_an_integer_is_a_format_error(text):
+    with pytest.raises(SpecFormatError, match="needs a non-negative integer"):
+        parse_spec_text(text)
+
+
 def test_bad_cube_tokens():
     with pytest.raises(SpecFormatError):
         parse_spec_text("x1 ^ zaphod\n")
@@ -174,3 +181,21 @@ def test_report_rows_have_the_documented_columns(tmp_path):
     header, data = path.read_text().strip().splitlines()
     assert header == ",".join(REPORT_COLUMNS)
     assert data.startswith("f,synth,1,1,3,1,2,0,0,1,1,1,")
+
+
+@pytest.mark.parametrize("init", ["5", "-1", "x"])
+def test_circuit_constant_init_must_be_0_or_1(init):
+    with pytest.raises(SpecFormatError, match="not 0 or 1"):
+        parse_circuit_text(f".v a,w\n.c w={init}\nt2 a,w\n")
+    back = parse_circuit_text(".v a,w,v\n.c w=1,v\n")
+    assert [(l.origin, l.init) for l in back.lines[1:]] == \
+        [(CONSTANT, 1), (CONSTANT, 0)]
+
+
+def test_circuit_with_too_many_input_lines_is_rejected():
+    names = [f"x{i}" for i in range(1, 18)]
+    with pytest.raises(SpecFormatError, match="17 inputs exceeds the limit 16"):
+        parse_circuit_text(".v " + ",".join(names) + "\n")
+    # constant lines do not count against the limit
+    ok = parse_circuit_text(".v " + ",".join(names) + "\n.c x17=0\n")
+    assert len(ok.input_lines()) == 16
