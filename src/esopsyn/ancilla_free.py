@@ -7,13 +7,15 @@ substitutes target <- target ^ (product of controls).  Substituting with
 control set C turns every cube m containing the target t into
 m ^ (m without t | C), which cancels pairs of nonlinear cubes when chosen
 well.  Candidate substitutions come from one enumerator (`_candidates`)
-and are scored by one one-pass measure (`_measure`: cubes of three or
-more literals, nonlinear cubes, literals); the degree-clearing phase, the
-T3 step and the stall rescue differ only in the key they minimize (see
-`reduce_to_identity`).  Once every expression is linear the remaining
-system is an invertible affine map, finished deterministically by column
-elimination, inverters for complemented outputs, and swap triples for the
-residual line permutation.
+and are scored by one measure (`_measure`: cubes of three or more
+literals, nonlinear cubes, literals); the degree-clearing phase, the T3
+step and the stall rescue differ only in the key they minimize (see
+`reduce_to_identity`).  A candidate is scored by delta (`_measure_after`):
+the current measure adjusted for the replacement cubes it toggles, so
+only the substitutions actually taken build a new state.  Once every
+expression is linear the remaining system is an invertible affine map,
+finished deterministically by column elimination, inverters for
+complemented outputs, and swap triples for the residual line permutation.
 
 Gate order equals application order: if F composed with g1..gk is the
 identity then the circuit executing g1 first realizes F (all gates are
@@ -22,6 +24,7 @@ self-inverse); the equivalence check enforces this rather than trusting it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -94,16 +97,20 @@ class ExpressionState:
         return True
 
 
-def _substitute(expr: frozenset[int], t_bit: int, c_mask: int) -> frozenset[int]:
-    out = set(expr)
+def _toggles(expr: frozenset[int], t_bit: int, c_mask: int) -> set[int]:
+    """The replacement cubes (m without the target) | controls of the cubes
+    m containing the target, each kept when it arises an odd number of
+    times; they never contain the target, so substituting toggles exactly
+    these in `expr`."""
+    toggled = set()
     for m in expr:
         if m & t_bit:
             repl = (m & ~t_bit) | c_mask
-            if repl in out:
-                out.remove(repl)
+            if repl in toggled:
+                toggled.remove(repl)
             else:
-                out.add(repl)
-    return frozenset(out)
+                toggled.add(repl)
+    return toggled
 
 
 def apply_substitution(state: ExpressionState, t: Transformation) -> ExpressionState:
@@ -111,7 +118,8 @@ def apply_substitution(state: ExpressionState, t: Transformation) -> ExpressionS
     throughout; duplicate cubes cancel over GF(2)."""
     t_bit = 1 << t.target
     c_mask = t.control_mask()
-    exprs = tuple(_substitute(e, t_bit, c_mask) for e in state.exprs)
+    exprs = tuple(e.symmetric_difference(_toggles(e, t_bit, c_mask))
+                  for e in state.exprs)
     return ExpressionState(state.n_vars, exprs, state.history + (t,))
 
 
@@ -128,24 +136,46 @@ def _measure(state: ExpressionState) -> tuple[int, int, int]:
     return wide, nonlinear, literals
 
 
-def _candidates(n: int, widths):
+def _measure_after(state: ExpressionState, base: tuple[int, int, int],
+                   t: Transformation) -> tuple[int, int, int]:
+    """`_measure(apply_substitution(state, t))` from `base = _measure(state)`
+    without building the new state: each toggled cube leaves or joins its
+    expression."""
+    t_bit = 1 << t.target
+    c_mask = t.control_mask()
+    wide, nonlinear, literals = base
+    for e in state.exprs:
+        for r in _toggles(e, t_bit, c_mask):
+            k = r.bit_count()
+            sign = -1 if r in e else 1
+            literals += sign * k
+            nonlinear += sign * (k >= 2)
+            wide += sign * (k >= 3)
+    return wide, nonlinear, literals
+
+
+@functools.cache
+def _candidates(n: int, widths: tuple[int, ...]) -> tuple[Transformation, ...]:
     """Every substitution with a control count in `widths`, ordered by
     width, then target, then control combination; stops at the first
     width that leaves no variable free for the target."""
+    out = []
     for width in widths:
         if width >= n:
-            return
+            break
         for target in range(n):
             others = [v for v in range(n) if v != target]
-            for controls in itertools.combinations(others, width):
-                yield Transformation(controls, target)
+            out += (Transformation(controls, target)
+                    for controls in itertools.combinations(others, width))
+    return tuple(out)
 
 
 def _best(state: ExpressionState, widths, key):
     """(key, substitution) with the smallest key(t, _measure(after)), or
     None when no candidate exists.  Every key ends in the substitution's
     full (target, controls), so keys never tie."""
-    return min(((key(t, _measure(apply_substitution(state, t))), t)
+    base = _measure(state)
+    return min(((key(t, _measure_after(state, base, t)), t)
                 for t in _candidates(state.n_vars, widths)), default=None)
 
 
@@ -195,9 +225,9 @@ def check_T2(state: ExpressionState,
              policy: str = POLICY_UNIQUE_PAIR) -> Transformation | None:
     """First CNOT substitution that strictly lowers the nonlinear cube
     count of a nonlinear state."""
-    before = _measure(state)[1]
+    base = _measure(state)
     for t in _t2_candidates(state, policy):
-        if _measure(apply_substitution(state, t))[1] < before:
+        if _measure_after(state, base, t)[1] < base[1]:
             return t
     return None
 
@@ -210,11 +240,12 @@ def _stall_rescue(state: ExpressionState,
     found = _best(state, _WIDTHS, _rescue_key)
     if found is not None and found[0][0] < before:
         return [found[1]]
-    candidates = list(_candidates(state.n_vars, _WIDTHS))
+    candidates = _candidates(state.n_vars, _WIDTHS)
     for t1 in candidates:
         mid = apply_substitution(state, t1)
+        base = _measure(mid)
         for t2 in candidates:
-            if t2 != t1 and _measure(apply_substitution(mid, t2))[1:] < before:
+            if t2 != t1 and _measure_after(mid, base, t2)[1:] < before:
                 return [t1, t2]
     return []
 
@@ -291,11 +322,18 @@ def reduce_to_identity(state: ExpressionState,
     nothing strictly improves, the degree search's or (after a failed
     rescue) the T3 search's overall winner is accepted at most twice in a
     row before giving up (reported as non-convergence).
+
+    More than `iteration_cap` substitutions (default 10 * 4**n) is
+    non-convergence; a degree phase whose (expressions, escapes) repeats
+    is cycling toward that cap and raises its error at once.  Candidates
+    are scored by `_measure_after`, so `apply_substitution` runs only for
+    the steps taken and the rescue's pair midpoints.
     """
     n = state.n_vars
     if n > 4:
         raise NonConvergenceError("rule set covers at most four variables")
     cap = iteration_cap if iteration_cap is not None else 10 * 4 ** n
+    capped = f"no convergence within {cap} substitutions"
     steps = 0
     escapes = 0
 
@@ -303,13 +341,18 @@ def reduce_to_identity(state: ExpressionState,
         nonlocal steps
         steps += 1
         if steps > cap:
-            raise NonConvergenceError(f"no convergence within {cap} substitutions")
+            raise NonConvergenceError(capped)
         return apply_substitution(state, t)
 
     # four-variable scaling phase: clear cubes of three or more literals
     # with whichever substitution width helps most
     measure = _measure(state)
+    seen = set()
     while measure[0] > 0:
+        head = (state.exprs, escapes)
+        if head in seen:        # a cycle: only the cap would end it
+            raise NonConvergenceError(capped)
+        seen.add(head)
         found = _best(state, _WIDTHS, _degree_key)
         if found is not None and found[0][0] < measure:
             escapes = 0

@@ -252,17 +252,6 @@ class CostReport:
     peres_pairs: int
     runtime: float = 0.0
 
-    def as_row(self) -> dict:
-        return {
-            "qc": self.quantum_cost,
-            "gates": self.gate_count,
-            "lines": self.line_count,
-            "garbage": self.garbage_count,
-            "ancilla": self.ancilla_count,
-            "peres_pairs": self.peres_pairs,
-            "runtime_s": round(self.runtime, 3),
-        }
-
 
 def quantum_cost(c: Circuit, runtime: float = 0.0) -> CostReport:
     """Cost report for a circuit.

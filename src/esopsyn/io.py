@@ -253,8 +253,10 @@ def read_circuit(path: str) -> Circuit:
 
 
 def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
+    """Parse `format_circuit` text.  Every `.i/.o/.c/.g` entry must name a
+    `.v` line; a `.i` list must be exactly the lines not declared constant."""
     names: list[str] = []
-    inputs: set[str] = set()
+    inputs: set[str] | None = None
     outputs: dict[str, str] = {}
     consts: dict[str, int] = {}
     garbage: set[str] = set()
@@ -271,12 +273,12 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         elif key == ".i":
             inputs = {t.strip() for t in rest.split(",") if t.strip()}
         elif key == ".o":
-            for tok in rest.split(","):
-                oname, _, lname = tok.strip().partition(":")
+            for tok in filter(None, map(str.strip, rest.split(","))):
+                oname, _, lname = tok.partition(":")
                 outputs[lname or oname] = oname
         elif key == ".c":
-            for tok in rest.split(","):
-                lname, _, init = tok.strip().partition("=")
+            for tok in filter(None, map(str.strip, rest.split(","))):
+                lname, _, init = tok.partition("=")
                 if init not in ("", "0", "1"):
                     raise SpecFormatError(
                         f"{origin}: constant {lname} starts at {init!r}, "
@@ -296,6 +298,17 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
             raise SpecFormatError(f"{origin}: unrecognized line {ln!r}")
     if not names:
         raise SpecFormatError(f"{origin}: missing .v line declaration")
+    declared = set(names)
+    for kind, entries in ((".i", inputs or ()), (".o", outputs),
+                          (".c", consts), (".g", garbage)):
+        undeclared = sorted(set(entries) - declared)
+        if undeclared:
+            raise SpecFormatError(
+                f"{origin}: {kind} names undeclared line {undeclared[0]!r}")
+    if inputs is not None and inputs != declared - consts.keys():
+        raise SpecFormatError(
+            f"{origin}: .i lists {sorted(inputs)}, but the lines not "
+            f"declared constant are {sorted(declared - consts.keys())}")
     _check_inputs(sum(nm not in consts for nm in names), origin)
     index = {nm: i for i, nm in enumerate(names)}
     lines = []

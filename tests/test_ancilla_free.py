@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from esopsyn import ancilla_free
 from esopsyn.ancilla_free import (
     ExpressionState, NonConvergenceError, POLICY_COMMON_CONTROL,
     Transformation, _WIDTHS, _best, _degree_key, _linear_finish_ops,
-    _measure, _stall_rescue, _t3_key, ancilla_free_synthesize,
+    _measure, _measure_after, _stall_rescue, _t3_key, ancilla_free_synthesize,
     apply_substitution, check_T2, reduce_to_identity,
 )
 from esopsyn.circuit import simulate
@@ -102,6 +104,50 @@ def test_measure_counts_wide_and_nonlinear_cubes_and_literals():
                                 frozenset({0b0000, 0b1010})))
     assert _measure(state) == (2, 4, 4 + 3 + 2 + 1 + 0 + 2)
     assert _measure(ExpressionState(2, (frozenset(),) * 2)) == (0, 0, 0)
+
+
+_STATES = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.frozensets(st.integers(0, (1 << n) - 1)), max_size=4)))
+
+
+@given(_STATES)
+@example((2, [frozenset({0b11, 0b01})]))  # both cubes of target a become b
+@settings(max_examples=60, deadline=None)
+def test_measure_after_equals_the_measure_of_the_substituted_state(case):
+    n, exprs = case
+    state = ExpressionState(n, tuple(exprs))
+    base = _measure(state)
+    for target in range(n):
+        others = [v for v in range(n) if v != target]
+        for width in range(min(3, n - 1) + 1):
+            for controls in itertools.combinations(others, width):
+                t = Transformation(controls, target)
+                assert _measure_after(state, base, t) == \
+                    _measure(apply_substitution(state, t))
+
+
+def test_a_degree_phase_cycle_stops_at_its_first_repeat(monkeypatch):
+    # draw #295 of random.Random(1)'s 4-variable permutations (af4#295 of
+    # the benchmark's small workload) reaches a 2-cycle while clearing
+    # three-literal cubes; it used to spin to the 2,560-substitution cap
+    rng = random.Random(1)
+    for _ in range(296):
+        images = list(range(16))
+        rng.shuffle(images)
+    calls = 0
+    real = ancilla_free.apply_substitution
+
+    def counted(state, t):
+        nonlocal calls
+        calls += 1
+        return real(state, t)
+
+    monkeypatch.setattr(ancilla_free, "apply_substitution", counted)
+    with pytest.raises(NonConvergenceError,
+                       match="^no convergence within 2560 substitutions$"):
+        ancilla_free_synthesize(Permutation(tuple(images)))
+    assert 0 < calls <= 20
 
 
 def test_identity_needs_no_gates():

@@ -83,7 +83,8 @@ def test_cost_derives_roles_from_simulation(tmp_path, capsys):
 
 def test_malformed_files_fail_with_one_line(tmp_path, capsys):
     cases = {"bare.pla": (["synth"], ".i\n.o 1\n"),
-             "init.tfc": (["cost"], ".v a,w\n.c w=5\nt2 a,w\n")}
+             "init.tfc": (["cost"], ".v a,w\n.c w=5\nt2 a,w\n"),
+             "undeclared.tfc": (["cost"], ".v a,b\n.i zz\n.o y:q\nt2 a,b\n")}
     for name, (cmd, text) in cases.items():
         path = tmp_path / name
         path.write_text(text)

@@ -13,7 +13,7 @@ import pytest
 from esopsyn import benchmarks
 from esopsyn.ancilla_free import NonConvergenceError, ancilla_free_synthesize
 from esopsyn.funcs import Permutation, TruthTable
-from esopsyn.io import format_circuit
+from esopsyn.io import format_circuit, parse_circuit_text
 from esopsyn.mapper import synthesize
 from esopsyn.optimize import OptimizeParams
 
@@ -59,7 +59,10 @@ CASES = {
 
 
 def _digest(circuit, report) -> str:
-    return hashlib.sha256(format_circuit(circuit, report).encode()).hexdigest()
+    text = format_circuit(circuit, report)
+    # the text form reads back to the same circuit
+    assert format_circuit(parse_circuit_text(text), report) == text
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 import time
 
 import pytest
@@ -169,6 +170,29 @@ def test_circuit_parse_errors():
         parse_circuit_text(".v a\nt2 a,zz\n")             # unknown line
     with pytest.raises(SpecFormatError):
         parse_circuit_text(".v a\nnonsense\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (".v a,b\n.i zz\n.o y:q\nt2 a,b\n", ".i names undeclared line 'zz'"),
+    (".v a,b\n.o y:q\nt2 a,b\n", ".o names undeclared line 'q'"),
+    (".v a,b\n.o y\n", ".o names undeclared line 'y'"),
+    (".v a,b\n.c w=0\n", ".c names undeclared line 'w'"),
+    (".v a,b\n.g b,c\n", ".g names undeclared line 'c'"),
+])
+def test_circuit_entries_must_name_declared_lines(text, message):
+    with pytest.raises(SpecFormatError, match=re.escape(message)):
+        parse_circuit_text(text)
+
+
+@pytest.mark.parametrize("inputs", ["a", "a,b,w", "", "b,a,a,w"])
+def test_circuit_input_list_must_be_the_non_constant_lines(inputs):
+    with pytest.raises(SpecFormatError, match="lines not declared constant"):
+        parse_circuit_text(f".v a,b,w\n.i {inputs}\n.c w=0\n")
+    # the same list in any order, or no .i line at all, is accepted
+    for head in (".i b,a\n", ".i a, b,\n", ""):
+        back = parse_circuit_text(f".v a,b,w\n{head}.c w=0\n.o y:w\n")
+        assert [l.origin for l in back.lines] == [INPUT, INPUT, CONSTANT]
+        assert back.output_map() == {"y": 2}
 
 
 def test_report_rows_have_the_documented_columns(tmp_path):
