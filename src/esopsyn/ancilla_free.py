@@ -256,7 +256,9 @@ def _linear_finish_ops(state: ExpressionState) -> list[Transformation]:
     Column elimination drives the coefficient matrix to a permutation
     (preferring the natural diagonal pivot), inverters clear complemented
     outputs, and swap triples realize the leftover line permutation.
-    Guaranteed to terminate, unlike greedy literal-count descent.
+    Guaranteed to terminate, unlike greedy literal-count descent.  A
+    singular matrix, which no permutation's state reaches, raises
+    NonConvergenceError.
     """
     n = state.n_vars
     cols = [0] * n          # cols[j] bit i = coefficient of var j in expr i
@@ -282,7 +284,10 @@ def _linear_finish_ops(state: ExpressionState) -> list[Transformation]:
         if cols[i] & row_bit and i not in used:
             p = i
         else:
-            p = next(j for j in range(n) if cols[j] & row_bit and j not in used)
+            p = next((j for j in range(n) if cols[j] & row_bit and j not in used),
+                     None)
+            if p is None:
+                raise NonConvergenceError("linear state is not invertible")
         used.add(p)
         pivot_of_row[i] = p
         for c in range(n):
@@ -324,8 +329,9 @@ def reduce_to_identity(state: ExpressionState,
     row before giving up (reported as non-convergence).
 
     More than `iteration_cap` substitutions (default 10 * 4**n) is
-    non-convergence; a degree phase whose (expressions, escapes) repeats
-    is cycling toward that cap and raises its error at once.  Candidates
+    non-convergence; a degree phase whose (expressions, escapes) repeats,
+    or a T2/T3 loop whose (expressions, last step, escapes) repeats, is
+    cycling toward that cap and raises its error at once.  Candidates
     are scored by `_measure_after`, so `apply_substitution` runs only for
     the steps taken and the rescue's pair midpoints.
     """
@@ -364,7 +370,12 @@ def reduce_to_identity(state: ExpressionState,
         (measure, _, _, _), t = found
         state = step(t)
 
+    seen = set()
     while not state.is_linear():
+        head = (state.exprs, state.last_applied, escapes)
+        if head in seen:        # a cycle: only the cap would end it
+            raise NonConvergenceError(capped)
+        seen.add(head)
         before = _measure(state)[1:]
         t = check_T2(state, policy)
         pending = [t] if t is not None and t != state.last_applied else []

@@ -7,6 +7,16 @@ per variable, identical subterms reuse one node.  Depth labels are the
 longest path from the root: the graph passes recompute them when they
 finish, and collapsing a mapped node into an identifier updates only the
 depths below it.
+
+Every edit goes through one of five helpers (`_fresh`, `set_children`,
+`to_identifier`, `_delete`, `recompute_depths`), and once recording is on
+they note what they changed in two id sets: `touched` holds the nodes
+whose parent list or depth changed, plus created and deleted nodes;
+`reshaped` holds the nodes whose children or kind changed.
+`recompute_depths` marks every node.  Recording is off (both `None`)
+until a consumer turns it on and clears the sets as it reads them; the
+mapper's ready index (`mapper.find_target`) is that consumer, so graph
+building and the graph passes before mapping pay nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +79,9 @@ class EsopDag:
         self.nodes: dict[int, DagNode] = {}
         self._next = 0
         self._cons: dict[tuple, int] = {}
+        self.touched: set[int] | None = None
+        self.reshaped: set[int] | None = None
+        self.index = None   # the mapper's ready index, built by find_target
         self.root = self._fresh(T_ROOT)
         self.output_order: list[tuple[str, int]] = []
 
@@ -82,6 +95,9 @@ class EsopDag:
         for c in children:
             self.nodes[c].parents.append(nid)
         self._cons[self._key(node)] = nid
+        if self.touched is not None:
+            self.touched.add(nid)
+            self.touched.update(children)
         return nid
 
     def _key(self, node: DagNode) -> tuple:
@@ -109,6 +125,10 @@ class EsopDag:
             del self._cons[old_key]
         for c in node.children:
             self.nodes[c].parents.remove(nid)
+        if self.touched is not None:
+            self.touched.update(node.children)
+            self.touched.update(new_children)
+            self.reshaped.add(nid)
         node.children = list(new_children)
         for c in node.children:
             self.nodes[c].parents.append(nid)
@@ -147,6 +167,7 @@ class EsopDag:
         node.label = label
         node.line = line_id
         self._cons.setdefault(self._key(node), nid)
+        touched = self.touched
         heapq.heapify(heap)
         queued = {c for _, c in heap}
         while heap:
@@ -159,6 +180,8 @@ class EsopDag:
                 if depth == un.depth:
                     continue
                 un.depth = depth
+                if touched is not None:
+                    touched.add(u)
             for c in set(un.children) - queued:
                 queued.add(c)
                 heapq.heappush(heap, (self.nodes[c].depth, c))
@@ -196,6 +219,9 @@ class EsopDag:
         for c in node.children:
             self.nodes[c].parents.remove(nid)
         del self.nodes[nid]
+        if self.touched is not None:
+            self.touched.add(nid)
+            self.touched.update(node.children)
 
     def normalize_node(self, nid: int) -> int:
         """Resolve degenerate arity after a rewrite; returns the surviving id."""
@@ -217,6 +243,8 @@ class EsopDag:
     def recompute_depths(self):
         """Delete every node the root no longer reaches and relabel each
         depth as the longest path from the root."""
+        if self.touched is not None:
+            self.touched.update(self.nodes)
         reach = {self.root}
         stack = [self.root]
         while stack:
@@ -248,9 +276,6 @@ class EsopDag:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
-
-    def depth_max(self) -> int:
-        return max(n.depth for n in self.nodes.values())
 
     def internal_ids(self) -> list[int]:
         return sorted(

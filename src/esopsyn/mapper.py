@@ -12,12 +12,25 @@ and rewrites it into gates:
      but frees single-parent leaves for later iterations.
 
 Branch 3 always succeeds, so mapping always terminates.
+
+`find_target` reads a ready index kept on the graph (`dag.index`) and
+refreshed from the graph's change sets (see `dag`) at each call, so a
+call costs what the last rewrites changed rather than the graph's size.
+A node's readiness and leaf-child count depend only on its own kind and
+children and on those of its children and grandchildren, so only the
+touched and reshaped nodes and the parents and grandparents of reshaped
+ones are re-evaluated.  The index holds depth buckets of the internal
+nodes (branches 1 and 2 read the level one above the deepest leaves from
+them: with fresh depths the deepest node is a leaf one below the deepest
+internal node) and a lazily invalidated heap of the branch-3 keys of the
+ready nodes, where an entry is live only while it equals its node's key.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import (
     CONSTANT, Circuit, CostReport, INPUT, LineState, ROLE_ANCILLA,
@@ -80,15 +93,86 @@ def _ready(dag: EsopDag, nid: int) -> bool:
     return True
 
 
+@dataclass
+class _ReadyIndex:
+    """Per-graph state of `find_target`; see the module docstring."""
+
+    depth: dict = field(default_factory=dict)     # internal node -> depth
+    buckets: dict = field(default_factory=dict)   # depth -> internal nodes
+    keys: dict = field(default_factory=dict)      # ready node -> branch-3 key
+    heap: list = field(default_factory=list)
+
+    def update(self, dag: EsopDag, nid: int):
+        node = dag.nodes.get(nid)
+        internal = node is not None and node.kind in (T_AND, T_XOR)
+        old = self.depth.get(nid)
+        if old is not None and not (internal and old == node.depth):
+            del self.depth[nid]
+            bucket = self.buckets[old]
+            bucket.discard(nid)
+            if not bucket:
+                del self.buckets[old]
+            old = None
+        if not internal:
+            self.keys.pop(nid, None)
+            return
+        if old is None:
+            self.depth[nid] = node.depth
+            self.buckets.setdefault(node.depth, set()).add(nid)
+        if not _ready(dag, nid):
+            self.keys.pop(nid, None)
+            return
+        leafy = sum(1 for c in node.children if dag.nodes[c].is_leaf())
+        key = (-leafy, len(node.parents), nid)
+        if self.keys.get(nid) != key:
+            self.keys[nid] = key
+            heapq.heappush(self.heap, key)
+
+    def best(self):
+        """The smallest live branch-3 key, or None."""
+        heap, keys = self.heap, self.keys
+        if len(heap) > 2 * len(keys) + 64:
+            heap[:] = keys.values()
+            heapq.heapify(heap)
+        while heap and keys.get(heap[0][2]) != heap[0]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+
+def _refreshed_index(dag: EsopDag) -> _ReadyIndex:
+    """The graph's ready index, brought up to date with its change sets;
+    the first call builds it and turns change recording on."""
+    index = dag.index
+    if index is None:
+        index = dag.index = _ReadyIndex()
+        dirty = set(dag.nodes)
+        dag.touched, dag.reshaped = set(), set()
+    else:
+        dirty = dag.touched
+        for nid in dag.reshaped:
+            node = dag.nodes.get(nid)
+            if node is None:
+                continue
+            dirty.add(nid)
+            for p in node.parents:
+                dirty.add(p)
+                dirty.update(dag.nodes[p].parents)
+        dag.touched, dag.reshaped = set(), set()
+    for nid in dirty:
+        index.update(dag, nid)
+    return index
+
+
 def find_target(dag: EsopDag) -> TargetChoice | None:
     """Pick the next node to map, or None when the graph is exhausted."""
-    internal = dag.internal_ids()
-    if not internal:
+    index = _refreshed_index(dag)
+    if not index.buckets:
         return None
-    depth_max = dag.depth_max()
-    level = [nid for nid in internal if dag.nodes[nid].depth == depth_max - 1]
+    depth_max = 1 + max(index.buckets)
+    level = sorted(index.buckets[depth_max - 1])
+    ready = index.keys
     for nid in level:
-        if dag.nodes[nid].kind == T_XOR and _ready(dag, nid) \
+        if dag.nodes[nid].kind == T_XOR and nid in ready \
                 and _single_parent_leaf(dag, nid) is not None:
             return TargetChoice(nid, RULE_XOR_SINGLE)
     if depth_max >= 3:
@@ -98,33 +182,31 @@ def find_target(dag: EsopDag) -> TargetChoice | None:
             for p in sorted(set(dag.nodes[nid].parents)):
                 pn = dag.nodes[p]
                 if pn.kind == T_XOR and pn.depth == depth_max - 2 \
-                        and _ready(dag, p) \
+                        and p in ready \
                         and _single_parent_leaf(dag, p) is not None:
                     return TargetChoice(p, RULE_AND_XOR_PARENT)
-    best = None
-    best_key = None
-    for nid in internal:
-        if not _ready(dag, nid):
-            continue
-        node = dag.nodes[nid]
-        leafy = sum(1 for c in node.children if dag.nodes[c].is_leaf())
-        key = (-leafy, len(node.parents), nid)
-        if best_key is None or key < best_key:
-            best, best_key = nid, key
+    best = index.best()
     if best is None:
         raise SynthesisError("no mappable node in a non-empty graph")
-    return TargetChoice(best, RULE_MAX_CHILD)
+    return TargetChoice(best[2], RULE_MAX_CHILD)
 
 
 def _fresh_line(circuit: Circuit) -> int:
-    """Append a constant-0 line named by the lowest free w<k>."""
-    names = {l.name for l in circuit.lines}
-    k = 1
+    """Append a constant-0 line named by the lowest free w<k>.
+
+    Lines are only ever appended and never renamed, so the lowest free
+    name never decreases: the circuit keeps the names seen so far and a
+    cursor, and each call adds only the lines appended since the last.
+    """
+    names, seen, k = getattr(circuit, "_wire_names", None) or (set(), 0, 1)
+    names.update(l.name for l in circuit.lines[seen:])
     while f"w{k}" in names:
         k += 1
     lid = circuit.n_lines
     circuit.lines.append(LineState(lid, f"w{k}", CONSTANT, 0))
     circuit.n_lines += 1
+    names.add(f"w{k}")
+    circuit._wire_names = (names, len(circuit.lines), k)
     return lid
 
 

@@ -319,6 +319,7 @@ def common_cube_sharing(dag: EsopDag, sweep_cap: int = 32) -> MutationReport:
     Sharing creates no node, so depths stay as the sweep began.
     """
     report = MutationReport("cube_sharing", nodes_before=len(dag))
+    changed = True
     for _ in range(sweep_cap):
         changed = False
         dag.recompute_depths()
@@ -340,7 +341,8 @@ def common_cube_sharing(dag: EsopDag, sweep_cap: int = 32) -> MutationReport:
                         break
         if not changed:
             break
-    dag.recompute_depths()
+    if changed:     # a sweep that changed nothing left its depths fresh
+        dag.recompute_depths()
     report.nodes_after = len(dag)
     return report
 

@@ -150,6 +150,32 @@ def test_a_degree_phase_cycle_stops_at_its_first_repeat(monkeypatch):
     assert 0 < calls <= 20
 
 
+def test_a_t2_t3_cycle_stops_at_its_first_repeat(monkeypatch):
+    # a linear-phase state whose T2/T3 steps cycle; it used to spin to the
+    # 640-substitution cap with 3,520 apply_substitution calls
+    calls = 0
+    real = ancilla_free.apply_substitution
+
+    def counted(state, t):
+        nonlocal calls
+        calls += 1
+        return real(state, t)
+
+    monkeypatch.setattr(ancilla_free, "apply_substitution", counted)
+    state = ExpressionState(3, (frozenset({2}), frozenset({3}), frozenset({3, 5})))
+    with pytest.raises(NonConvergenceError,
+                       match="^no convergence within 640 substitutions$"):
+        reduce_to_identity(state)
+    assert 0 < calls <= 40
+
+
+def test_a_singular_linear_state_is_reported_as_non_convergence():
+    # both outputs are x1: no invertible finisher exists
+    state = ExpressionState(2, (frozenset({1}), frozenset({1})))
+    with pytest.raises(NonConvergenceError, match="^linear state is not invertible$"):
+        reduce_to_identity(state)
+
+
 def test_identity_needs_no_gates():
     circ, rep = ancilla_free_synthesize(Permutation(tuple(range(8))))
     assert rep.gate_count == 0

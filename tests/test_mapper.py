@@ -1,15 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from esopsyn.circuit import CONSTANT, ROLE_GARBAGE, ROLE_OUTPUT, line_functions
-from esopsyn.dag import T_XOR, build_dag
+from esopsyn.circuit import (
+    CONSTANT, INPUT, ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, Circuit,
+    LineState, line_functions, simulate,
+)
+from esopsyn.dag import EsopDag, T_AND, T_XOR, build_dag, validate_dag
 from esopsyn.funcs import EsopExpression, Permutation, TruthTable
 from esopsyn.mapper import (
     RULE_AND_XOR_PARENT, RULE_MAX_CHILD, RULE_XOR_SINGLE, SynthesisError,
-    find_target, order_outputs, synthesize,
+    TargetChoice, _fresh_line, _ready, _single_parent_leaf, find_target,
+    map_target, order_outputs, synthesize,
 )
-from esopsyn.optimize import OptimizeParams
+from esopsyn.optimize import (
+    OptimizeParams, common_cube_sharing, parent_reduction_pass,
+)
 
 NTH_PRIME3 = Permutation((0, 2, 3, 5, 7, 1, 4, 6))
 
@@ -147,6 +154,15 @@ def test_fresh_wire_names_avoid_user_input_names():
     assert len(names) == len(set(names))
 
 
+def test_fresh_wire_names_skip_lines_appended_between_calls():
+    circ = Circuit(2)
+    circ.lines[1].name = "w2"
+    assert circ.lines[_fresh_line(circ)].name == "w1"
+    circ.lines.append(LineState(3, "w3"))
+    circ.n_lines += 1
+    assert [circ.lines[_fresh_line(circ)].name for _ in range(2)] == ["w4", "w5"]
+
+
 def test_all_constant_outputs():
     tt = TruthTable(2, 3, (5, 5, 5, 5))     # y1 = 1, y2 = 0, y3 = 1
     circ, rep = synthesize(tt)
@@ -193,3 +209,123 @@ def test_parameter_sweep_stays_sound():
         params = OptimizeParams(rng.choice([2, 3, 4, 5]), rng.random() < 0.5,
                                 rng.randint(0, 5), rng.random() < 0.5)
         synthesize(spec, params, check_invariants=True)
+
+
+def _reference_find_target(dag):
+    """The all-nodes scan that `find_target`'s ready index replaces."""
+    internal = sorted(nid for nid, n in dag.nodes.items()
+                      if n.kind in (T_AND, T_XOR))
+    if not internal:
+        return None
+    depth_max = max(n.depth for n in dag.nodes.values())
+    level = [nid for nid in internal if dag.nodes[nid].depth == depth_max - 1]
+    for nid in level:
+        if dag.nodes[nid].kind == T_XOR and _ready(dag, nid) \
+                and _single_parent_leaf(dag, nid) is not None:
+            return TargetChoice(nid, RULE_XOR_SINGLE)
+    if depth_max >= 3:
+        for nid in level:
+            if dag.nodes[nid].kind != T_AND:
+                continue
+            for p in sorted(set(dag.nodes[nid].parents)):
+                pn = dag.nodes[p]
+                if pn.kind == T_XOR and pn.depth == depth_max - 2 \
+                        and _ready(dag, p) \
+                        and _single_parent_leaf(dag, p) is not None:
+                    return TargetChoice(p, RULE_AND_XOR_PARENT)
+    best = best_key = None
+    for nid in internal:
+        if not _ready(dag, nid):
+            continue
+        node = dag.nodes[nid]
+        leafy = sum(1 for c in node.children if dag.nodes[c].is_leaf())
+        key = (-leafy, len(node.parents), nid)
+        if best_key is None or key < best_key:
+            best, best_key = nid, key
+    return TargetChoice(best, RULE_MAX_CHILD)
+
+
+def test_indexed_find_target_matches_the_all_nodes_scan():
+    # random interleavings of cube sharing, parent reduction, mapping and
+    # collapsing an arbitrary internal node (which moves the depths of
+    # internal descendants); the indexed choice must equal the full scan's
+    # after every step
+    rng = random.Random(1618)
+    steps = 0
+    while steps < 4000:
+        n = rng.randint(3, 6)
+        exprs = [expr(n, {rng.randrange(1 << n)
+                          for _ in range(rng.randint(2, 14))})
+                 for _ in range(rng.randint(1, 4))]
+        dag = build_dag(exprs, rng.choice([3, 4]))
+        circuit = Circuit(n)
+        while True:
+            op = rng.randrange(6)
+            if op == 0:
+                common_cube_sharing(dag, sweep_cap=1)
+            elif op == 1:
+                parent_reduction_pass(dag, rng.random() < 0.3)
+            elif op == 2:
+                internal = sorted(nid for nid, node in dag.nodes.items()
+                                  if node.kind in (T_AND, T_XOR))
+                if internal:
+                    line = _fresh_line(circuit)
+                    dag.to_identifier(rng.choice(internal), line, f"@{line}")
+            choice = find_target(dag)
+            assert choice == _reference_find_target(dag)
+            steps += 1
+            if choice is None:
+                break
+            if op >= 3:
+                map_target(dag, choice, circuit)
+
+
+def test_find_target_follows_depths_that_a_collapse_lowers():
+    # root -> top -> c -> g and root -> c: collapsing top lowers g from
+    # the deepest internal level to the one above it, below h, although g
+    # is neither top's child nor reshaped
+    dag = EsopDag(8)
+    x = [dag.var_node(i) for i in range(8)]
+    g = dag.get_or_create(T_XOR, [x[0], x[1]])
+    h = dag.get_or_create(T_XOR, [x[4], x[5]])
+    c = dag.get_or_create(T_AND, [g, x[2]])
+    top = dag.get_or_create(T_XOR, [c, x[3]])
+    z = dag.get_or_create(T_AND, [h, x[7]])
+    y = dag.get_or_create(T_XOR, [z, x[6]])
+    dag.set_children(dag.root, [top, c, y])
+    dag.recompute_depths()
+    assert find_target(dag) == TargetChoice(g, RULE_XOR_SINGLE)
+    dag.to_identifier(top, 8, "@8")
+    assert validate_dag(dag) == []
+    assert dag.nodes[g].depth < dag.nodes[h].depth
+    assert find_target(dag) == _reference_find_target(dag) \
+        == TargetChoice(h, RULE_XOR_SINGLE)
+
+
+_TABLES = st.integers(1, 5).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.just(n), st.just(m), st.lists(
+        st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n))))
+
+
+@given(_TABLES, st.integers(2, 5), st.booleans(), st.integers(0, 3),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_synthesize_agrees_with_pointwise_simulation(table, t, c, k, p):
+    n, m, rows = table
+    tt = TruthTable(n, m, tuple(rows))
+    circ, report = synthesize(tt, OptimizeParams(t, c, k, p), verify="off")
+    inputs = [l.line_id for l in circ.lines if l.origin == INPUT]
+    outputs = circ.output_map()
+    for x in range(1 << n):
+        bits = 0
+        for pos, lid in enumerate(inputs):
+            bits |= (x >> pos & 1) << lid
+        for line in circ.lines:
+            if line.origin == CONSTANT and line.init:
+                bits |= 1 << line.line_id
+        end = simulate(circ, bits)
+        for j, name in enumerate(tt.output_names):
+            assert end >> outputs[name] & 1 == rows[x] >> j & 1
+        for line in circ.lines:
+            if line.role == ROLE_ANCILLA:
+                assert end >> line.line_id & 1 == line.init

@@ -188,6 +188,25 @@ def test_sharing_never_grows_the_graph_and_keeps_semantics():
         assert [e.masks for e in dag_to_expressions(dag)] == want
 
 
+def test_sharing_ends_with_fresh_depths_at_every_sweep_cap():
+    # the last recompute is skipped only after a sweep that changed nothing
+    rng = random.Random(29)
+    for cap in (0, 1, 2, 32):
+        for _ in range(15):
+            n = rng.randint(2, 6)
+            exprs = [expr(n, {rng.randrange(1 << n)
+                              for _ in range(rng.randint(2, 10))})
+                     for _ in range(rng.randint(1, 3))]
+            dag = build_dag(exprs, rng.choice([3, 4]))
+            for node in dag.nodes.values():
+                node.depth = 0
+            common_cube_sharing(dag, cap)
+            assert validate_dag(dag) == []
+            depths = {nid: node.depth for nid, node in dag.nodes.items()}
+            dag.recompute_depths()
+            assert depths == {nid: node.depth for nid, node in dag.nodes.items()}
+
+
 def _reference_find_with_children(dag, kind, child_set, exclude=()):
     for nid in dag.internal_ids():
         if nid in exclude:
@@ -206,7 +225,8 @@ def _reference_cube_sharing(dag, sweep_cap=32):
     for _ in range(sweep_cap):
         changed = False
         dag.recompute_depths()
-        for depth in range(dag.depth_max() - 1, 0, -1):
+        depth_max = max(n.depth for n in dag.nodes.values())
+        for depth in range(depth_max - 1, 0, -1):
             level = [nid for nid in dag.internal_ids()
                      if nid in dag.nodes and dag.nodes[nid].depth == depth]
             for i in level:
