@@ -47,11 +47,24 @@ def _boolish(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
-def _load_spec(ref: str, fmt: str):
+def _load_spec(ref: str | None, fmt: str):
+    if ref is None:
+        raise SpecFormatError("no spec given: pass --in FILE or --in bench:<name>")
     if ref.startswith("bench:"):
         return benchmarks.get(ref[len("bench:"):]), ref[len("bench:"):]
     import os
     return parse_spec(ref, fmt), os.path.basename(ref)
+
+
+def _exhaustive(args) -> bool:
+    """Whether --exhaustive was given.  It must name 1 to 3 variables:
+    4 would mean enumerating 16! functions."""
+    if args.exhaustive is None:
+        return False
+    if not 1 <= args.exhaustive <= 3:
+        raise SpecFormatError(
+            f"--exhaustive takes 1 to 3 variables, got {args.exhaustive}")
+    return True
 
 
 def _params_from_args(args) -> OptimizeParams:
@@ -144,8 +157,10 @@ def parse_grid(tokens: list[str]) -> dict[str, list[int]]:
         for part in spec.split(","):
             part = part.strip()
             if ".." in part:
-                lo, hi = part.split("..")
-                values.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in part.split(".."))
+                if hi < lo:
+                    raise SpecFormatError(f"empty range {part!r} in grid token {tok!r}")
+                values.extend(range(lo, hi + 1))
             else:
                 values.append(int(part))
         grid[knob] = values
@@ -169,7 +184,7 @@ def _spec_shape(spec) -> tuple[int, int]:
 
 
 def _cmd_synth(args) -> int:
-    if args.exhaustive:
+    if _exhaustive(args):
         return _cmd_synth_exhaustive(args)
     spec, name = _load_spec(args.input, args.format)
     params = _params_from_args(args)
@@ -214,7 +229,7 @@ def _cmd_synth_exhaustive(args) -> int:
 
 
 def _cmd_ancilla_free(args) -> int:
-    if args.exhaustive:
+    if _exhaustive(args):
         return _cmd_ancilla_exhaustive(args)
     spec, name = _load_spec(args.input, args.format)
     if isinstance(spec, TruthTable):

@@ -73,13 +73,18 @@ class EsopExpression:
         return acc
 
     def sorted_masks(self) -> list[int]:
-        """Deterministic cube order: by degree, then mask value."""
-        return sorted((c.mask for c in self.cubes), key=lambda m: (m.bit_count(), m))
+        """The cube masks in cube_order."""
+        return cube_order(c.mask for c in self.cubes)
 
     def __str__(self) -> str:
         if not self.cubes:
             return "0"
         return " ^ ".join(str(Cube(m)) for m in self.sorted_masks())
+
+
+def cube_order(masks) -> list[int]:
+    """Deterministic cube order: by degree, then mask value."""
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def _default_names(prefix: str, count: int) -> list[str]:
@@ -234,14 +239,3 @@ def truth_table_from_anf(expr: EsopExpression) -> TruthTable:
 def truth_table_from_permutation(p: Permutation) -> TruthTable:
     n = p.n_vars
     return TruthTable(n, n, tuple(p.images))
-
-
-# -- GF(2) cube-set algebra used by the optimizer ---------------------------
-
-def and_masks(a, b) -> frozenset[int]:
-    """Product of two cube sets with duplicate cancellation."""
-    acc: set[int] = set()
-    for ma in a:
-        for mb in b:
-            acc ^= {ma | mb}
-    return frozenset(acc)

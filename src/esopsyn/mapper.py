@@ -307,7 +307,7 @@ def synthesize(
     iterations = 0
     while True:
         if params.parent_reduction:
-            rep = parent_reduction_pass(dag, params.general_expansion)
+            rep = parent_reduction_pass(dag)
             if trace is not None and rep:
                 trace(f"parent_reduction: {rep.events}")
         choice = find_target(dag)

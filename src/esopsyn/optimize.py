@@ -4,17 +4,22 @@ All three are independently switchable through OptimizeParams (the T/C/K/P
 knobs).  Kernel extraction restructures each output expression before the
 graph is built; cube sharing and parent reduction rewrite the graph, and
 every rewrite here preserves the function computed by each output.
+
+All three work on plain data: factoring on cube masks (an int per product
+term, bit i for variable x_{i+1}) and frozensets of them, cube sharing and
+parent reduction on the graph's integer node ids and sets of them.  Cube
+and EsopExpression objects appear only at the public entry points:
+factor_expression's argument, extract_kernels and select_divisor.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .dag import (
     EsopDag, FAnd, FCube, FXor, T_AND, T_ID, T_ROOT, T_XOR,
 )
-from .funcs import Cube, EsopExpression
+from .funcs import Cube, EsopExpression, cube_order
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,6 @@ class OptimizeParams:
     cube_sharing: bool = True       # C
     kernel_threshold: int = 0       # K
     parent_reduction: bool = False  # P
-    general_expansion: bool = False  # optional extra parent-reduction rewrite
     sharing_sweep_cap: int = 32
     kernel_cap: int = 2000
 
@@ -116,26 +120,38 @@ def extract_kernels(expr: EsopExpression, cap: int = 2000) -> KernelSet:
     return KernelSet(tuple(entries))
 
 
-def select_divisor(kernels: KernelSet, threshold: int) -> KernelEntry | None:
-    """Minimum-remainder kernel among those bigger than the threshold.
+def _best_divisor(pairs, threshold: int) -> int | None:
+    """Index of the divisor among (kernel cube set, co-kernel mask) pairs.
 
-    Ties break toward the larger kernel, then the lowest co-kernel mask,
-    then the kernel's sorted cube list, keeping runs reproducible.
+    Only kernels with more than `threshold` cubes qualify.  The largest
+    kernel wins, then the lowest co-kernel mask, then the kernel's cubes in
+    cube_order.  For the pairs of one expression the largest kernel also
+    leaves the smallest remainder: each product co | k is a distinct cube
+    of the expression, so the remainder has len(expr) - len(kernel) cubes.
+    The cube order is built only for pairs tied on size and co-kernel.
     """
-    best = None
-    best_key = None
-    for e in kernels.entries:
-        if len(e.kernel.cubes) <= threshold:
+    best = best_key = None
+    for idx, (ker, co) in enumerate(pairs):
+        if len(ker) <= threshold:
             continue
-        key = (
-            len(e.remainder.cubes),
-            -len(e.kernel.cubes),
-            e.co_kernel.mask,
-            tuple(e.kernel.sorted_masks()),
-        )
-        if best_key is None or key < best_key:
-            best, best_key = e, key
+        key = (-len(ker), co)
+        if best is None or key < best_key or (
+                key == best_key
+                and cube_order(ker) < cube_order(pairs[best][0])):
+            best, best_key = idx, key
     return best
+
+
+def select_divisor(kernels: KernelSet, threshold: int) -> KernelEntry | None:
+    """Largest kernel among those bigger than the threshold, which for the
+    kernels of one expression is the one leaving the smallest remainder.
+
+    Ties break toward the lowest co-kernel mask, then the kernel's sorted
+    cube list, keeping runs reproducible (see _best_divisor).
+    """
+    idx = _best_divisor([(e.kernel.masks, e.co_kernel.mask)
+                         for e in kernels.entries], threshold)
+    return None if idx is None else kernels.entries[idx]
 
 
 def divide(masks: frozenset[int], divisor: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -170,12 +186,11 @@ def factor_expression(expr: EsopExpression, params: OptimizeParams):
     remainder the same way; when no kernel beats the threshold the flat
     two-level form is kept.
     """
-    tree = _factor(expr.masks, expr.n_vars, params)
-    return tree
+    return _factor(expr.masks, expr.n_vars, params)
 
 
 def _flat_tree(masks: frozenset[int]):
-    parts = tuple(FCube(m) for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
+    parts = tuple(FCube(m) for m in cube_order(masks))
     if len(parts) == 1:
         return parts[0]
     return FXor(parts)
@@ -184,12 +199,11 @@ def _flat_tree(masks: frozenset[int]):
 def _factor(masks: frozenset[int], n_vars: int, params: OptimizeParams):
     if len(masks) < 2 or params.kernel_threshold == 0:
         return _flat_tree(masks)
-    kernels = extract_kernels(
-        EsopExpression.from_masks(n_vars, masks), params.kernel_cap)
-    entry = select_divisor(kernels, params.kernel_threshold)
-    if entry is None:
+    pairs = _kernel_pairs(masks, n_vars, params.kernel_cap)
+    idx = _best_divisor(pairs, params.kernel_threshold)
+    if idx is None:
         return _flat_tree(masks)
-    d = entry.kernel.masks
+    d = pairs[idx][0]
     quotient, remainder = divide(masks, d)
     if not quotient:
         return _flat_tree(masks)
@@ -298,15 +312,21 @@ def _share_candidates(dag: EsopDag, i: int) -> list[int]:
 
     A merge or a subset shares every child of the smaller node and an
     internal node has at least two, and an overlap needs two common
-    children, so no other node can be shareable with i.
+    children, so no other node can be shareable with i.  A running union
+    of the children's parent lists finds them with set operations, so an
+    input leaf with thousands of parents costs one pass in C.
     """
-    shared = Counter(p for c in set(dag.nodes[i].children)
-                     for p in set(dag.nodes[c].parents))
-    depth = dag.nodes[i].depth
+    nodes = dag.nodes
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for c in set(nodes[i].children):
+        parents = nodes[c].parents
+        shared |= seen.intersection(parents)
+        seen.update(parents)
+    depth = nodes[i].depth
     return sorted(
-        (j for j, k in shared.items()
-         if k >= 2 and j != i and 0 < dag.nodes[j].depth <= depth),
-        key=lambda j: (-dag.nodes[j].depth, j))
+        (j for j in shared if j != i and 0 < nodes[j].depth <= depth),
+        key=lambda j: (-nodes[j].depth, j))
 
 
 def common_cube_sharing(dag: EsopDag, sweep_cap: int = 32) -> MutationReport:
@@ -378,8 +398,7 @@ def _binary_xor_parents(dag: EsopDag, a: int) -> list[tuple[int, int]]:
     return out
 
 
-def reduce_parents(dag: EsopDag, leaf: int,
-                   general_expansion: bool = False) -> MutationReport:
+def reduce_parents(dag: EsopDag, leaf: int) -> MutationReport:
     """Cut the leaf's parent count by routing parents through an existing
     a^b node:  a = (a^b)^b  for xor parents,  a.b = ((a^b)b)^b  for the
     two-child and node over the same pair.
@@ -419,8 +438,6 @@ def reduce_parents(dag: EsopDag, leaf: int,
                     break
             if rewrote:
                 break
-        if general_expansion and not rewrote:
-            rewrote = _general_expansion_step(dag, leaf, report)
         if not rewrote:
             break
     if report:
@@ -452,40 +469,7 @@ def _apply_product_expansion(dag: EsopDag, q: int, e: int, b: int):
         dag._delete(q)
 
 
-def _general_expansion_step(dag: EsopDag, leaf: int, report: MutationReport) -> bool:
-    """a(b ^ x) ^ x  =  a(a ^ b ^ x) ^ (a ^ x): applied only when both the
-    a^b^x and the a^x nodes already exist (otherwise it just grows the graph)."""
-    a = leaf
-    for q in sorted(set(dag.nodes[a].parents)):
-        qn = dag.nodes[q]
-        if qn.kind != T_AND or len(qn.children) != 2 or a not in qn.children:
-            continue
-        other = qn.children[1] if qn.children[0] == a else qn.children[0]
-        on = dag.nodes.get(other)
-        if on is None or on.kind != T_XOR or len(on.children) != 2:
-            continue
-        b, x = on.children
-        for bb, xx in ((b, x), (x, b)):
-            e2 = _find_with_children(dag, T_XOR, {a, bb, xx})
-            ex = _find_with_children(dag, T_XOR, {a, xx})
-            if e2 is None or ex is None:
-                continue
-            for p in sorted(set(dag.nodes[q].parents)):
-                pn = dag.nodes[p]
-                if pn.kind != T_XOR or xx not in pn.children:
-                    continue
-                if _reaches(dag, e2, p) or _reaches(dag, ex, p):
-                    continue
-                a2 = dag.get_or_create(T_AND, [a, e2])
-                dag.xor_splice(p, q, [a2])
-                dag.xor_splice(p, xx, [ex])
-                dag.normalize_node(p)
-                report.events.append(f"general expansion at #{p}")
-                return True
-    return False
-
-
-def parent_reduction_pass(dag: EsopDag, general_expansion: bool = False) -> MutationReport:
+def parent_reduction_pass(dag: EsopDag) -> MutationReport:
     """One mapping-iteration's worth of parent reduction.
 
     Candidates are the minimum-parent leaves that a single rewrite turns
@@ -502,7 +486,7 @@ def parent_reduction_pass(dag: EsopDag, general_expansion: bool = False) -> Muta
             candidates.append((node.line if node.line is not None else nid, nid))
     candidates.sort()
     for _line, nid in candidates:
-        report = reduce_parents(dag, nid, general_expansion)
+        report = reduce_parents(dag, nid)
         if report:
             return report
     return MutationReport("parent_reduction",

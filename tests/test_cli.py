@@ -93,6 +93,30 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
+                                                         monkeypatch):
+    # an out-of-range --exhaustive must be refused before any enumeration
+    # starts (4 variables would mean 16! functions), so the runners fail loudly
+    def never(args):
+        raise AssertionError("exhaustive run started")
+    monkeypatch.setattr(cli, "_cmd_synth_exhaustive", never)
+    monkeypatch.setattr(cli, "_cmd_ancilla_exhaustive", never)
+    report = tmp_path / "r.csv"
+    cases = [["synth"], ["ancilla-free"], ["sweep", "--report", str(report)],
+             ["synth", "--exhaustive", "0"], ["synth", "--exhaustive", "4"],
+             ["ancilla-free", "--exhaustive", "4"],
+             ["ancilla-free", "--exhaustive", "-1"],
+             ["sweep", "--in", "bench:present_sbox", "--grid", "K=5..2",
+              "--report", str(report)]]
+    for argv in cases:
+        assert run_cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert run_cli(["synth", "--exhaustive", "4"]) == 1
+    assert "1 to 3" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_ancilla_free_subcommand(tmp_path):
     spec = tmp_path / "p.perm"
     spec.write_text("perm 0 2 3 5 7 1 4 6\n")
@@ -187,6 +211,8 @@ def test_grid_parser():
         parse_grid(["Q=1"])
     with pytest.raises(SpecFormatError):
         parse_grid(["T="])
+    with pytest.raises(SpecFormatError):
+        parse_grid(["K=5..2"])
 
 
 def test_pareto_front():

@@ -55,6 +55,11 @@ CASES = {
     # cube sharing with overlap hoists, K=3 factoring, parent reduction
     "aes_sbox-3131": (lambda: benchmarks.get("aes_sbox"), "3131",
         "cb207abf522cb852db17895d16880d2b92632f09867bfaaf64f75613c8e527e4"),
+    # K=3 and K=5 kernel factoring on the largest built-in
+    "aes_sbox-3130": (lambda: benchmarks.get("aes_sbox"), "3130",
+        "7e9892b2dead1937cbd4aef383d665a7c708ca3ddb352b66d2d90df341cf59fb"),
+    "aes_sbox-3150": (lambda: benchmarks.get("aes_sbox"), "3150",
+        "588bc359f8a4b7545785f069c58769e43effebe136862f168109b6e30cab921f"),
 }
 
 

@@ -264,7 +264,7 @@ def test_indexed_find_target_matches_the_all_nodes_scan():
             if op == 0:
                 common_cube_sharing(dag, sweep_cap=1)
             elif op == 1:
-                parent_reduction_pass(dag, rng.random() < 0.3)
+                parent_reduction_pass(dag)
             elif op == 2:
                 internal = sorted(nid for nid, node in dag.nodes.items()
                                   if node.kind in (T_AND, T_XOR))

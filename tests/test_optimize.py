@@ -4,16 +4,25 @@ from collections import Counter
 from esopsyn import optimize
 from esopsyn.dag import T_AND, T_XOR, build_dag, build_dag_from_trees, \
     dag_to_expressions, dump_text, validate_dag
-from esopsyn.funcs import EsopExpression, and_masks
+from esopsyn.funcs import EsopExpression
 from esopsyn.optimize import (
-    MutationReport, OptimizeParams, common_cube_sharing, extract_kernels,
-    divide, factor_expression, parent_reduction_pass, reduce_parents,
-    select_divisor,
+    KernelEntry, KernelSet, MutationReport, OptimizeParams,
+    common_cube_sharing, extract_kernels, divide, factor_expression,
+    parent_reduction_pass, reduce_parents, select_divisor,
 )
 
 
 def expr(n, masks):
     return EsopExpression.from_masks(n, masks)
+
+
+def and_masks(a, b) -> frozenset[int]:
+    """Product of two cube sets with duplicate cancellation."""
+    acc: set[int] = set()
+    for ma in a:
+        for mb in b:
+            acc ^= {ma | mb}
+    return frozenset(acc)
 
 
 def entry_identity_holds(e, original):
@@ -73,6 +82,95 @@ def test_divisor_selection():
                                             if len(e.kernel.cubes) > 1)
     # a threshold above every kernel size declines to factor
     assert select_divisor(ks, 10) is None
+
+
+def _reference_select_divisor(kernels, threshold):
+    """The ranking factoring used before it worked on masks: minimum
+    remainder, then larger kernel, lowest co-kernel mask and the kernel's
+    sorted cube list."""
+    best = best_key = None
+    for e in kernels.entries:
+        if len(e.kernel.cubes) <= threshold:
+            continue
+        key = (len(e.remainder.cubes), -len(e.kernel.cubes),
+               e.co_kernel.mask, tuple(e.kernel.sorted_masks()))
+        if best_key is None or key < best_key:
+            best, best_key = e, key
+    return best
+
+
+def _tied_cube_sets(rng):
+    """Cube sets whose kernels tie on size: one kernel under several
+    co-kernels, plus a little noise."""
+    n = rng.randint(4, 7)
+    split = rng.randint(2, n - 2)
+    low, high = range(1, 1 << split), range(1, 1 << (n - split))
+    kernel = rng.sample(low, rng.randint(2, min(6, len(low))))
+    cos = rng.sample(high, rng.randint(2, min(4, len(high))))
+    masks = {(co << split) | k for co in cos for k in kernel}
+    masks ^= {rng.randrange(1 << n) for _ in range(rng.randint(0, 3))}
+    return n, frozenset(masks)
+
+
+def _top_divisor(monkeypatch, masks, n, params):
+    """The divisor _factor splits off first, or None."""
+    seen = []
+    real = optimize.divide
+
+    def spy(m, d):
+        seen.append(d)
+        return real(m, d)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "divide", spy)
+        optimize._factor(masks, n, params)
+    return seen[0] if seen else None
+
+
+def test_factoring_picks_the_divisor_the_kernel_objects_picked(monkeypatch):
+    rng = random.Random(1729)
+    picked = 0
+    for case in range(600):
+        if case % 3 == 0:
+            n, masks = _tied_cube_sets(rng)
+        else:
+            n = rng.randint(2, 7)
+            masks = frozenset(rng.randrange(1 << n)
+                              for _ in range(rng.randint(2, 40)))
+        if len(masks) < 2:
+            continue
+        k = rng.randint(1, 5)
+        want = _reference_select_divisor(extract_kernels(expr(n, masks)), k)
+        got = _top_divisor(monkeypatch, masks, n,
+                           OptimizeParams(kernel_threshold=k))
+        assert got == (None if want is None else want.kernel.masks)
+        picked += want is not None
+    assert picked > 200
+
+
+def test_divisor_ties_break_on_co_kernel_then_cube_order():
+    # hand-made entries: equal-size sub-kernels under one co-kernel (a tie
+    # _kernel_pairs itself never yields, since a co-kernel fixes its kernel)
+    rng = random.Random(314)
+    for _ in range(300):
+        n, masks = _tied_cube_sets(rng)
+        f = expr(n, masks)
+        entries = []
+        for e in extract_kernels(f).entries:
+            size = len(e.kernel.cubes)
+            if size < 3 or rng.random() < 0.3:
+                entries.append(e)
+                continue
+            cubes = sorted(e.kernel.masks)
+            for _ in range(3):
+                sub = frozenset(rng.sample(cubes, size - 1))
+                products = frozenset(e.co_kernel.mask | c for c in sub)
+                entries.append(KernelEntry(expr(n, sub), e.co_kernel,
+                                           expr(n, masks - products)))
+        rng.shuffle(entries)
+        ks = KernelSet(tuple(entries))
+        for k in range(1, 6):
+            assert select_divisor(ks, k) == _reference_select_divisor(ks, k)
 
 
 def test_weak_division_is_exact():
@@ -217,6 +315,17 @@ def _reference_find_with_children(dag, kind, child_set, exclude=()):
     return None
 
 
+def _reference_share_candidates(dag, i):
+    """Co-parents counted child by child with a Counter."""
+    shared = Counter(p for c in set(dag.nodes[i].children)
+                     for p in set(dag.nodes[c].parents))
+    depth = dag.nodes[i].depth
+    return sorted(
+        (j for j, k in shared.items()
+         if k >= 2 and j != i and 0 < dag.nodes[j].depth <= depth),
+        key=lambda j: (-dag.nodes[j].depth, j))
+
+
 def _reference_cube_sharing(dag, sweep_cap=32):
     """The all-pairs scan cube sharing replaced: every internal node at each
     level from the deepest up, tried against every internal node at its own
@@ -284,11 +393,26 @@ def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
             key = (ours, node.kind, set(node.children))
             assert optimize._find_with_children(*key) == \
                 _reference_find_with_children(*key)
+            assert optimize._share_candidates(ours, nid) == \
+                _reference_share_candidates(ours, nid)
         with monkeypatch.context() as m:
             m.setattr(optimize, "_find_with_children",
                       _reference_find_with_children)
             want = _reference_cube_sharing(ref)
-        got = common_cube_sharing(ours)
+        # co-parents equal the counted reference at every node the sweeps visit
+        real_candidates = optimize._share_candidates
+
+        def checked_candidates(dag, i):
+            got = real_candidates(dag, i)
+            assert got == _reference_share_candidates(dag, i)
+            compared.append(i)
+            return got
+
+        compared = []
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_share_candidates", checked_candidates)
+            got = common_cube_sharing(ours)
+        assert compared
         assert got.events == want.events
         assert dump_text(ours) == dump_text(ref)
         rules.update(event.split()[0] for event in got.events)
