@@ -9,7 +9,6 @@ exactly their own lines.
 
 from .ancilla_free import (
     NonConvergenceError, Transformation, ancilla_free_synthesize,
-    exhaustive_sweep,
 )
 from .circuit import (
     Circuit, CostReport, Gate, LineState, VerificationError, cnot,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import (
     Circuit, CostReport, INPUT, LineState, ROLE_OUTPUT, VerificationError,
@@ -435,45 +435,3 @@ def ancilla_free_synthesize(
             raise VerificationError(
                 f"gate sequence disagrees with the spec at {verdict.counterexample}")
     return circuit, report
-
-
-@dataclass
-class SweepStats:
-    runs: int = 0
-    converged: int = 0
-    total_gates: int = 0
-    total_qc: int = 0
-    failures: list[tuple[int, ...]] = field(default_factory=list)
-
-    @property
-    def mean_gates(self) -> float:
-        return self.total_gates / self.converged if self.converged else 0.0
-
-    @property
-    def mean_qc(self) -> float:
-        return self.total_qc / self.converged if self.converged else 0.0
-
-
-def exhaustive_sweep(n: int, policy: str = POLICY_UNIQUE_PAIR,
-                     on_result=None) -> SweepStats:
-    """Run every n-variable reversible function through the synthesizer.
-
-    on_result(images, report) is called per function (for CSV streaming);
-    non-convergent functions are collected rather than raised.
-    """
-    stats = SweepStats()
-    for images in itertools.permutations(range(1 << n)):
-        stats.runs += 1
-        try:
-            _, report = ancilla_free_synthesize(Permutation(images), policy)
-        except NonConvergenceError:
-            stats.failures.append(images)
-            if on_result is not None:
-                on_result(images, None)
-            continue
-        stats.converged += 1
-        stats.total_gates += report.gate_count
-        stats.total_qc += report.quantum_cost
-        if on_result is not None:
-            on_result(images, report)
-    return stats

@@ -140,11 +140,6 @@ class Circuit:
         return {l.output_name: l.line_id for l in self.lines
                 if l.role == ROLE_OUTPUT and l.output_name is not None}
 
-    def reversed_gates(self) -> "Circuit":
-        """Same lines, gate list reversed; inverts the circuit (all gates
-        in the library are self-inverse)."""
-        return Circuit(self.n_lines, list(reversed(self.gates)), list(self.lines))
-
 
 def simulate(c: Circuit, bits: int) -> int:
     """Apply the gate list to an n_lines-wide bit vector (line i = bit i).

@@ -3,7 +3,9 @@
 Subcommands: synth (one function through the tunable flow), ancilla-free,
 cost, verify, and sweep (a parameter grid over one function, written as a
 CSV with one row per configuration).  ``--in`` takes a spec file or
-``bench:<name>`` for a built-in benchmark.
+``bench:<name>`` for a built-in benchmark.  ``synth --exhaustive N`` and
+``ancilla-free --exhaustive N`` run every N-variable reversible function
+instead, one CSV row each; these and sweep share one runner (`_run`).
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import logging
+import os
 import sys
 
-from . import benchmarks
+# perfbench's tracer replaces esopsyn.ancilla_free.ancilla_free_synthesize
+# and esopsyn.cli.synthesize, so the two engines are called by those names
+from . import ancilla_free, benchmarks
 from .ancilla_free import (
     NonConvergenceError, POLICY_COMMON_CONTROL, POLICY_UNIQUE_PAIR,
-    ancilla_free_synthesize, exhaustive_sweep,
 )
 from .circuit import (
     ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, VerificationError, line_functions,
@@ -52,7 +56,6 @@ def _load_spec(ref: str | None, fmt: str):
         raise SpecFormatError("no spec given: pass --in FILE or --in bench:<name>")
     if ref.startswith("bench:"):
         return benchmarks.get(ref[len("bench:"):]), ref[len("bench:"):]
-    import os
     return parse_spec(ref, fmt), os.path.basename(ref)
 
 
@@ -163,6 +166,8 @@ def parse_grid(tokens: list[str]) -> dict[str, list[int]]:
                 values.extend(range(lo, hi + 1))
             else:
                 values.append(int(part))
+        if knob in "CP" and not set(values) <= {0, 1}:
+            raise SpecFormatError(f"{knob} takes 0 or 1 in grid token {tok!r}")
         grid[knob] = values
     return grid
 
@@ -183,9 +188,83 @@ def _spec_shape(spec) -> tuple[int, int]:
     return spec.n_inputs, spec.n_outputs
 
 
+def _synth_row(item) -> dict:
+    """One `synthesize` call as a report row (a process-pool task)."""
+    name, spec, params, seed, verify = item
+    _, report = synthesize(spec, params, verify=verify, seed=seed)
+    n, m = _spec_shape(spec)
+    return report_row(name, "synth", n, m, params, seed, report,
+                      with_runtime=False)
+
+
+def _ancilla_free_row(item) -> dict:
+    """One `ancilla_free_synthesize` call as a report row; a function that
+    does not converge gets a row with only its name and mode."""
+    name, spec, policy, seed = item
+    try:
+        _, report = ancilla_free.ancilla_free_synthesize(spec, policy=policy)
+    except NonConvergenceError:
+        return {"function": name, "mode": "ancilla-free"}
+    return report_row(name, "ancilla-free", spec.n_vars, spec.n_vars,
+                      OptimizeParams(), seed, report, with_runtime=False)
+
+
+def _run(task, items, report: str | None, jobs: int = 1):
+    """Yield task(item) for each item, in item order.
+
+    After the last row, the rows are written to the CSV `report`, if one is
+    given; a run that fails part way writes none.  jobs > 1 maps over a
+    process pool of at most that many workers, and never more than there
+    are items (which must then be a sequence) or CPUs: the pool forks all
+    its workers at the first task.
+    """
+    workers = min(jobs, len(items), os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, items))
+    else:
+        results = map(task, items)
+    rows = []
+    for row in results:
+        if report is not None:
+            rows.append(row)
+        yield row
+    if report is not None:
+        write_report(report, rows)
+
+
+def _tally(rows) -> tuple[int, int, dict[str, float]]:
+    """Rows seen, rows converged, and the mean gates/qc/garbage over the
+    converged rows."""
+    runs = converged = 0
+    total = {"gates": 0, "qc": 0, "garbage": 0}
+    for row in rows:
+        runs += 1
+        if "qc" in row:
+            converged += 1
+            for key in total:
+                total[key] += row[key]
+    return runs, converged, {k: v / converged if converged else 0.0
+                             for k, v in total.items()}
+
+
+def _exhaustive_items(n: int, *rest):
+    """(name, spec, *rest) for every n-variable reversible function,
+    generated lazily in lexicographic order."""
+    for images in itertools.permutations(range(1 << n)):
+        yield ("".join(map(str, images)), Permutation(images)) + rest
+
+
 def _cmd_synth(args) -> int:
     if _exhaustive(args):
-        return _cmd_synth_exhaustive(args)
+        params = _params_from_args(args)
+        items = _exhaustive_items(args.exhaustive, params, args.seed,
+                                  args.verify)
+        count, _, mean = _tally(_run(_synth_row, items, args.report))
+        print(f"{count} functions, mean gates {mean['gates']:.3f}, "
+              f"mean qc {mean['qc']:.3f}, mean garbage {mean['garbage']:.3f}")
+        return EXIT_OK
     spec, name = _load_spec(args.input, args.format)
     params = _params_from_args(args)
     trace = print if args.trace else (log.info if args.verbose > 1 else None)
@@ -204,39 +283,24 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_synth_exhaustive(args) -> int:
-    n = args.exhaustive
-    params = _params_from_args(args)
-    rows = []
-    total = {"qc": 0, "gates": 0, "garbage": 0}
-    count = 0
-    for images in itertools.permutations(range(1 << n)):
-        spec = Permutation(images)
-        _, report = synthesize(spec, params, verify=args.verify)
-        count += 1
-        total["qc"] += report.quantum_cost
-        total["gates"] += report.gate_count
-        total["garbage"] += report.garbage_count
-        if args.report:
-            rows.append(report_row("".join(map(str, images)), "synth", n, n,
-                                   params, args.seed, report, with_runtime=False))
-    if args.report:
-        write_report(args.report, rows)
-    print(f"{count} functions, mean gates {total['gates'] / count:.3f}, "
-          f"mean qc {total['qc'] / count:.3f}, "
-          f"mean garbage {total['garbage'] / count:.3f}")
-    return EXIT_OK
-
-
 def _cmd_ancilla_free(args) -> int:
     if _exhaustive(args):
-        return _cmd_ancilla_exhaustive(args)
+        items = _exhaustive_items(args.exhaustive, args.policy, args.seed)
+        runs, converged, mean = _tally(
+            _run(_ancilla_free_row, items, args.report))
+        print(f"{runs} functions, {converged} converged, "
+              f"mean gates {mean['gates']:.3f}, mean qc {mean['qc']:.3f}")
+        if converged < runs:
+            print(f"{runs - converged} functions did not converge")
+            return EXIT_NO_CONVERGENCE
+        return EXIT_OK
     spec, name = _load_spec(args.input, args.format)
     if isinstance(spec, TruthTable):
         if spec.n_inputs != spec.n_outputs:
             raise SpecFormatError("ancilla-free mode needs a reversible spec")
         spec = Permutation(spec.rows)
-    circuit, report = ancilla_free_synthesize(spec, policy=args.policy)
+    circuit, report = ancilla_free.ancilla_free_synthesize(
+        spec, policy=args.policy)
     if args.out:
         write_circuit(circuit, args.out, report)
     else:
@@ -245,33 +309,6 @@ def _cmd_ancilla_free(args) -> int:
         n, m = _spec_shape(spec)
         write_report(args.report, [report_row(
             name, "ancilla-free", n, m, OptimizeParams(), args.seed, report)])
-    return EXIT_OK
-
-
-def _cmd_ancilla_exhaustive(args) -> int:
-    rows = []
-    params = OptimizeParams()
-
-    def on_result(images, report):
-        if args.report is None:
-            return
-        name = "".join(map(str, images))
-        if report is None:
-            rows.append({"function": name, "mode": "ancilla-free"})
-        else:
-            rows.append(report_row(name, "ancilla-free", args.exhaustive,
-                                   args.exhaustive, params, args.seed, report,
-                                   with_runtime=False))
-
-    stats = exhaustive_sweep(args.exhaustive, policy=args.policy,
-                             on_result=on_result)
-    if args.report:
-        write_report(args.report, rows)
-    print(f"{stats.runs} functions, {stats.converged} converged, "
-          f"mean gates {stats.mean_gates:.3f}, mean qc {stats.mean_qc:.3f}")
-    if stats.failures:
-        print(f"{len(stats.failures)} functions did not converge")
-        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 
@@ -309,42 +346,19 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
-def _sweep_one(payload) -> dict:
-    kind, data, names, (t, c, k, p), seed, verify = payload
-    if kind == "perm":
-        spec = Permutation(data)
-    else:
-        n, m, rows, inames, onames = data
-        spec = TruthTable(n, m, rows, inames, onames)
-    params = OptimizeParams(t, bool(c), k, bool(p))
-    _, report = synthesize(spec, params, verify=verify, seed=seed)
-    n, m = _spec_shape(spec)
-    return report_row(names, "synth", n, m, params, seed, report,
-                      with_runtime=False)
-
-
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise SpecFormatError(
+            f"--jobs takes a count of at least 1, got {args.jobs}")
     spec, name = _load_spec(args.input, args.format)
     grid = parse_grid(args.grid)
     configs = sorted(itertools.product(grid["T"], grid["C"], grid["K"], grid["P"]))
-    if isinstance(spec, Permutation):
-        payloads = [("perm", spec.images, name, cfg, args.seed, args.verify)
-                    for cfg in configs]
-    else:
-        data = (spec.n_inputs, spec.n_outputs, spec.rows,
-                spec.input_names, spec.output_names)
-        payloads = [("table", data, name, cfg, args.seed, args.verify)
-                    for cfg in configs]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_one, payloads))
-    else:
-        rows = [_sweep_one(p) for p in payloads]
-    rows.sort(key=lambda r: (r["T"], r["C"], r["K"], r["P"]))
-    write_report(args.report, rows)
-    front = pareto_points([(r["qc"], r["garbage"]) for r in rows])
-    print(f"{len(rows)} configurations, {len(front)} non-dominated "
+    items = [(name, spec, OptimizeParams(t, bool(c), k, bool(p)), args.seed,
+              args.verify) for t, c, k, p in configs]
+    points = [(row["qc"], row["garbage"])
+              for row in _run(_synth_row, items, args.report, args.jobs)]
+    front = pareto_points(points)
+    print(f"{len(points)} configurations, {len(front)} non-dominated "
           f"(qc, garbage) points: {front}")
     return EXIT_OK
 

@@ -227,10 +227,6 @@ class MutationReport:
     nodes_before: int = 0
     nodes_after: int = 0
 
-    @property
-    def node_delta(self) -> int:
-        return self.nodes_after - self.nodes_before
-
     def __bool__(self) -> bool:
         return bool(self.events)
 

@@ -11,7 +11,7 @@ import random
 import time
 
 from esopsyn import benchmarks
-from esopsyn.ancilla_free import ancilla_free_synthesize, exhaustive_sweep
+from esopsyn.ancilla_free import ancilla_free_synthesize
 from esopsyn.circuit import (
     Circuit, cnot, fredkin, gate_cost, not_gate, quantum_cost, toffoli,
     verify_equivalence,
@@ -176,26 +176,26 @@ def test_criterion_6_exhaustive_three_variable_flow():
                    f"{mean_garbage:.2f} (1.73..2.88), {elapsed:.0f}s")
 
 
-def test_criterion_7_exhaustive_ancilla_free():
+def test_criterion_7_exhaustive_ancilla_free(tmp_path):
     t0 = time.perf_counter()
-    problems = []
-
-    def on_result(images, report):
-        if report is None:
-            problems.append(images)
-        elif report.line_count != 3 or report.ancilla_count \
-                or report.garbage_count:
-            problems.append(images)
-
-    stats = exhaustive_sweep(3, on_result=on_result)
+    report = tmp_path / "all3.csv"
+    rc = run_cli(["ancilla-free", "--exhaustive", "3", "--report", str(report)])
     elapsed = time.perf_counter() - t0
-    ok = (stats.runs == 40320 and stats.converged == 40320 and not problems
-          and 9.28 * 0.75 <= stats.mean_gates <= 9.28 * 1.25
-          and 17.14 * 0.75 <= stats.mean_qc <= 17.14 * 1.25
+    rows = list(csv.DictReader(report.open()))
+    # a function that does not converge gets a row with no cost columns
+    converged = [r for r in rows if r["qc"] != ""]
+    problems = [r["function"] for r in rows if r["qc"] == ""
+                or (r["lines"], r["ancilla"], r["garbage"]) != ("3", "0", "0")]
+    mean_gates = sum(int(r["gates"]) for r in converged) / max(len(converged), 1)
+    mean_qc = sum(int(r["qc"]) for r in converged) / max(len(converged), 1)
+    ok = (rc == 0 and len(rows) == 40320 and len(converged) == 40320
+          and not problems
+          and 9.28 * 0.75 <= mean_gates <= 9.28 * 1.25
+          and 17.14 * 0.75 <= mean_qc <= 17.14 * 1.25
           and elapsed < 600)
-    _report(7, ok, f"{stats.converged}/{stats.runs} converged on 3 lines, "
-                   f"mean gates {stats.mean_gates:.2f} (6.96..11.60), "
-                   f"mean qc {stats.mean_qc:.2f} (12.86..21.43), "
+    _report(7, ok, f"{len(converged)}/{len(rows)} converged on 3 lines, "
+                   f"mean gates {mean_gates:.2f} (6.96..11.60), "
+                   f"mean qc {mean_qc:.2f} (12.86..21.43), "
                    f"{elapsed:.0f}s")
 
 

@@ -6,6 +6,7 @@ import esopsyn.cli as cli
 from esopsyn.ancilla_free import NonConvergenceError
 from esopsyn.cli import parse_grid, pareto_points, run_cli
 from esopsyn.io import SpecFormatError
+from esopsyn.mapper import SynthesisError, synthesize
 
 
 MOD5_PLA = """.i 4
@@ -96,18 +97,19 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
 def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
                                                          monkeypatch):
     # an out-of-range --exhaustive must be refused before any enumeration
-    # starts (4 variables would mean 16! functions), so the runners fail loudly
-    def never(args):
-        raise AssertionError("exhaustive run started")
-    monkeypatch.setattr(cli, "_cmd_synth_exhaustive", never)
-    monkeypatch.setattr(cli, "_cmd_ancilla_exhaustive", never)
+    # starts (4 variables would mean 16! functions), so the runner fails loudly
+    def never(*args):
+        raise AssertionError("run started")
+    monkeypatch.setattr(cli, "_run", never)
     report = tmp_path / "r.csv"
+    sweep = ["sweep", "--in", "bench:present_sbox", "--report", str(report)]
     cases = [["synth"], ["ancilla-free"], ["sweep", "--report", str(report)],
              ["synth", "--exhaustive", "0"], ["synth", "--exhaustive", "4"],
              ["ancilla-free", "--exhaustive", "4"],
              ["ancilla-free", "--exhaustive", "-1"],
-             ["sweep", "--in", "bench:present_sbox", "--grid", "K=5..2",
-              "--report", str(report)]]
+             sweep + ["--grid", "K=5..2"], sweep + ["--grid", "C=0,1,2"],
+             sweep + ["--grid", "P=-1"], sweep + ["--jobs", "0"],
+             sweep + ["--jobs", "-3"]]
     for argv in cases:
         assert run_cli(argv) == 1, argv
         err = capsys.readouterr().err
@@ -134,7 +136,7 @@ def test_ancilla_free_rejects_non_reversible(tmp_path):
 def test_non_convergence_exit_code(tmp_path, monkeypatch):
     def boom(*a, **k):
         raise NonConvergenceError("synthetic stall")
-    monkeypatch.setattr(cli, "ancilla_free_synthesize", boom)
+    monkeypatch.setattr(cli.ancilla_free, "ancilla_free_synthesize", boom)
     spec = tmp_path / "p.perm"
     spec.write_text("perm 0 1\n")
     assert run_cli(["ancilla-free", "--in", str(spec)]) == 3
@@ -202,6 +204,67 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_jobs_never_exceed_items_or_cpus(tmp_path, monkeypatch):
+    # the pool forks every worker at the first task, so a large --jobs is
+    # checked against a fake pool that only records its size
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    report = tmp_path / "r.csv"
+    base = ["sweep", "--in", "bench:present_sbox", "--report", str(report),
+            "--grid", "T=3", "C=1", "P=0"]
+    for k_values, jobs, want in (("0", "5000", []), ("0..1", "5000", [2]),
+                                 ("0..4", "5000", [3]), ("0..4", "2", [2]),
+                                 ("0..4", "1", [])):
+        sizes.clear()
+        assert run_cli(base + [f"K={k_values}", "--jobs", jobs]) == 0
+        assert sizes == want, (k_values, jobs)
+
+
+def test_exhaustive_synth_passes_the_seed(tmp_path, monkeypatch):
+    seeds = []
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs.get("seed"))
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize", spy)
+    rep = tmp_path / "r.csv"
+    assert run_cli(["synth", "--exhaustive", "2", "--seed", "7",
+                    "--verify", "sample", "--report", str(rep)]) == 0
+    assert seeds == [7] * 24
+    assert {r["seed"] for r in csv.DictReader(rep.open())} == {"7"}
+
+
+def test_a_run_that_fails_part_way_writes_no_report(tmp_path, monkeypatch):
+    calls = []
+
+    def fails_fifth(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 5:
+            raise SynthesisError("synthetic failure")
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize", fails_fifth)
+    rep = tmp_path / "r.csv"
+    assert run_cli(["synth", "--exhaustive", "2", "--report", str(rep)]) == 1
+    assert len(calls) == 5 and not rep.exists()
+
+
 def test_grid_parser():
     grid = parse_grid(["T=3", "K=0..2,5"])
     assert grid["T"] == [3]
@@ -213,6 +276,11 @@ def test_grid_parser():
         parse_grid(["T="])
     with pytest.raises(SpecFormatError):
         parse_grid(["K=5..2"])
+    # C and P are switches: any value but 0 or 1 is refused, not read as a bool
+    assert parse_grid(["C=1,0", "P=0..1"])["C"] == [1, 0]
+    for tok in ("C=0,1,2", "P=-1", "C=0..2"):
+        with pytest.raises(SpecFormatError):
+            parse_grid([tok])
 
 
 def test_pareto_front():

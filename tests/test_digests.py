@@ -2,7 +2,8 @@
 
 Each case hashes `format_circuit(circuit, report)`, so a change to the
 gate list, line names, line order, output labels or roles shows up here
-even when the circuit still verifies.
+even when the circuit still verifies.  The report CSVs of the three sweep
+modes of the command line are pinned the same way.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import pytest
 
 from esopsyn import benchmarks
 from esopsyn.ancilla_free import NonConvergenceError, ancilla_free_synthesize
+from esopsyn.cli import run_cli
 from esopsyn.funcs import Permutation, TruthTable
 from esopsyn.io import format_circuit, parse_circuit_text
 from esopsyn.mapper import synthesize
@@ -99,3 +101,22 @@ def test_ancilla_free_four_variable_batch_digest():
         h.update(text.encode())
     assert h.hexdigest() == \
         "8d6057fbc06b7d71bebb7674281fa84a546e110d52ffec8360a7fed6a8abe787"
+
+
+CSV_CASES = {
+    "synth-exhaustive-2": (["synth", "--exhaustive", "2"],
+        "6ef0ed11ed7f870782b2a96565e323b98c7546c575ae72325cd9d282aca4a481"),
+    "ancilla-free-exhaustive-2": (["ancilla-free", "--exhaustive", "2"],
+        "2a762822c82f3fdfe9ce05aad37229acc31f542a8e25b397fe105a5707c8eab9"),
+    "present_sbox-grid": (["sweep", "--in", "bench:present_sbox", "--grid",
+                           "T=3,4", "C=0,1", "K=0..2", "P=0,1"],
+        "cd1c53c6902485f6876e765b6d230159243114e32d67ee57cc2565dadfa94e80"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_report_csv_digest(case, tmp_path):
+    argv, golden = CSV_CASES[case]
+    report = tmp_path / "r.csv"
+    assert run_cli(argv + ["--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == golden

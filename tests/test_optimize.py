@@ -463,7 +463,7 @@ def test_no_pair_node_means_no_op():
     a = dag.var_node(0)
     report = reduce_parents(dag, a)
     assert not report.events
-    assert report.node_delta == 0
+    assert report.nodes_after == report.nodes_before
 
 
 def test_reduction_pass_strictly_shrinks_or_reports_nothing():
