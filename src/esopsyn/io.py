@@ -2,7 +2,8 @@
 
 Three spec formats are accepted:
 
-  * PLA-style truth tables: ``.i N`` / ``.o M`` headers, then
+  * PLA-style truth tables: ``.i N`` / ``.o M`` headers (N, M >= 1;
+    optional ``.ilb`` / ``.ob`` name lists of exactly N and M names), then
     ``<inbits> <outbits>`` rows.  ``-`` in the inputs expands to both
     values; ``-`` in an output resolves to 0 (logged).  Rows never listed
     default to all-zero outputs.
@@ -144,6 +145,11 @@ def _parse_pla(lines, origin) -> TruthTable:
                 assigned[idx] = value
     if n is None or m is None:
         raise SpecFormatError(f"{origin}: missing .i/.o header")
+    for key, names, count in ((".ilb", input_names, n), (".ob", output_names, m)):
+        if names and len(names) != count:
+            raise SpecFormatError(
+                f"{origin}: {key} lists {len(names)} names, the header "
+                f"declares {count}")
     rows = tuple(assigned.get(i, 0) for i in range(1 << n))
     return TruthTable(n, m, rows, input_names, output_names)
 
@@ -154,7 +160,10 @@ def _header_count(parts: list[str], origin: str) -> int:
         raise SpecFormatError(
             f"{origin}: {parts[0]} needs a non-negative integer, "
             f"got {' '.join(parts[1:])!r}")
-    return int(parts[1])
+    count = int(parts[1])
+    if count == 0:
+        raise SpecFormatError(f"{origin}: {parts[0]} must be at least 1")
+    return count
 
 
 def _expand_input(bits: str, origin: str):

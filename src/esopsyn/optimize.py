@@ -10,6 +10,11 @@ term, bit i for variable x_{i+1}) and frozensets of them, cube sharing and
 parent reduction on the graph's integer node ids and sets of them.  Cube
 and EsopExpression objects appear only at the public entry points:
 factor_expression's argument, extract_kernels and select_divisor.
+
+Cube sharing sweeps the graph until no share applies, and after its first
+sweep it tests again only the nodes a share or a depth change could have
+given a new partner; pair verdicts and hoist lookups are cached for the
+pass (see common_cube_sharing).
 """
 
 from __future__ import annotations
@@ -258,13 +263,21 @@ def _shareable(dag: EsopDag, i: int, j: int) -> str | None:
     return None
 
 
-def _share(dag: EsopDag, i: int, j: int, rule: str) -> str | None:
+def _share(dag: EsopDag, i: int, j: int, rule: str,
+           hoist) -> tuple[str, list[int]] | None:
+    """Apply a share; returns its event and the nodes whose children changed.
+
+    `hoist(kind, child_set)` names the lowest-id node of `kind` whose
+    children are exactly `child_set`, or None.  An overlap never asks for
+    i's or j's own child set: neither is a subset of the other.
+    """
     ni, nj = dag.nodes[i], dag.nodes[j]
     ci, cj = set(ni.children), set(nj.children)
     if rule == "merge":
         keep, drop = (i, j) if i < j else (j, i)
+        parents = list(dag.nodes[drop].parents)
         dag.merge_nodes(keep, drop)
-        return f"merge #{drop} into #{keep}"
+        return f"merge #{drop} into #{keep}", parents
     if rule == "subset":
         if cj < ci:
             i, j = j, i
@@ -272,45 +285,36 @@ def _share(dag: EsopDag, i: int, j: int, rule: str) -> str | None:
             ci, cj = cj, ci
         rest = [c for c in nj.children if c not in ci]
         dag.set_children(j, [i] + rest)
-        return f"subset: #{j} now references #{i}"
+        return f"subset: #{j} now references #{i}", [j]
     # overlap: hoist only onto an already existing node so the total node
     # count can never grow; fresh hoists are the kernel engine's job
-    common = ci & cj
-    s = _find_with_children(dag, ni.kind, common, exclude=(i, j))
+    common = frozenset(ci & cj)
+    s = hoist(ni.kind, common)
     if s is None:
         return None
     for nid in (i, j):
         rest = [c for c in dag.nodes[nid].children if c not in common]
         dag.set_children(nid, [s] + rest)
-    return f"overlap: #{i} and #{j} share #{s}"
+    return f"overlap: #{i} and #{j} share #{s}", [i, j]
 
 
-def _find_with_children(dag: EsopDag, kind: str, child_set: set[int],
-                        exclude=()) -> int | None:
-    """Lowest-id node of `kind` whose children are exactly `child_set`.
-
-    Such a node is a parent of every member, so the parents of the member
-    with the fewest parents are the only candidates.
-    """
-    pivot = min(child_set, key=lambda c: len(dag.nodes[c].parents))
-    for nid in sorted(set(dag.nodes[pivot].parents)):
-        if nid in exclude:
-            continue
+def _child_set_index(dag: EsopDag) -> dict[tuple[str, frozenset[int]], int]:
+    """(kind, child set) -> lowest id of the and/xor nodes with exactly
+    those children."""
+    index: dict[tuple[str, frozenset[int]], int] = {}
+    for nid in sorted(dag.nodes):
         node = dag.nodes[nid]
-        if node.kind == kind and set(node.children) == child_set:
-            return nid
-    return None
+        if node.kind in (T_AND, T_XOR):
+            index.setdefault((node.kind, frozenset(node.children)), nid)
+    return index
 
 
-def _share_candidates(dag: EsopDag, i: int) -> list[int]:
-    """Partners for node i, in (depth desc, id) order: the co-parents
-    sharing at least two distinct children with it, no deeper than i.
+def _co_parents(dag: EsopDag, i: int) -> set[int]:
+    """The nodes other than i sharing at least two distinct children with i.
 
-    A merge or a subset shares every child of the smaller node and an
-    internal node has at least two, and an overlap needs two common
-    children, so no other node can be shareable with i.  A running union
-    of the children's parent lists finds them with set operations, so an
-    input leaf with thousands of parents costs one pass in C.
+    A running union of the children's parent lists finds them with set
+    operations, so an input leaf with thousands of parents costs one pass
+    in C.
     """
     nodes = dag.nodes
     seen: set[int] = set()
@@ -319,10 +323,26 @@ def _share_candidates(dag: EsopDag, i: int) -> list[int]:
         parents = nodes[c].parents
         shared |= seen.intersection(parents)
         seen.update(parents)
+    shared.discard(i)
+    return shared
+
+
+def _share_candidates(dag: EsopDag, i: int) -> list[int]:
+    """Partners for node i, in (depth desc, id) order: the co-parents
+    sharing at least two distinct children with it, no deeper than i.
+
+    A merge or a subset shares every child of the smaller node and an
+    internal node has at least two, and an overlap needs two common
+    children, so no other node can be shareable with i.
+    """
+    nodes = dag.nodes
     depth = nodes[i].depth
     return sorted(
-        (j for j in shared if j != i and 0 < nodes[j].depth <= depth),
+        (j for j in _co_parents(dag, i) if 0 < nodes[j].depth <= depth),
         key=lambda j: (-nodes[j].depth, j))
+
+
+_UNTESTED = object()
 
 
 def common_cube_sharing(dag: EsopDag, sweep_cap: int = 32) -> MutationReport:
@@ -333,28 +353,79 @@ def common_cube_sharing(dag: EsopDag, sweep_cap: int = 32) -> MutationReport:
     its children) at its own and every shallower level; at most one share
     is applied per node per sweep, and sweeps repeat to a fixpoint.
     Sharing creates no node, so depths stay as the sweep began.
+
+    The first sweep tries every node; after that a node is tried only
+    while it is dirty.  A node whose partners all failed keeps failing
+    until its own children change, a node comes to share two children
+    with it, a co-parent's children change, or a depth change gives it a
+    partner it did not have.  So a share dirties the nodes whose children
+    it changed and their co-parents after it, and the node that made it
+    stays dirty; each later sweep starts by dirtying every node that got
+    deeper, and the co-parents at least as deep as a node that got
+    shallower.  A pair's verdict is kept under both nodes' child-list
+    versions, and hoist nodes come from a (kind, child set) index that a
+    share or a new sweep discards.  None of this changes which shares
+    are made.
     """
     report = MutationReport("cube_sharing", nodes_before=len(dag))
+    nodes = dag.nodes
+    dirty: set[int] = set()
+    version: dict[int, int] = {}
+    verdicts: dict[tuple[int, int, int, int], str | None] = {}
+    index = None
+
+    def hoist(kind, child_set):
+        nonlocal index
+        if index is None:
+            index = _child_set_index(dag)
+        return index.get((kind, child_set))
+
+    levels: dict[int, list[int]] = {}   # the previous sweep's depths
     changed = True
-    for _ in range(sweep_cap):
+    for sweep in range(sweep_cap):
         changed = False
         dag.recompute_depths()
-        levels: dict[int, list[int]] = {}
+        index = None    # the last sweep's unreachable nodes are gone
+        for depth, ids in levels.items():
+            for nid in ids:
+                node = nodes.get(nid)
+                if node is None or node.depth == depth:
+                    continue
+                if node.depth > depth:
+                    dirty.add(nid)
+                else:
+                    dirty.update(k for k in _co_parents(dag, nid)
+                                 if nodes[k].depth >= node.depth)
+        levels = {}
         for nid in dag.internal_ids():
-            levels.setdefault(dag.nodes[nid].depth, []).append(nid)
+            levels.setdefault(nodes[nid].depth, []).append(nid)
         for depth in sorted(levels, reverse=True):
             for i in levels[depth]:
-                if i not in dag.nodes:
+                if i not in nodes or (sweep and i not in dirty):
                     continue
+                vi = version.get(i, 0)
                 for j in _share_candidates(dag, i):
-                    rule = _shareable(dag, i, j)
+                    vj = version.get(j, 0)
+                    key = (i, vi, j, vj) if i < j else (j, vj, i, vi)
+                    rule = verdicts.get(key, _UNTESTED)
+                    if rule is _UNTESTED:
+                        rule = verdicts[key] = _shareable(dag, i, j)
                     if rule is None:
                         continue
-                    event = _share(dag, i, j, rule)
-                    if event:
+                    shared = _share(dag, i, j, rule, hoist)
+                    if shared:
+                        event, reshaped = shared
                         report.events.append(event)
                         changed = True
+                        index = None
+                        for nid in reshaped:
+                            version[nid] = version.get(nid, 0) + 1
+                            dirty.add(nid)
+                            dirty |= _co_parents(dag, nid)
+                        dirty.add(i)
                         break
+                else:
+                    dirty.discard(i)
         if not changed:
             break
     if changed:     # a sweep that changed nothing left its depths fresh

@@ -85,13 +85,17 @@ def test_cost_derives_roles_from_simulation(tmp_path, capsys):
 def test_malformed_files_fail_with_one_line(tmp_path, capsys):
     cases = {"bare.pla": (["synth"], ".i\n.o 1\n"),
              "init.tfc": (["cost"], ".v a,w\n.c w=5\nt2 a,w\n"),
-             "undeclared.tfc": (["cost"], ".v a,b\n.i zz\n.o y:q\nt2 a,b\n")}
+             "undeclared.tfc": (["cost"], ".v a,b\n.i zz\n.o y:q\nt2 a,b\n"),
+             "no_inputs.pla": (["synth"], ".i 0\n.o 1\n"),
+             "no_outputs.pla": (["synth"], ".i 2\n.o 0\n"),
+             "short_ilb.pla": (["synth"], ".i 2\n.o 1\n.ilb a\n00 1\n"),
+             "long_ob.pla": (["synth"], ".i 2\n.o 1\n.ob p q\n00 1\n")}
     for name, (cmd, text) in cases.items():
         path = tmp_path / name
         path.write_text(text)
         assert run_cli(cmd + ["--in", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,

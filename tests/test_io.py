@@ -93,6 +93,18 @@ def test_pla_header_without_an_integer_is_a_format_error(text):
         parse_spec_text(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    (".i 0\n.o 1\n", ".i must be at least 1"),
+    (".i 2\n.o 0\n", ".o must be at least 1"),
+    (".i 2\n.o 1\n.ilb a\n00 1\n", ".ilb lists 1 names, the header declares 2"),
+    (".i 2\n.o 1\n.ilb a b c\n", ".ilb lists 3 names"),
+    (".ob p q\n.i 2\n.o 1\n", ".ob lists 2 names, the header declares 1"),
+])
+def test_pla_counts_and_name_lists_must_agree(text, message):
+    with pytest.raises(SpecFormatError, match=f"^spec.pla: {re.escape(message)}"):
+        parse_spec_text(text, origin="spec.pla")
+
+
 def test_bad_cube_tokens():
     with pytest.raises(SpecFormatError):
         parse_spec_text("x1 ^ zaphod\n")

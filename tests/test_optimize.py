@@ -1,10 +1,12 @@
 import random
 from collections import Counter
 
-from esopsyn import optimize
-from esopsyn.dag import T_AND, T_XOR, build_dag, build_dag_from_trees, \
-    dag_to_expressions, dump_text, validate_dag
-from esopsyn.funcs import EsopExpression
+import pytest
+
+from esopsyn import benchmarks, optimize
+from esopsyn.dag import T_AND, T_XOR, EsopDag, build_dag, \
+    build_dag_from_trees, dag_to_expressions, dump_text, validate_dag
+from esopsyn.funcs import EsopExpression, anf_from_truth_table
 from esopsyn.optimize import (
     KernelEntry, KernelSet, MutationReport, OptimizeParams,
     common_cube_sharing, extract_kernels, divide, factor_expression,
@@ -351,9 +353,12 @@ def _reference_cube_sharing(dag, sweep_cap=32):
                         rule = optimize._shareable(dag, i, j)
                         if rule is None:
                             continue
-                        event = optimize._share(dag, i, j, rule)
-                        if event:
-                            report.events.append(event)
+                        shared = optimize._share(
+                            dag, i, j, rule, lambda kind, child_set:
+                            _reference_find_with_children(
+                                dag, kind, child_set, exclude=(i, j)))
+                        if shared:
+                            report.events.append(shared[0])
                             changed = True
                             done = True
                             break
@@ -366,39 +371,59 @@ def _reference_cube_sharing(dag, sweep_cap=32):
     return report
 
 
-def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
-    rng = random.Random(31)
-    rules = Counter()
-    for _ in range(240):
-        n = rng.randint(3, 6)
+def _sharing_cases(rng):
+    """Factored random graphs, some with a structural twin so merges fire:
+    240 with n <= 6, then 60 wider ones (n <= 8, 5-6 outputs of 8-30
+    cubes) that take several sweeps, each under a sweep cap of 1, 2 or 32."""
+    for k in range(300):
+        wide = k >= 240
+        n = rng.randint(5, 8) if wide else rng.randint(3, 6)
+        cubes = (8, 30) if wide else (2, 14)
         exprs = [expr(n, {rng.randrange(1 << n)
-                          for _ in range(rng.randint(2, 14))})
-                 for _ in range(rng.randint(1, 4))]
-        params = OptimizeParams(max_and_arity=rng.choice([3, 4]),
-                                kernel_threshold=rng.choice([0, 1, 2, 3]))
+                          for _ in range(rng.randint(*cubes))})
+                 for _ in range(rng.randint(5, 6) if wide else rng.randint(1, 4))]
+        params = OptimizeParams(
+            max_and_arity=rng.choice([2, 3, 4, 5] if wide else [3, 4]),
+            kernel_threshold=rng.choice([0, 1, 2, 3]))
         trees = [factor_expression(e, params) for e in exprs]
-        ours = build_dag_from_trees(trees, n, params.max_and_arity)
-        ref = build_dag_from_trees(trees, n, params.max_and_arity)
+        pair = [build_dag_from_trees(trees, n, params.max_and_arity)
+                for _ in range(2)]
         if rng.random() < 0.3:
             # a structural twin under a new output, so merges fire too
-            twin_of = rng.choice(ours.internal_ids())
-            for dag in (ours, ref):
+            twin_of = rng.choice(pair[0].internal_ids())
+            for dag in pair:
                 node = dag.nodes[twin_of]
                 twin = dag._fresh(node.kind, node.children[::-1])
                 dag.set_children(dag.root, dag.nodes[dag.root].children + [twin])
                 dag.output_order.append(("twin", twin))
                 dag.recompute_depths()
+        yield pair, rng.choice([1, 2, 32])
+
+
+def counted(fn):
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+    wrapper.calls = 0
+    return wrapper
+
+
+def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
+    rng = random.Random(31)
+    rules = Counter()
+    sweeps = Counter()
+    for (ours, ref), cap in _sharing_cases(rng):
+        index = optimize._child_set_index(ours)
         for nid in ours.internal_ids():
             node = ours.nodes[nid]
-            key = (ours, node.kind, set(node.children))
-            assert optimize._find_with_children(*key) == \
-                _reference_find_with_children(*key)
+            kids = sorted(set(node.children))
+            for child_set in (kids, kids[:2], kids[1:]):
+                key = (node.kind, frozenset(child_set))
+                assert index.get(key) == \
+                    _reference_find_with_children(ours, node.kind, set(child_set))
             assert optimize._share_candidates(ours, nid) == \
                 _reference_share_candidates(ours, nid)
-        with monkeypatch.context() as m:
-            m.setattr(optimize, "_find_with_children",
-                      _reference_find_with_children)
-            want = _reference_cube_sharing(ref)
+        want = _reference_cube_sharing(ref, cap)
         # co-parents equal the counted reference at every node the sweeps visit
         real_candidates = optimize._share_candidates
 
@@ -409,15 +434,138 @@ def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
             return got
 
         compared = []
+        recomputes = counted(ours.recompute_depths)
         with monkeypatch.context() as m:
             m.setattr(optimize, "_share_candidates", checked_candidates)
-            got = common_cube_sharing(ours)
+            m.setattr(ours, "recompute_depths", recomputes)
+            got = common_cube_sharing(ours, cap)
         assert compared
         assert got.events == want.events
         assert dump_text(ours) == dump_text(ref)
         rules.update(event.split()[0] for event in got.events)
-    # merges, subset hoists and overlap hoists all fired
+        sweeps[cap] = max(sweeps[cap], recomputes.calls)
+    # merges, subset hoists and overlap hoists all fired, and some run
+    # took four sweeps
     assert rules["merge"] and rules["subset:"] and rules["overlap:"]
+    assert sweeps[32] >= 4
+
+
+# Hand-built graphs for the re-test rule.  Each returns the graph and the
+# shares cube sharing must make on it.  Each fails when one part of the
+# rule is left out, which the random graphs above do not detect: the
+# dirtying after a depth drop, the dirtying after a depth rise, and
+# discarding the hoist index at the start of a sweep.
+
+
+def _and_xor_dag(n_vars):
+    dag = EsopDag(n_vars)
+    return dag, [None] + [dag.var_node(v) for v in range(n_vars)]
+
+
+def _finish(dag, *tops):
+    dag.set_children(dag.root, list(tops))
+    dag.output_order = [(f"y{k}", top) for k, top in enumerate(tops)]
+    dag.recompute_depths()
+
+
+def _depth_drop_scene():
+    """A merge whose xor pair cancels lowers a node below a clean one.
+
+    B = x1.x2 and its twin C hang off X = xor(B, C, x5, x6) at depth 4;
+    A = x1.x2.x3 sits at depth 3 and B also feeds an output.  Sweep 1: B
+    tries C before A and merges it, which cancels the pair in X; A,
+    shallower than B, has no candidate and fails.  Sweep 2: B is back at
+    depth 2, so only A, now the deeper of the two, can pair them.
+    """
+    dag, x = _and_xor_dag(8)
+    a = dag.get_or_create(T_AND, [x[1], x[2], x[3]])
+    b = dag.get_or_create(T_AND, [x[1], x[2]])
+    c = dag.get_or_create(T_AND, [x[2], x[1]])
+    xx = dag.get_or_create(T_XOR, [b, c, x[5], x[6]])
+    _finish(dag,
+            dag.get_or_create(T_XOR, [dag.get_or_create(T_AND, [a, x[7]]), x[8]]),
+            dag.get_or_create(T_XOR, [dag.get_or_create(T_AND, [xx, x[7]]), x[8]]),
+            dag.get_or_create(T_XOR, [b, x[4]]))
+    assert (dag.nodes[a].depth, dag.nodes[b].depth) == (3, 4)
+    return dag, [f"merge #{c} into #{b}", f"subset: #{a} now references #{b}"]
+
+
+def _depth_rise_scene():
+    """Two hoists in one sweep raise a clean node above a partner.
+
+    J = x1.x2 and its twin K sit at depth 3; R, Q and I, each the next
+    one's superset, sit at depth 2.  Sweep 1: J merges K; R takes Q and Q
+    takes I as a child; I, shallower than J, fails.  Sweep 2: I is at
+    depth 4 under Q, and J, at depth 3, no longer looks at it.
+    """
+    dag, x = _and_xor_dag(9)
+    r = dag.get_or_create(T_AND, [x[1], x[2], x[3], x[4], x[5]])
+    q = dag.get_or_create(T_AND, [x[1], x[2], x[3], x[4]])
+    i = dag.get_or_create(T_AND, [x[1], x[2], x[3]])
+    j = dag.get_or_create(T_AND, [x[1], x[2]])
+    k = dag.get_or_create(T_AND, [x[2], x[1]])
+    _finish(dag,
+            dag.get_or_create(T_XOR, [r, q, i, x[6]]),
+            dag.get_or_create(T_XOR, [dag.get_or_create(T_XOR, [j, x[7]]),
+                                      dag.get_or_create(T_XOR, [k, x[8]])]))
+    assert (dag.nodes[i].depth, dag.nodes[j].depth) == (2, 3)
+    return dag, [f"merge #{k} into #{j}", f"subset: #{r} now references #{q}",
+                 f"subset: #{q} now references #{i}",
+                 f"subset: #{i} now references #{j}"]
+
+
+def _pruned_hoist_scene():
+    """A hoist node that the next sweep prunes.
+
+    K = x1.x2 and its twin D sit under X = xor(K, D, x5, x6), K's only
+    parent.  Sweep 1: K merges D, which cancels the pair and leaves K
+    unreachable; I = x1.x2.x3 then hoists into M = x1.x2.x3.x4, and the
+    P/Q overlap looks up x7.x8 and finds none.  Sweep 2 prunes K, and I's
+    overlap with J = x1.x2.x11 looks up x1.x2: no node has those children
+    any more.
+    """
+    dag, x = _and_xor_dag(16)
+    k = dag.get_or_create(T_AND, [x[1], x[2]])
+    d = dag.get_or_create(T_AND, [x[2], x[1]])
+    i = dag.get_or_create(T_AND, [x[1], x[2], x[3]])
+    m = dag.get_or_create(T_AND, [x[1], x[2], x[3], x[4]])
+    j = dag.get_or_create(T_AND, [x[1], x[2], x[11]])
+    p = dag.get_or_create(T_AND, [x[7], x[8], x[9]])
+    q = dag.get_or_create(T_AND, [x[7], x[8], x[10]])
+    xx = dag.get_or_create(T_XOR, [k, d, x[5], x[6]])
+    _finish(dag,
+            dag.get_or_create(T_AND, [
+                dag.get_or_create(T_XOR, [xx, i, m, p, q, x[12]]), x[13]]),
+            dag.get_or_create(T_XOR, [j, x[14]]))
+    return dag, [f"merge #{d} into #{k}", f"subset: #{m} now references #{i}"]
+
+
+@pytest.mark.parametrize("scene", [_depth_drop_scene, _depth_rise_scene,
+                                   _pruned_hoist_scene])
+def test_hand_built_scenes_match_the_all_pairs_reference(scene):
+    dag, events = scene()
+    want = [e.masks for e in dag_to_expressions(dag)]
+    assert common_cube_sharing(dag).events == events
+    ref, _ = scene()
+    assert _reference_cube_sharing(ref).events == events
+    assert dump_text(dag) == dump_text(ref)
+    assert [e.masks for e in dag_to_expressions(dag)] == want
+
+
+def test_cube_sharing_retests_only_what_shares_changed(monkeypatch):
+    # AES S-box at TCKP 3130: 86 shares over 22 sweeps; testing every
+    # co-parent pair of every node in each sweep took 91,681 verdicts
+    shareable = counted(optimize._shareable)
+    monkeypatch.setattr(optimize, "_shareable", shareable)
+    tt = benchmarks.get("aes_sbox")
+    params = OptimizeParams(3, True, 3, False)
+    exprs = [anf_from_truth_table(tt.single_output(j))
+             for j in range(tt.n_outputs)]
+    dag = build_dag_from_trees([factor_expression(e, params) for e in exprs],
+                               tt.n_inputs, params.max_and_arity)
+    report = common_cube_sharing(dag, params.sharing_sweep_cap)
+    assert len(report.events) == 86
+    assert shareable.calls <= 15_000
 
 
 # -- parent reduction -------------------------------------------------------
