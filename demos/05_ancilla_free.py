@@ -4,6 +4,7 @@ Instead of allocating helper lines, small reversible functions can be
 synthesized on exactly their own lines: each step substitutes a variable
 by itself xor something (one CNOT or Toffoli), driving the expressions
 toward single literals.  The substitution trace below is the circuit.
+Each expression is held as one int word whose bit m marks cube m.
 """
 
 import random
@@ -12,24 +13,28 @@ from esopsyn import Permutation, ancilla_free_synthesize
 from esopsyn.ancilla_free import ExpressionState, apply_substitution, \
     reduce_to_identity
 from esopsyn.funcs import EsopExpression, anf_from_truth_table, \
-    truth_table_from_permutation
+    bit_support, truth_table_from_permutation
 
 spec = Permutation((7, 4, 1, 6, 0, 2, 3, 5))
 table = truth_table_from_permutation(spec)
-exprs = tuple(anf_from_truth_table(table.single_output(j)).masks
-              for j in range(3))
+exprs = [anf_from_truth_table(table.single_output(j)).masks for j in range(3)]
+
+
+def show(word):
+    return str(EsopExpression.from_masks(3, bit_support(word)))
+
 
 print("== start: the output expressions ==")
-state = ExpressionState(3, exprs)
-for j, e in enumerate(state.exprs):
-    print(f"  f{j + 1} = {EsopExpression.from_masks(3, e)}")
+state = ExpressionState.from_masks(3, exprs)
+for j, w in enumerate(state.exprs):
+    print(f"  f{j + 1} = {show(w)}   (word {w:#010b})")
 
 final = reduce_to_identity(state)
 print("\n== substitution steps (= gates, first one nearest the inputs) ==")
 replay = state
 for t in final.history:
     replay = apply_substitution(replay, t)
-    forms = [str(EsopExpression.from_masks(3, e)) for e in replay.exprs]
+    forms = [show(w) for w in replay.exprs]
     print(f"  {t.kind} controls={t.controls} target={t.target}   ->   "
           + " | ".join(forms))
 

@@ -3,19 +3,22 @@
 The output expressions are reduced to the identity by variable
 substitutions, each corresponding to one reversible gate applied on the
 input side: a CNOT substitutes target <- target ^ control, a Toffoli
-substitutes target <- target ^ (product of controls).  Substituting with
-control set C turns every cube m containing the target t into
-m ^ (m without t | C), which cancels pairs of nonlinear cubes when chosen
-well.  Candidate substitutions come from one enumerator (`_candidates`)
-and are scored by one measure (`_measure`: cubes of three or more
-literals, nonlinear cubes, literals); the degree-clearing phase, the T3
-step and the stall rescue differ only in the key they minimize (see
-`reduce_to_identity`).  A candidate is scored by delta (`_measure_after`):
-the current measure adjusted for the replacement cubes it toggles, so
-only the substitutions actually taken build a new state.  Once every
-expression is linear the remaining system is an invertible affine map,
-finished deterministically by column elimination, inverters for
-complemented outputs, and swap triples for the residual line permutation.
+substitutes target <- target ^ (product of controls).  On n <= 4
+variables an expression is a 16-bit word whose bit m marks cube m.
+Substituting with control set C turns every cube m containing the target
+t into m ^ (m without t | C), which is linear over GF(2) on words: two
+256-entry tables, indexed by a word's low and high byte, XOR to the
+substituted word (`_step`).  The measure every search minimizes (cubes of
+three or more literals, nonlinear cubes, literals) is two such tables
+packed as `wide << 16 | nonlinear << 8 | literals`; the fields never
+carry, so sums over words are measures and integer order is tuple order.
+Candidates come from one enumerator (`_candidates`) and are scored on
+their substituted words (`_measure_after`), so only the steps taken build
+a state; the degree-clearing phase, the T3 step and the stall rescue
+differ only in the key they minimize (see `reduce_to_identity`).  Once
+every expression is linear the system is an invertible affine map,
+finished by column elimination, inverters for complemented outputs, and
+swap triples for the residual line permutation.
 
 Gate order equals application order: if F composed with g1..gk is the
 identity then the circuit executing g1 first realizes F (all gates are
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import time
 from dataclasses import dataclass
 
 from .circuit import (
@@ -35,10 +40,10 @@ from .circuit import (
 from .funcs import Permutation, anf_from_truth_table, bit_support, \
     truth_table_from_permutation
 
-import time
-
 POLICY_UNIQUE_PAIR = "unique-pair"   # control = the other cube's unique variable
 POLICY_COMMON_CONTROL = "common-control"  # control = a shared variable
+
+_TOO_WIDE = "rule set covers at most four variables"
 
 
 class NonConvergenceError(Exception):
@@ -63,109 +68,103 @@ class Transformation:
     def kind(self) -> str:
         return f"T{len(self.controls) + 1}"
 
-    def control_mask(self) -> int:
-        m = 0
-        for c in self.controls:
-            m |= 1 << c
-        return m
+
+def _byte_tables(per_cube, fold) -> tuple[tuple[int, ...], ...]:
+    """(lo, hi): lo[b] folds per_cube(m) over the cubes m of byte b of a
+    word's low half, hi[b] over cubes m + 8 of its high half."""
+    return tuple(tuple(functools.reduce(fold, (per_cube(base + m)
+                                               for m in bit_support(b)), 0)
+                       for b in range(256)) for base in (0, 8))
 
 
-@dataclass(frozen=True)
+def _cube_measure(m: int) -> int:
+    k = m.bit_count()
+    return (k >= 3) << 16 | (k >= 2) << 8 | k
+
+
+_MEASURE_LO, _MEASURE_HI = _byte_tables(_cube_measure, operator.add)
+_NONLINEAR = sum(1 << m for m in range(16) if m.bit_count() >= 2)
+_LITERALS = sum(1 << m for m in range(16) if m.bit_count() == 1)
+
+
+@dataclass(frozen=True, slots=True)
 class ExpressionState:
-    """Current output expressions (cube-mask sets) plus applied history."""
+    """Current output expressions (cube-set words) plus applied history."""
 
     n_vars: int
-    exprs: tuple[frozenset[int], ...]
+    exprs: tuple[int, ...]
     history: tuple[Transformation, ...] = ()
+
+    @classmethod
+    def from_masks(cls, n_vars: int, exprs) -> ExpressionState:
+        """From one set of cube masks per expression."""
+        return cls(n_vars, tuple(sum(1 << m for m in masks) for masks in exprs))
 
     @property
     def last_applied(self) -> Transformation | None:
         return self.history[-1] if self.history else None
 
     def is_linear(self) -> bool:
-        return all(m.bit_count() <= 1 for e in self.exprs for m in e)
+        return not any(w & _NONLINEAR for w in self.exprs)
 
     def is_terminal(self) -> bool:
-        seen = set()
-        for e in self.exprs:
-            if len(e) != 1:
-                return False
-            (m,) = e
-            if m.bit_count() != 1 or m in seen:
-                return False
-            seen.add(m)
-        return True
+        """Every expression is one single-literal cube, no two alike."""
+        return (all(w & _LITERALS and not w & (w - 1) for w in self.exprs)
+                and len(set(self.exprs)) == len(self.exprs))
 
 
-def _toggles(expr: frozenset[int], t_bit: int, c_mask: int) -> set[int]:
-    """The replacement cubes (m without the target) | controls of the cubes
-    m containing the target, each kept when it arises an odd number of
-    times; they never contain the target, so substituting toggles exactly
-    these in `expr`."""
-    toggled = set()
-    for m in expr:
-        if m & t_bit:
-            repl = (m & ~t_bit) | c_mask
-            if repl in toggled:
-                toggled.remove(repl)
-            else:
-                toggled.add(repl)
-    return toggled
+@functools.cache
+def _step(controls: tuple[int, ...], target: int):
+    """(t, lo, hi): the interned substitution for sorted `controls` and
+    `target`, and its tables: it turns word w into lo[w & 255] ^ hi[w >> 8].
+    Built on first use; n <= 4 has 32 (4 targets times 8 control sets)."""
+    t_bit = 1 << target
+    c_mask = sum(1 << c for c in controls)
+
+    def image(m):
+        return (1 << m) ^ (1 << ((m & ~t_bit) | c_mask)) if m & t_bit else 1 << m
+
+    return (Transformation(controls, target),
+            *_byte_tables(image, operator.xor))
 
 
 def apply_substitution(state: ExpressionState, t: Transformation) -> ExpressionState:
     """Replace the target variable by target ^ (product of controls)
     throughout; duplicate cubes cancel over GF(2)."""
-    t_bit = 1 << t.target
-    c_mask = t.control_mask()
-    exprs = tuple(e.symmetric_difference(_toggles(e, t_bit, c_mask))
-                  for e in state.exprs)
-    return ExpressionState(state.n_vars, exprs, state.history + (t,))
+    _, lo, hi = _step(t.controls, t.target)
+    return ExpressionState(state.n_vars,
+                           tuple(lo[w & 255] ^ hi[w >> 8] for w in state.exprs),
+                           state.history + (t,))
 
 
-def _measure(state: ExpressionState) -> tuple[int, int, int]:
-    """(cubes with three or more literals, nonlinear cubes, literals),
-    counted in one pass over the cubes."""
-    wide = nonlinear = literals = 0
-    for e in state.exprs:
-        for m in e:
-            k = m.bit_count()
-            literals += k
-            nonlinear += k >= 2
-            wide += k >= 3
-    return wide, nonlinear, literals
+def _measure(state: ExpressionState) -> int:
+    """Packed (cubes with three or more literals, nonlinear cubes,
+    literals) of all expressions."""
+    return sum(_MEASURE_LO[w & 255] + _MEASURE_HI[w >> 8] for w in state.exprs)
 
 
-def _measure_after(state: ExpressionState, base: tuple[int, int, int],
-                   t: Transformation) -> tuple[int, int, int]:
-    """`_measure(apply_substitution(state, t))` from `base = _measure(state)`
-    without building the new state: each toggled cube leaves or joins its
-    expression."""
-    t_bit = 1 << t.target
-    c_mask = t.control_mask()
-    wide, nonlinear, literals = base
-    for e in state.exprs:
-        for r in _toggles(e, t_bit, c_mask):
-            k = r.bit_count()
-            sign = -1 if r in e else 1
-            literals += sign * k
-            nonlinear += sign * (k >= 2)
-            wide += sign * (k >= 3)
-    return wide, nonlinear, literals
+def _measure_after(exprs: tuple[int, ...], lo, hi) -> int:
+    """`_measure` of the words `exprs` after the substitution with tables
+    `lo`, `hi`, without building a state."""
+    total = 0
+    for w in exprs:
+        w = lo[w & 255] ^ hi[w >> 8]
+        total += _MEASURE_LO[w & 255] + _MEASURE_HI[w >> 8]
+    return total
 
 
 @functools.cache
-def _candidates(n: int, widths: tuple[int, ...]) -> tuple[Transformation, ...]:
-    """Every substitution with a control count in `widths`, ordered by
-    width, then target, then control combination; stops at the first
-    width that leaves no variable free for the target."""
+def _candidates(n: int, widths: tuple[int, ...]):
+    """`_step` of every substitution with a control count in `widths`,
+    ordered by width, then target, then control combination; stops at the
+    first width that leaves no variable free for the target."""
     out = []
     for width in widths:
         if width >= n:
             break
         for target in range(n):
             others = [v for v in range(n) if v != target]
-            out += (Transformation(controls, target)
+            out += (_step(controls, target)
                     for controls in itertools.combinations(others, width))
     return tuple(out)
 
@@ -174,9 +173,10 @@ def _best(state: ExpressionState, widths, key):
     """(key, substitution) with the smallest key(t, _measure(after)), or
     None when no candidate exists.  Every key ends in the substitution's
     full (target, controls), so keys never tie."""
-    base = _measure(state)
-    return min(((key(t, _measure_after(state, base, t)), t)
-                for t in _candidates(state.n_vars, widths)), default=None)
+    exprs = state.exprs
+    return min(((key(t, _measure_after(exprs, lo, hi)), t)
+                for t, lo, hi in _candidates(state.n_vars, widths)),
+               default=None)
 
 
 _WIDTHS = (1, 2, 3)
@@ -184,7 +184,7 @@ _WIDTHS = (1, 2, 3)
 
 def _t3_key(t, m):
     """T3 step: fewest nonlinear cubes, then fewest literals."""
-    return m[1], m[2], t.target, t.controls
+    return m & 0xFFFF, t.target, t.controls
 
 
 def _degree_key(t, m):
@@ -194,64 +194,69 @@ def _degree_key(t, m):
 
 def _rescue_key(t, m):
     """Stall rescue: (nonlinear cubes, literals), then controls first."""
-    return m[1:], t.controls, t.target
+    return m & 0xFFFF, t.controls, t.target
+
+
+@functools.cache
+def _pair_pool(c1: int, c2: int, policy: str):
+    """((target, control), `_step`) of the CNOTs that nonlinear cubes
+    c1 < c2 suggest, in (target, control) order; none when they share no
+    variable.  n <= 4 has 2 * C(11, 2) = 110 (c1, c2, policy) keys."""
+    common = c1 & c2
+    if not common:
+        return ()
+    u1, u2 = c1 & ~c2, c2 & ~c1
+    if policy == POLICY_UNIQUE_PAIR:
+        pool = [(u, v) for u in bit_support(u1) for v in bit_support(u2)]
+        pool += [(u, v) for u in bit_support(u2) for v in bit_support(u1)]
+    else:
+        pool = [(u, v) for v in bit_support(common)
+                for u in bit_support(u1 | u2)]
+    return tuple(((target, control), _step((control,), target))
+                 for target, control in sorted(set(pool)))
 
 
 def _t2_candidates(state: ExpressionState, policy: str):
-    """Candidate CNOT substitutions from pairs of nonlinear cubes that
-    share a variable, in a fixed deterministic order."""
+    """Candidate CNOT substitutions, as `_step` entries, from pairs of
+    nonlinear cubes that share a variable, in a fixed deterministic order."""
     seen = set()
-    for expr in state.exprs:
-        nonlinear = sorted(m for m in expr if m.bit_count() >= 2)
-        for c1, c2 in itertools.combinations(nonlinear, 2):
-            common = c1 & c2
-            if not common:
-                continue
-            u1, u2 = c1 & ~c2, c2 & ~c1
-            if policy == POLICY_UNIQUE_PAIR:
-                pool = [(u, v) for u in bit_support(u1) for v in bit_support(u2)]
-                pool += [(u, v) for u in bit_support(u2) for v in bit_support(u1)]
-            else:
-                pool = [(u, v) for v in bit_support(common)
-                        for u in bit_support(u1 | u2)]
-            for target, control in sorted(set(pool)):
-                t = Transformation((control,), target)
-                if t not in seen:
-                    seen.add(t)
-                    yield t
+    for w in state.exprs:
+        for c1, c2 in itertools.combinations(bit_support(w & _NONLINEAR), 2):
+            for pair, entry in _pair_pool(c1, c2, policy):
+                if pair not in seen:
+                    seen.add(pair)
+                    yield entry
 
 
 def check_T2(state: ExpressionState,
              policy: str = POLICY_UNIQUE_PAIR) -> Transformation | None:
     """First CNOT substitution that strictly lowers the nonlinear cube
     count of a nonlinear state."""
-    base = _measure(state)
-    for t in _t2_candidates(state, policy):
-        if _measure_after(state, base, t)[1] < base[1]:
+    nonlinear = _measure(state) >> 8 & 255
+    for t, lo, hi in _t2_candidates(state, policy):
+        if (_measure_after(state.exprs, lo, hi) >> 8 & 255) < nonlinear:
             return t
     return None
 
 
-def _stall_rescue(state: ExpressionState,
-                  before: tuple[int, int]) -> list[Transformation]:
+def _stall_rescue(state: ExpressionState, before: int) -> list[Transformation]:
     """When no single preferred substitution helps, look for any width-1..3
     substitution, then the first pair in enumeration order, that strictly
-    lowers (nonlinear cubes, literals) below `before`."""
+    lowers the packed (nonlinear cubes, literals) below `before`."""
     found = _best(state, _WIDTHS, _rescue_key)
     if found is not None and found[0][0] < before:
         return [found[1]]
     candidates = _candidates(state.n_vars, _WIDTHS)
-    for t1 in candidates:
-        mid = apply_substitution(state, t1)
-        base = _measure(mid)
-        for t2 in candidates:
-            if t2 != t1 and _measure_after(mid, base, t2)[1:] < before:
+    for t1, _, _ in candidates:
+        mid = apply_substitution(state, t1).exprs
+        for t2, lo, hi in candidates:
+            if t2 is not t1 and _measure_after(mid, lo, hi) & 0xFFFF < before:
                 return [t1, t2]
     return []
 
 
-def _linear_finish_ops(state: ExpressionState) -> list[Transformation]:
-    """Deterministic affine finisher for an all-linear state.
+def _linear_finish_ops(n: int, exprs: tuple[int, ...]) -> tuple[Transformation, ...]:
+    """Deterministic affine finisher for all-linear words.
 
     Column elimination drives the coefficient matrix to a permutation
     (preferring the natural diagonal pivot), inverters clear complemented
@@ -260,56 +265,39 @@ def _linear_finish_ops(state: ExpressionState) -> list[Transformation]:
     singular matrix, which no permutation's state reaches, raises
     NonConvergenceError.
     """
-    n = state.n_vars
     cols = [0] * n          # cols[j] bit i = coefficient of var j in expr i
-    consts = 0
-    for i, e in enumerate(state.exprs):
-        for m in e:
-            if m == 0:
-                consts |= 1 << i
-            else:
-                cols[m.bit_length() - 1] |= 1 << i
+    for i, w in enumerate(exprs):
+        for j in range(n):
+            cols[j] |= (w >> (1 << j) & 1) << i
     ops: list[Transformation] = []
-
-    def emit(control: int, target: int):
-        # substitution target <- target ^ control: control's column
-        # absorbs the target's
-        cols[control] ^= cols[target]
-        ops.append(Transformation((control,), target))
-
-    pivot_of_row = {}
-    used = set()
-    for i in range(len(state.exprs)):
+    pivots: list[int] = []  # pivots[i]: the variable left carrying expr i
+    for i in range(len(exprs)):
         row_bit = 1 << i
-        if cols[i] & row_bit and i not in used:
-            p = i
-        else:
-            p = next((j for j in range(n) if cols[j] & row_bit and j not in used),
-                     None)
-            if p is None:
-                raise NonConvergenceError("linear state is not invertible")
-        used.add(p)
-        pivot_of_row[i] = p
+        free = [j for j in range(n) if cols[j] & row_bit and j not in pivots]
+        if not free:
+            raise NonConvergenceError("linear state is not invertible")
+        p = i if i in free else free[0]
+        pivots.append(p)
         for c in range(n):
             if c != p and cols[c] & row_bit:
-                emit(c, p)
-    for i in range(len(state.exprs)):
-        if consts >> i & 1:
-            ops.append(Transformation((), pivot_of_row[i]))
+                # substitution p <- p ^ c: c's column absorbs p's
+                cols[c] ^= cols[p]
+                ops.append(_step((c,), p)[0])
+    ops += (_step((), p)[0] for w, p in zip(exprs, pivots) if w & 1)
     # residual permutation: selection-sort with swap triples
-    perm = [pivot_of_row[i] for i in range(len(state.exprs))]
+    perm = pivots
     for i in range(len(perm)):
-        if perm[i] == i:
-            continue
         u, v = perm[i], i
-        for c, t in ((u, v), (v, u), (u, v)):
-            ops.append(Transformation((c,), t))
-        for k in range(len(perm)):
-            if perm[k] == u:
-                perm[k] = v
-            elif perm[k] == v:
-                perm[k] = u
-    return ops
+        if u != v:
+            ops += (_step((u,), v)[0], _step((v,), u)[0], _step((u,), v)[0])
+            perm = [v if x == u else u if x == v else x for x in perm]
+    return tuple(ops)
+
+
+# n <= 3 has 2 + 24 + 1,344 invertible affine maps (|AGL(n, 2)|), which
+# real inputs such as the exhaustive 3-variable sweep revisit; four
+# variables have 322,560, so there the finisher runs uncached.
+_small_finish_ops = functools.lru_cache(maxsize=2048)(_linear_finish_ops)
 
 
 def reduce_to_identity(state: ExpressionState,
@@ -337,7 +325,7 @@ def reduce_to_identity(state: ExpressionState,
     """
     n = state.n_vars
     if n > 4:
-        raise NonConvergenceError("rule set covers at most four variables")
+        raise NonConvergenceError(_TOO_WIDE)
     cap = iteration_cap if iteration_cap is not None else 10 * 4 ** n
     capped = f"no convergence within {cap} substitutions"
     steps = 0
@@ -354,7 +342,7 @@ def reduce_to_identity(state: ExpressionState,
     # with whichever substitution width helps most
     measure = _measure(state)
     seen = set()
-    while measure[0] > 0:
+    while measure >> 16:
         head = (state.exprs, escapes)
         if head in seen:        # a cycle: only the cap would end it
             raise NonConvergenceError(capped)
@@ -370,18 +358,18 @@ def reduce_to_identity(state: ExpressionState,
         (measure, _, _, _), t = found
         state = step(t)
 
+    before = measure & 0xFFFF       # (nonlinear cubes, literals)
     seen = set()
     while not state.is_linear():
         head = (state.exprs, state.last_applied, escapes)
         if head in seen:        # a cycle: only the cap would end it
             raise NonConvergenceError(capped)
         seen.add(head)
-        before = _measure(state)[1:]
         t = check_T2(state, policy)
         pending = [t] if t is not None and t != state.last_applied else []
         if not pending:
             t3 = _best(state, (2,), _t3_key)
-            if t3 is not None and t3[0][0] < before[0]:
+            if t3 is not None and t3[0][0] >> 8 < before >> 8:
                 pending = [t3[1]]
             else:
                 pending = _stall_rescue(state, before)
@@ -392,10 +380,13 @@ def reduce_to_identity(state: ExpressionState,
                 pending = [t3[1]]
         for t in pending:
             state = step(t)
-        if _measure(state)[1:] < before:
+        after = _measure(state) & 0xFFFF
+        if after < before:
             escapes = 0
+        before = after
 
-    for t in _linear_finish_ops(state):
+    finish = _small_finish_ops if n <= 3 else _linear_finish_ops
+    for t in finish(n, state.exprs):
         state = step(t)
     if not state.is_terminal():
         raise NonConvergenceError("affine finisher left a non-identity state")
@@ -411,14 +402,16 @@ def ancilla_free_synthesize(
 
     The emitted circuit has n lines, no constants, no garbage; every line
     ends carrying its output.  Verified by exhaustive simulation before
-    returning.
+    returning.  More than four variables raise NonConvergenceError before
+    any expression is built.
     """
     t0 = time.perf_counter()
     tt = truth_table_from_permutation(spec)
     n = tt.n_inputs
-    exprs = tuple(anf_from_truth_table(tt.single_output(j)).masks
-                  for j in range(n))
-    state = ExpressionState(n, exprs)
+    if n > 4:
+        raise NonConvergenceError(_TOO_WIDE)
+    state = ExpressionState.from_masks(
+        n, (anf_from_truth_table(tt.single_output(j)).masks for j in range(n)))
     state = reduce_to_identity(state, policy)
 
     lines = []

@@ -6,6 +6,7 @@ minutes in total.
 """
 
 import csv
+import hashlib
 import itertools
 import random
 import time
@@ -182,6 +183,7 @@ def test_criterion_7_exhaustive_ancilla_free(tmp_path):
     rc = run_cli(["ancilla-free", "--exhaustive", "3", "--report", str(report)])
     elapsed = time.perf_counter() - t0
     rows = list(csv.DictReader(report.open()))
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
     # a function that does not converge gets a row with no cost columns
     converged = [r for r in rows if r["qc"] != ""]
     problems = [r["function"] for r in rows if r["qc"] == ""
@@ -190,10 +192,12 @@ def test_criterion_7_exhaustive_ancilla_free(tmp_path):
     mean_qc = sum(int(r["qc"]) for r in converged) / max(len(converged), 1)
     ok = (rc == 0 and len(rows) == 40320 and len(converged) == 40320
           and not problems
+          and digest == "cca9e3106fc2cc57d5fcff5744c3fc6881d47251e9ad5806fdf75ff002bb53b1"
           and 9.28 * 0.75 <= mean_gates <= 9.28 * 1.25
           and 17.14 * 0.75 <= mean_qc <= 17.14 * 1.25
           and elapsed < 600)
     _report(7, ok, f"{len(converged)}/{len(rows)} converged on 3 lines, "
+                   f"report sha256 {digest[:12]}, "
                    f"mean gates {mean_gates:.2f} (6.96..11.60), "
                    f"mean qc {mean_qc:.2f} (12.86..21.43), "
                    f"{elapsed:.0f}s")

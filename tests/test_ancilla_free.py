@@ -8,11 +8,11 @@ from esopsyn import ancilla_free
 from esopsyn.ancilla_free import (
     ExpressionState, NonConvergenceError, POLICY_COMMON_CONTROL,
     Transformation, _WIDTHS, _best, _degree_key, _linear_finish_ops,
-    _measure, _measure_after, _stall_rescue, _t3_key, ancilla_free_synthesize,
-    apply_substitution, check_T2, reduce_to_identity,
+    _measure, _measure_after, _stall_rescue, _step, _t3_key,
+    ancilla_free_synthesize, apply_substitution, check_T2, reduce_to_identity,
 )
 from esopsyn.circuit import simulate
-from esopsyn.funcs import Permutation, anf_from_truth_table, \
+from esopsyn.funcs import Permutation, anf_from_truth_table, bit_support, \
     truth_table_from_permutation
 
 # the three-output benchmark whose reduction is traced in the docs:
@@ -20,27 +20,32 @@ from esopsyn.funcs import Permutation, anf_from_truth_table, \
 F1 = frozenset({0b101, 0b110, 0b001, 0b100, 0b000})
 F2 = frozenset({0b001, 0b010, 0b100, 0b000})
 F3 = frozenset({0b011, 0b110, 0b010, 0b100, 0b000})
-THREE_17_STATE = ExpressionState(3, (F1, F2, F3))
+THREE_17_STATE = ExpressionState.from_masks(3, (F1, F2, F3))
 THREE_17 = Permutation((7, 4, 1, 6, 0, 2, 3, 5))
+
+
+def _fields(m):
+    """(wide, nonlinear, literals) of a packed measure."""
+    return m >> 16, m >> 8 & 255, m & 255
 
 
 def test_substituting_the_shared_pair_merges_two_products():
     t = check_T2(THREE_17_STATE)
     assert t == Transformation((1,), 0)       # control b, target a
     after = apply_substitution(THREE_17_STATE, t)
-    assert after.exprs == (
-        frozenset({0b101, 0b001, 0b010, 0b100, 0b000}),   # ac^a^b^c^1
-        frozenset({0b001, 0b100, 0b000}),                  # a^c^1
-        frozenset({0b011, 0b110, 0b100, 0b000}),           # ab^bc^c^1
-    )
-    assert _measure(after) == (0, 3, 12)     # no 3-literal cube, 3 nonlinear
+    assert after.exprs == ExpressionState.from_masks(3, (
+        {0b101, 0b001, 0b010, 0b100, 0b000},   # ac^a^b^c^1
+        {0b001, 0b100, 0b000},                 # a^c^1
+        {0b011, 0b110, 0b100, 0b000},          # ab^bc^c^1
+    )).exprs
+    assert _fields(_measure(after)) == (0, 3, 12)   # no 3-literal cube, 3 nonlinear
 
 
 def test_substitution_is_an_involution():
     t = Transformation((1,), 0)
-    state = ExpressionState(3, (frozenset({0b001}),))
+    state = ExpressionState.from_masks(3, ({0b001},))
     once = apply_substitution(state, t)
-    assert once.exprs[0] == frozenset({0b001, 0b010})      # a -> a^b
+    assert once.exprs == ExpressionState.from_masks(3, ({0b001, 0b010},)).exprs  # a -> a^b
     twice = apply_substitution(once, t)
     assert twice.exprs == state.exprs
 
@@ -48,62 +53,62 @@ def test_substitution_is_an_involution():
 def test_check_T2_on_linear_states_reduces_literals():
     # a linear state is the affine finisher's job; its first step is the
     # literal-reducing CNOT
-    state = ExpressionState(3, (frozenset({0b001, 0b010}),  # a^b
-                                frozenset({0b010}),         # b
-                                frozenset({0b100})))        # c
-    ops = _linear_finish_ops(state)
+    state = ExpressionState.from_masks(3, ({0b001, 0b010},  # a^b
+                                           {0b010},         # b
+                                           {0b100}))        # c
+    ops = _linear_finish_ops(3, state.exprs)
     assert ops[0] == Transformation((1,), 0)       # reroute through b
-    assert _linear_finish_ops(ExpressionState(2, (frozenset({0b01}),
-                                                  frozenset({0b10})))) == []
+    assert _linear_finish_ops(
+        2, ExpressionState.from_masks(2, ({0b01}, {0b10})).exprs) == ()
 
 
 def _find_T3(state):
     """The T3 step of reduce_to_identity: the winner when it strictly
     lowers the nonlinear cube count, else None."""
     found = _best(state, (2,), _t3_key)
-    if found is not None and found[0][0] < _measure(state)[1]:
+    if found is not None and _fields(found[0][0])[1] < _fields(_measure(state))[1]:
         return found[1]
     return None
 
 
 def test_find_T3_cancels_a_lone_product():
-    state = ExpressionState(3, (frozenset({0b011, 0b100}),  # ab ^ c
-                                frozenset({0b001}),
-                                frozenset({0b010})))
+    state = ExpressionState.from_masks(3, ({0b011, 0b100},  # ab ^ c
+                                           {0b001},
+                                           {0b010}))
     t = _find_T3(state)
     assert t == Transformation((0, 1), 2)
     after = apply_substitution(state, t)
-    assert _measure(after)[1] == 0
+    assert _fields(_measure(after))[1] == 0
     assert reduce_to_identity(state).history[0] == t
 
 
 def test_find_T3_gives_up_when_nothing_decreases():
-    linear = ExpressionState(2, (frozenset({0b01}), frozenset({0b10})))
+    linear = ExpressionState.from_masks(2, ({0b01}, {0b10}))
     assert _best(linear, (2,), _t3_key) is None     # no Toffoli on 2 lines
     assert _find_T3(linear) is None
-    stuck = ExpressionState(3, (frozenset({0b011}), frozenset({0b101}),
-                                frozenset({0b110})))
+    stuck = ExpressionState.from_masks(3, ({0b011}, {0b101}, {0b110}))
     assert _find_T3(stuck) is None
 
 
 def test_find_T4_clears_a_wide_cube():
-    state = ExpressionState(4, (frozenset({0b0111, 0b1000}),   # abc ^ d
-                                frozenset({0b0001}),
-                                frozenset({0b0010}),
-                                frozenset({0b0100})))
-    assert _measure(state) == (1, 1, 7)
+    state = ExpressionState.from_masks(4, ({0b0111, 0b1000},   # abc ^ d
+                                           {0b0001},
+                                           {0b0010},
+                                           {0b0100}))
+    assert _fields(_measure(state)) == (1, 1, 7)
     key, t = _best(state, _WIDTHS, _degree_key)
     assert t == Transformation((0, 1, 2), 3)
-    assert key[0] == _measure(apply_substitution(state, t)) == (0, 0, 4)
+    assert key[0] == _measure(apply_substitution(state, t))
+    assert _fields(key[0]) == (0, 0, 4)
     # the degree-clearing phase takes it as the first step
     assert reduce_to_identity(state).history[0] == t
 
 
 def test_measure_counts_wide_and_nonlinear_cubes_and_literals():
-    state = ExpressionState(4, (frozenset({0b1111, 0b0111, 0b0011, 0b0001}),
-                                frozenset({0b0000, 0b1010})))
-    assert _measure(state) == (2, 4, 4 + 3 + 2 + 1 + 0 + 2)
-    assert _measure(ExpressionState(2, (frozenset(),) * 2)) == (0, 0, 0)
+    state = ExpressionState.from_masks(4, ({0b1111, 0b0111, 0b0011, 0b0001},
+                                           {0b0000, 0b1010}))
+    assert _fields(_measure(state)) == (2, 4, 4 + 3 + 2 + 1 + 0 + 2)
+    assert _measure(ExpressionState.from_masks(2, ((),) * 2)) == 0
 
 
 _STATES = st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -111,20 +116,65 @@ _STATES = st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.lists(st.frozensets(st.integers(0, (1 << n) - 1)), max_size=4)))
 
 
+def _ref_substitute(expr, target, controls):
+    """Substitute target <- target ^ (product of controls) in a set of cube
+    masks, cube by cube: a cube m containing the target stays and adds
+    (m without the target) | controls; equal cubes cancel in pairs."""
+    t_bit = 1 << target
+    c_mask = sum(1 << c for c in controls)
+    out = set()
+    for m in expr:
+        out ^= {m}
+        if m & t_bit:
+            out ^= {(m & ~t_bit) | c_mask}
+    return frozenset(out)
+
+
+def _ref_count(exprs):
+    """(cubes of three or more literals, nonlinear cubes, literals)."""
+    degrees = [m.bit_count() for e in exprs for m in e]
+    return (sum(k >= 3 for k in degrees), sum(k >= 2 for k in degrees),
+            sum(degrees))
+
+
+def _all_substitutions(n):
+    for target in range(n):
+        others = [v for v in range(n) if v != target]
+        for width in range(min(3, n - 1) + 1):
+            for controls in itertools.combinations(others, width):
+                yield target, controls
+
+
 @given(_STATES)
 @example((2, [frozenset({0b11, 0b01})]))  # both cubes of target a become b
 @settings(max_examples=60, deadline=None)
 def test_measure_after_equals_the_measure_of_the_substituted_state(case):
     n, exprs = case
-    state = ExpressionState(n, tuple(exprs))
-    base = _measure(state)
-    for target in range(n):
-        others = [v for v in range(n) if v != target]
-        for width in range(min(3, n - 1) + 1):
-            for controls in itertools.combinations(others, width):
-                t = Transformation(controls, target)
-                assert _measure_after(state, base, t) == \
-                    _measure(apply_substitution(state, t))
+    state = ExpressionState.from_masks(n, exprs)
+    assert _fields(_measure(state)) == _ref_count(exprs)
+    for target, controls in _all_substitutions(n):
+        t = Transformation(controls, target)
+        after = [_ref_substitute(e, target, controls) for e in exprs]
+        _, lo, hi = _step(t.controls, t.target)
+        assert _fields(_measure_after(state.exprs, lo, hi)) == _ref_count(after)
+        assert [frozenset(bit_support(w)) for w in
+                apply_substitution(state, t).exprs] == after
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+@settings(max_examples=60, deadline=None)
+def test_packed_toggles_and_measure_match_the_cube_set_reference(case):
+    # one word over n variables: bit m set means cube m is present
+    n, w = case
+    expr = frozenset(bit_support(w))
+    assert _fields(_measure(ExpressionState(n, (w,)))) == _ref_count([expr])
+    for target, controls in _all_substitutions(n):
+        _, lo, hi = _step(controls, target)
+        image = lo[w & 255] ^ hi[w >> 8]
+        after = _ref_substitute(expr, target, controls)
+        assert frozenset(bit_support(w ^ image)) == expr ^ after   # toggles
+        assert _fields(_measure_after((w,), lo, hi)) == _ref_count([after])
 
 
 def test_a_degree_phase_cycle_stops_at_its_first_repeat(monkeypatch):
@@ -162,7 +212,7 @@ def test_a_t2_t3_cycle_stops_at_its_first_repeat(monkeypatch):
         return real(state, t)
 
     monkeypatch.setattr(ancilla_free, "apply_substitution", counted)
-    state = ExpressionState(3, (frozenset({2}), frozenset({3}), frozenset({3, 5})))
+    state = ExpressionState.from_masks(3, ({2}, {3}, {3, 5}))
     with pytest.raises(NonConvergenceError,
                        match="^no convergence within 640 substitutions$"):
         reduce_to_identity(state)
@@ -171,7 +221,7 @@ def test_a_t2_t3_cycle_stops_at_its_first_repeat(monkeypatch):
 
 def test_a_singular_linear_state_is_reported_as_non_convergence():
     # both outputs are x1: no invertible finisher exists
-    state = ExpressionState(2, (frozenset({1}), frozenset({1})))
+    state = ExpressionState.from_masks(2, ({1}, {1}))
     with pytest.raises(NonConvergenceError, match="^linear state is not invertible$"):
         reduce_to_identity(state)
 
@@ -212,9 +262,23 @@ def test_iteration_cap_reports_non_convergence():
         reduce_to_identity(THREE_17_STATE, iteration_cap=1)
 
 
-def test_too_many_variables_is_rejected():
-    with pytest.raises(NonConvergenceError):
-        reduce_to_identity(ExpressionState(5, (frozenset({0b1}),) * 5))
+def test_too_many_variables_is_rejected(monkeypatch):
+    message = "^rule set covers at most four variables$"
+    with pytest.raises(NonConvergenceError, match=message):
+        reduce_to_identity(ExpressionState.from_masks(5, ({0b1},) * 5))
+    # a 5-variable spec fails before any output's ANF is built
+    calls = 0
+    real = ancilla_free.anf_from_truth_table
+
+    def counted(tt):
+        nonlocal calls
+        calls += 1
+        return real(tt)
+
+    monkeypatch.setattr(ancilla_free, "anf_from_truth_table", counted)
+    with pytest.raises(NonConvergenceError, match=message):
+        ancilla_free_synthesize(Permutation(tuple(range(32))))
+    assert calls == 0
 
 
 def test_alternate_control_policy_still_verifies_when_it_converges():
@@ -248,16 +312,20 @@ def test_four_variable_benchmarks_converge():
 # enumeration and its own measures.  The single search must pick exactly
 # what they picked.
 
+def _cubes(state):
+    return [m for w in state.exprs for m in bit_support(w)]
+
+
 def _ref_nonlinear(state):
-    return sum(1 for e in state.exprs for m in e if m.bit_count() >= 2)
+    return sum(1 for m in _cubes(state) if m.bit_count() >= 2)
 
 
 def _ref_literals(state):
-    return sum(m.bit_count() for e in state.exprs for m in e)
+    return sum(m.bit_count() for m in _cubes(state))
 
 
 def _ref_high_degree(state):
-    return sum(1 for e in state.exprs for m in e if m.bit_count() >= 3)
+    return sum(1 for m in _cubes(state) if m.bit_count() >= 3)
 
 
 def _ref_search_controls(state, n_controls, measure):
@@ -337,12 +405,13 @@ def _ref_stall_rescue(state):
     return []
 
 
-def _pick(found, before):
-    """(strict improver or None, overall winner or None) from _best."""
+def _pick(found, before, field=lambda m: m):
+    """(strict improver or None, overall winner or None) from _best, where
+    `field` of the key's measure must fall below `before`."""
     if found is None:
         return None, None
     key, t = found
-    return (t if key[0] < before else None), t
+    return (t if field(key[0]) < before else None), t
 
 
 def _search_states():
@@ -356,7 +425,7 @@ def _search_states():
             images = list(range(1 << n))
             rng.shuffle(images)
             tt = truth_table_from_permutation(Permutation(tuple(images)))
-            start = ExpressionState(n, tuple(
+            start = ExpressionState.from_masks(n, (
                 anf_from_truth_table(tt.single_output(j)).masks
                 for j in range(n)))
             states.append(start)
@@ -372,8 +441,8 @@ def _search_states():
                                                   history[:k + 1]))
     for _ in range(40):
         n = rng.choice((3, 4))
-        states.append(ExpressionState(n, tuple(
-            frozenset(m for m in range(1 << n) if rng.random() < 0.3)
+        states.append(ExpressionState.from_masks(n, (
+            [m for m in range(1 << n) if rng.random() < 0.3]
             for _ in range(n))))
     return states
 
@@ -384,14 +453,15 @@ def test_single_search_picks_what_the_three_loops_picked():
     rescued = paired = 0
     for state in states:
         measure = _measure(state)
-        assert measure == _ref_degree_measure(state)
+        assert _fields(measure) == _ref_degree_measure(state)
         assert _pick(_best(state, _WIDTHS, _degree_key), measure) == \
             _ref_best_degree_clearer(state)
-        assert _pick(_best(state, (2,), _t3_key), measure[1]) == \
+        assert _pick(_best(state, (2,), _t3_key), _fields(measure)[1],
+                     lambda m: _fields(m)[1]) == \
             _ref_search_controls(state, 2, _ref_nonlinear)
         if state.is_linear():
             continue
-        picks = _stall_rescue(state, measure[1:])
+        picks = _stall_rescue(state, measure & 0xFFFF)
         assert picks == _ref_stall_rescue(state)
         rescued += len(picks) == 1
         paired += len(picks) == 2

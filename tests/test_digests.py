@@ -12,7 +12,8 @@ import random
 import pytest
 
 from esopsyn import benchmarks
-from esopsyn.ancilla_free import NonConvergenceError, ancilla_free_synthesize
+from esopsyn.ancilla_free import NonConvergenceError, POLICY_COMMON_CONTROL, \
+    POLICY_UNIQUE_PAIR, ancilla_free_synthesize
 from esopsyn.cli import run_cli
 from esopsyn.funcs import Permutation, TruthTable
 from esopsyn.io import format_circuit, parse_circuit_text
@@ -84,10 +85,10 @@ def test_ancilla_free_circuit_digest():
         "e6717346593929312bfd303fbedd555410cad3418a2605a197c56ec00f5a3fa4"
 
 
-def test_ancilla_free_four_variable_batch_digest():
-    # 100 seeded 4-variable permutations; 5 of them do not converge (4 stuck
-    # clearing three-literal cubes, 1 at the substitution cap), so the
-    # messages are pinned along with the circuits
+def _four_variable_batch_digest(policy: str) -> str:
+    # 100 seeded 4-variable permutations; under either policy 5 of them do
+    # not converge (4 stuck clearing three-literal cubes, 1 at the
+    # substitution cap), so the messages are pinned along with the circuits
     rng = random.Random(2)
     h = hashlib.sha256()
     for _ in range(100):
@@ -95,12 +96,21 @@ def test_ancilla_free_four_variable_batch_digest():
         rng.shuffle(images)
         try:
             text = format_circuit(*ancilla_free_synthesize(
-                Permutation(tuple(images))))
+                Permutation(tuple(images)), policy))
         except NonConvergenceError as e:
             text = f"NonConvergenceError: {e}\n"
         h.update(text.encode())
-    assert h.hexdigest() == \
+    return h.hexdigest()
+
+
+def test_ancilla_free_four_variable_batch_digest():
+    assert _four_variable_batch_digest(POLICY_UNIQUE_PAIR) == \
         "8d6057fbc06b7d71bebb7674281fa84a546e110d52ffec8360a7fed6a8abe787"
+
+
+def test_ancilla_free_four_variable_batch_digest_common_control():
+    assert _four_variable_batch_digest(POLICY_COMMON_CONTROL) == \
+        "7e7f9b4343519d0ec0e34800944d62e1cd11147d31a119f7d4f80dbf508a80ad"
 
 
 CSV_CASES = {

@@ -8,10 +8,13 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from esopsyn import OptimizeParams, Permutation, TruthTable, \
-    ancilla_free_synthesize, synthesize
+from esopsyn import Circuit, OptimizeParams, Permutation, TruthTable, \
+    ancilla_free_synthesize, cnot, not_gate, simulate, synthesize, \
+    truth_table_from_permutation, verify_equivalence
+from esopsyn.circuit import CONSTANT, INPUT, ROLE_ANCILLA, ROLE_OUTPUT, \
+    line_functions
 from esopsyn.cli import run_cli
-from esopsyn.io import write_circuit
+from esopsyn.io import format_circuit, parse_circuit_text, write_circuit
 
 
 @st.composite
@@ -63,3 +66,86 @@ def test_reported_garbage_is_what_simulation_derives(spec, knobs):
     assert derived["ancilla"] == report.ancilla_count
     assert derived["lines"] == report.line_count
     assert derived["qc"] == report.quantum_cost
+
+
+@st.composite
+def emitted(draw):
+    """(circuit, truth table) from either engine: the ancilla-free engine
+    on a permutation, or `synthesize` on a table or permutation at random
+    TCKP."""
+    if draw(st.booleans()):
+        spec = draw(permutations())
+        return ancilla_free_synthesize(spec)[0], \
+            truth_table_from_permutation(spec)
+    spec = draw(st.one_of(truth_tables(), permutations()))
+    if isinstance(spec, Permutation):
+        spec = truth_table_from_permutation(spec)
+    return synthesize(spec, draw(params))[0], spec
+
+
+def _inputs(circuit):
+    return [l.line_id for l in circuit.lines if l.origin == INPUT]
+
+
+@given(emitted())
+@settings(max_examples=40, deadline=None)
+def test_circuit_text_round_trip_keeps_line_functions_and_roles(case):
+    circuit, table = case
+    back = parse_circuit_text(format_circuit(circuit))
+    n = table.n_inputs
+    assert line_functions(back, n, _inputs(back)) == \
+        line_functions(circuit, n, _inputs(circuit))
+    assert [(l.name, l.origin, l.init, l.role, l.output_name)
+            for l in back.lines] == \
+        [(l.name, l.origin, l.init, l.role, l.output_name)
+         for l in circuit.lines]
+
+
+def _pointwise_ok(circuit, table) -> bool:
+    """The `simulate` oracle, input by input: every output line carries its
+    column and every ancilla ends at its initial value."""
+    outputs = circuit.output_map()
+    constants = sum(1 << l.line_id for l in circuit.lines
+                    if l.origin == CONSTANT and l.init)
+    for x in range(1 << table.n_inputs):
+        start = constants
+        for pos, lid in enumerate(_inputs(circuit)):
+            start |= (x >> pos & 1) << lid
+        end = simulate(circuit, start)
+        if any(end >> outputs[name] & 1 != table.rows[x] >> j & 1
+               for j, name in enumerate(table.output_names)):
+            return False
+        if any(end >> l.line_id & 1 != l.init for l in circuit.lines
+               if l.role == ROLE_ANCILLA):
+            return False
+    return True
+
+
+@given(emitted())
+@settings(max_examples=40, deadline=None)
+def test_every_single_flipped_gate_fails_verification(case):
+    # a flip can keep every checked line: its effect may stay on garbage
+    # lines (NOT x1 -> CNOT x2,x1 before Toffoli x1,x2 -> y1 keeps
+    # y1 = x1'x2), or a constant line may hide it (CNOT w1,w2 -> NOT w2
+    # while w1 is 1).  So the verdict must be the oracle's, and where every
+    # line is an input carrying an output, as the ancilla-free engine
+    # emits, the circuit is one bijection and every flip must fail.
+    circuit, table = case
+    assert verify_equivalence(circuit, table)
+    bijective = all(l.origin == INPUT and l.role == ROLE_OUTPUT
+                    for l in circuit.lines)
+    for i, gate in enumerate(circuit.gates):
+        # a NOT on the gate's target replaces the gate; a NOT becomes a CNOT
+        # from another line, or is dropped on a one-line circuit
+        target = gate.targets[0]
+        others = [l.line_id for l in circuit.lines if l.line_id != target]
+        if gate.controls:
+            flipped = [not_gate(target)]
+        else:
+            flipped = [cnot(others[0], target)] if others else []
+        broken = Circuit(circuit.n_lines,
+                         circuit.gates[:i] + flipped + circuit.gates[i + 1:],
+                         circuit.lines)
+        verdict = bool(verify_equivalence(broken, table))
+        assert verdict == _pointwise_ok(broken, table), f"gate {i}"
+        assert not (bijective and verdict), f"gate {i} flip passed"
