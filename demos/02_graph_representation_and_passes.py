@@ -8,7 +8,7 @@ existing a^b node so the mapper can consume it in place.
 """
 
 from esopsyn import (
-    Permutation, anf_from_truth_table, build_dag,
+    EsopExpression, Permutation, anf_from_truth_table, build_dag,
     common_cube_sharing, dag_to_expressions, dump_text, extract_kernels,
     factor_expression, reduce_parents, select_divisor,
     truth_table_from_permutation, validate_dag,
@@ -18,7 +18,7 @@ from esopsyn.optimize import OptimizeParams
 
 perm = Permutation((0, 2, 3, 5, 7, 1, 4, 6))
 table = truth_table_from_permutation(perm)
-exprs = [anf_from_truth_table(table.single_output(j)) for j in range(3)]
+exprs = anf_from_truth_table(table)
 
 print("== flat graph ==")
 dag = build_dag(exprs, max_and_arity=3, output_names=list(table.output_names))
@@ -28,7 +28,8 @@ print("== kernels of y3 ==")
 y3 = exprs[2]
 print("y3 =", y3)
 for e in extract_kernels(y3).entries:
-    print(f"  kernel {e.kernel}  co-kernel {e.co_kernel}  remainder {e.remainder}")
+    co = EsopExpression.from_masks(3, [e.co_kernel])
+    print(f"  kernel {e.kernel}  co-kernel {co}  remainder {e.remainder}")
 pick = select_divisor(extract_kernels(y3), threshold=1)
 print("selected divisor:", pick.kernel, "by minimum remainder")
 
@@ -39,8 +40,7 @@ dag = build_dag_from_trees(trees, 3, 3, output_names=list(table.output_names))
 report = common_cube_sharing(dag)
 print("sharing events:", report.events)
 print(dump_text(dag))
-print("still sound:", [x.masks for x in dag_to_expressions(dag)]
-      == [e.masks for e in exprs])
+print("still sound:", dag_to_expressions(dag) == exprs)
 
 print("== parent reduction ==")
 x1 = dag.var_node(0)

@@ -4,7 +4,8 @@ Instead of allocating helper lines, small reversible functions can be
 synthesized on exactly their own lines: each step substitutes a variable
 by itself xor something (one CNOT or Toffoli), driving the expressions
 toward single literals.  The substitution trace below is the circuit.
-Each expression is held as one int word whose bit m marks cube m.
+Each expression is held as the coefficient word of its EsopExpression:
+one int whose bit m marks cube m.
 """
 
 import random
@@ -13,19 +14,19 @@ from esopsyn import Permutation, ancilla_free_synthesize
 from esopsyn.ancilla_free import ExpressionState, apply_substitution, \
     reduce_to_identity
 from esopsyn.funcs import EsopExpression, anf_from_truth_table, \
-    bit_support, truth_table_from_permutation
+    truth_table_from_permutation
 
 spec = Permutation((7, 4, 1, 6, 0, 2, 3, 5))
 table = truth_table_from_permutation(spec)
-exprs = [anf_from_truth_table(table.single_output(j)).masks for j in range(3)]
+exprs = anf_from_truth_table(table)
 
 
 def show(word):
-    return str(EsopExpression.from_masks(3, bit_support(word)))
+    return str(EsopExpression(3, word))
 
 
 print("== start: the output expressions ==")
-state = ExpressionState.from_masks(3, exprs)
+state = ExpressionState(3, tuple(e.coeffs for e in exprs))
 for j, w in enumerate(state.exprs):
     print(f"  f{j + 1} = {show(w)}   (word {w:#010b})")
 

@@ -18,7 +18,7 @@ from .circuit import (
 from .dag import EsopDag, build_dag, dag_to_expressions, dump_dot, dump_text, \
     validate_dag
 from .funcs import (
-    Cube, EsopExpression, Permutation, TruthTable, anf_from_truth_table,
+    EsopExpression, Permutation, TruthTable, anf_from_truth_table,
     truth_table_from_anf, truth_table_from_permutation,
 )
 from .mapper import SynthesisError, TargetChoice, find_target, order_outputs, \

@@ -3,15 +3,17 @@
 The output expressions are reduced to the identity by variable
 substitutions, each corresponding to one reversible gate applied on the
 input side: a CNOT substitutes target <- target ^ control, a Toffoli
-substitutes target <- target ^ (product of controls).  On n <= 4
-variables an expression is a 16-bit word whose bit m marks cube m.
-Substituting with control set C turns every cube m containing the target
-t into m ^ (m without t | C), which is linear over GF(2) on words: two
-256-entry tables, indexed by a word's low and high byte, XOR to the
-substituted word (`_step`).  The measure every search minimizes (cubes of
-three or more literals, nonlinear cubes, literals) is two such tables
-packed as `wide << 16 | nonlinear << 8 | literals`; the fields never
-carry, so sums over words are measures and integer order is tuple order.
+substitutes target <- target ^ (product of controls).  Each output's
+expression is the coefficient word of its ANF (`EsopExpression.coeffs`),
+on n <= 4 variables a 16-bit word whose bit m marks cube m.
+Substituting with control set C turns every cube m containing the
+target t into m ^ (m without t | C), which is linear over GF(2) on
+words: two 256-entry tables, indexed by a word's low and high byte,
+XOR to the substituted word (`_step`).  The measure every search
+minimizes (cubes of three or more literals, nonlinear cubes, literals)
+is two such tables packed as `wide << 16 | nonlinear << 8 | literals`;
+the fields never carry, so sums over words are measures and integer
+order is tuple order.
 Candidates come from one enumerator (`_candidates`) and are scored on
 their substituted words (`_measure_after`), so only the steps taken build
 a state; the degree-clearing phase, the T3 step and the stall rescue
@@ -94,11 +96,6 @@ class ExpressionState:
     n_vars: int
     exprs: tuple[int, ...]
     history: tuple[Transformation, ...] = ()
-
-    @classmethod
-    def from_masks(cls, n_vars: int, exprs) -> ExpressionState:
-        """From one set of cube masks per expression."""
-        return cls(n_vars, tuple(sum(1 << m for m in masks) for masks in exprs))
 
     @property
     def last_applied(self) -> Transformation | None:
@@ -403,15 +400,16 @@ def ancilla_free_synthesize(
     The emitted circuit has n lines, no constants, no garbage; every line
     ends carrying its output.  Verified by exhaustive simulation before
     returning.  More than four variables raise NonConvergenceError before
-    any expression is built.
+    any expression is built; fewer than one raise ValueError.
     """
     t0 = time.perf_counter()
-    tt = truth_table_from_permutation(spec)
-    n = tt.n_inputs
+    n = spec.n_vars
+    if n < 1:
+        raise ValueError("need at least one input")
     if n > 4:
         raise NonConvergenceError(_TOO_WIDE)
-    state = ExpressionState.from_masks(
-        n, (anf_from_truth_table(tt.single_output(j)).masks for j in range(n)))
+    tt = truth_table_from_permutation(spec)
+    state = ExpressionState(n, tuple(e.coeffs for e in anf_from_truth_table(tt)))
     state = reduce_to_identity(state, policy)
 
     lines = []

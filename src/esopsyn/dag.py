@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .funcs import EsopExpression, bit_support
+from .funcs import EsopExpression, bit_support, mobius_bits
 
 T_CONST = "t_constant"
 T_ID = "t_identifier"
@@ -285,11 +285,13 @@ class EsopDag:
 
     # -- semantics ----------------------------------------------------------
 
-    def expand(self, nid: int, resolver=None, _memo=None) -> frozenset[int]:
-        """Cube-mask set computed by structural GF(2) expansion.
+    def expand(self, nid: int, resolver=None, _memo=None) -> int:
+        """ANF coefficient word computed by structural GF(2) expansion.
 
-        `resolver(line_id) -> frozenset[int]` supplies the function carried
-        by a circuit line for identifiers created during mapping.
+        `resolver(line_id) -> int` supplies the coefficient word of the
+        function carried by a circuit line for identifiers created during
+        mapping.  A product is the transform of the AND of its factors'
+        truth-table columns.
         """
         if _memo is None:
             _memo = {}
@@ -298,34 +300,25 @@ class EsopDag:
             return hit
         node = self.nodes[nid]
         if node.kind == T_CONST:
-            out = frozenset([0]) if node.label else frozenset()
+            out = 1 if node.label else 0
         elif node.kind == T_ID:
             if node.line is not None and node.label == f"x{node.line + 1}":
-                out = frozenset([1 << node.line])
+                out = 1 << (1 << node.line)
             else:
                 # "@<line>" identifiers stand for a circuit line mid-mapping
                 if resolver is None:
                     raise ValueError(f"no resolver for line identifier {node.label}")
-                out = frozenset(resolver(node.line))
+                out = resolver(node.line)
         elif node.kind == T_XOR:
-            acc: set[int] = set()
+            out = 0
             for c in node.children:
-                acc ^= self.expand(c, resolver, _memo)
-            out = frozenset(acc)
+                out ^= self.expand(c, resolver, _memo)
         elif node.kind == T_AND:
-            acc = {0}
+            n = self.n_vars
+            column = (1 << (1 << n)) - 1
             for c in node.children:
-                child = self.expand(c, resolver, _memo)
-                nxt: set[int] = set()
-                for a in acc:
-                    for b in child:
-                        m = a | b
-                        if m in nxt:
-                            nxt.remove(m)
-                        else:
-                            nxt.add(m)
-                acc = nxt
-            out = frozenset(acc)
+                column &= mobius_bits(self.expand(c, resolver, _memo), n)
+            out = mobius_bits(column, n)
         else:
             raise ValueError(f"cannot expand {node.kind}")
         _memo[nid] = out
@@ -445,12 +438,9 @@ def dag_to_expressions(dag: EsopDag, resolver=None) -> list[EsopExpression]:
     problems = validate_dag(dag)
     if problems:
         raise ValueError("malformed graph: " + "; ".join(problems))
-    memo: dict[int, frozenset[int]] = {}
-    out = []
-    for _name, nid in dag.output_order:
-        out.append(EsopExpression.from_masks(
-            dag.n_vars, dag.expand(nid, resolver, memo)))
-    return out
+    memo: dict[int, int] = {}
+    return [EsopExpression(dag.n_vars, dag.expand(nid, resolver, memo))
+            for _name, nid in dag.output_order]
 
 
 def validate_dag(dag: EsopDag) -> list[str]:

@@ -3,6 +3,8 @@
 Truth tables of n inputs are stored as 2^n rows of packed output bits.
 Single-output columns are manipulated as 2^n-bit Python integers, which
 makes the GF(2) coefficient transform a handful of big-int operations.
+An output's ANF is the transform of its column: one 2^n-bit coefficient
+word whose bit m marks cube m, held by EsopExpression.
 
 Bit-order convention: variable x1 is the least-significant bit of the
 truth-table index.  Output y1 is the least-significant bit of each row.
@@ -15,71 +17,46 @@ from functools import lru_cache
 
 
 @dataclass(frozen=True, slots=True)
-class Cube:
-    """One positive-polarity product term, encoded as a variable bit mask.
+class EsopExpression:
+    """XOR of positive-polarity cubes, held as one coefficient word.
 
-    Bit i set means variable x_{i+1} is a factor.  The all-zero mask is
-    the constant-1 cube.
+    Bit m of `coeffs` set means cube m is a term, where bit i of the cube
+    mask m means variable x_{i+1} is a factor and mask 0 is the constant-1
+    cube.  This is the word `mobius_bits` returns for the function's column.
     """
 
-    mask: int
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    def variables(self) -> tuple[int, ...]:
-        """0-based indices of the variables in this cube."""
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
-
-    def evaluate(self, x: int) -> int:
-        return 1 if x & self.mask == self.mask else 0
-
-    def __str__(self) -> str:
-        if self.mask == 0:
-            return "1"
-        return "".join(f"x{i + 1}" for i in self.variables())
-
-
-@dataclass(frozen=True, slots=True)
-class EsopExpression:
-    """XOR of positive-polarity cubes (no duplicates -- they cancel over GF(2))."""
-
     n_vars: int
-    cubes: frozenset[Cube]
+    coeffs: int
 
     @classmethod
     def from_masks(cls, n_vars: int, masks) -> "EsopExpression":
-        """Build from cube masks; repeated masks cancel pairwise."""
-        acc: set[int] = set()
+        """Build from cube masks; repeated masks cancel pairwise over GF(2)."""
+        coeffs = 0
         for m in masks:
-            acc ^= {m}
-        return cls(n_vars, frozenset(Cube(m) for m in acc))
+            coeffs ^= 1 << m
+        return cls(n_vars, coeffs)
 
     @property
     def masks(self) -> frozenset[int]:
-        return frozenset(c.mask for c in self.cubes)
+        return frozenset(bit_support(self.coeffs))
 
     @property
     def degree(self) -> int:
-        return max((c.degree for c in self.cubes), default=0)
+        return max((m.bit_count() for m in bit_support(self.coeffs)), default=0)
 
     def evaluate(self, x: int) -> int:
         """Brute-force evaluation; the independent oracle used by the tests."""
-        acc = 0
-        for c in self.cubes:
-            if x & c.mask == c.mask:
-                acc ^= 1
-        return acc
+        return sum(x & m == m for m in bit_support(self.coeffs)) & 1
 
     def sorted_masks(self) -> list[int]:
         """The cube masks in cube_order."""
-        return cube_order(c.mask for c in self.cubes)
+        return cube_order(bit_support(self.coeffs))
 
     def __str__(self) -> str:
-        if not self.cubes:
+        if not self.coeffs:
             return "0"
-        return " ^ ".join(str(Cube(m)) for m in self.sorted_masks())
+        return " ^ ".join("".join(f"x{i + 1}" for i in bit_support(m)) or "1"
+                          for m in self.sorted_masks())
 
 
 def cube_order(masks) -> list[int]:
@@ -153,12 +130,6 @@ class TruthTable:
             col |= (r >> j & 1) << i
         return col
 
-    def single_output(self, j: int) -> "TruthTable":
-        return TruthTable(
-            self.n_inputs, 1, tuple(r >> j & 1 for r in self.rows),
-            self.input_names, (self.output_names[j],),
-        )
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -216,23 +187,16 @@ def bit_support(bits: int) -> list[int]:
     return out
 
 
-def anf_from_truth_table(tt: TruthTable) -> EsopExpression:
-    """ANF (positive-polarity Reed-Muller form) of a single-output table."""
-    if tt.n_outputs != 1:
-        raise ValueError(
-            f"expected a single-output table, got {tt.n_outputs} outputs; "
-            "split per output first"
-        )
-    coeffs = mobius_bits(tt.column_bits(0), tt.n_inputs)
-    return EsopExpression.from_masks(tt.n_inputs, bit_support(coeffs))
+def anf_from_truth_table(tt: TruthTable) -> list[EsopExpression]:
+    """ANF (positive-polarity Reed-Muller form) of each output, in order."""
+    n = tt.n_inputs
+    return [EsopExpression(n, mobius_bits(tt.column_bits(j), n))
+            for j in range(tt.n_outputs)]
 
 
 def truth_table_from_anf(expr: EsopExpression) -> TruthTable:
-    """Inverse of anf_from_truth_table (the transform is an involution)."""
-    coeffs = 0
-    for c in expr.cubes:
-        coeffs |= 1 << c.mask
-    col = mobius_bits(coeffs, expr.n_vars)
+    """The one-output table of an expression (the transform is an involution)."""
+    col = mobius_bits(expr.coeffs, expr.n_vars)
     return TruthTable.from_columns(expr.n_vars, [col])
 
 

@@ -28,7 +28,7 @@ from .circuit import (
     CONSTANT, Circuit, CostReport, Gate, INPUT, LineState, ROLE_ANCILLA,
     ROLE_GARBAGE, ROLE_OUTPUT,
 )
-from .funcs import EsopExpression, Permutation, TruthTable, truth_table_from_anf
+from .funcs import EsopExpression, Permutation, TruthTable, mobius_bits
 from .mapper import DEFAULT_INPUT_LIMIT
 
 log = logging.getLogger("esopsyn")
@@ -213,11 +213,9 @@ def _parse_cubes(lines, origin) -> TruthTable:
                 n_vars = max(n_vars, v)
             masks.append(mask)
         per_output.append(masks)
-    columns = []
-    for masks in per_output:
-        expr = EsopExpression.from_masks(n_vars, masks)
-        columns.append(truth_table_from_anf(expr).column_bits(0))
-    return TruthTable.from_columns(n_vars, columns)
+    return TruthTable.from_columns(n_vars, [
+        mobius_bits(EsopExpression.from_masks(n_vars, masks).coeffs, n_vars)
+        for masks in per_output])
 
 
 # -- circuit format -----------------------------------------------------------

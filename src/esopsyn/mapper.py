@@ -41,7 +41,7 @@ from .dag import (
     EsopDag, T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees, validate_dag,
 )
 from .funcs import (
-    Permutation, TruthTable, anf_from_truth_table, bit_support, mobius_bits,
+    EsopExpression, Permutation, TruthTable, anf_from_truth_table, mobius_bits,
     truth_table_from_permutation,
 )
 from .optimize import (
@@ -255,7 +255,6 @@ def synthesize(
     params: OptimizeParams = OptimizeParams(),
     verify: str = "exhaustive",
     check_invariants: bool = False,
-    input_limit: int = DEFAULT_INPUT_LIMIT,
     trace=None,
     seed: int = 0,
 ) -> tuple[Circuit, CostReport]:
@@ -275,16 +274,17 @@ def synthesize(
     n = tt.n_inputs
     if n < 1:
         raise SynthesisError("need at least one input")
-    if n > input_limit:
-        raise SynthesisError(f"{n} inputs exceeds the configured limit {input_limit}")
+    if n > DEFAULT_INPUT_LIMIT:
+        raise SynthesisError(
+            f"{n} inputs exceeds the configured limit {DEFAULT_INPUT_LIMIT}")
 
-    exprs = [anf_from_truth_table(tt.single_output(j)) for j in range(tt.n_outputs)]
+    exprs = anf_from_truth_table(tt)
     if from_permutation and n >= 2:
         # balanced outputs have even weight, so the all-variables cube
         # (whose coefficient is the weight parity) cannot appear
         top = (1 << n) - 1
         for name, e in zip(tt.output_names, exprs):
-            if any(c.mask == top for c in e.cubes):
+            if e.coeffs >> top & 1:
                 raise SynthesisError(
                     f"output {name} of a reversible spec contains the "
                     "degree-n cube; the function cannot be balanced")
@@ -296,7 +296,7 @@ def synthesize(
     dag = build_dag_from_trees(trees, n, params.max_and_arity,
                                output_names=list(tt.output_names))
     if params.cube_sharing:
-        rep = common_cube_sharing(dag, params.sharing_sweep_cap)
+        rep = common_cube_sharing(dag)
         if trace is not None and rep:
             trace(f"cube_sharing: {len(rep.events)} shares, "
                   f"nodes {rep.nodes_before}->{rep.nodes_after}")
@@ -347,13 +347,14 @@ def _check_outputs_preserved(dag: EsopDag, circuit: Circuit, exprs):
     funcs = line_functions(circuit, n)
 
     def resolver(line_id):
-        return frozenset(bit_support(mobius_bits(funcs[line_id], n)))
+        return mobius_bits(funcs[line_id], n)
 
     memo = {}
     for (name, nid), expr in zip(dag.output_order, exprs):
         got = dag.expand(nid, resolver, memo)
-        if got != expr.masks:
-            raise SynthesisError(f"output {name} drifted: {sorted(got)}")
+        if got != expr.coeffs:
+            raise SynthesisError(
+                f"output {name} drifted: {EsopExpression(n, got)}")
 
 
 def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:

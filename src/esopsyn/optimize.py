@@ -7,8 +7,8 @@ every rewrite here preserves the function computed by each output.
 
 All three work on plain data: factoring on cube masks (an int per product
 term, bit i for variable x_{i+1}) and frozensets of them, cube sharing and
-parent reduction on the graph's integer node ids and sets of them.  Cube
-and EsopExpression objects appear only at the public entry points:
+parent reduction on the graph's integer node ids and sets of them.
+EsopExpression objects appear only at the public entry points:
 factor_expression's argument, extract_kernels and select_divisor.
 
 Cube sharing sweeps the graph until no share applies, and after its first
@@ -24,12 +24,16 @@ from dataclasses import dataclass, field
 from .dag import (
     EsopDag, FAnd, FCube, FXor, T_AND, T_ID, T_ROOT, T_XOR,
 )
-from .funcs import Cube, EsopExpression, cube_order
+from .funcs import EsopExpression, cube_order
+
+
+SHARING_SWEEP_CAP = 32   # cube-sharing sweeps per pass
+KERNEL_CAP = 2000        # kernels enumerated per expression
 
 
 @dataclass(frozen=True)
 class OptimizeParams:
-    """The four synthesis knobs plus implementation limits.
+    """The four synthesis knobs.
 
     kernel_threshold of 0 disables kernel extraction; otherwise only
     kernels with more than kernel_threshold cubes may become divisors.
@@ -39,8 +43,6 @@ class OptimizeParams:
     cube_sharing: bool = True       # C
     kernel_threshold: int = 0       # K
     parent_reduction: bool = False  # P
-    sharing_sweep_cap: int = 32
-    kernel_cap: int = 2000
 
     def __post_init__(self):
         if self.max_and_arity < 2:
@@ -56,7 +58,7 @@ class OptimizeParams:
 @dataclass(frozen=True)
 class KernelEntry:
     kernel: EsopExpression
-    co_kernel: Cube
+    co_kernel: int           # cube mask
     remainder: EsopExpression
 
 
@@ -68,18 +70,19 @@ class KernelSet:
         return len(self.entries)
 
 
-def _kernel_pairs(masks: frozenset[int], n_vars: int, cap: int) -> list[tuple[frozenset[int], int]]:
+def _kernel_pairs(masks: frozenset[int], n_vars: int) -> list[tuple[frozenset[int], int]]:
     """(kernel cube set, co-kernel mask) pairs with non-trivial co-kernels.
 
     Recursive enumeration: divide by the largest common cube of the cubes
     containing each variable that occurs at least twice; co-kernels compose
-    along the recursion.  Capped for very dense expressions.
+    along the recursion.  Capped at KERNEL_CAP pairs for very dense
+    expressions.
     """
     out: list[tuple[frozenset[int], int]] = []
     seen: set[tuple[int, frozenset[int]]] = set()
 
     def recurse(g: frozenset[int], min_var: int, co: int):
-        if len(out) >= cap:
+        if len(out) >= KERNEL_CAP:
             return
         for i in range(min_var, n_vars):
             bit = 1 << i
@@ -96,7 +99,7 @@ def _kernel_pairs(masks: frozenset[int], n_vars: int, cap: int) -> list[tuple[fr
             if key not in seen:
                 seen.add(key)
                 out.append((q, co | cc))
-                if len(out) >= cap:
+                if len(out) >= KERNEL_CAP:
                     return
             recurse(q, i + 1, co | cc)
 
@@ -104,7 +107,7 @@ def _kernel_pairs(masks: frozenset[int], n_vars: int, cap: int) -> list[tuple[fr
     return out
 
 
-def extract_kernels(expr: EsopExpression, cap: int = 2000) -> KernelSet:
+def extract_kernels(expr: EsopExpression) -> KernelSet:
     """All kernel/co-kernel/remainder triples of an expression.
 
     Each entry satisfies co_kernel * kernel ^ remainder == expr over GF(2).
@@ -114,12 +117,12 @@ def extract_kernels(expr: EsopExpression, cap: int = 2000) -> KernelSet:
     if len(masks) < 2:
         return KernelSet(())
     entries = []
-    for ker, co in _kernel_pairs(masks, expr.n_vars, cap):
+    for ker, co in _kernel_pairs(masks, expr.n_vars):
         products = frozenset(co | k for k in ker)
         rem = masks - products
         entries.append(KernelEntry(
             EsopExpression.from_masks(expr.n_vars, ker),
-            Cube(co),
+            co,
             EsopExpression.from_masks(expr.n_vars, rem),
         ))
     return KernelSet(tuple(entries))
@@ -154,7 +157,7 @@ def select_divisor(kernels: KernelSet, threshold: int) -> KernelEntry | None:
     Ties break toward the lowest co-kernel mask, then the kernel's sorted
     cube list, keeping runs reproducible (see _best_divisor).
     """
-    idx = _best_divisor([(e.kernel.masks, e.co_kernel.mask)
+    idx = _best_divisor([(e.kernel.masks, e.co_kernel)
                          for e in kernels.entries], threshold)
     return None if idx is None else kernels.entries[idx]
 
@@ -204,7 +207,7 @@ def _flat_tree(masks: frozenset[int]):
 def _factor(masks: frozenset[int], n_vars: int, params: OptimizeParams):
     if len(masks) < 2 or params.kernel_threshold == 0:
         return _flat_tree(masks)
-    pairs = _kernel_pairs(masks, n_vars, params.kernel_cap)
+    pairs = _kernel_pairs(masks, n_vars)
     idx = _best_divisor(pairs, params.kernel_threshold)
     if idx is None:
         return _flat_tree(masks)
@@ -345,7 +348,8 @@ def _share_candidates(dag: EsopDag, i: int) -> list[int]:
 _UNTESTED = object()
 
 
-def common_cube_sharing(dag: EsopDag, sweep_cap: int = 32) -> MutationReport:
+def common_cube_sharing(dag: EsopDag,
+                        sweep_cap: int = SHARING_SWEEP_CAP) -> MutationReport:
     """Hoist shared child subsets so common subterms are computed once.
 
     Scans nodes from one level above the deepest leaves toward the root,

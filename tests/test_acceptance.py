@@ -56,7 +56,7 @@ def test_criterion_2_normal_form_correctness():
     col = 0
     for i in (0, 5, 10, 15):
         col |= 1 << i
-    expr = anf_from_truth_table(TruthTable.from_columns(4, [col]))
+    (expr,) = anf_from_truth_table(TruthTable.from_columns(4, [col]))
     want = frozenset({0b0000, 0b0001, 0b0010, 0b0011, 0b0100, 0b0110,
                       0b1000, 0b1001, 0b1100})
     exact = expr.masks == want
@@ -71,7 +71,7 @@ def test_criterion_2_normal_form_correctness():
         if mobius_bits(mobius_bits(bits, n), n) != bits:
             failures += 1
         tt = TruthTable.from_columns(n, [bits])
-        e = anf_from_truth_table(tt)
+        (e,) = anf_from_truth_table(tt)
         back = truth_table_from_anf(e)
         if back.rows != tt.rows:
             failures += 1

@@ -15,12 +15,18 @@ from esopsyn.circuit import simulate
 from esopsyn.funcs import Permutation, anf_from_truth_table, bit_support, \
     truth_table_from_permutation
 
+def _state(n, exprs):
+    """An ExpressionState from one collection of cube masks per expression."""
+    return ExpressionState(n, tuple(sum(1 << m for m in masks)
+                                    for masks in exprs))
+
+
 # the three-output benchmark whose reduction is traced in the docs:
 # f1 = ac^bc^a^c^1, f2 = a^b^c^1, f3 = ab^bc^b^c^1 (a=x1, b=x2, c=x3)
 F1 = frozenset({0b101, 0b110, 0b001, 0b100, 0b000})
 F2 = frozenset({0b001, 0b010, 0b100, 0b000})
 F3 = frozenset({0b011, 0b110, 0b010, 0b100, 0b000})
-THREE_17_STATE = ExpressionState.from_masks(3, (F1, F2, F3))
+THREE_17_STATE = _state(3, (F1, F2, F3))
 THREE_17 = Permutation((7, 4, 1, 6, 0, 2, 3, 5))
 
 
@@ -33,7 +39,7 @@ def test_substituting_the_shared_pair_merges_two_products():
     t = check_T2(THREE_17_STATE)
     assert t == Transformation((1,), 0)       # control b, target a
     after = apply_substitution(THREE_17_STATE, t)
-    assert after.exprs == ExpressionState.from_masks(3, (
+    assert after.exprs == _state(3, (
         {0b101, 0b001, 0b010, 0b100, 0b000},   # ac^a^b^c^1
         {0b001, 0b100, 0b000},                 # a^c^1
         {0b011, 0b110, 0b100, 0b000},          # ab^bc^c^1
@@ -43,9 +49,9 @@ def test_substituting_the_shared_pair_merges_two_products():
 
 def test_substitution_is_an_involution():
     t = Transformation((1,), 0)
-    state = ExpressionState.from_masks(3, ({0b001},))
+    state = _state(3, ({0b001},))
     once = apply_substitution(state, t)
-    assert once.exprs == ExpressionState.from_masks(3, ({0b001, 0b010},)).exprs  # a -> a^b
+    assert once.exprs == _state(3, ({0b001, 0b010},)).exprs  # a -> a^b
     twice = apply_substitution(once, t)
     assert twice.exprs == state.exprs
 
@@ -53,13 +59,13 @@ def test_substitution_is_an_involution():
 def test_check_T2_on_linear_states_reduces_literals():
     # a linear state is the affine finisher's job; its first step is the
     # literal-reducing CNOT
-    state = ExpressionState.from_masks(3, ({0b001, 0b010},  # a^b
-                                           {0b010},         # b
-                                           {0b100}))        # c
+    state = _state(3, ({0b001, 0b010},  # a^b
+                       {0b010},         # b
+                       {0b100}))        # c
     ops = _linear_finish_ops(3, state.exprs)
     assert ops[0] == Transformation((1,), 0)       # reroute through b
     assert _linear_finish_ops(
-        2, ExpressionState.from_masks(2, ({0b01}, {0b10})).exprs) == ()
+        2, _state(2, ({0b01}, {0b10})).exprs) == ()
 
 
 def _find_T3(state):
@@ -72,9 +78,9 @@ def _find_T3(state):
 
 
 def test_find_T3_cancels_a_lone_product():
-    state = ExpressionState.from_masks(3, ({0b011, 0b100},  # ab ^ c
-                                           {0b001},
-                                           {0b010}))
+    state = _state(3, ({0b011, 0b100},  # ab ^ c
+                       {0b001},
+                       {0b010}))
     t = _find_T3(state)
     assert t == Transformation((0, 1), 2)
     after = apply_substitution(state, t)
@@ -83,18 +89,18 @@ def test_find_T3_cancels_a_lone_product():
 
 
 def test_find_T3_gives_up_when_nothing_decreases():
-    linear = ExpressionState.from_masks(2, ({0b01}, {0b10}))
+    linear = _state(2, ({0b01}, {0b10}))
     assert _best(linear, (2,), _t3_key) is None     # no Toffoli on 2 lines
     assert _find_T3(linear) is None
-    stuck = ExpressionState.from_masks(3, ({0b011}, {0b101}, {0b110}))
+    stuck = _state(3, ({0b011}, {0b101}, {0b110}))
     assert _find_T3(stuck) is None
 
 
 def test_find_T4_clears_a_wide_cube():
-    state = ExpressionState.from_masks(4, ({0b0111, 0b1000},   # abc ^ d
-                                           {0b0001},
-                                           {0b0010},
-                                           {0b0100}))
+    state = _state(4, ({0b0111, 0b1000},   # abc ^ d
+                       {0b0001},
+                       {0b0010},
+                       {0b0100}))
     assert _fields(_measure(state)) == (1, 1, 7)
     key, t = _best(state, _WIDTHS, _degree_key)
     assert t == Transformation((0, 1, 2), 3)
@@ -105,10 +111,10 @@ def test_find_T4_clears_a_wide_cube():
 
 
 def test_measure_counts_wide_and_nonlinear_cubes_and_literals():
-    state = ExpressionState.from_masks(4, ({0b1111, 0b0111, 0b0011, 0b0001},
-                                           {0b0000, 0b1010}))
+    state = _state(4, ({0b1111, 0b0111, 0b0011, 0b0001},
+                       {0b0000, 0b1010}))
     assert _fields(_measure(state)) == (2, 4, 4 + 3 + 2 + 1 + 0 + 2)
-    assert _measure(ExpressionState.from_masks(2, ((),) * 2)) == 0
+    assert _measure(_state(2, ((),) * 2)) == 0
 
 
 _STATES = st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -150,7 +156,7 @@ def _all_substitutions(n):
 @settings(max_examples=60, deadline=None)
 def test_measure_after_equals_the_measure_of_the_substituted_state(case):
     n, exprs = case
-    state = ExpressionState.from_masks(n, exprs)
+    state = _state(n, exprs)
     assert _fields(_measure(state)) == _ref_count(exprs)
     for target, controls in _all_substitutions(n):
         t = Transformation(controls, target)
@@ -212,7 +218,7 @@ def test_a_t2_t3_cycle_stops_at_its_first_repeat(monkeypatch):
         return real(state, t)
 
     monkeypatch.setattr(ancilla_free, "apply_substitution", counted)
-    state = ExpressionState.from_masks(3, ({2}, {3}, {3, 5}))
+    state = _state(3, ({2}, {3}, {3, 5}))
     with pytest.raises(NonConvergenceError,
                        match="^no convergence within 640 substitutions$"):
         reduce_to_identity(state)
@@ -221,7 +227,7 @@ def test_a_t2_t3_cycle_stops_at_its_first_repeat(monkeypatch):
 
 def test_a_singular_linear_state_is_reported_as_non_convergence():
     # both outputs are x1: no invertible finisher exists
-    state = ExpressionState.from_masks(2, ({1}, {1}))
+    state = _state(2, ({1}, {1}))
     with pytest.raises(NonConvergenceError, match="^linear state is not invertible$"):
         reduce_to_identity(state)
 
@@ -265,7 +271,7 @@ def test_iteration_cap_reports_non_convergence():
 def test_too_many_variables_is_rejected(monkeypatch):
     message = "^rule set covers at most four variables$"
     with pytest.raises(NonConvergenceError, match=message):
-        reduce_to_identity(ExpressionState.from_masks(5, ({0b1},) * 5))
+        reduce_to_identity(_state(5, ({0b1},) * 5))
     # a 5-variable spec fails before any output's ANF is built
     calls = 0
     real = ancilla_free.anf_from_truth_table
@@ -425,9 +431,8 @@ def _search_states():
             images = list(range(1 << n))
             rng.shuffle(images)
             tt = truth_table_from_permutation(Permutation(tuple(images)))
-            start = ExpressionState.from_masks(n, (
-                anf_from_truth_table(tt.single_output(j)).masks
-                for j in range(n)))
+            start = ExpressionState(n, tuple(
+                e.coeffs for e in anf_from_truth_table(tt)))
             states.append(start)
             try:
                 history = reduce_to_identity(start).history
@@ -441,7 +446,7 @@ def _search_states():
                                                   history[:k + 1]))
     for _ in range(40):
         n = rng.choice((3, 4))
-        states.append(ExpressionState.from_masks(n, (
+        states.append(_state(n, (
             [m for m in range(1 << n) if rng.random() < 0.3]
             for _ in range(n))))
     return states

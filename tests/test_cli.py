@@ -131,6 +131,16 @@ def test_ancilla_free_subcommand(tmp_path):
     assert ".c" not in out.read_text()      # no constant lines at all
 
 
+def test_zero_variable_permutation_fails_with_one_line(tmp_path, capsys):
+    spec = tmp_path / "z.perm"
+    spec.write_text("perm 0\n")
+    out = tmp_path / "z.tfc"
+    for mode in ("synth", "ancilla-free"):
+        assert run_cli([mode, "--in", str(spec), "--out", str(out)]) == 1, mode
+        assert capsys.readouterr().err == "error: need at least one input\n"
+        assert not out.exists()
+
+
 def test_ancilla_free_rejects_non_reversible(tmp_path):
     spec = tmp_path / "t.pla"
     spec.write_text(".i 2\n.o 1\n00 1\n")

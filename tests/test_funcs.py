@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esopsyn.funcs import (
-    Cube, EsopExpression, Permutation, TruthTable, anf_from_truth_table,
+    EsopExpression, Permutation, TruthTable, anf_from_truth_table,
     mobius_bits, truth_table_from_anf, truth_table_from_permutation,
 )
 
@@ -26,17 +26,18 @@ FOUR_MOD_FIVE_CUBES = frozenset(
 def test_constant_zero_has_empty_cube_set():
     for n in (1, 3, 5):
         tt = TruthTable(n, 1, tuple([0] * (1 << n)))
-        assert anf_from_truth_table(tt).cubes == frozenset()
+        (expr,) = anf_from_truth_table(tt)
+        assert expr.coeffs == 0 and expr.masks == frozenset()
 
 
 def test_single_variable_identity():
     tt = TruthTable(1, 1, (0, 1))
-    expr = anf_from_truth_table(tt)
+    (expr,) = anf_from_truth_table(tt)
     assert expr.masks == frozenset({0b1})
 
 
 def test_mod5_detector_normal_form():
-    expr = anf_from_truth_table(FOUR_MOD_FIVE)
+    (expr,) = anf_from_truth_table(FOUR_MOD_FIVE)
     assert expr.masks == FOUR_MOD_FIVE_CUBES
     # cross-check with the brute-force evaluator
     for x in range(16):
@@ -55,10 +56,13 @@ def test_empty_and_constant_expressions():
     assert ones.rows == (1,) * 4
 
 
-def test_multi_output_tables_are_rejected():
-    tt = TruthTable(2, 2, (0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        anf_from_truth_table(tt)
+def test_multi_output_tables_give_one_expression_per_output():
+    tt = TruthTable(2, 3, (0b100, 0b101, 0b110, 0b011))
+    exprs = anf_from_truth_table(tt)
+    assert [e.masks for e in exprs] == [
+        frozenset({0b01}), frozenset({0b10}), frozenset({0b00, 0b11})]
+    for j, e in enumerate(exprs):
+        assert truth_table_from_anf(e).column_bits(0) == tt.column_bits(j)
 
 
 def test_permutation_tables():
@@ -97,7 +101,8 @@ def test_transform_is_an_involution(n, rnd):
 def test_round_trip_small(n, rnd):
     rows = tuple(rnd.getrandbits(1) for _ in range(1 << n))
     tt = TruthTable(n, 1, rows)
-    back = truth_table_from_anf(anf_from_truth_table(tt))
+    (expr,) = anf_from_truth_table(tt)
+    back = truth_table_from_anf(expr)
     assert back.rows == tt.rows
 
 
@@ -106,7 +111,7 @@ def test_round_trip_larger_sizes():
     for n in range(5, 13):
         col = rng.getrandbits(1 << n)
         tt = TruthTable.from_columns(n, [col])
-        expr = anf_from_truth_table(tt)
+        (expr,) = anf_from_truth_table(tt)
         assert truth_table_from_anf(expr).rows == tt.rows
         # spot-check the expression against the table
         for _ in range(16):
@@ -124,15 +129,37 @@ def test_reversible_outputs_avoid_the_full_cube():
             images = list(range(1 << n))
             rng.shuffle(images)
             tt = truth_table_from_permutation(Permutation(tuple(images)))
-            for j in range(n):
-                expr = anf_from_truth_table(tt.single_output(j))
+            for expr in anf_from_truth_table(tt):
                 assert top not in expr.masks
 
 
 def test_cube_helpers():
-    c = Cube(0b1011)
-    assert c.degree == 3
-    assert c.variables() == (0, 1, 3)
-    assert str(c) == "x1x2x4"
-    assert str(Cube(0)) == "1"
-    assert Cube(0).evaluate(0) == 1 and Cube(0b10).evaluate(0b01) == 0
+    e = EsopExpression.from_masks(4, [0b1011, 0])
+    assert e.coeffs == 1 << 0b1011 | 1
+    assert str(e) == "1 ^ x1x2x4"
+    assert e.degree == 3
+    assert [e.evaluate(x) for x in (0, 0b1011, 0b1111, 0b0011)] == [1, 0, 0, 1]
+    assert str(EsopExpression(4, 0)) == "0" and EsopExpression(4, 0).degree == 0
+
+
+_TABLES = st.tuples(st.integers(0, 8), st.integers(1, 4)).flatmap(
+    lambda nm: st.tuples(st.just(nm[0]), st.just(nm[1]), st.lists(
+        st.integers(0, (1 << nm[1]) - 1),
+        min_size=1 << nm[0], max_size=1 << nm[0])))
+
+
+@given(_TABLES, st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_anf_of_random_multi_output_tables(case, rnd):
+    n, m, rows = case
+    tt = TruthTable(n, m, tuple(rows))
+    exprs = anf_from_truth_table(tt)
+    assert len(exprs) == m
+    for j, e in enumerate(exprs):
+        assert all(e.evaluate(x) == rows[x] >> j & 1 for x in range(1 << n))
+        assert truth_table_from_anf(e).column_bits(0) == tt.column_bits(j)
+        assert EsopExpression.from_masks(n, e.masks) == e
+        extra = [rnd.randrange(1 << n) for _ in range(3)]
+        twice = list(e.masks) + extra + extra[::-1]
+        rnd.shuffle(twice)
+        assert EsopExpression.from_masks(n, twice) == e

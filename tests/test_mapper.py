@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from esopsyn import mapper
 from esopsyn.circuit import (
     CONSTANT, INPUT, ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, Circuit,
     LineState, line_functions, simulate,
@@ -171,9 +172,10 @@ def test_all_constant_outputs():
     assert zero.gate_count == 0 and zero.garbage_count == 3
 
 
-def test_input_limit_guard():
-    with pytest.raises(SynthesisError):
-        synthesize(TruthTable(5, 1, (0,) * 32), input_limit=4)
+def test_input_limit_guard(monkeypatch):
+    monkeypatch.setattr(mapper, "DEFAULT_INPUT_LIMIT", 4)
+    with pytest.raises(SynthesisError, match="^5 inputs exceeds"):
+        synthesize(TruthTable(5, 1, (0,) * 32))
 
 
 def test_relabeling_beats_copying():

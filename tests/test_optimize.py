@@ -28,7 +28,7 @@ def and_masks(a, b) -> frozenset[int]:
 
 
 def entry_identity_holds(e, original):
-    product = and_masks({e.co_kernel.mask}, e.kernel.masks)
+    product = and_masks({e.co_kernel}, e.kernel.masks)
     assert product ^ e.remainder.masks == original.masks
     # kernels are cube-free: no single variable divides every cube
     inter = ~0
@@ -43,7 +43,7 @@ def test_kernel_of_a_shared_literal():
     assert len(ks) == 1
     e = ks.entries[0]
     assert e.kernel.masks == frozenset({0b010, 0b100})
-    assert e.co_kernel.mask == 0b001
+    assert e.co_kernel == 0b001
     assert e.remainder.masks == frozenset()
     entry_identity_holds(e, f)
 
@@ -56,7 +56,7 @@ def test_no_variable_occurs_twice_no_kernels():
 def test_kernel_with_remainder():
     f = expr(4, [0b0011, 0b0101, 0b1000])  # x1x2 ^ x1x3 ^ x4
     ks = extract_kernels(f)
-    by_co = {e.co_kernel.mask: e for e in ks.entries}
+    by_co = {e.co_kernel: e for e in ks.entries}
     e = by_co[0b0001]
     assert e.kernel.masks == frozenset({0b0010, 0b0100})
     assert e.remainder.masks == frozenset({0b1000})
@@ -79,9 +79,9 @@ def test_divisor_selection():
     pick = select_divisor(ks, 1)
     assert pick is not None
     # minimum remainder wins
-    assert len(pick.remainder.cubes) == min(len(e.remainder.cubes)
+    assert len(pick.remainder.masks) == min(len(e.remainder.masks)
                                             for e in ks.entries
-                                            if len(e.kernel.cubes) > 1)
+                                            if len(e.kernel.masks) > 1)
     # a threshold above every kernel size declines to factor
     assert select_divisor(ks, 10) is None
 
@@ -92,10 +92,10 @@ def _reference_select_divisor(kernels, threshold):
     sorted cube list."""
     best = best_key = None
     for e in kernels.entries:
-        if len(e.kernel.cubes) <= threshold:
+        if len(e.kernel.masks) <= threshold:
             continue
-        key = (len(e.remainder.cubes), -len(e.kernel.cubes),
-               e.co_kernel.mask, tuple(e.kernel.sorted_masks()))
+        key = (len(e.remainder.masks), -len(e.kernel.masks),
+               e.co_kernel, tuple(e.kernel.sorted_masks()))
         if best_key is None or key < best_key:
             best, best_key = e, key
     return best
@@ -159,14 +159,14 @@ def test_divisor_ties_break_on_co_kernel_then_cube_order():
         f = expr(n, masks)
         entries = []
         for e in extract_kernels(f).entries:
-            size = len(e.kernel.cubes)
+            size = len(e.kernel.masks)
             if size < 3 or rng.random() < 0.3:
                 entries.append(e)
                 continue
             cubes = sorted(e.kernel.masks)
             for _ in range(3):
                 sub = frozenset(rng.sample(cubes, size - 1))
-                products = frozenset(e.co_kernel.mask | c for c in sub)
+                products = frozenset(e.co_kernel | c for c in sub)
                 entries.append(KernelEntry(expr(n, sub), e.co_kernel,
                                            expr(n, masks - products)))
         rng.shuffle(entries)
@@ -559,11 +559,10 @@ def test_cube_sharing_retests_only_what_shares_changed(monkeypatch):
     monkeypatch.setattr(optimize, "_shareable", shareable)
     tt = benchmarks.get("aes_sbox")
     params = OptimizeParams(3, True, 3, False)
-    exprs = [anf_from_truth_table(tt.single_output(j))
-             for j in range(tt.n_outputs)]
+    exprs = anf_from_truth_table(tt)
     dag = build_dag_from_trees([factor_expression(e, params) for e in exprs],
                                tt.n_inputs, params.max_and_arity)
-    report = common_cube_sharing(dag, params.sharing_sweep_cap)
+    report = common_cube_sharing(dag)
     assert len(report.events) == 86
     assert shareable.calls <= 15_000
 
