@@ -15,8 +15,12 @@ whose parent list or depth changed, plus created and deleted nodes;
 `reshaped` holds the nodes whose children or kind changed.
 `recompute_depths` marks every node.  Recording is off (both `None`)
 until a consumer turns it on and clears the sets as it reads them; the
-mapper's ready index (`mapper.find_target`) is that consumer, so graph
-building and the graph passes before mapping pay nothing.
+ready index (`ReadyIndex`, read by `mapper.find_target` and
+`optimize.parent_reduction_pass`) is that consumer, so graph building
+and the graph passes before mapping pay nothing.  `depths_fresh` says
+that no node was created, deleted or given new children since the last
+`recompute_depths`; `_fresh`, `set_children` and `_delete` clear it, and
+a recompute on fresh depths returns at once.
 """
 
 from __future__ import annotations
@@ -79,9 +83,11 @@ class EsopDag:
         self.nodes: dict[int, DagNode] = {}
         self._next = 0
         self._cons: dict[tuple, int] = {}
+        self._vars: dict[int, int] = {}   # variable -> its identifier node
         self.touched: set[int] | None = None
         self.reshaped: set[int] | None = None
-        self.index = None   # the mapper's ready index, built by find_target
+        self.index: ReadyIndex | None = None   # see refreshed_index
+        self.depths_fresh = False
         self.root = self._fresh(T_ROOT)
         self.output_order: list[tuple[str, int]] = []
 
@@ -95,6 +101,7 @@ class EsopDag:
         for c in children:
             self.nodes[c].parents.append(nid)
         self._cons[self._key(node)] = nid
+        self.depths_fresh = False
         if self.touched is not None:
             self.touched.add(nid)
             self.touched.update(children)
@@ -111,7 +118,12 @@ class EsopDag:
         return self._fresh(kind, children, label, line)
 
     def var_node(self, index: int) -> int:
-        return self.get_or_create(T_ID, label=f"x{index + 1}", line=index)
+        # a pruned variable is re-created on its next use
+        nid = self._vars.get(index)
+        if nid is None or nid not in self.nodes:
+            nid = self._vars[index] = self.get_or_create(
+                T_ID, label=f"x{index + 1}", line=index)
+        return nid
 
     def const_node(self, value: int) -> int:
         return self.get_or_create(T_CONST, label=value)
@@ -125,6 +137,7 @@ class EsopDag:
             del self._cons[old_key]
         for c in node.children:
             self.nodes[c].parents.remove(nid)
+        self.depths_fresh = False
         if self.touched is not None:
             self.touched.update(node.children)
             self.touched.update(new_children)
@@ -176,7 +189,13 @@ class EsopDag:
             if not un.parents:
                 self._delete(u)
             else:
-                depth = 1 + max(self.nodes[p].depth for p in un.parents)
+                depth = 0
+                for p in un.parents:
+                    d = self.nodes[p].depth + 1
+                    if d > depth:
+                        depth = d
+                        if depth == un.depth:
+                            break   # depths only fall: this parent keeps u's
                 if depth == un.depth:
                     continue
                 un.depth = depth
@@ -198,12 +217,7 @@ class EsopDag:
             else:
                 kids = [keep if c == drop else c for c in parent.children]
                 if parent.kind in (T_AND, T_ROOT):
-                    seen, dedup = set(), []
-                    for c in kids:
-                        if c not in seen:
-                            seen.add(c)
-                            dedup.append(c)
-                    kids = dedup
+                    kids = list(dict.fromkeys(kids))
                 self.set_children(p, kids)
         self.output_order = [
             (name, keep if nid == drop else nid) for name, nid in self.output_order
@@ -219,6 +233,7 @@ class EsopDag:
         for c in node.children:
             self.nodes[c].parents.remove(nid)
         del self.nodes[nid]
+        self.depths_fresh = False
         if self.touched is not None:
             self.touched.add(nid)
             self.touched.update(node.children)
@@ -243,6 +258,8 @@ class EsopDag:
     def recompute_depths(self):
         """Delete every node the root no longer reaches and relabel each
         depth as the longest path from the root."""
+        if self.depths_fresh:
+            return
         if self.touched is not None:
             self.touched.update(self.nodes)
         reach = {self.root}
@@ -276,6 +293,7 @@ class EsopDag:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
+        self.depths_fresh = True
 
     def internal_ids(self) -> list[int]:
         return sorted(
@@ -326,6 +344,147 @@ class EsopDag:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def refreshed_index(self) -> ReadyIndex:
+        """The graph's ready index, brought up to date with the change
+        sets; the first call builds it and turns change recording on."""
+        if self.index is None:
+            self.index = ReadyIndex()
+            changed = reshaped = set(self.nodes)
+        else:
+            changed, reshaped = self.touched | self.reshaped, self.reshaped
+        self.touched, self.reshaped = set(), set()
+        self.index.refresh(self, changed, reshaped)
+        return self.index
+
+
+# A child's class, as its and/xor parents count it: an and is ready when
+# all its children are identifiers, an xor when none is of class OTHER.
+C_ID, C_CONST, C_FLAT, C_OTHER = range(4)
+
+
+def _class(nodes: dict, node: DagNode) -> int:
+    if node.kind == T_ID:
+        return C_ID
+    if node.kind == T_CONST:
+        return C_CONST
+    if node.kind == T_AND and all(nodes[g].kind == T_ID for g in node.children):
+        return C_FLAT
+    return C_OTHER
+
+
+class ReadyIndex:
+    """What the mapping loop reads of the graph, kept up to date from its
+    change sets (see the `mapper` module docstring).
+
+    `cls` holds each node's class and `counts` tallies each and/xor node's
+    children by class; a tally is rebuilt when the node's own children
+    change and otherwise moves by the delta of a child whose class changed.  `depth` and `buckets` hold the
+    internal nodes by depth, `keys` the branch-3 key of each ready node
+    and `heap` those keys, lazily invalidated: an entry is live only while
+    it equals its node's key.  `parent_candidates` holds the identifiers
+    with exactly two non-root parents.
+    """
+
+    def __init__(self):
+        self.cls: dict[int, int] = {}
+        self.counts: dict[int, list[int]] = {}
+        self.depth: dict[int, int] = {}
+        self.buckets: dict[int, set[int]] = {}
+        self.keys: dict[int, tuple] = {}
+        self.heap: list[tuple] = []
+        self.parent_candidates: set[int] = set()
+
+    def refresh(self, dag: EsopDag, changed: set[int], reshaped: set[int]):
+        """Bring the index up to date with edits to the `changed` nodes,
+        of which `reshaped` got new children or a new kind."""
+        nodes, cls, counts = dag.nodes, self.cls, self.counts
+        moved: dict[int, int] = {}   # node -> its class before this refresh
+        above: list[int] = []        # parents of new identifiers
+        recount = set()
+        for nid in changed:
+            node = nodes.get(nid)
+            if node is None:
+                cls.pop(nid, None)
+                counts.pop(nid, None)
+                continue
+            if nid in reshaped or nid not in cls:
+                old = cls.get(nid)
+                new = cls[nid] = _class(nodes, node)
+                if old is not None and old != new:
+                    moved[nid] = old
+                    if new == C_ID:
+                        above.extend(node.parents)
+                if node.kind in (T_AND, T_XOR):
+                    recount.add(nid)
+                else:
+                    counts.pop(nid, None)
+        for p in above:     # an and over a new identifier may now be flat
+            node = nodes[p]
+            if node.kind == T_AND:
+                new = _class(nodes, node)
+                if new != cls[p]:
+                    moved.setdefault(p, cls[p])
+                    cls[p] = new
+        for nid in recount:
+            tally = counts[nid] = [0, 0, 0, 0]
+            for c in nodes[nid].children:
+                tally[cls[c]] += 1
+        for nid, old in moved.items():
+            new = cls[nid]
+            for p in nodes[nid].parents:
+                tally = counts.get(p)
+                if tally is not None and p not in recount:
+                    tally[old] -= 1
+                    tally[new] += 1
+                    changed.add(p)
+        for nid in changed:
+            self._update(dag, nid)
+
+    def _update(self, dag: EsopDag, nid: int):
+        node = dag.nodes.get(nid)
+        tally = self.counts.get(nid) if node is not None else None
+        old = self.depth.get(nid)
+        if old is not None and not (tally is not None and old == node.depth):
+            del self.depth[nid]
+            bucket = self.buckets[old]
+            bucket.discard(nid)
+            if not bucket:
+                del self.buckets[old]
+            old = None
+        if node is not None and node.kind == T_ID \
+                and len(node.parents) in (2, 3) \
+                and sum(p != dag.root for p in node.parents) == 2:
+            self.parent_candidates.add(nid)
+        else:
+            self.parent_candidates.discard(nid)
+        if tally is None:
+            self.keys.pop(nid, None)
+            return
+        if old is None:
+            self.depth[nid] = node.depth
+            self.buckets.setdefault(node.depth, set()).add(nid)
+        if node.kind == T_AND:
+            ready = tally[C_ID] == len(node.children)
+        else:
+            ready = not tally[C_OTHER]
+        if not ready:
+            self.keys.pop(nid, None)
+            return
+        key = (-tally[C_ID] - tally[C_CONST], len(node.parents), nid)
+        if self.keys.get(nid) != key:
+            self.keys[nid] = key
+            heapq.heappush(self.heap, key)
+
+    def best(self):
+        """The smallest live branch-3 key, or None."""
+        heap, keys = self.heap, self.keys
+        if len(heap) > 2 * len(keys) + 64:
+            heap[:] = keys.values()
+            heapq.heapify(heap)
+        while heap and keys.get(heap[0][2]) != heap[0]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
 
 # -- building ----------------------------------------------------------------
@@ -417,29 +576,29 @@ def _node_of_cube(dag: EsopDag, mask: int, arity: int) -> int:
 
 def _and_chain(dag: EsopDag, kids: list[int], arity: int) -> int:
     """Left-associative chain keeping every and node within the arity bound."""
-    dedup = []
-    for k in kids:
-        if k not in dedup:
-            dedup.append(k)
-    kids = dedup
+    kids = list(dict.fromkeys(kids))
     if len(kids) == 1:
         return kids[0]
-    if len(kids) <= arity:
-        return dag.get_or_create(T_AND, kids)
-    tail = _and_chain(dag, kids[arity - 1:], arity)
-    return dag.get_or_create(T_AND, kids[:arity - 1] + [tail])
+    # the innermost and takes the last 2..arity kids and is built first;
+    # each one above takes arity - 1 kids and the and below it
+    step = arity - 1
+    start = (len(kids) - 2) // step * step
+    node = dag.get_or_create(T_AND, kids[start:])
+    for start in range(start - step, -1, -step):
+        node = dag.get_or_create(T_AND, kids[start:start + step] + [node])
+    return node
 
 
 # -- read-back / validation ----------------------------------------------------
 
 
-def dag_to_expressions(dag: EsopDag, resolver=None) -> list[EsopExpression]:
+def dag_to_expressions(dag: EsopDag) -> list[EsopExpression]:
     """Flatten each output subgraph over GF(2); the verification read-back."""
     problems = validate_dag(dag)
     if problems:
         raise ValueError("malformed graph: " + "; ".join(problems))
     memo: dict[int, int] = {}
-    return [EsopExpression(dag.n_vars, dag.expand(nid, resolver, memo))
+    return [EsopExpression(dag.n_vars, dag.expand(nid, None, memo))
             for _name, nid in dag.output_order]
 
 

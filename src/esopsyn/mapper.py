@@ -13,24 +13,28 @@ and rewrites it into gates:
 
 Branch 3 always succeeds, so mapping always terminates.
 
-`find_target` reads a ready index kept on the graph (`dag.index`) and
-refreshed from the graph's change sets (see `dag`) at each call, so a
+`find_target` reads a ready index kept on the graph (`dag.ReadyIndex`)
+and refreshed from the graph's change sets (see `dag`) at each call, so a
 call costs what the last rewrites changed rather than the graph's size.
-A node's readiness and leaf-child count depend only on its own kind and
-children and on those of its children and grandchildren, so only the
-touched and reshaped nodes and the parents and grandparents of reshaped
-ones are re-evaluated.  The index holds depth buckets of the internal
-nodes (branches 1 and 2 read the level one above the deepest leaves from
-them: with fresh depths the deepest node is a leaf one below the deepest
-internal node) and a lazily invalidated heap of the branch-3 keys of the
-ready nodes, where an entry is live only while it equals its node's key.
+A node is ready when every child can be emitted directly as gates: an
+and whose children are all identifiers, or an xor whose children are
+identifiers, constants and such flat ands.  The index counts each and/xor
+node's children by those classes, so readiness and the leaf-child count
+are O(1) reads.  A tally is rebuilt only when the node's own children
+change; when a child changes class (a mapped node becomes an identifier,
+and an and above it may become flat) its parents' tallies move by the
+delta.  The index also holds depth buckets of the internal nodes
+(branches 1 and 2 read the level one above the deepest leaves from them:
+with fresh depths the deepest node is a leaf one below the deepest
+internal node), a lazily invalidated heap of the branch-3 keys of the
+ready nodes, and the identifiers with exactly two non-root parents that
+`parent_reduction_pass` tries, all updated for the changed nodes only.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import (
     CONSTANT, Circuit, CostReport, INPUT, LineState, ROLE_ANCILLA,
@@ -75,97 +79,9 @@ def _single_parent_leaf(dag: EsopDag, nid: int) -> int | None:
     return None
 
 
-def _ready(dag: EsopDag, nid: int) -> bool:
-    """True when every child can be emitted directly as gates."""
-    node = dag.nodes[nid]
-    if node.kind == T_AND:
-        return all(dag.nodes[c].kind == T_ID for c in node.children)
-    if node.kind != T_XOR:
-        return False
-    for c in node.children:
-        child = dag.nodes[c]
-        if child.kind in (T_ID, T_CONST):
-            continue
-        if child.kind == T_AND and all(
-                dag.nodes[g].kind == T_ID for g in child.children):
-            continue
-        return False
-    return True
-
-
-@dataclass
-class _ReadyIndex:
-    """Per-graph state of `find_target`; see the module docstring."""
-
-    depth: dict = field(default_factory=dict)     # internal node -> depth
-    buckets: dict = field(default_factory=dict)   # depth -> internal nodes
-    keys: dict = field(default_factory=dict)      # ready node -> branch-3 key
-    heap: list = field(default_factory=list)
-
-    def update(self, dag: EsopDag, nid: int):
-        node = dag.nodes.get(nid)
-        internal = node is not None and node.kind in (T_AND, T_XOR)
-        old = self.depth.get(nid)
-        if old is not None and not (internal and old == node.depth):
-            del self.depth[nid]
-            bucket = self.buckets[old]
-            bucket.discard(nid)
-            if not bucket:
-                del self.buckets[old]
-            old = None
-        if not internal:
-            self.keys.pop(nid, None)
-            return
-        if old is None:
-            self.depth[nid] = node.depth
-            self.buckets.setdefault(node.depth, set()).add(nid)
-        if not _ready(dag, nid):
-            self.keys.pop(nid, None)
-            return
-        leafy = sum(1 for c in node.children if dag.nodes[c].is_leaf())
-        key = (-leafy, len(node.parents), nid)
-        if self.keys.get(nid) != key:
-            self.keys[nid] = key
-            heapq.heappush(self.heap, key)
-
-    def best(self):
-        """The smallest live branch-3 key, or None."""
-        heap, keys = self.heap, self.keys
-        if len(heap) > 2 * len(keys) + 64:
-            heap[:] = keys.values()
-            heapq.heapify(heap)
-        while heap and keys.get(heap[0][2]) != heap[0]:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-
-def _refreshed_index(dag: EsopDag) -> _ReadyIndex:
-    """The graph's ready index, brought up to date with its change sets;
-    the first call builds it and turns change recording on."""
-    index = dag.index
-    if index is None:
-        index = dag.index = _ReadyIndex()
-        dirty = set(dag.nodes)
-        dag.touched, dag.reshaped = set(), set()
-    else:
-        dirty = dag.touched
-        for nid in dag.reshaped:
-            node = dag.nodes.get(nid)
-            if node is None:
-                continue
-            dirty.add(nid)
-            for p in node.parents:
-                dirty.add(p)
-                dirty.update(dag.nodes[p].parents)
-        dag.touched, dag.reshaped = set(), set()
-    for nid in dirty:
-        index.update(dag, nid)
-    return index
-
-
 def find_target(dag: EsopDag) -> TargetChoice | None:
     """Pick the next node to map, or None when the graph is exhausted."""
-    index = _refreshed_index(dag)
+    index = dag.refreshed_index()
     if not index.buckets:
         return None
     depth_max = 1 + max(index.buckets)

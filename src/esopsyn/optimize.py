@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dag import (
-    EsopDag, FAnd, FCube, FXor, T_AND, T_ID, T_ROOT, T_XOR,
+    EsopDag, FAnd, FCube, FXor, T_AND, T_ID, T_XOR,
 )
 from .funcs import EsopExpression, cube_order
 
@@ -546,16 +546,11 @@ def parent_reduction_pass(dag: EsopDag) -> MutationReport:
     Candidates are the minimum-parent leaves that a single rewrite turns
     into single-parent leaves (exactly two non-root parents), tried in
     line order; the first that admits a reduction is reduced and the pass
-    stops until the next mapping iteration.
+    stops until the next mapping iteration.  The graph's ready index
+    keeps the candidate set up to date (see `dag.ReadyIndex`).
     """
-    candidates = []
-    for nid, node in sorted(dag.nodes.items()):
-        if node.kind != T_ID:
-            continue
-        count = sum(1 for p in node.parents if dag.nodes[p].kind != T_ROOT)
-        if count == 2:
-            candidates.append((node.line if node.line is not None else nid, nid))
-    candidates.sort()
+    candidates = sorted((dag.nodes[nid].line, nid)
+                        for nid in dag.refreshed_index().parent_candidates)
     for _line, nid in candidates:
         report = reduce_parents(dag, nid)
         if report:

@@ -166,6 +166,7 @@ def test_long_random_rewrite_sequences_keep_the_graph_valid():
                 steps += 1
             assert validate_dag(dag) == []
             fresh = copy.deepcopy(dag)
+            fresh.depths_fresh = False      # force the full recompute
             fresh.recompute_depths()
             assert fresh.nodes.keys() == dag.nodes.keys()
             assert {nid: n.depth for nid, n in fresh.nodes.items()} == \
@@ -181,3 +182,29 @@ def test_depths_increase_along_edges():
         for nid, node in dag.nodes.items():
             for c in node.children:
                 assert dag.nodes[c].depth > node.depth
+
+
+def test_recompute_on_fresh_depths_returns_at_once():
+    dag = build_dag([expr(3, [0b011, 0b101, 0b110])], 3)
+    assert dag.depths_fresh
+    top = dag.nodes[dag.root].children[0]
+    dag.nodes[top].depth = 7        # a direct write the flag cannot see
+    dag.recompute_depths()
+    assert dag.nodes[top].depth == 7
+    x1 = dag.var_node(0)
+    dag.set_children(dag.root, [top, x1])
+    assert not dag.depths_fresh
+    dag.recompute_depths()
+    assert dag.depths_fresh and dag.nodes[top].depth == 1
+
+
+def test_var_node_recreates_a_pruned_variable():
+    dag = build_dag([expr(3, [0b011, 0b100])], 3)
+    x3 = dag.var_node(2)
+    top = dag.nodes[dag.root].children[0]
+    dag.set_children(top, [c for c in dag.nodes[top].children if c != x3])
+    dag.recompute_depths()
+    assert x3 not in dag.nodes
+    again = dag.var_node(2)
+    assert again != x3 and dag.nodes[again].label == "x3"
+    assert dag.var_node(2) == again

@@ -3,16 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esopsyn import mapper
+from esopsyn import mapper, optimize
 from esopsyn.circuit import (
     CONSTANT, INPUT, ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, Circuit,
     LineState, line_functions, simulate,
 )
-from esopsyn.dag import EsopDag, T_AND, T_XOR, build_dag, validate_dag
+from esopsyn.dag import (
+    EsopDag, T_AND, T_CONST, T_ID, T_ROOT, T_XOR, build_dag, validate_dag,
+)
 from esopsyn.funcs import EsopExpression, Permutation, TruthTable
 from esopsyn.mapper import (
     RULE_AND_XOR_PARENT, RULE_MAX_CHILD, RULE_XOR_SINGLE, SynthesisError,
-    TargetChoice, _fresh_line, _ready, _single_parent_leaf, find_target,
+    TargetChoice, _fresh_line, _single_parent_leaf, find_target,
     map_target, order_outputs, synthesize,
 )
 from esopsyn.optimize import (
@@ -213,6 +215,37 @@ def test_parameter_sweep_stays_sound():
         synthesize(spec, params, check_invariants=True)
 
 
+def _ready(dag, nid):
+    """True when every child can be emitted directly as gates."""
+    node = dag.nodes[nid]
+    if node.kind == T_AND:
+        return all(dag.nodes[c].kind == T_ID for c in node.children)
+    if node.kind != T_XOR:
+        return False
+    for c in node.children:
+        child = dag.nodes[c]
+        if child.kind in (T_ID, T_CONST):
+            continue
+        if child.kind == T_AND and all(
+                dag.nodes[g].kind == T_ID for g in child.children):
+            continue
+        return False
+    return True
+
+
+def _reference_parent_candidates(dag):
+    """The all-nodes scan that the index's candidate set replaces: the
+    identifiers with exactly two non-root parents, in (line, id) order."""
+    candidates = []
+    for nid, node in sorted(dag.nodes.items()):
+        if node.kind != T_ID:
+            continue
+        count = sum(1 for p in node.parents if dag.nodes[p].kind != T_ROOT)
+        if count == 2:
+            candidates.append((node.line if node.line is not None else nid, nid))
+    return sorted(candidates)
+
+
 def _reference_find_target(dag):
     """The all-nodes scan that `find_target`'s ready index replaces."""
     internal = sorted(nid for nid, n in dag.nodes.items()
@@ -250,8 +283,8 @@ def _reference_find_target(dag):
 def test_indexed_find_target_matches_the_all_nodes_scan():
     # random interleavings of cube sharing, parent reduction, mapping and
     # collapsing an arbitrary internal node (which moves the depths of
-    # internal descendants); the indexed choice must equal the full scan's
-    # after every step
+    # internal descendants); the indexed choice and parent-reduction
+    # candidates must equal the full scans' after every step
     rng = random.Random(1618)
     steps = 0
     while steps < 4000:
@@ -275,6 +308,9 @@ def test_indexed_find_target_matches_the_all_nodes_scan():
                     dag.to_identifier(rng.choice(internal), line, f"@{line}")
             choice = find_target(dag)
             assert choice == _reference_find_target(dag)
+            assert sorted((dag.nodes[nid].line, nid)
+                          for nid in dag.index.parent_candidates) \
+                == _reference_parent_candidates(dag)
             steps += 1
             if choice is None:
                 break
@@ -302,6 +338,54 @@ def test_find_target_follows_depths_that_a_collapse_lowers():
     assert dag.nodes[g].depth < dag.nodes[h].depth
     assert find_target(dag) == _reference_find_target(dag) \
         == TargetChoice(h, RULE_XOR_SINGLE)
+
+
+def test_mapping_loop_work_is_bounded_by_the_graph_size(monkeypatch):
+    # over a whole mapping loop, the index refresh, the target choice and
+    # the parent-reduction candidate set look up a small multiple of the
+    # built graph's edge count in nodes; the rewrite attempts themselves
+    # (reduce_parents) are not counted.  All-nodes rescans after every
+    # rewrite look up ~500 nodes per edge on this permutation.
+    counting = [False]
+    lookups = [0]
+    edges = []
+
+    class CountingNodes(dict):
+        def __getitem__(self, nid):
+            lookups[0] += counting[-1]
+            return dict.__getitem__(self, nid)
+
+        def get(self, nid, default=None):
+            lookups[0] += counting[-1]
+            return dict.get(self, nid, default)
+
+    def build(*args, **kwargs):
+        dag = mapper_build(*args, **kwargs)
+        edges.append(sum(len(node.children) for node in dag.nodes.values()))
+        dag.nodes = CountingNodes(dag.nodes)
+        return dag
+
+    def counted(f, on):
+        def wrapper(*args):
+            counting.append(on)
+            try:
+                return f(*args)
+            finally:
+                counting.pop()
+        return wrapper
+
+    mapper_build = mapper.build_dag_from_trees
+    monkeypatch.setattr(mapper, "build_dag_from_trees", build)
+    monkeypatch.setattr(mapper, "find_target", counted(find_target, True))
+    monkeypatch.setattr(mapper, "parent_reduction_pass",
+                        counted(parent_reduction_pass, True))
+    monkeypatch.setattr(optimize, "reduce_parents",
+                        counted(optimize.reduce_parents, False))
+    images = list(range(1 << 10))
+    random.Random(1).shuffle(images)
+    synthesize(Permutation(tuple(images)), OptimizeParams(3, True, 0, True),
+               verify="off")
+    assert edges and lookups[0] <= 24 * edges[0]
 
 
 _TABLES = st.integers(1, 5).flatmap(lambda n: st.integers(1, 4).flatmap(

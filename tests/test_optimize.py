@@ -300,9 +300,11 @@ def test_sharing_ends_with_fresh_depths_at_every_sweep_cap():
             dag = build_dag(exprs, rng.choice([3, 4]))
             for node in dag.nodes.values():
                 node.depth = 0
+            dag.depths_fresh = False    # the depths were written directly
             common_cube_sharing(dag, cap)
             assert validate_dag(dag) == []
             depths = {nid: node.depth for nid, node in dag.nodes.items()}
+            dag.depths_fresh = False    # recompute for the comparison
             dag.recompute_depths()
             assert depths == {nid: node.depth for nid, node in dag.nodes.items()}
 
