@@ -393,14 +393,14 @@ def reduce_to_identity(state: ExpressionState,
 def ancilla_free_synthesize(
     spec: Permutation,
     policy: str = POLICY_UNIQUE_PAIR,
-    verify: bool = True,
 ) -> tuple[Circuit, CostReport]:
     """Synthesize a reversible function on exactly its own lines.
 
     The emitted circuit has n lines, no constants, no garbage; every line
     ends carrying its output.  Verified by exhaustive simulation before
-    returning.  More than four variables raise NonConvergenceError before
-    any expression is built; fewer than one raise ValueError.
+    returning; the report's runtime includes the check.  More than four
+    variables raise NonConvergenceError before any expression is built;
+    fewer than one raise ValueError.
     """
     t0 = time.perf_counter()
     n = spec.n_vars
@@ -419,10 +419,8 @@ def ancilla_free_synthesize(
     circuit = Circuit(n, [], lines)
     for t in state.history:
         circuit.append(toffoli(t.controls, t.target))
-    report = quantum_cost(circuit, time.perf_counter() - t0)
-    if verify:
-        verdict = verify_equivalence(circuit, tt)
-        if not verdict:
-            raise VerificationError(
-                f"gate sequence disagrees with the spec at {verdict.counterexample}")
-    return circuit, report
+    verdict = verify_equivalence(circuit, tt)
+    if not verdict:
+        raise VerificationError(
+            f"gate sequence disagrees with the spec at {verdict.counterexample}")
+    return circuit, quantum_cost(circuit, time.perf_counter() - t0)

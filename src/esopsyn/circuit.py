@@ -133,9 +133,6 @@ class Circuit:
     def input_lines(self) -> list[LineState]:
         return [l for l in self.lines if l.origin == INPUT]
 
-    def constant_lines(self) -> list[LineState]:
-        return [l for l in self.lines if l.origin == CONSTANT]
-
     def output_map(self) -> dict[str, int]:
         return {l.output_name: l.line_id for l in self.lines
                 if l.role == ROLE_OUTPUT and l.output_name is not None}
@@ -213,6 +210,16 @@ def restored_constants(c: Circuit, funcs: list[int], n_inputs: int) -> tuple[int
                  and funcs[l.line_id] == (full if l.init else 0))
 
 
+def assign_spare_roles(c: Circuit, funcs: list[int], n_inputs: int):
+    """Role of every line that carries no output, from the final functions
+    (as from `line_functions`): a constant line back at its init value is
+    an ancilla, and any other line is garbage."""
+    restored = set(restored_constants(c, funcs, n_inputs))
+    for l in c.lines:
+        if l.role != ROLE_OUTPUT:
+            l.role = ROLE_ANCILLA if l.line_id in restored else ROLE_GARBAGE
+
+
 def detect_peres(c: Circuit) -> list[tuple[int, int]]:
     """Greedy left-to-right scan for adjacent Toffoli_3 / CNOT pairs whose
     CNOT acts entirely inside the Toffoli's control set (either order).
@@ -272,20 +279,19 @@ def quantum_cost(c: Circuit, runtime: float = 0.0) -> CostReport:
 class Verdict:
     equivalent: bool
     counterexample: tuple[int, int, int] | None = None  # (input, expected, got)
-    restored_constants: tuple[int, ...] = ()
     dirty_ancillae: tuple[int, ...] = ()  # declared ancillae left unrestored
 
     def __bool__(self) -> bool:
         return self.equivalent
 
 
-def verify_equivalence(c: Circuit, spec: TruthTable,
-                       sample_limit: int = 20, seed: int = 0) -> Verdict:
+def verify_equivalence(c: Circuit, spec: TruthTable) -> Verdict:
     """Check the circuit against a truth table on its declared output lines,
     and check that every declared ancilla line ends at its init value.
 
-    Exhaustive for spec.n_inputs <= sample_limit (the bit-parallel
-    simulation makes this cheap); random-sampled above.
+    Always exhaustive: one bit-parallel simulation (`line_functions`) gives
+    every line's function over all 2^n inputs.  A counterexample is the
+    lowest mismatching input, with the outputs the circuit gives there.
     """
     n = spec.n_inputs
     input_ids = [l.line_id for l in c.lines if l.origin == INPUT]
@@ -297,51 +303,16 @@ def verify_equivalence(c: Circuit, spec: TruthTable,
     missing = [name for name in spec.output_names if name not in out_lines]
     if missing:
         raise ValueError(f"circuit lacks output lines for {missing}")
-    ancillae = [l for l in c.lines if l.role == ROLE_ANCILLA]
-
-    if n <= sample_limit:
-        funcs = line_functions(c, n, input_ids)
-        mismatch = 0
-        for j, name in enumerate(spec.output_names):
-            mismatch |= funcs[out_lines[name]] ^ spec.column_bits(j)
-        restored = restored_constants(c, funcs, n)
-        dirty = tuple(l.line_id for l in ancillae if l.line_id not in restored)
-        if mismatch == 0:
-            return Verdict(not dirty, None, restored, dirty)
-        x = (mismatch & -mismatch).bit_length() - 1
-        got = _outputs_at(spec, out_lines, _end_state(c, input_ids, x))
-        return Verdict(False, (x, spec.rows[x], got), restored, dirty)
-
-    import random
-
-    rng = random.Random(seed)
-    for _ in range(4096):
-        x = rng.randrange(1 << n)
-        end = _end_state(c, input_ids, x)
-        got = _outputs_at(spec, out_lines, end)
-        dirty = tuple(l.line_id for l in ancillae
-                      if end >> l.line_id & 1 != l.init)
-        if got != spec.rows[x]:
-            return Verdict(False, (x, spec.rows[x], got), (), dirty)
-        if dirty:
-            return Verdict(False, None, (), dirty)
-    return Verdict(True, None, ())
-
-
-def _end_state(c: Circuit, input_ids, x: int) -> int:
-    """Every line's final bit for input x, constants starting at init."""
-    bits = 0
-    for pos, lid in enumerate(input_ids):
-        bits |= (x >> pos & 1) << lid
-    for l in c.lines:
-        if l.origin == CONSTANT and l.init:
-            bits |= 1 << l.line_id
-    return simulate(c, bits)
-
-
-def _outputs_at(spec: TruthTable, out_lines, end: int) -> int:
-    got = 0
-    for j, name in enumerate(spec.output_names):
-        got |= (end >> out_lines[name] & 1) << j
-    return got
-
+    funcs = line_functions(c, n, input_ids)
+    outs = [funcs[out_lines[name]] for name in spec.output_names]
+    mismatch = 0
+    for j, f in enumerate(outs):
+        mismatch |= f ^ spec.column_bits(j)
+    restored = restored_constants(c, funcs, n)
+    dirty = tuple(l.line_id for l in c.lines
+                  if l.role == ROLE_ANCILLA and l.line_id not in restored)
+    if mismatch == 0:
+        return Verdict(not dirty, None, dirty)
+    x = (mismatch & -mismatch).bit_length() - 1
+    got = sum((f >> x & 1) << j for j, f in enumerate(outs))
+    return Verdict(False, (x, spec.rows[x], got), dirty)

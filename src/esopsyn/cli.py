@@ -6,6 +6,12 @@ CSV with one row per configuration).  ``--in`` takes a spec file or
 ``bench:<name>`` for a built-in benchmark.  ``synth --exhaustive N`` and
 ``ancilla-free --exhaustive N`` run every N-variable reversible function
 instead, one CSV row each; these and sweep share one runner (`_run`).
+
+Every circuit either engine returns has passed an exhaustive check
+against its spec, and no option skips or samples it.  Exit codes: 0 on
+success, 1 for a usage or input error (one line on stderr), 2 when a
+circuit fails verification, 3 when the ancilla-free engine does not
+converge.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from .ancilla_free import (
     NonConvergenceError, POLICY_COMMON_CONTROL, POLICY_UNIQUE_PAIR,
 )
 from .circuit import (
-    ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, VerificationError, line_functions,
-    quantum_cost, restored_constants, verify_equivalence,
+    VerificationError, assign_spare_roles, line_functions, quantum_cost,
+    verify_equivalence,
 )
 from .funcs import Permutation, TruthTable, truth_table_from_permutation
 from .io import (
@@ -99,8 +105,16 @@ def _add_tckp_arguments(sub):
                      metavar="BOOL")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise SpecFormatError, so `run_cli`
+    reports them in one line with exit 1; subparsers inherit the class."""
+
+    def error(self, message):
+        raise SpecFormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="esopsyn",
         description="reversible logic synthesis from exclusive sums of products")
     parser.add_argument("-v", "--verbose", action="count", default=0)
@@ -111,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tckp_arguments(synth)
     synth.add_argument("--out", help="circuit file to write")
     synth.add_argument("--report", help="CSV report to write")
-    synth.add_argument("--verify", choices=["exhaustive", "sample", "off"],
-                       default="exhaustive")
-    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--trace", action="store_true",
                        help="print each mapping iteration")
 
@@ -125,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=POLICY_UNIQUE_PAIR)
     anc.add_argument("--out")
     anc.add_argument("--report")
-    anc.add_argument("--seed", type=int, default=0)
 
     cost = subs.add_parser("cost", help="cost report for a circuit file")
     cost.add_argument("--in", dest="input", required=True)
@@ -142,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KNOB=VALUES",
                        help="e.g. T=3,4 C=0,1 K=0..7 P=0,1")
     sweep.add_argument("--report", required=True)
-    sweep.add_argument("--verify", choices=["exhaustive", "sample", "off"],
-                       default="exhaustive")
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=1)
     return parser
 
@@ -190,23 +197,22 @@ def _spec_shape(spec) -> tuple[int, int]:
 
 def _synth_row(item) -> dict:
     """One `synthesize` call as a report row (a process-pool task)."""
-    name, spec, params, seed, verify = item
-    _, report = synthesize(spec, params, verify=verify, seed=seed)
+    name, spec, params = item
+    _, report = synthesize(spec, params)
     n, m = _spec_shape(spec)
-    return report_row(name, "synth", n, m, params, seed, report,
-                      with_runtime=False)
+    return report_row(name, "synth", n, m, params, report, with_runtime=False)
 
 
 def _ancilla_free_row(item) -> dict:
     """One `ancilla_free_synthesize` call as a report row; a function that
     does not converge gets a row with only its name and mode."""
-    name, spec, policy, seed = item
+    name, spec, policy = item
     try:
         _, report = ancilla_free.ancilla_free_synthesize(spec, policy=policy)
     except NonConvergenceError:
         return {"function": name, "mode": "ancilla-free"}
     return report_row(name, "ancilla-free", spec.n_vars, spec.n_vars,
-                      OptimizeParams(), seed, report, with_runtime=False)
+                      OptimizeParams(), report, with_runtime=False)
 
 
 def _run(task, items, report: str | None, jobs: int = 1):
@@ -259,8 +265,7 @@ def _exhaustive_items(n: int, *rest):
 def _cmd_synth(args) -> int:
     if _exhaustive(args):
         params = _params_from_args(args)
-        items = _exhaustive_items(args.exhaustive, params, args.seed,
-                                  args.verify)
+        items = _exhaustive_items(args.exhaustive, params)
         count, _, mean = _tally(_run(_synth_row, items, args.report))
         print(f"{count} functions, mean gates {mean['gates']:.3f}, "
               f"mean qc {mean['qc']:.3f}, mean garbage {mean['garbage']:.3f}")
@@ -268,8 +273,7 @@ def _cmd_synth(args) -> int:
     spec, name = _load_spec(args.input, args.format)
     params = _params_from_args(args)
     trace = print if args.trace else (log.info if args.verbose > 1 else None)
-    circuit, report = synthesize(spec, params, verify=args.verify,
-                                 trace=trace, seed=args.seed)
+    circuit, report = synthesize(spec, params, trace=trace)
     n, m = _spec_shape(spec)
     if args.out:
         write_circuit(circuit, args.out, report)
@@ -277,7 +281,7 @@ def _cmd_synth(args) -> int:
         sys.stdout.write(format_circuit(circuit, report))
     if args.report:
         write_report(args.report, [report_row(
-            name, "synth", n, m, params, args.seed, report)])
+            name, "synth", n, m, params, report)])
     log.info("%s: qc=%d gates=%d garbage=%d", name,
              report.quantum_cost, report.gate_count, report.garbage_count)
     return EXIT_OK
@@ -285,7 +289,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_ancilla_free(args) -> int:
     if _exhaustive(args):
-        items = _exhaustive_items(args.exhaustive, args.policy, args.seed)
+        items = _exhaustive_items(args.exhaustive, args.policy)
         runs, converged, mean = _tally(
             _run(_ancilla_free_row, items, args.report))
         print(f"{runs} functions, {converged} converged, "
@@ -308,19 +312,16 @@ def _cmd_ancilla_free(args) -> int:
     if args.report:
         n, m = _spec_shape(spec)
         write_report(args.report, [report_row(
-            name, "ancilla-free", n, m, OptimizeParams(), args.seed, report)])
+            name, "ancilla-free", n, m, OptimizeParams(), report)])
     return EXIT_OK
 
 
 def _cmd_cost(args) -> int:
     circuit = read_circuit(args.input)
-    # roles from simulation: a non-output constant line is ancilla iff restored
+    # roles from simulation, not from the file's .g declarations
     input_ids = [l.line_id for l in circuit.input_lines()]
     funcs = line_functions(circuit, len(input_ids), input_ids)
-    restored = restored_constants(circuit, funcs, len(input_ids))
-    for l in circuit.constant_lines():
-        if l.role != ROLE_OUTPUT:
-            l.role = ROLE_ANCILLA if l.line_id in restored else ROLE_GARBAGE
+    assign_spare_roles(circuit, funcs, len(input_ids))
     report = quantum_cost(circuit)
     print(f"qc={report.quantum_cost} gates={report.gate_count} "
           f"lines={report.line_count} garbage={report.garbage_count} "
@@ -353,8 +354,8 @@ def _cmd_sweep(args) -> int:
     spec, name = _load_spec(args.input, args.format)
     grid = parse_grid(args.grid)
     configs = sorted(itertools.product(grid["T"], grid["C"], grid["K"], grid["P"]))
-    items = [(name, spec, OptimizeParams(t, bool(c), k, bool(p)), args.seed,
-              args.verify) for t, c, k, p in configs]
+    items = [(name, spec, OptimizeParams(t, bool(c), k, bool(p)))
+             for t, c, k, p in configs]
     points = [(row["qc"], row["garbage"])
               for row in _run(_synth_row, items, args.report, args.jobs)]
     front = pareto_points(points)
@@ -373,12 +374,12 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose > 1
-        else logging.INFO if args.verbose else logging.WARNING,
-        format="%(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose > 1
+            else logging.INFO if args.verbose else logging.WARNING,
+            format="%(name)s: %(message)s")
         return _COMMANDS[args.mode](args)
     except VerificationError as e:
         print(f"verification failed: {e}", file=sys.stderr)

@@ -353,7 +353,7 @@ REPORT_COLUMNS = [
 
 
 def report_row(function: str, mode: str, n_inputs: int, n_outputs: int,
-               params, seed: int, report: CostReport,
+               params, report: CostReport,
                with_runtime: bool = True) -> dict:
     row = {
         "function": function,
@@ -364,7 +364,7 @@ def report_row(function: str, mode: str, n_inputs: int, n_outputs: int,
         "C": int(params.cube_sharing),
         "K": params.kernel_threshold,
         "P": int(params.parent_reduction),
-        "seed": seed,
+        "seed": 0,  # kept so report files keep their columns
         "qc": report.quantum_cost,
         "gates": report.gate_count,
         "lines": report.line_count,

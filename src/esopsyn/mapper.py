@@ -37,9 +37,9 @@ import time
 from dataclasses import dataclass
 
 from .circuit import (
-    CONSTANT, Circuit, CostReport, INPUT, LineState, ROLE_ANCILLA,
-    ROLE_GARBAGE, ROLE_OUTPUT, VerificationError, cnot, line_functions,
-    not_gate, quantum_cost, restored_constants, toffoli, verify_equivalence,
+    CONSTANT, Circuit, CostReport, INPUT, LineState, ROLE_GARBAGE,
+    ROLE_OUTPUT, VerificationError, assign_spare_roles, cnot, line_functions,
+    not_gate, quantum_cost, toffoli, verify_equivalence,
 )
 from .dag import (
     EsopDag, T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees, validate_dag,
@@ -169,16 +169,15 @@ def map_target(dag: EsopDag, choice: TargetChoice, circuit: Circuit) -> list:
 def synthesize(
     spec: TruthTable | Permutation,
     params: OptimizeParams = OptimizeParams(),
-    verify: str = "exhaustive",
     check_invariants: bool = False,
     trace=None,
-    seed: int = 0,
 ) -> tuple[Circuit, CostReport]:
     """Full pipeline: ANF, graph build, optimization passes, mapping loop,
-    output ordering, costing and equivalence check.
+    output ordering, equivalence check and costing.
 
-    verify: "exhaustive" | "sample" | "off".  A verification failure is an
-    internal-consistency bug and raises VerificationError.
+    Every returned circuit has passed an exhaustive check against the
+    spec; a failure is an internal-consistency bug and raises
+    VerificationError.  The report's runtime includes the check.
     """
     t0 = time.perf_counter()
     if isinstance(spec, Permutation):
@@ -243,18 +242,12 @@ def synthesize(
             raise SynthesisError("mapping loop exceeded its iteration bound")
 
     order_outputs(circuit, tt)
-
-    runtime = time.perf_counter() - t0
-    report = quantum_cost(circuit, runtime)
-    if verify != "off":
-        verdict = verify_equivalence(
-            circuit, tt, sample_limit=20 if verify == "exhaustive" else 0,
-            seed=seed)
-        if not verdict:
-            raise VerificationError(
-                f"emitted circuit disagrees with the spec at input "
-                f"{verdict.counterexample}")
-    return circuit, report
+    verdict = verify_equivalence(circuit, tt)
+    if not verdict:
+        raise VerificationError(
+            f"emitted circuit disagrees with the spec at input "
+            f"{verdict.counterexample}")
+    return circuit, quantum_cost(circuit, time.perf_counter() - t0)
 
 
 def _check_outputs_preserved(dag: EsopDag, circuit: Circuit, exprs):
@@ -279,9 +272,8 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
     Relabeling is free; only an output whose function no unclaimed line
     carries costs a fresh line (a copy, or an inverter for constant 1).
     Candidate lines are grouped by the function they carry, so claiming in
-    output order already claims as many lines as possible.  Garbage is any
-    line ending with neither a claimed output nor its restored constant;
-    constant lines back at their init value are ancilla.
+    output order already claims as many lines as possible.  Every other
+    line gets its role from `assign_spare_roles`.
     """
     input_ids = [l.line_id for l in circuit.lines if l.origin == INPUT]
     funcs = line_functions(circuit, spec.n_inputs, input_ids)
@@ -308,9 +300,7 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
             funcs.append(want)
         circuit.lines[line_id].role = ROLE_OUTPUT
         circuit.lines[line_id].output_name = name
-    for lid in restored_constants(circuit, funcs, spec.n_inputs):
-        if circuit.lines[lid].role != ROLE_OUTPUT:
-            circuit.lines[lid].role = ROLE_ANCILLA
+    assign_spare_roles(circuit, funcs, spec.n_inputs)
     return circuit
 
 

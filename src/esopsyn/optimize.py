@@ -13,12 +13,13 @@ factor_expression's argument, extract_kernels and select_divisor.
 
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
-given a new partner; pair verdicts and hoist lookups are cached for the
-pass (see common_cube_sharing).
+given a new partner; pair verdicts are cached for the pass (see
+common_cube_sharing).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .dag import (
@@ -301,15 +302,18 @@ def _share(dag: EsopDag, i: int, j: int, rule: str,
     return f"overlap: #{i} and #{j} share #{s}", [i, j]
 
 
-def _child_set_index(dag: EsopDag) -> dict[tuple[str, frozenset[int]], int]:
-    """(kind, child set) -> lowest id of the and/xor nodes with exactly
-    those children."""
-    index: dict[tuple[str, frozenset[int]], int] = {}
-    for nid in sorted(dag.nodes):
-        node = dag.nodes[nid]
-        if node.kind in (T_AND, T_XOR):
-            index.setdefault((node.kind, frozenset(node.children)), nid)
-    return index
+def _node_with_children(dag: EsopDag, kind: str,
+                        child_set: frozenset[int]) -> int | None:
+    """Lowest id of the `kind` nodes whose children are exactly child_set.
+
+    Such a node is a parent of every member of the set, so only the
+    parents of the member with the fewest parents are searched.
+    """
+    nodes = dag.nodes
+    member = min(child_set, key=lambda c: len(nodes[c].parents))
+    return min((p for p in nodes[member].parents
+                if nodes[p].kind == kind
+                and frozenset(nodes[p].children) == child_set), default=None)
 
 
 def _co_parents(dag: EsopDag, i: int) -> set[int]:
@@ -367,29 +371,21 @@ def common_cube_sharing(dag: EsopDag,
     stays dirty; each later sweep starts by dirtying every node that got
     deeper, and the co-parents at least as deep as a node that got
     shallower.  A pair's verdict is kept under both nodes' child-list
-    versions, and hoist nodes come from a (kind, child set) index that a
-    share or a new sweep discards.  None of this changes which shares
-    are made.
+    versions, and an overlap's hoist node is looked up among the parents
+    of its common children (`_node_with_children`).  None of this changes
+    which shares are made.
     """
     report = MutationReport("cube_sharing", nodes_before=len(dag))
     nodes = dag.nodes
     dirty: set[int] = set()
     version: dict[int, int] = {}
     verdicts: dict[tuple[int, int, int, int], str | None] = {}
-    index = None
-
-    def hoist(kind, child_set):
-        nonlocal index
-        if index is None:
-            index = _child_set_index(dag)
-        return index.get((kind, child_set))
-
+    hoist = functools.partial(_node_with_children, dag)
     levels: dict[int, list[int]] = {}   # the previous sweep's depths
     changed = True
     for sweep in range(sweep_cap):
         changed = False
         dag.recompute_depths()
-        index = None    # the last sweep's unreachable nodes are gone
         for depth, ids in levels.items():
             for nid in ids:
                 node = nodes.get(nid)
@@ -421,7 +417,6 @@ def common_cube_sharing(dag: EsopDag,
                         event, reshaped = shared
                         report.events.append(event)
                         changed = True
-                        index = None
                         for nid in reshaped:
                             version[nid] = version.get(nid, 0) + 1
                             dirty.add(nid)

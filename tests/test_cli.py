@@ -1,9 +1,13 @@
 import csv
+import dataclasses
+import time
 
 import pytest
 
 import esopsyn.cli as cli
+from esopsyn import ancilla_free, benchmarks, mapper
 from esopsyn.ancilla_free import NonConvergenceError
+from esopsyn.circuit import VerificationError, not_gate
 from esopsyn.cli import parse_grid, pareto_points, run_cli
 from esopsyn.io import SpecFormatError
 from esopsyn.mapper import SynthesisError, synthesize
@@ -113,7 +117,10 @@ def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
              ["ancilla-free", "--exhaustive", "-1"],
              sweep + ["--grid", "K=5..2"], sweep + ["--grid", "C=0,1,2"],
              sweep + ["--grid", "P=-1"], sweep + ["--jobs", "0"],
-             sweep + ["--jobs", "-3"]]
+             sweep + ["--jobs", "-3"],
+             # argparse's own usage errors, and the removed --verify
+             ["synth", "--in", "bench:rd53", "-T", "x"],
+             ["synth", "--in", "bench:rd53", "--verify", "off"]]
     for argv in cases:
         assert run_cli(argv) == 1, argv
         err = capsys.readouterr().err
@@ -249,21 +256,6 @@ def test_jobs_never_exceed_items_or_cpus(tmp_path, monkeypatch):
         assert sizes == want, (k_values, jobs)
 
 
-def test_exhaustive_synth_passes_the_seed(tmp_path, monkeypatch):
-    seeds = []
-
-    def spy(*args, **kwargs):
-        seeds.append(kwargs.get("seed"))
-        return synthesize(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "synthesize", spy)
-    rep = tmp_path / "r.csv"
-    assert run_cli(["synth", "--exhaustive", "2", "--seed", "7",
-                    "--verify", "sample", "--report", str(rep)]) == 0
-    assert seeds == [7] * 24
-    assert {r["seed"] for r in csv.DictReader(rep.open())} == {"7"}
-
-
 def test_a_run_that_fails_part_way_writes_no_report(tmp_path, monkeypatch):
     calls = []
 
@@ -301,3 +293,53 @@ def test_pareto_front():
     pts = [(10, 3), (8, 5), (12, 1), (10, 4), (8, 6)]
     assert pareto_points(pts) == [(8, 5), (10, 3), (12, 1)]
     assert pareto_points([(5, 5)]) == [(5, 5)]
+
+
+def test_help_still_exits_zero(capsys):
+    for mode in ("synth", "sweep", "ancilla-free"):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([mode, "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--verify" not in usage and "--seed" not in usage
+
+
+def test_a_corrupted_circuit_fails_verification_in_both_engines(
+        mod5, monkeypatch, capsys):
+    real_order_outputs = mapper.order_outputs
+
+    def flips_an_output(circuit, spec):
+        real_order_outputs(circuit, spec)
+        circuit.append(not_gate(next(iter(circuit.output_map().values()))))
+        return circuit
+
+    real_reduce = ancilla_free.reduce_to_identity
+
+    def drops_the_last_step(state, policy):
+        state = real_reduce(state, policy)
+        return dataclasses.replace(state, history=state.history[:-1])
+
+    monkeypatch.setattr(mapper, "order_outputs", flips_an_output)
+    monkeypatch.setattr(ancilla_free, "reduce_to_identity", drops_the_last_step)
+    with pytest.raises(VerificationError):
+        synthesize(benchmarks.get("rd53"))
+    with pytest.raises(VerificationError):
+        ancilla_free.ancilla_free_synthesize(benchmarks.get("hwb4"))
+    for argv in (["synth", "--in", mod5], ["ancilla-free", "--in", "bench:hwb4"]):
+        assert run_cli(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("verification failed: ")
+
+
+def test_report_runtime_includes_verification(monkeypatch):
+    for module in (mapper, ancilla_free):
+        real = module.verify_equivalence
+
+        def slow(circuit, spec, real=real):
+            time.sleep(0.05)
+            return real(circuit, spec)
+
+        monkeypatch.setattr(module, "verify_equivalence", slow)
+    _, report = synthesize(benchmarks.get("rd53"))
+    assert report.runtime >= 0.05
+    _, report = ancilla_free.ancilla_free_synthesize(benchmarks.get("hwb4"))
+    assert report.runtime >= 0.05

@@ -210,7 +210,7 @@ def test_circuit_input_list_must_be_the_non_constant_lines(inputs):
 def test_report_rows_have_the_documented_columns(tmp_path):
     params = OptimizeParams(3, True, 2, False)
     c = Circuit(1, [not_gate(0)])
-    row = report_row("f", "synth", 1, 1, params, 0, quantum_cost(c))
+    row = report_row("f", "synth", 1, 1, params, quantum_cost(c))
     assert list(row) == REPORT_COLUMNS
     path = tmp_path / "r.csv"
     write_report(str(path), [row])

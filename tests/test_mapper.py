@@ -383,8 +383,7 @@ def test_mapping_loop_work_is_bounded_by_the_graph_size(monkeypatch):
                         counted(optimize.reduce_parents, False))
     images = list(range(1 << 10))
     random.Random(1).shuffle(images)
-    synthesize(Permutation(tuple(images)), OptimizeParams(3, True, 0, True),
-               verify="off")
+    synthesize(Permutation(tuple(images)), OptimizeParams(3, True, 0, True))
     assert edges and lookups[0] <= 24 * edges[0]
 
 
@@ -399,7 +398,7 @@ _TABLES = st.integers(1, 5).flatmap(lambda n: st.integers(1, 4).flatmap(
 def test_synthesize_agrees_with_pointwise_simulation(table, t, c, k, p):
     n, m, rows = table
     tt = TruthTable(n, m, tuple(rows))
-    circ, report = synthesize(tt, OptimizeParams(t, c, k, p), verify="off")
+    circ, report = synthesize(tt, OptimizeParams(t, c, k, p))
     inputs = [l.line_id for l in circ.lines if l.origin == INPUT]
     outputs = circ.output_map()
     for x in range(1 << n):

@@ -415,13 +415,13 @@ def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
     rules = Counter()
     sweeps = Counter()
     for (ours, ref), cap in _sharing_cases(rng):
-        index = optimize._child_set_index(ours)
         for nid in ours.internal_ids():
             node = ours.nodes[nid]
             kids = sorted(set(node.children))
             for child_set in (kids, kids[:2], kids[1:]):
-                key = (node.kind, frozenset(child_set))
-                assert index.get(key) == \
+                got = optimize._node_with_children(ours, node.kind,
+                                                   frozenset(child_set))
+                assert got == \
                     _reference_find_with_children(ours, node.kind, set(child_set))
             assert optimize._share_candidates(ours, nid) == \
                 _reference_share_candidates(ours, nid)
