@@ -8,30 +8,33 @@ existing a^b node so the mapper can consume it in place.
 """
 
 from esopsyn import (
-    EsopExpression, Permutation, anf_from_truth_table, build_dag,
-    common_cube_sharing, dag_to_expressions, dump_text, extract_kernels,
-    factor_expression, reduce_parents, select_divisor,
-    truth_table_from_permutation, validate_dag,
+    EsopExpression, OptimizeParams, Permutation, anf_from_truth_table,
+    best_divisor, build_dag_from_trees, common_cube_sharing,
+    dag_to_expressions, dump_text, factor_expression, kernel_pairs,
+    reduce_parents, truth_table_from_permutation, validate_dag,
 )
-from esopsyn.dag import build_dag_from_trees
-from esopsyn.optimize import OptimizeParams
 
 perm = Permutation((0, 2, 3, 5, 7, 1, 4, 6))
 table = truth_table_from_permutation(perm)
 exprs = anf_from_truth_table(table)
 
 print("== flat graph ==")
-dag = build_dag(exprs, max_and_arity=3, output_names=list(table.output_names))
+flat = [factor_expression(e, OptimizeParams()) for e in exprs]
+dag = build_dag_from_trees(flat, 3, 3, output_names=list(table.output_names))
 print(dump_text(dag))
 
 print("== kernels of y3 ==")
 y3 = exprs[2]
 print("y3 =", y3)
-for e in extract_kernels(y3).entries:
-    co = EsopExpression.from_masks(3, [e.co_kernel])
-    print(f"  kernel {e.kernel}  co-kernel {co}  remainder {e.remainder}")
-pick = select_divisor(extract_kernels(y3), threshold=1)
-print("selected divisor:", pick.kernel, "by minimum remainder")
+pairs = kernel_pairs(y3.masks, 3)
+for kernel, co in pairs:
+    rem = y3.masks - {co | k for k in kernel}
+    print(f"  kernel {EsopExpression.from_masks(3, kernel)}  "
+          f"co-kernel {EsopExpression.from_masks(3, [co])}  "
+          f"remainder {EsopExpression.from_masks(3, rem)}")
+kernel, co = pairs[best_divisor(pairs, threshold=1)]
+print("selected divisor:", EsopExpression.from_masks(3, kernel),
+      "(the largest kernel, so the smallest remainder)")
 
 print("\n== factored + shared graph ==")
 params = OptimizeParams(kernel_threshold=1)

@@ -15,7 +15,7 @@ from .circuit import (
     detect_peres, fredkin, gate_cost, not_gate, quantum_cost, simulate,
     toffoli, verify_equivalence,
 )
-from .dag import EsopDag, build_dag, dag_to_expressions, dump_dot, dump_text, \
+from .dag import EsopDag, build_dag_from_trees, dag_to_expressions, dump_text, \
     validate_dag
 from .funcs import (
     EsopExpression, Permutation, TruthTable, anf_from_truth_table,
@@ -24,8 +24,8 @@ from .funcs import (
 from .mapper import SynthesisError, TargetChoice, find_target, order_outputs, \
     synthesize
 from .optimize import (
-    KernelEntry, KernelSet, OptimizeParams, common_cube_sharing,
-    extract_kernels, factor_expression, reduce_parents, select_divisor,
+    OptimizeParams, best_divisor, common_cube_sharing, factor_expression,
+    kernel_pairs, reduce_parents,
 )
 
 __version__ = "0.1.0"

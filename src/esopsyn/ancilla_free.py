@@ -39,8 +39,8 @@ from .circuit import (
     Circuit, CostReport, INPUT, LineState, ROLE_OUTPUT, VerificationError,
     quantum_cost, toffoli, verify_equivalence,
 )
-from .funcs import Permutation, anf_from_truth_table, bit_support, \
-    truth_table_from_permutation
+from .funcs import Permutation, TruthTable, anf_from_truth_table, \
+    bit_support, truth_table_from_permutation
 
 POLICY_UNIQUE_PAIR = "unique-pair"   # control = the other cube's unique variable
 POLICY_COMMON_CONTROL = "common-control"  # control = a shared variable
@@ -391,30 +391,38 @@ def reduce_to_identity(state: ExpressionState,
 
 
 def ancilla_free_synthesize(
-    spec: Permutation,
+    spec: TruthTable | Permutation,
     policy: str = POLICY_UNIQUE_PAIR,
 ) -> tuple[Circuit, CostReport]:
     """Synthesize a reversible function on exactly its own lines.
 
     The emitted circuit has n lines, no constants, no garbage; every line
-    ends carrying its output.  Verified by exhaustive simulation before
-    returning; the report's runtime includes the check.  More than four
-    variables raise NonConvergenceError before any expression is built;
-    fewer than one raise ValueError.
+    ends carrying its output, and lines and outputs keep the spec's
+    names.  Verified by exhaustive simulation before returning; the
+    report's runtime includes the check.  A table that is not a bijection
+    on its own inputs, and fewer than one input, raise ValueError; more
+    than four variables raise NonConvergenceError before any expression
+    is built.
     """
     t0 = time.perf_counter()
-    n = spec.n_vars
+    if isinstance(spec, Permutation):
+        tt = truth_table_from_permutation(spec)
+    else:
+        tt = spec
+        if tt.n_inputs != tt.n_outputs \
+                or sorted(tt.rows) != list(range(len(tt.rows))):
+            raise ValueError("ancilla-free mode needs a reversible spec")
+    n = tt.n_inputs
     if n < 1:
         raise ValueError("need at least one input")
     if n > 4:
         raise NonConvergenceError(_TOO_WIDE)
-    tt = truth_table_from_permutation(spec)
     state = ExpressionState(n, tuple(e.coeffs for e in anf_from_truth_table(tt)))
     state = reduce_to_identity(state, policy)
 
     lines = []
     for i in range(n):
-        lines.append(LineState(i, f"x{i + 1}", INPUT,
+        lines.append(LineState(i, tt.input_names[i], INPUT,
                                role=ROLE_OUTPUT, output_name=tt.output_names[i]))
     circuit = Circuit(n, [], lines)
     for t in state.history:

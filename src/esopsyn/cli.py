@@ -32,7 +32,7 @@ from .circuit import (
     VerificationError, assign_spare_roles, line_functions, quantum_cost,
     verify_equivalence,
 )
-from .funcs import Permutation, TruthTable, truth_table_from_permutation
+from .funcs import Permutation, truth_table_from_permutation
 from .io import (
     SpecFormatError, format_circuit, parse_spec, read_circuit, report_row,
     write_circuit, write_report,
@@ -148,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="parameter grid over one function")
     _add_spec_arguments(sweep, exhaustive=False)
-    sweep.add_argument("--grid", nargs="+", default=["T=3,4", "C=0,1", "K=0..7", "P=0,1"],
-                       metavar="KNOB=VALUES",
-                       help="e.g. T=3,4 C=0,1 K=0..7 P=0,1")
+    sweep.add_argument("--grid", nargs="+", default=[], metavar="KNOB=VALUES",
+                       help="e.g. T=3,4 C=0,1 K=0..7 P=0,1 (the default)")
     sweep.add_argument("--report", required=True)
     sweep.add_argument("--jobs", type=int, default=1)
     return parser
@@ -299,10 +298,6 @@ def _cmd_ancilla_free(args) -> int:
             return EXIT_NO_CONVERGENCE
         return EXIT_OK
     spec, name = _load_spec(args.input, args.format)
-    if isinstance(spec, TruthTable):
-        if spec.n_inputs != spec.n_outputs:
-            raise SpecFormatError("ancilla-free mode needs a reversible spec")
-        spec = Permutation(spec.rows)
     circuit, report = ancilla_free.ancilla_free_synthesize(
         spec, policy=args.policy)
     if args.out:

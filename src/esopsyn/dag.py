@@ -490,21 +490,15 @@ class ReadyIndex:
 # -- building ----------------------------------------------------------------
 
 
-def build_dag(exprs: list[EsopExpression], max_and_arity: int,
-              output_names=None) -> EsopDag:
-    """Turn per-output expressions into the shared and-xor graph.
+def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
+                         output_names=None) -> EsopDag:
+    """Turn per-output factored trees (`factor_expression`) into the
+    shared and-xor graph.
 
     max_and_arity is the Toffoli-size knob T: any product wider than T-1
     literals is decomposed into a chain of T-1-ary and nodes, so every
     eventual Toffoli spans at most T lines.
     """
-    trees = [FXor(tuple(FCube(m) for m in e.sorted_masks())) for e in exprs]
-    n_vars = exprs[0].n_vars if exprs else 0
-    return build_dag_from_trees(trees, n_vars, max_and_arity, output_names)
-
-
-def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
-                         output_names=None) -> EsopDag:
     if max_and_arity < 2:
         raise ValueError(f"Toffoli size bound must be >= 2, got {max_and_arity}")
     if not trees:
@@ -678,17 +672,3 @@ def dump_text(dag: EsopDag) -> str:
         kids = " ".join(_node_tag(dag.nodes[c]) for c in node.children)
         lines.append(f"#{nid} {_node_tag(node)}" + (f" [{kids}]" if kids else ""))
     return "\n".join(lines) + "\n"
-
-
-def dump_dot(dag: EsopDag) -> str:
-    out = ["digraph esop {"]
-    shapes = {T_ROOT: "doublecircle", T_XOR: "ellipse", T_AND: "box",
-              T_ID: "plaintext", T_CONST: "plaintext"}
-    for nid in sorted(dag.nodes):
-        node = dag.nodes[nid]
-        out.append(f'  n{nid} [label="{_node_tag(node)}" shape={shapes[node.kind]}];')
-    for nid in sorted(dag.nodes):
-        for c in dag.nodes[nid].children:
-            out.append(f"  n{nid} -> n{c};")
-    out.append("}")
-    return "\n".join(out) + "\n"

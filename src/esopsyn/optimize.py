@@ -7,9 +7,9 @@ every rewrite here preserves the function computed by each output.
 
 All three work on plain data: factoring on cube masks (an int per product
 term, bit i for variable x_{i+1}) and frozensets of them, cube sharing and
-parent reduction on the graph's integer node ids and sets of them.
-EsopExpression objects appear only at the public entry points:
-factor_expression's argument, extract_kernels and select_divisor.
+parent reduction on the graph's integer node ids and sets of them.  The
+only EsopExpression taken is factor_expression's argument; its two steps,
+kernel_pairs and best_divisor, take and return masks.
 
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
@@ -29,7 +29,7 @@ from .funcs import EsopExpression, cube_order
 
 
 SHARING_SWEEP_CAP = 32   # cube-sharing sweeps per pass
-KERNEL_CAP = 2000        # kernels enumerated per expression
+KERNEL_CAP = 2000        # kernels enumerated per expression (see kernel_pairs)
 
 
 @dataclass(frozen=True)
@@ -56,28 +56,15 @@ class OptimizeParams:
                 f"{self.kernel_threshold}{int(self.parent_reduction)}")
 
 
-@dataclass(frozen=True)
-class KernelEntry:
-    kernel: EsopExpression
-    co_kernel: int           # cube mask
-    remainder: EsopExpression
-
-
-@dataclass(frozen=True)
-class KernelSet:
-    entries: tuple[KernelEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _kernel_pairs(masks: frozenset[int], n_vars: int) -> list[tuple[frozenset[int], int]]:
+def kernel_pairs(masks: frozenset[int], n_vars: int) -> list[tuple[frozenset[int], int]]:
     """(kernel cube set, co-kernel mask) pairs with non-trivial co-kernels.
 
     Recursive enumeration: divide by the largest common cube of the cubes
     containing each variable that occurs at least twice; co-kernels compose
-    along the recursion.  Capped at KERNEL_CAP pairs for very dense
-    expressions.
+    along the recursion.  Very dense expressions are cut off after
+    KERNEL_CAP pairs, loosely: each recursion frame still on the stack
+    may add one more pair after the cap, so at most KERNEL_CAP + n_vars
+    pairs come back.
     """
     out: list[tuple[frozenset[int], int]] = []
     seen: set[tuple[int, frozenset[int]]] = set()
@@ -108,28 +95,7 @@ def _kernel_pairs(masks: frozenset[int], n_vars: int) -> list[tuple[frozenset[in
     return out
 
 
-def extract_kernels(expr: EsopExpression) -> KernelSet:
-    """All kernel/co-kernel/remainder triples of an expression.
-
-    Each entry satisfies co_kernel * kernel ^ remainder == expr over GF(2).
-    Expressions with fewer than two cubes have no kernels.
-    """
-    masks = expr.masks
-    if len(masks) < 2:
-        return KernelSet(())
-    entries = []
-    for ker, co in _kernel_pairs(masks, expr.n_vars):
-        products = frozenset(co | k for k in ker)
-        rem = masks - products
-        entries.append(KernelEntry(
-            EsopExpression.from_masks(expr.n_vars, ker),
-            co,
-            EsopExpression.from_masks(expr.n_vars, rem),
-        ))
-    return KernelSet(tuple(entries))
-
-
-def _best_divisor(pairs, threshold: int) -> int | None:
+def best_divisor(pairs, threshold: int) -> int | None:
     """Index of the divisor among (kernel cube set, co-kernel mask) pairs.
 
     Only kernels with more than `threshold` cubes qualify.  The largest
@@ -149,18 +115,6 @@ def _best_divisor(pairs, threshold: int) -> int | None:
                 and cube_order(ker) < cube_order(pairs[best][0])):
             best, best_key = idx, key
     return best
-
-
-def select_divisor(kernels: KernelSet, threshold: int) -> KernelEntry | None:
-    """Largest kernel among those bigger than the threshold, which for the
-    kernels of one expression is the one leaving the smallest remainder.
-
-    Ties break toward the lowest co-kernel mask, then the kernel's sorted
-    cube list, keeping runs reproducible (see _best_divisor).
-    """
-    idx = _best_divisor([(e.kernel.masks, e.co_kernel)
-                         for e in kernels.entries], threshold)
-    return None if idx is None else kernels.entries[idx]
 
 
 def divide(masks: frozenset[int], divisor: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
@@ -208,8 +162,8 @@ def _flat_tree(masks: frozenset[int]):
 def _factor(masks: frozenset[int], n_vars: int, params: OptimizeParams):
     if len(masks) < 2 or params.kernel_threshold == 0:
         return _flat_tree(masks)
-    pairs = _kernel_pairs(masks, n_vars)
-    idx = _best_divisor(pairs, params.kernel_threshold)
+    pairs = kernel_pairs(masks, n_vars)
+    idx = best_divisor(pairs, params.kernel_threshold)
     if idx is None:
         return _flat_tree(masks)
     d = pairs[idx][0]
@@ -231,7 +185,6 @@ def _factor(masks: frozenset[int], n_vars: int, params: OptimizeParams):
 
 @dataclass
 class MutationReport:
-    pass_name: str
     events: list[str] = field(default_factory=list)
     nodes_before: int = 0
     nodes_after: int = 0
@@ -375,7 +328,7 @@ def common_cube_sharing(dag: EsopDag,
     of its common children (`_node_with_children`).  None of this changes
     which shares are made.
     """
-    report = MutationReport("cube_sharing", nodes_before=len(dag))
+    report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
     dirty: set[int] = set()
     version: dict[int, int] = {}
@@ -472,7 +425,7 @@ def reduce_parents(dag: EsopDag, leaf: int) -> MutationReport:
     Applies until the leaf's parent count stops shrinking; a no-op when no
     a^b node exists.
     """
-    report = MutationReport("parent_reduction", nodes_before=len(dag))
+    report = MutationReport(nodes_before=len(dag))
     node = dag.nodes.get(leaf)
     if node is None or node.kind != T_ID:
         report.nodes_after = len(dag)
@@ -550,5 +503,4 @@ def parent_reduction_pass(dag: EsopDag) -> MutationReport:
         report = reduce_parents(dag, nid)
         if report:
             return report
-    return MutationReport("parent_reduction",
-                          nodes_before=len(dag), nodes_after=len(dag))
+    return MutationReport(nodes_before=len(dag), nodes_after=len(dag))

@@ -148,10 +148,14 @@ def test_zero_variable_permutation_fails_with_one_line(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_ancilla_free_rejects_non_reversible(tmp_path):
+def test_ancilla_free_rejects_non_reversible(tmp_path, capsys):
     spec = tmp_path / "t.pla"
-    spec.write_text(".i 2\n.o 1\n00 1\n")
-    assert run_cli(["ancilla-free", "--in", str(spec)]) == 1
+    for text in (".i 2\n.o 1\n00 1\n",
+                 ".i 2\n.o 2\n00 01\n01 01\n10 10\n11 11\n"):
+        spec.write_text(text)
+        assert run_cli(["ancilla-free", "--in", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_non_convergence_exit_code(tmp_path, monkeypatch):
@@ -213,6 +217,16 @@ def test_named_outputs_flow_through(tmp_path):
     text = out.read_text()
     assert ".i a,b" in text
     assert "carry:" in text and "summ:" in text
+    assert run_cli(["verify", "--in", str(out), "--spec", str(spec)]) == 0
+
+
+def test_ancilla_free_keeps_the_names_of_a_pla(tmp_path):
+    spec = tmp_path / "sw.pla"
+    spec.write_text(".i 2\n.o 2\n.ilb a b\n.ob p q\n"
+                    "00 00\n01 10\n10 01\n11 11\n")
+    out = tmp_path / "c.tfc"
+    assert run_cli(["ancilla-free", "--in", str(spec), "--out", str(out)]) == 0
+    assert ".o p:a,q:b\n" in out.read_text()
     assert run_cli(["verify", "--in", str(out), "--spec", str(spec)]) == 0
 
 
@@ -287,6 +301,8 @@ def test_grid_parser():
     for tok in ("C=0,1,2", "P=-1", "C=0..2"):
         with pytest.raises(SpecFormatError):
             parse_grid([tok])
+    assert parse_grid([]) == {"T": [3, 4], "C": [0, 1], "K": list(range(8)),
+                              "P": [0, 1]}
 
 
 def test_pareto_front():

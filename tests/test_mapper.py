@@ -9,7 +9,8 @@ from esopsyn.circuit import (
     LineState, line_functions, simulate,
 )
 from esopsyn.dag import (
-    EsopDag, T_AND, T_CONST, T_ID, T_ROOT, T_XOR, build_dag, validate_dag,
+    EsopDag, T_AND, T_CONST, T_ID, T_ROOT, T_XOR, build_dag_from_trees,
+    validate_dag,
 )
 from esopsyn.funcs import EsopExpression, Permutation, TruthTable
 from esopsyn.mapper import (
@@ -18,7 +19,8 @@ from esopsyn.mapper import (
     map_target, order_outputs, synthesize,
 )
 from esopsyn.optimize import (
-    OptimizeParams, common_cube_sharing, parent_reduction_pass,
+    OptimizeParams, common_cube_sharing, factor_expression,
+    parent_reduction_pass,
 )
 
 NTH_PRIME3 = Permutation((0, 2, 3, 5, 7, 1, 4, 6))
@@ -28,8 +30,14 @@ def expr(n, masks):
     return EsopExpression.from_masks(n, masks)
 
 
+def flat_dag(exprs, max_and_arity):
+    """The flat graph `synthesize` builds at K = 0."""
+    trees = [factor_expression(e, OptimizeParams()) for e in exprs]
+    return build_dag_from_trees(trees, exprs[0].n_vars, max_and_arity)
+
+
 def test_rule_one_fires_on_an_exclusively_owned_leaf():
-    dag = build_dag([expr(2, [0b01, 0b10])], 3)
+    dag = flat_dag([expr(2, [0b01, 0b10])], 3)
     choice = find_target(dag)
     assert choice.rule == RULE_XOR_SINGLE
     assert dag.nodes[choice.node].kind == T_XOR
@@ -38,7 +46,7 @@ def test_rule_one_fires_on_an_exclusively_owned_leaf():
 def test_rule_two_returns_the_xor_parent_of_a_deep_product():
     # y = x1.x2 ^ x3: the product sits one level above the leaves and its
     # xor parent exclusively owns x3
-    dag = build_dag([expr(3, [0b011, 0b100])], 3)
+    dag = flat_dag([expr(3, [0b011, 0b100])], 3)
     choice = find_target(dag)
     assert choice.rule == RULE_AND_XOR_PARENT
     assert dag.nodes[choice.node].kind == T_XOR
@@ -47,13 +55,13 @@ def test_rule_two_returns_the_xor_parent_of_a_deep_product():
 def test_rule_three_accepts_a_garbage_line():
     # every leaf is shared between two parents, so neither greedy branch
     # applies and a fresh line is the only way forward
-    dag = build_dag([expr(2, [0b01, 0b10]), expr(2, [0b01, 0b11])], 3)
+    dag = flat_dag([expr(2, [0b01, 0b10]), expr(2, [0b01, 0b11])], 3)
     choice = find_target(dag)
     assert choice.rule == RULE_MAX_CHILD
 
 
 def test_completion_signal():
-    dag = build_dag([expr(2, [0b01])], 3)
+    dag = flat_dag([expr(2, [0b01])], 3)
     assert find_target(dag) is None
 
 
@@ -292,7 +300,7 @@ def test_indexed_find_target_matches_the_all_nodes_scan():
         exprs = [expr(n, {rng.randrange(1 << n)
                           for _ in range(rng.randint(2, 14))})
                  for _ in range(rng.randint(1, 4))]
-        dag = build_dag(exprs, rng.choice([3, 4]))
+        dag = flat_dag(exprs, rng.choice([3, 4]))
         circuit = Circuit(n)
         while True:
             op = rng.randrange(6)

@@ -4,18 +4,24 @@ from collections import Counter
 import pytest
 
 from esopsyn import benchmarks, optimize
-from esopsyn.dag import T_AND, T_XOR, EsopDag, build_dag, \
-    build_dag_from_trees, dag_to_expressions, dump_text, validate_dag
-from esopsyn.funcs import EsopExpression, anf_from_truth_table
+from esopsyn.dag import T_AND, T_XOR, EsopDag, build_dag_from_trees, \
+    dag_to_expressions, dump_text, validate_dag
+from esopsyn.funcs import EsopExpression, anf_from_truth_table, cube_order
 from esopsyn.optimize import (
-    KernelEntry, KernelSet, MutationReport, OptimizeParams,
-    common_cube_sharing, extract_kernels, divide, factor_expression,
-    parent_reduction_pass, reduce_parents, select_divisor,
+    MutationReport, OptimizeParams, best_divisor, common_cube_sharing,
+    divide, factor_expression, kernel_pairs, parent_reduction_pass,
+    reduce_parents,
 )
 
 
 def expr(n, masks):
     return EsopExpression.from_masks(n, masks)
+
+
+def flat_dag(exprs, max_and_arity):
+    """The flat graph `synthesize` builds at K = 0."""
+    trees = [factor_expression(e, OptimizeParams()) for e in exprs]
+    return build_dag_from_trees(trees, exprs[0].n_vars, max_and_arity)
 
 
 def and_masks(a, b) -> frozenset[int]:
@@ -27,78 +33,109 @@ def and_masks(a, b) -> frozenset[int]:
     return frozenset(acc)
 
 
-def entry_identity_holds(e, original):
-    product = and_masks({e.co_kernel}, e.kernel.masks)
-    assert product ^ e.remainder.masks == original.masks
+def remainder(masks, kernel, co) -> frozenset[int]:
+    """What is left of `masks` after the co * kernel products."""
+    return frozenset(masks) - {co | k for k in kernel}
+
+
+def pair_identity_holds(masks, kernel, co):
+    product = and_masks({co}, kernel)
+    assert product ^ remainder(masks, kernel, co) == frozenset(masks)
     # kernels are cube-free: no single variable divides every cube
     inter = ~0
-    for m in e.kernel.masks:
+    for m in kernel:
         inter &= m
     assert inter == 0
 
 
 def test_kernel_of_a_shared_literal():
-    f = expr(3, [0b011, 0b101])            # x1x2 ^ x1x3
-    ks = extract_kernels(f)
-    assert len(ks) == 1
-    e = ks.entries[0]
-    assert e.kernel.masks == frozenset({0b010, 0b100})
-    assert e.co_kernel == 0b001
-    assert e.remainder.masks == frozenset()
-    entry_identity_holds(e, f)
+    f = frozenset({0b011, 0b101})          # x1x2 ^ x1x3
+    pairs = kernel_pairs(f, 3)
+    assert len(pairs) == 1
+    kernel, co = pairs[0]
+    assert kernel == frozenset({0b010, 0b100})
+    assert co == 0b001
+    assert remainder(f, kernel, co) == frozenset()
+    pair_identity_holds(f, kernel, co)
 
 
 def test_no_variable_occurs_twice_no_kernels():
-    assert len(extract_kernels(expr(2, [0b01, 0b10]))) == 0
-    assert len(extract_kernels(expr(2, [0b01]))) == 0
+    assert kernel_pairs(frozenset({0b01, 0b10}), 2) == []
+    assert kernel_pairs(frozenset({0b01}), 2) == []
 
 
 def test_kernel_with_remainder():
-    f = expr(4, [0b0011, 0b0101, 0b1000])  # x1x2 ^ x1x3 ^ x4
-    ks = extract_kernels(f)
-    by_co = {e.co_kernel: e for e in ks.entries}
-    e = by_co[0b0001]
-    assert e.kernel.masks == frozenset({0b0010, 0b0100})
-    assert e.remainder.masks == frozenset({0b1000})
-    entry_identity_holds(e, f)
+    f = frozenset({0b0011, 0b0101, 0b1000})  # x1x2 ^ x1x3 ^ x4
+    by_co = {co: kernel for kernel, co in kernel_pairs(f, 4)}
+    kernel = by_co[0b0001]
+    assert kernel == frozenset({0b0010, 0b0100})
+    assert remainder(f, kernel, 0b0001) == frozenset({0b1000})
+    pair_identity_holds(f, kernel, 0b0001)
 
 
 def test_kernel_identity_on_random_expressions():
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(2, 6)
-        f = expr(n, {rng.randrange(1 << n) for _ in range(rng.randint(2, 12))})
-        for e in extract_kernels(f).entries:
-            entry_identity_holds(e, f)
+        f = frozenset(rng.randrange(1 << n) for _ in range(rng.randint(2, 12)))
+        for kernel, co in kernel_pairs(f, n):
+            pair_identity_holds(f, kernel, co)
+
+
+def test_kernel_cap_is_loose_by_at_most_one_pair_per_variable(monkeypatch):
+    # each recursion frame still on the stack may add one pair after the
+    # cap; an exact cap would change the factored trees, so the bound is
+    # what the docstring states, and factoring still round-trips
+    rng = random.Random(12)
+    overshoots = 0
+    for cap in (1, 3, 7):
+        monkeypatch.setattr(optimize, "KERNEL_CAP", cap)
+        for _ in range(60):
+            n = rng.randint(3, 7)
+            masks = frozenset(rng.randrange(1 << n)
+                              for _ in range(rng.randint(4, 30)))
+            pairs = kernel_pairs(masks, n)
+            assert len(pairs) <= cap + n
+            overshoots += len(pairs) > cap
+            params = OptimizeParams(kernel_threshold=rng.randint(1, 3))
+            tree = optimize._factor(masks, n, params)
+            dag = build_dag_from_trees([tree], n, 3)
+            assert dag_to_expressions(dag)[0].masks == masks
+    assert overshoots
 
 
 def test_divisor_selection():
-    assert select_divisor(extract_kernels(expr(2, [0b01, 0b10])), 0) is None
-    f = expr(4, [0b0011, 0b0101, 0b1010, 0b1100])
-    ks = extract_kernels(f)
-    pick = select_divisor(ks, 1)
+    assert best_divisor(kernel_pairs(frozenset({0b01, 0b10}), 2), 0) is None
+    f = frozenset({0b0011, 0b0101, 0b1010, 0b1100})
+    pairs = kernel_pairs(f, 4)
+    pick = best_divisor(pairs, 1)
     assert pick is not None
     # minimum remainder wins
-    assert len(pick.remainder.masks) == min(len(e.remainder.masks)
-                                            for e in ks.entries
-                                            if len(e.kernel.masks) > 1)
+    assert len(remainder(f, *pairs[pick])) == min(
+        len(remainder(f, kernel, co)) for kernel, co in pairs
+        if len(kernel) > 1)
     # a threshold above every kernel size declines to factor
-    assert select_divisor(ks, 10) is None
+    assert best_divisor(pairs, 10) is None
 
 
-def _reference_select_divisor(kernels, threshold):
-    """The ranking factoring used before it worked on masks: minimum
+def _reference_select_divisor(masks, pairs, threshold):
+    """The ranking factoring used before it worked on masks alone: minimum
     remainder, then larger kernel, lowest co-kernel mask and the kernel's
     sorted cube list."""
     best = best_key = None
-    for e in kernels.entries:
-        if len(e.kernel.masks) <= threshold:
+    for kernel, co in pairs:
+        if len(kernel) <= threshold:
             continue
-        key = (len(e.remainder.masks), -len(e.kernel.masks),
-               e.co_kernel, tuple(e.kernel.sorted_masks()))
+        key = (len(remainder(masks, kernel, co)), -len(kernel), co,
+               tuple(cube_order(kernel)))
         if best_key is None or key < best_key:
-            best, best_key = e, key
+            best, best_key = (kernel, co), key
     return best
+
+
+def _picked(pairs, threshold):
+    idx = best_divisor(pairs, threshold)
+    return None if idx is None else pairs[idx]
 
 
 def _tied_cube_sets(rng):
@@ -142,37 +179,33 @@ def test_factoring_picks_the_divisor_the_kernel_objects_picked(monkeypatch):
         if len(masks) < 2:
             continue
         k = rng.randint(1, 5)
-        want = _reference_select_divisor(extract_kernels(expr(n, masks)), k)
+        want = _reference_select_divisor(masks, kernel_pairs(masks, n), k)
         got = _top_divisor(monkeypatch, masks, n,
                            OptimizeParams(kernel_threshold=k))
-        assert got == (None if want is None else want.kernel.masks)
+        assert got == (None if want is None else want[0])
         picked += want is not None
     assert picked > 200
 
 
 def test_divisor_ties_break_on_co_kernel_then_cube_order():
-    # hand-made entries: equal-size sub-kernels under one co-kernel (a tie
-    # _kernel_pairs itself never yields, since a co-kernel fixes its kernel)
+    # hand-made pairs: equal-size sub-kernels under one co-kernel (a tie
+    # kernel_pairs itself never yields, since a co-kernel fixes its kernel)
     rng = random.Random(314)
     for _ in range(300):
         n, masks = _tied_cube_sets(rng)
-        f = expr(n, masks)
-        entries = []
-        for e in extract_kernels(f).entries:
-            size = len(e.kernel.masks)
+        pairs = []
+        for kernel, co in kernel_pairs(masks, n):
+            size = len(kernel)
             if size < 3 or rng.random() < 0.3:
-                entries.append(e)
+                pairs.append((kernel, co))
                 continue
-            cubes = sorted(e.kernel.masks)
+            cubes = sorted(kernel)
             for _ in range(3):
-                sub = frozenset(rng.sample(cubes, size - 1))
-                products = frozenset(e.co_kernel | c for c in sub)
-                entries.append(KernelEntry(expr(n, sub), e.co_kernel,
-                                           expr(n, masks - products)))
-        rng.shuffle(entries)
-        ks = KernelSet(tuple(entries))
+                pairs.append((frozenset(rng.sample(cubes, size - 1)), co))
+        rng.shuffle(pairs)
         for k in range(1, 6):
-            assert select_divisor(ks, k) == _reference_select_divisor(ks, k)
+            assert _picked(pairs, k) == \
+                _reference_select_divisor(masks, pairs, k)
 
 
 def test_weak_division_is_exact():
@@ -181,10 +214,9 @@ def test_weak_division_is_exact():
         n = rng.randint(2, 6)
         masks = frozenset(rng.randrange(1 << n)
                           for _ in range(rng.randint(2, 12)))
-        ks = extract_kernels(expr(n, masks))
-        for e in ks.entries[:3]:
-            q, r = divide(masks, e.kernel.masks)
-            assert and_masks(q, e.kernel.masks) ^ r == masks
+        for kernel, _co in kernel_pairs(masks, n)[:3]:
+            q, r = divide(masks, kernel)
+            assert and_masks(q, kernel) ^ r == masks
 
 
 def tree_semantics_match(masks, n, params):
@@ -232,7 +264,7 @@ def test_threshold_changes_the_shape_but_not_the_function():
 
 
 def test_subset_children_get_hoisted():
-    dag = build_dag([expr(3, [0b011]), expr(3, [0b111])], 4)
+    dag = flat_dag([expr(3, [0b011]), expr(3, [0b111])], 4)
     small = next(nid for nid, n in dag.nodes.items()
                  if n.kind == T_AND and len(n.children) == 2)
     report = common_cube_sharing(dag)
@@ -245,7 +277,7 @@ def test_subset_children_get_hoisted():
 
 
 def test_small_overlap_is_not_shared():
-    dag = build_dag([expr(5, [0b00111]), expr(5, [0b11001])], 6)
+    dag = flat_dag([expr(5, [0b00111]), expr(5, [0b11001])], 6)
     before = {nid: list(n.children) for nid, n in dag.nodes.items()}
     common_cube_sharing(dag)
     after = {nid: list(n.children) for nid, n in dag.nodes.items()}
@@ -253,7 +285,7 @@ def test_small_overlap_is_not_shared():
 
 
 def test_identical_nodes_merge():
-    dag = build_dag([expr(3, [0b011, 0b100])], 4)
+    dag = flat_dag([expr(3, [0b011, 0b100])], 4)
     # append a structural twin of the and node by hand
     twin = dag._fresh(T_AND, [])
     orig = next(nid for nid, n in dag.nodes.items() if n.kind == T_AND)
@@ -279,7 +311,7 @@ def test_sharing_never_grows_the_graph_and_keeps_semantics():
         exprs = [expr(n, {rng.randrange(1 << n)
                           for _ in range(rng.randint(1, 10))})
                  for _ in range(rng.randint(1, 3))]
-        dag = build_dag(exprs, rng.choice([3, 4, n + 1]))
+        dag = flat_dag(exprs, rng.choice([3, 4, n + 1]))
         want = [e.masks for e in dag_to_expressions(dag)]
         before = len(dag)
         common_cube_sharing(dag)
@@ -297,7 +329,7 @@ def test_sharing_ends_with_fresh_depths_at_every_sweep_cap():
             exprs = [expr(n, {rng.randrange(1 << n)
                               for _ in range(rng.randint(2, 10))})
                      for _ in range(rng.randint(1, 3))]
-            dag = build_dag(exprs, rng.choice([3, 4]))
+            dag = flat_dag(exprs, rng.choice([3, 4]))
             for node in dag.nodes.values():
                 node.depth = 0
             dag.depths_fresh = False    # the depths were written directly
@@ -334,7 +366,7 @@ def _reference_cube_sharing(dag, sweep_cap=32):
     """The all-pairs scan cube sharing replaced: every internal node at each
     level from the deepest up, tried against every internal node at its own
     and each shallower level, hoist nodes looked up over the whole graph."""
-    report = MutationReport("cube_sharing", nodes_before=len(dag))
+    report = MutationReport(nodes_before=len(dag))
     for _ in range(sweep_cap):
         changed = False
         dag.recompute_depths()
@@ -577,7 +609,7 @@ def build_reduction_scene():
     exprs = [expr(3, [0b001, 0b010]),          # a ^ b
              expr(3, [0b001, 0b100]),          # a ^ c
              expr(3, [0b011])]                 # a.b
-    return build_dag(exprs, 4)
+    return flat_dag(exprs, 4)
 
 
 def test_xor_parent_rerouted_through_existing_pair():
@@ -608,7 +640,7 @@ def test_product_rewrites_through_the_pair_node():
 
 
 def test_no_pair_node_means_no_op():
-    dag = build_dag([expr(3, [0b011]), expr(3, [0b101])], 4)
+    dag = flat_dag([expr(3, [0b011]), expr(3, [0b101])], 4)
     a = dag.var_node(0)
     report = reduce_parents(dag, a)
     assert not report.events
@@ -622,7 +654,7 @@ def test_reduction_pass_strictly_shrinks_or_reports_nothing():
         exprs = [expr(n, {rng.randrange(1 << n)
                           for _ in range(rng.randint(1, 8))})
                  for _ in range(rng.randint(1, 3))]
-        dag = build_dag(exprs, 3)
+        dag = flat_dag(exprs, 3)
         common_cube_sharing(dag)
         want = [e.masks for e in dag_to_expressions(dag)]
         counts = {nid: len(dag.nodes[nid].parents)
