@@ -26,14 +26,15 @@ print(dump_text(dag))
 print("== kernels of y3 ==")
 y3 = exprs[2]
 print("y3 =", y3)
-pairs = kernel_pairs(y3.masks, 3)
+# a kernel is a coefficient word (bit m = cube m), a co-kernel a cube mask
+pairs = kernel_pairs(y3.coeffs, 3)
 for kernel, co in pairs:
-    rem = y3.masks - {co | k for k in kernel}
-    print(f"  kernel {EsopExpression.from_masks(3, kernel)}  "
-          f"co-kernel {EsopExpression.from_masks(3, [co])}  "
-          f"remainder {EsopExpression.from_masks(3, rem)}")
+    taken = sum(1 << (co | k) for k in EsopExpression(3, kernel).sorted_masks())
+    print(f"  kernel {EsopExpression(3, kernel)}  "
+          f"co-kernel {EsopExpression(3, 1 << co)}  "
+          f"remainder {EsopExpression(3, y3.coeffs & ~taken)}")
 kernel, co = pairs[best_divisor(pairs, threshold=1)]
-print("selected divisor:", EsopExpression.from_masks(3, kernel),
+print("selected divisor:", EsopExpression(3, kernel),
       "(the largest kernel, so the smallest remainder)")
 
 print("\n== factored + shared graph ==")

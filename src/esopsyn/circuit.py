@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .funcs import TruthTable
+from .funcs import TruthTable, variable_patterns
 
 TOFFOLI = "t"
 FREDKIN = "f"
@@ -161,17 +161,6 @@ def simulate(c: Circuit, bits: int) -> int:
     return bits
 
 
-def variable_pattern(pos: int, n_inputs: int) -> int:
-    """2^n-bit pattern with bit i set iff bit pos of i is set."""
-    step = 1 << pos
-    pat = ((1 << step) - 1) << step
-    width = step * 2
-    for _ in range(n_inputs - pos - 1):
-        pat |= pat << width
-        width <<= 1
-    return pat
-
-
 def line_functions(c: Circuit, n_inputs: int, input_line_ids=None) -> list[int]:
     """Function carried by every line, as 2^n_inputs-bit integers.
 
@@ -185,9 +174,8 @@ def line_functions(c: Circuit, n_inputs: int, input_line_ids=None) -> list[int]:
     funcs = []
     for line in c.lines:
         funcs.append(full if line.origin == CONSTANT and line.init else 0)
-    for pos, lid in enumerate(input_line_ids):
-        # bit i of the pattern = value of x_{pos+1} at input i
-        funcs[lid] = variable_pattern(pos, n_inputs)
+    for lid, pattern in zip(input_line_ids, variable_patterns(n_inputs)):
+        funcs[lid] = pattern
     for g in c.gates:
         ctl = full
         for cid in g.controls:

@@ -2,13 +2,13 @@
 
 Five node kinds: t_root (collects the per-output top nodes), t_xor, t_and,
 t_identifier (a variable, or a circuit line once mapping starts) and
-t_constant.  Structural sharing is by hash-consing: one identifier node
-per variable, identical subterms reuse one node.  Depth labels are the
-longest path from the root: the graph passes recompute them when they
-finish, and collapsing a mapped node into an identifier updates only the
-depths below it.
+t_constant.  There is one node per variable and per constant, and the
+builder hash-conses, so identical subterms reuse one node; later passes
+create nodes with `add`.  Depth labels are the longest path from the
+root: the graph passes recompute them when they finish, and collapsing a
+mapped node into an identifier updates only the depths below it.
 
-Every edit goes through one of five helpers (`_fresh`, `set_children`,
+Every edit goes through one of five helpers (`add`, `set_children`,
 `to_identifier`, `_delete`, `recompute_depths`), and once recording is on
 they note what they changed in two id sets: `touched` holds the nodes
 whose parent list or depth changed, plus created and deleted nodes;
@@ -19,7 +19,7 @@ ready index (`ReadyIndex`, read by `mapper.find_target` and
 `optimize.parent_reduction_pass`) is that consumer, so graph building
 and the graph passes before mapping pay nothing.  `depths_fresh` says
 that no node was created, deleted or given new children since the last
-`recompute_depths`; `_fresh`, `set_children` and `_delete` clear it, and
+`recompute_depths`; `add`, `set_children` and `_delete` clear it, and
 a recompute on fresh depths returns at once.
 """
 
@@ -82,59 +82,47 @@ class EsopDag:
         self.n_vars = n_vars
         self.nodes: dict[int, DagNode] = {}
         self._next = 0
-        self._cons: dict[tuple, int] = {}
-        self._vars: dict[int, int] = {}   # variable -> its identifier node
+        self._leaves: dict[tuple, int] = {}   # (kind, label) -> var/const node
         self.touched: set[int] | None = None
         self.reshaped: set[int] | None = None
         self.index: ReadyIndex | None = None   # see refreshed_index
         self.depths_fresh = False
-        self.root = self._fresh(T_ROOT)
+        self.root = self.add(T_ROOT)
         self.output_order: list[tuple[str, int]] = []
 
     # -- construction ------------------------------------------------------
 
-    def _fresh(self, kind, children=(), label=None, line=None) -> int:
+    def add(self, kind, children=(), label=None, line=None) -> int:
+        """Create a node; ids are never reused."""
         nid = self._next
         self._next += 1
         node = DagNode(nid, kind, children, label, line)
         self.nodes[nid] = node
         for c in children:
             self.nodes[c].parents.append(nid)
-        self._cons[self._key(node)] = nid
         self.depths_fresh = False
         if self.touched is not None:
             self.touched.add(nid)
             self.touched.update(children)
         return nid
 
-    def _key(self, node: DagNode) -> tuple:
-        return (node.kind, tuple(node.children), node.label)
-
-    def get_or_create(self, kind, children=(), label=None, line=None) -> int:
-        key = (kind, tuple(children), label)
-        nid = self._cons.get(key)
-        if nid is not None and nid in self.nodes:
-            return nid
-        return self._fresh(kind, children, label, line)
-
-    def var_node(self, index: int) -> int:
-        # a pruned variable is re-created on its next use
-        nid = self._vars.get(index)
+    def _leaf(self, kind, label, line=None) -> int:
+        """The one node of a variable or constant; a pruned one is re-made."""
+        nid = self._leaves.get((kind, label))
         if nid is None or nid not in self.nodes:
-            nid = self._vars[index] = self.get_or_create(
-                T_ID, label=f"x{index + 1}", line=index)
+            nid = self._leaves[kind, label] = self.add(kind, (), label, line)
         return nid
 
+    def var_node(self, index: int) -> int:
+        return self._leaf(T_ID, f"x{index + 1}", index)
+
     def const_node(self, value: int) -> int:
-        return self.get_or_create(T_CONST, label=value)
+        return self._leaf(T_CONST, value)
 
     # -- mutation (all child-list edits go through here) --------------------
 
     def set_children(self, nid: int, new_children: list[int]):
         node = self.nodes[nid]
-        old_key = self._key(node)
-        if self._cons.get(old_key) == nid:
-            del self._cons[old_key]
         for c in node.children:
             self.nodes[c].parents.remove(nid)
         self.depths_fresh = False
@@ -145,7 +133,6 @@ class EsopDag:
         node.children = list(new_children)
         for c in node.children:
             self.nodes[c].parents.append(nid)
-        self._cons.setdefault(self._key(node), nid)
 
     def xor_splice(self, nid: int, remove: int | None, add: list[int]):
         """Edit an xor node's child set with GF(2) cancellation."""
@@ -173,13 +160,9 @@ class EsopDag:
         node = self.nodes[nid]
         heap = [(self.nodes[c].depth, c) for c in set(node.children)]
         self.set_children(nid, [])
-        old_key = self._key(node)
-        if self._cons.get(old_key) == nid:
-            del self._cons[old_key]
         node.kind = T_ID
         node.label = label
         node.line = line_id
-        self._cons.setdefault(self._key(node), nid)
         touched = self.touched
         heapq.heapify(heap)
         queued = {c for _, c in heap}
@@ -227,9 +210,6 @@ class EsopDag:
     def _delete(self, nid: int):
         node = self.nodes[nid]
         assert not node.parents, f"deleting referenced node {nid}"
-        key = self._key(node)
-        if self._cons.get(key) == nid:
-            del self._cons[key]
         for c in node.children:
             self.nodes[c].parents.remove(nid)
         del self.nodes[nid]
@@ -272,9 +252,6 @@ class EsopDag:
         dead = [i for i in self.nodes if i not in reach]
         for nid in dead:
             node = self.nodes.pop(nid)
-            key = self._key(node)
-            if self._cons.get(key) == nid:
-                del self._cons[key]
             for c in node.children:
                 if c in self.nodes:
                     self.nodes[c].parents.remove(nid)
@@ -498,6 +475,10 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     max_and_arity is the Toffoli-size knob T: any product wider than T-1
     literals is decomposed into a chain of T-1-ary and nodes, so every
     eventual Toffoli spans at most T lines.
+
+    Identical subterms share one node: the build keeps its own
+    `(kind, children) -> id` table, the graph's only hash-consing.  Ids
+    are never reused, so the entry of a node deleted since is just stale.
     """
     if max_and_arity < 2:
         raise ValueError(f"Toffoli size bound must be >= 2, got {max_and_arity}")
@@ -509,11 +490,12 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     # floor is 2 even when T = 2.
     arity = max(2, max_and_arity - 1)
     dag = EsopDag(n_vars)
+    made: dict[tuple, int] = {}
     tops = []
     for tree in trees:
         # wire each top into the root right away so later builds cannot
         # flatten it away as an unreferenced xor
-        top = _node_of_tree(dag, tree, arity)
+        top = _node_of_tree(dag, made, tree, arity)
         tops.append(top)
         if top not in dag.nodes[dag.root].children:
             dag.set_children(dag.root, dag.nodes[dag.root].children + [top])
@@ -522,18 +504,26 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     return dag
 
 
-def _node_of_tree(dag: EsopDag, tree, arity: int) -> int:
+def _consed(dag: EsopDag, made: dict, kind: str, kids: list[int]) -> int:
+    key = (kind, tuple(kids))
+    nid = made.get(key)
+    if nid is None or nid not in dag.nodes:
+        nid = made[key] = dag.add(kind, kids)
+    return nid
+
+
+def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
     if isinstance(tree, FCube):
-        return _node_of_cube(dag, tree.mask, arity)
+        return _node_of_cube(dag, made, tree.mask, arity)
     if isinstance(tree, FAnd):
         kids = [dag.var_node(i) for i in bit_support(tree.cube_mask)]
-        kids += [_node_of_tree(dag, s, arity) for s in tree.subs]
-        return _and_chain(dag, kids, arity)
+        kids += [_node_of_tree(dag, made, s, arity) for s in tree.subs]
+        return _and_chain(dag, made, kids, arity)
     if isinstance(tree, FXor):
         parity: dict[int, int] = {}
         order: list[int] = []
         for part in tree.parts:
-            nid = _node_of_tree(dag, part, arity)
+            nid = _node_of_tree(dag, made, part, arity)
             for k in _xor_flatten(dag, nid):
                 if k not in parity:
                     parity[k] = 0
@@ -544,7 +534,7 @@ def _node_of_tree(dag: EsopDag, tree, arity: int) -> int:
             return dag.const_node(0)
         if len(kids) == 1:
             return kids[0]
-        return dag.get_or_create(T_XOR, kids)
+        return _consed(dag, made, T_XOR, kids)
     raise TypeError(f"unexpected tree part {tree!r}")
 
 
@@ -558,17 +548,17 @@ def _xor_flatten(dag: EsopDag, nid: int):
     return [nid]
 
 
-def _node_of_cube(dag: EsopDag, mask: int, arity: int) -> int:
+def _node_of_cube(dag: EsopDag, made: dict, mask: int, arity: int) -> int:
     deg = mask.bit_count()
     if deg == 0:
         return dag.const_node(1)
     if deg == 1:
         return dag.var_node(mask.bit_length() - 1)
     kids = [dag.var_node(i) for i in bit_support(mask)]
-    return _and_chain(dag, kids, arity)
+    return _and_chain(dag, made, kids, arity)
 
 
-def _and_chain(dag: EsopDag, kids: list[int], arity: int) -> int:
+def _and_chain(dag: EsopDag, made: dict, kids: list[int], arity: int) -> int:
     """Left-associative chain keeping every and node within the arity bound."""
     kids = list(dict.fromkeys(kids))
     if len(kids) == 1:
@@ -577,9 +567,9 @@ def _and_chain(dag: EsopDag, kids: list[int], arity: int) -> int:
     # each one above takes arity - 1 kids and the and below it
     step = arity - 1
     start = (len(kids) - 2) // step * step
-    node = dag.get_or_create(T_AND, kids[start:])
+    node = _consed(dag, made, T_AND, kids[start:])
     for start in range(start - step, -1, -step):
-        node = dag.get_or_create(T_AND, kids[start:start + step] + [node])
+        node = _consed(dag, made, T_AND, kids[start:start + step] + [node])
     return node
 
 

@@ -4,7 +4,8 @@ Truth tables of n inputs are stored as 2^n rows of packed output bits.
 Single-output columns are manipulated as 2^n-bit Python integers, which
 makes the GF(2) coefficient transform a handful of big-int operations.
 An output's ANF is the transform of its column: one 2^n-bit coefficient
-word whose bit m marks cube m, held by EsopExpression.
+word whose bit m marks cube m, held by EsopExpression.  A variable's word
+(`variable_patterns`) is both its column and the cubes that contain it.
 
 Bit-order convention: variable x1 is the least-significant bit of the
 truth-table index.  Output y1 is the least-significant bit of each row.
@@ -35,10 +36,6 @@ class EsopExpression:
         for m in masks:
             coeffs ^= 1 << m
         return cls(n_vars, coeffs)
-
-    @property
-    def masks(self) -> frozenset[int]:
-        return frozenset(bit_support(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -151,17 +148,18 @@ class Permutation:
 
 
 @lru_cache(maxsize=None)
-def _butterfly_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """(shift, low-half mask) pairs for the in-place GF(2) transform."""
+def variable_patterns(n: int) -> tuple[int, ...]:
+    """Per variable x_{i+1}, the 2^n-bit word whose bit m is bit i of m.
+
+    Read as a truth-table column it is the variable itself; read as a
+    coefficient word it is every cube containing the variable.
+    """
+    full = (1 << (1 << n)) - 1
     out = []
     for i in range(n):
         step = 1 << i
-        block = (1 << step) - 1
-        width = step * 2
-        for _ in range(n - i - 1):
-            block |= block << width
-            width <<= 1
-        out.append((step, block))
+        # `step` zeros then `step` ones, repeated across the 2^n bits
+        out.append(full // ((1 << 2 * step) - 1) * (((1 << step) - 1) << step))
     return tuple(out)
 
 
@@ -172,8 +170,8 @@ def mobius_bits(bits: int, n: int) -> int:
     [[A, A], [0, A]] seeded with the 1x1 identity; two applications give
     back the input.
     """
-    for step, low in _butterfly_masks(n):
-        bits ^= (bits & low) << step
+    for i, pattern in enumerate(variable_patterns(n)):
+        bits ^= (bits << (1 << i)) & pattern
     return bits
 
 

@@ -49,7 +49,7 @@ from .funcs import (
     truth_table_from_permutation,
 )
 from .optimize import (
-    OptimizeParams, _flat_tree, common_cube_sharing, factor_expression,
+    OptimizeParams, common_cube_sharing, factor_expression,
     parent_reduction_pass,
 )
 
@@ -180,12 +180,7 @@ def synthesize(
     VerificationError.  The report's runtime includes the check.
     """
     t0 = time.perf_counter()
-    if isinstance(spec, Permutation):
-        tt = truth_table_from_permutation(spec)
-        from_permutation = True
-    else:
-        tt = spec
-        from_permutation = False
+    tt = truth_table_from_permutation(spec) if isinstance(spec, Permutation) else spec
     n = tt.n_inputs
     if n < 1:
         raise SynthesisError("need at least one input")
@@ -194,20 +189,7 @@ def synthesize(
             f"{n} inputs exceeds the configured limit {DEFAULT_INPUT_LIMIT}")
 
     exprs = anf_from_truth_table(tt)
-    if from_permutation and n >= 2:
-        # balanced outputs have even weight, so the all-variables cube
-        # (whose coefficient is the weight parity) cannot appear
-        top = (1 << n) - 1
-        for name, e in zip(tt.output_names, exprs):
-            if e.coeffs >> top & 1:
-                raise SynthesisError(
-                    f"output {name} of a reversible spec contains the "
-                    "degree-n cube; the function cannot be balanced")
-
-    if params.kernel_threshold > 0:
-        trees = [factor_expression(e, params) for e in exprs]
-    else:
-        trees = [_flat_tree(e.masks) for e in exprs]
+    trees = [factor_expression(e, params) for e in exprs]
     dag = build_dag_from_trees(trees, n, params.max_and_arity,
                                output_names=list(tt.output_names))
     if params.cube_sharing:

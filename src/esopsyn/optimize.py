@@ -5,11 +5,14 @@ knobs).  Kernel extraction restructures each output expression before the
 graph is built; cube sharing and parent reduction rewrite the graph, and
 every rewrite here preserves the function computed by each output.
 
-All three work on plain data: factoring on cube masks (an int per product
-term, bit i for variable x_{i+1}) and frozensets of them, cube sharing and
-parent reduction on the graph's integer node ids and sets of them.  The
-only EsopExpression taken is factor_expression's argument; its two steps,
-kernel_pairs and best_divisor, take and return masks.
+All three work on plain data: factoring on coefficient words (bit m set
+means cube m is a term, as in EsopExpression.coeffs) and cube masks (bit i
+for variable x_{i+1}), cube sharing and parent reduction on the graph's
+integer node ids and sets of them.  The only EsopExpression taken is
+factor_expression's argument.  Its steps (kernel_pairs, best_divisor,
+divide) take words: dividing by a cube keeps the cubes holding each of its
+variables and shifts them down, one shift per variable
+(funcs.variable_patterns).
 
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from .dag import (
     EsopDag, FAnd, FCube, FXor, T_AND, T_ID, T_XOR,
 )
-from .funcs import EsopExpression, cube_order
+from .funcs import EsopExpression, bit_support, cube_order, variable_patterns
 
 
 SHARING_SWEEP_CAP = 32   # cube-sharing sweeps per pass
@@ -56,8 +59,17 @@ class OptimizeParams:
                 f"{self.kernel_threshold}{int(self.parent_reduction)}")
 
 
-def kernel_pairs(masks: frozenset[int], n_vars: int) -> list[tuple[frozenset[int], int]]:
-    """(kernel cube set, co-kernel mask) pairs with non-trivial co-kernels.
+def _cube_quotient(word: int, cube: int, patterns) -> int:
+    """The cubes of `word` containing `cube`, with `cube` divided out:
+    each variable of the cube keeps the cubes holding it and shifts them
+    down onto the cubes without it."""
+    for j in bit_support(cube):
+        word = (word & patterns[j]) >> (1 << j)
+    return word
+
+
+def kernel_pairs(word: int, n_vars: int) -> list[tuple[int, int]]:
+    """(kernel word, co-kernel mask) pairs with non-trivial co-kernels.
 
     Recursive enumeration: divide by the largest common cube of the cubes
     containing each variable that occurs at least twice; co-kernels compose
@@ -66,23 +78,22 @@ def kernel_pairs(masks: frozenset[int], n_vars: int) -> list[tuple[frozenset[int
     may add one more pair after the cap, so at most KERNEL_CAP + n_vars
     pairs come back.
     """
-    out: list[tuple[frozenset[int], int]] = []
-    seen: set[tuple[int, frozenset[int]]] = set()
+    patterns = variable_patterns(n_vars)
+    out: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
 
-    def recurse(g: frozenset[int], min_var: int, co: int):
+    def recurse(g: int, min_var: int, co: int):
         if len(out) >= KERNEL_CAP:
             return
         for i in range(min_var, n_vars):
-            bit = 1 << i
-            with_i = [m for m in g if m & bit]
-            if len(with_i) < 2:
+            with_i = g & patterns[i]
+            if with_i.bit_count() < 2:
                 continue
-            cc = with_i[0]
-            for m in with_i[1:]:
-                cc &= m
-            if cc & (bit - 1):
+            # the common cube: every variable no cube of with_i lacks
+            cc = sum(1 << j for j, p in enumerate(patterns) if with_i & p == with_i)
+            if cc & ((1 << i) - 1):
                 continue  # a smaller variable index reaches the same kernel
-            q = frozenset(m & ~cc for m in with_i)
+            q = _cube_quotient(with_i, cc, patterns)
             key = (co | cc, q)
             if key not in seen:
                 seen.add(key)
@@ -91,12 +102,12 @@ def kernel_pairs(masks: frozenset[int], n_vars: int) -> list[tuple[frozenset[int
                     return
             recurse(q, i + 1, co | cc)
 
-    recurse(masks, 0, 0)
+    recurse(word, 0, 0)
     return out
 
 
 def best_divisor(pairs, threshold: int) -> int | None:
-    """Index of the divisor among (kernel cube set, co-kernel mask) pairs.
+    """Index of the divisor among (kernel word, co-kernel mask) pairs.
 
     Only kernels with more than `threshold` cubes qualify.  The largest
     kernel wins, then the lowest co-kernel mask, then the kernel's cubes in
@@ -107,73 +118,71 @@ def best_divisor(pairs, threshold: int) -> int | None:
     """
     best = best_key = None
     for idx, (ker, co) in enumerate(pairs):
-        if len(ker) <= threshold:
+        size = ker.bit_count()
+        if size <= threshold:
             continue
-        key = (-len(ker), co)
+        key = (-size, co)
         if best is None or key < best_key or (
-                key == best_key
-                and cube_order(ker) < cube_order(pairs[best][0])):
+                key == best_key and cube_order(bit_support(ker))
+                < cube_order(bit_support(pairs[best][0]))):
             best, best_key = idx, key
     return best
 
 
-def divide(masks: frozenset[int], divisor: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """Weak division of a cube set by a multi-cube divisor over GF(2).
+def divide(word: int, divisor: int, n_vars: int) -> tuple[int, int]:
+    """Weak division of a coefficient word by a multi-cube divisor over GF(2).
 
-    Returns (quotient, remainder) with divisor*quotient ^ remainder == masks
-    and all divisor-quotient products distinct (colliding quotient cubes are
-    dropped so the identity stays exact).
+    Returns (quotient, remainder) words with divisor*quotient ^ remainder
+    == word and all divisor-quotient products distinct (colliding quotient
+    cubes are dropped, lowest first kept, so the identity stays exact).
     """
-    d = sorted(divisor)
-    q: set[int] | None = None
-    for dj in d:
-        qj = {m & ~dj for m in masks if m & dj == dj}
-        q = qj if q is None else q & qj
-    q = q or set()
-    kept: list[int] = []
-    used: set[int] = set()
-    for qi in sorted(q):
-        products = {dj | qi for dj in d}
-        if len(products) == len(d) and not (products & used):
-            kept.append(qi)
+    patterns = variable_patterns(n_vars)
+    cubes = bit_support(divisor)
+    q = -1 if cubes else 0
+    for dj in cubes:
+        q &= _cube_quotient(word, dj, patterns)
+    quotient = used = 0
+    for qi in bit_support(q):
+        products = 0
+        for dj in cubes:
+            products |= 1 << (dj | qi)
+        if products.bit_count() == len(cubes) and not products & used:
+            quotient |= 1 << qi
             used |= products
-    quotient = frozenset(kept)
-    remainder = masks - used
-    return quotient, remainder
+    return quotient, word & ~used
 
 
 def factor_expression(expr: EsopExpression, params: OptimizeParams):
     """Recursively factored and/xor tree for one output expression.
 
     Splits off the selected divisor, then factors divisor, quotient and
-    remainder the same way; when no kernel beats the threshold the flat
-    two-level form is kept.
+    remainder the same way; when no kernel beats the threshold (or K is 0)
+    the flat two-level form is kept.
     """
-    return _factor(expr.masks, expr.n_vars, params)
+    return _factor(expr.coeffs, expr.n_vars, params)
 
 
-def _flat_tree(masks: frozenset[int]):
-    parts = tuple(FCube(m) for m in cube_order(masks))
+def _flat_tree(word: int):
+    parts = tuple(FCube(m) for m in cube_order(bit_support(word)))
     if len(parts) == 1:
         return parts[0]
     return FXor(parts)
 
 
-def _factor(masks: frozenset[int], n_vars: int, params: OptimizeParams):
-    if len(masks) < 2 or params.kernel_threshold == 0:
-        return _flat_tree(masks)
-    pairs = kernel_pairs(masks, n_vars)
+def _factor(word: int, n_vars: int, params: OptimizeParams):
+    if word.bit_count() < 2 or params.kernel_threshold == 0:
+        return _flat_tree(word)
+    pairs = kernel_pairs(word, n_vars)
     idx = best_divisor(pairs, params.kernel_threshold)
     if idx is None:
-        return _flat_tree(masks)
+        return _flat_tree(word)
     d = pairs[idx][0]
-    quotient, remainder = divide(masks, d)
+    quotient, remainder = divide(word, d, n_vars)
     if not quotient:
-        return _flat_tree(masks)
+        return _flat_tree(word)
     tree_d = _factor(d, n_vars, params)
-    if len(quotient) == 1:
-        (q0,) = quotient
-        product = FAnd(q0, (tree_d,))
+    if quotient.bit_count() == 1:
+        product = FAnd(quotient.bit_length() - 1, (tree_d,))
     else:
         tree_q = _factor(quotient, n_vars, params)
         product = FAnd(0, (tree_d, tree_q))
@@ -245,7 +254,7 @@ def _share(dag: EsopDag, i: int, j: int, rule: str,
         return f"subset: #{j} now references #{i}", [j]
     # overlap: hoist only onto an already existing node so the total node
     # count can never grow; fresh hoists are the kernel engine's job
-    common = frozenset(ci & cj)
+    common = ci & cj
     s = hoist(ni.kind, common)
     if s is None:
         return None
@@ -256,7 +265,7 @@ def _share(dag: EsopDag, i: int, j: int, rule: str,
 
 
 def _node_with_children(dag: EsopDag, kind: str,
-                        child_set: frozenset[int]) -> int | None:
+                        child_set: set[int]) -> int | None:
     """Lowest id of the `kind` nodes whose children are exactly child_set.
 
     Such a node is a parent of every member of the set, so only the
@@ -266,7 +275,7 @@ def _node_with_children(dag: EsopDag, kind: str,
     member = min(child_set, key=lambda c: len(nodes[c].parents))
     return min((p for p in nodes[member].parents
                 if nodes[p].kind == kind
-                and frozenset(nodes[p].children) == child_set), default=None)
+                and set(nodes[p].children) == child_set), default=None)
 
 
 def _co_parents(dag: EsopDag, i: int) -> set[int]:
@@ -467,7 +476,7 @@ def reduce_parents(dag: EsopDag, leaf: int) -> MutationReport:
 
 def _apply_product_expansion(dag: EsopDag, q: int, e: int, b: int):
     """Replace and(a, b) by ((a^b) . b) ^ b everywhere q is referenced."""
-    a2 = dag.get_or_create(T_AND, [e, b])
+    a2 = dag.add(T_AND, [e, b])
     v = None
     for p in sorted(set(dag.nodes[q].parents)):
         if p not in dag.nodes:
@@ -478,7 +487,7 @@ def _apply_product_expansion(dag: EsopDag, q: int, e: int, b: int):
             dag.normalize_node(p)
         else:
             if v is None:
-                v = dag.get_or_create(T_XOR, [a2, b])
+                v = dag.add(T_XOR, [a2, b])
             dag.set_children(p, [v if c == q else c for c in pn.children])
     if v is not None:
         dag.output_order = [

@@ -19,7 +19,7 @@ from esopsyn.circuit import (
 )
 from esopsyn.cli import pareto_points, run_cli
 from esopsyn.funcs import (
-    Permutation, TruthTable, anf_from_truth_table, mobius_bits,
+    EsopExpression, Permutation, TruthTable, anf_from_truth_table, mobius_bits,
     truth_table_from_anf, truth_table_from_permutation,
 )
 from esopsyn.mapper import synthesize
@@ -57,9 +57,9 @@ def test_criterion_2_normal_form_correctness():
     for i in (0, 5, 10, 15):
         col |= 1 << i
     (expr,) = anf_from_truth_table(TruthTable.from_columns(4, [col]))
-    want = frozenset({0b0000, 0b0001, 0b0010, 0b0011, 0b0100, 0b0110,
-                      0b1000, 0b1001, 0b1100})
-    exact = expr.masks == want
+    want = EsopExpression.from_masks(4, [0b0000, 0b0001, 0b0010, 0b0011,
+                                         0b0100, 0b0110, 0b1000, 0b1001, 0b1100])
+    exact = expr == want
 
     rng = random.Random(2024)
     checked = 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from esopsyn.funcs import (
     EsopExpression, Permutation, TruthTable, anf_from_truth_table,
     mobius_bits, truth_table_from_anf, truth_table_from_permutation,
+    variable_patterns,
 )
 
 
@@ -19,26 +20,28 @@ def table_from_ones(n, ones):
 FOUR_MOD_FIVE = table_from_ones(4, (0, 5, 10, 15))
 
 # 1 ^ x1 ^ x2 ^ x1x2 ^ x3 ^ x2x3 ^ x4 ^ x1x4 ^ x3x4
-FOUR_MOD_FIVE_CUBES = frozenset(
-    {0b0000, 0b0001, 0b0010, 0b0011, 0b0100, 0b0110, 0b1000, 0b1001, 0b1100})
+FOUR_MOD_FIVE_CUBES = (
+    0b0000, 0b0001, 0b0010, 0b0011, 0b0100, 0b0110, 0b1000, 0b1001, 0b1100)
 
 
 def test_constant_zero_has_empty_cube_set():
     for n in (1, 3, 5):
         tt = TruthTable(n, 1, tuple([0] * (1 << n)))
         (expr,) = anf_from_truth_table(tt)
-        assert expr.coeffs == 0 and expr.masks == frozenset()
+        assert expr.coeffs == 0 and expr.sorted_masks() == []
 
 
 def test_single_variable_identity():
     tt = TruthTable(1, 1, (0, 1))
     (expr,) = anf_from_truth_table(tt)
-    assert expr.masks == frozenset({0b1})
+    assert expr == EsopExpression.from_masks(1, [0b1])
 
 
 def test_mod5_detector_normal_form():
     (expr,) = anf_from_truth_table(FOUR_MOD_FIVE)
-    assert expr.masks == FOUR_MOD_FIVE_CUBES
+    assert expr == EsopExpression.from_masks(4, FOUR_MOD_FIVE_CUBES)
+    assert expr.sorted_masks() == sorted(FOUR_MOD_FIVE_CUBES,
+                                         key=lambda m: (m.bit_count(), m))
     # cross-check with the brute-force evaluator
     for x in range(16):
         assert expr.evaluate(x) == (FOUR_MOD_FIVE.rows[x] & 1)
@@ -59,8 +62,7 @@ def test_empty_and_constant_expressions():
 def test_multi_output_tables_give_one_expression_per_output():
     tt = TruthTable(2, 3, (0b100, 0b101, 0b110, 0b011))
     exprs = anf_from_truth_table(tt)
-    assert [e.masks for e in exprs] == [
-        frozenset({0b01}), frozenset({0b10}), frozenset({0b00, 0b11})]
+    assert [e.sorted_masks() for e in exprs] == [[0b01], [0b10], [0b00, 0b11]]
     for j, e in enumerate(exprs):
         assert truth_table_from_anf(e).column_bits(0) == tt.column_bits(j)
 
@@ -130,7 +132,7 @@ def test_reversible_outputs_avoid_the_full_cube():
             rng.shuffle(images)
             tt = truth_table_from_permutation(Permutation(tuple(images)))
             for expr in anf_from_truth_table(tt):
-                assert top not in expr.masks
+                assert not expr.coeffs >> top & 1
 
 
 def test_cube_helpers():
@@ -140,6 +142,16 @@ def test_cube_helpers():
     assert e.degree == 3
     assert [e.evaluate(x) for x in (0, 0b1011, 0b1111, 0b0011)] == [1, 0, 0, 1]
     assert str(EsopExpression(4, 0)) == "0" and EsopExpression(4, 0).degree == 0
+
+
+def test_variable_patterns_hold_each_variables_column():
+    for n in range(7):
+        patterns = variable_patterns(n)
+        assert len(patterns) == n
+        for i, p in enumerate(patterns):
+            assert p == sum(1 << m for m in range(1 << n) if m >> i & 1)
+            # the variable's ANF is the single cube x_{i+1}
+            assert mobius_bits(p, n) == 1 << (1 << i)
 
 
 _TABLES = st.tuples(st.integers(0, 8), st.integers(1, 4)).flatmap(
@@ -158,8 +170,8 @@ def test_anf_of_random_multi_output_tables(case, rnd):
     for j, e in enumerate(exprs):
         assert all(e.evaluate(x) == rows[x] >> j & 1 for x in range(1 << n))
         assert truth_table_from_anf(e).column_bits(0) == tt.column_bits(j)
-        assert EsopExpression.from_masks(n, e.masks) == e
+        assert EsopExpression.from_masks(n, e.sorted_masks()) == e
         extra = [rnd.randrange(1 << n) for _ in range(3)]
-        twice = list(e.masks) + extra + extra[::-1]
+        twice = e.sorted_masks() + extra + extra[::-1]
         rnd.shuffle(twice)
         assert EsopExpression.from_masks(n, twice) == e

@@ -332,12 +332,12 @@ def test_find_target_follows_depths_that_a_collapse_lowers():
     # is neither top's child nor reshaped
     dag = EsopDag(8)
     x = [dag.var_node(i) for i in range(8)]
-    g = dag.get_or_create(T_XOR, [x[0], x[1]])
-    h = dag.get_or_create(T_XOR, [x[4], x[5]])
-    c = dag.get_or_create(T_AND, [g, x[2]])
-    top = dag.get_or_create(T_XOR, [c, x[3]])
-    z = dag.get_or_create(T_AND, [h, x[7]])
-    y = dag.get_or_create(T_XOR, [z, x[6]])
+    g = dag.add(T_XOR, [x[0], x[1]])
+    h = dag.add(T_XOR, [x[4], x[5]])
+    c = dag.add(T_AND, [g, x[2]])
+    top = dag.add(T_XOR, [c, x[3]])
+    z = dag.add(T_AND, [h, x[7]])
+    y = dag.add(T_XOR, [z, x[6]])
     dag.set_children(dag.root, [top, c, y])
     dag.recompute_depths()
     assert find_target(dag) == TargetChoice(g, RULE_XOR_SINGLE)

@@ -2,11 +2,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esopsyn import benchmarks, optimize
 from esopsyn.dag import T_AND, T_XOR, EsopDag, build_dag_from_trees, \
     dag_to_expressions, dump_text, validate_dag
-from esopsyn.funcs import EsopExpression, anf_from_truth_table, cube_order
+from esopsyn.funcs import EsopExpression, anf_from_truth_table, bit_support, \
+    cube_order
 from esopsyn.optimize import (
     MutationReport, OptimizeParams, best_divisor, common_cube_sharing,
     divide, factor_expression, kernel_pairs, parent_reduction_pass,
@@ -18,58 +20,62 @@ def expr(n, masks):
     return EsopExpression.from_masks(n, masks)
 
 
+def word(masks) -> int:
+    """The coefficient word of a set of distinct cube masks."""
+    return sum(1 << m for m in set(masks))
+
+
 def flat_dag(exprs, max_and_arity):
     """The flat graph `synthesize` builds at K = 0."""
     trees = [factor_expression(e, OptimizeParams()) for e in exprs]
     return build_dag_from_trees(trees, exprs[0].n_vars, max_and_arity)
 
 
-def and_masks(a, b) -> frozenset[int]:
-    """Product of two cube sets with duplicate cancellation."""
-    acc: set[int] = set()
-    for ma in a:
-        for mb in b:
-            acc ^= {ma | mb}
-    return frozenset(acc)
+def product(a, b) -> int:
+    """Product of two coefficient words with duplicate cancellation."""
+    acc = 0
+    for ma in bit_support(a):
+        for mb in bit_support(b):
+            acc ^= 1 << (ma | mb)
+    return acc
 
 
-def remainder(masks, kernel, co) -> frozenset[int]:
-    """What is left of `masks` after the co * kernel products."""
-    return frozenset(masks) - {co | k for k in kernel}
+def remainder(f, kernel, co) -> int:
+    """What is left of word `f` after the co * kernel products."""
+    return f & ~word(co | k for k in bit_support(kernel))
 
 
-def pair_identity_holds(masks, kernel, co):
-    product = and_masks({co}, kernel)
-    assert product ^ remainder(masks, kernel, co) == frozenset(masks)
+def pair_identity_holds(f, kernel, co):
+    assert product(1 << co, kernel) ^ remainder(f, kernel, co) == f
     # kernels are cube-free: no single variable divides every cube
     inter = ~0
-    for m in kernel:
+    for m in bit_support(kernel):
         inter &= m
     assert inter == 0
 
 
 def test_kernel_of_a_shared_literal():
-    f = frozenset({0b011, 0b101})          # x1x2 ^ x1x3
+    f = word({0b011, 0b101})               # x1x2 ^ x1x3
     pairs = kernel_pairs(f, 3)
     assert len(pairs) == 1
     kernel, co = pairs[0]
-    assert kernel == frozenset({0b010, 0b100})
+    assert kernel == word({0b010, 0b100})
     assert co == 0b001
-    assert remainder(f, kernel, co) == frozenset()
+    assert remainder(f, kernel, co) == 0
     pair_identity_holds(f, kernel, co)
 
 
 def test_no_variable_occurs_twice_no_kernels():
-    assert kernel_pairs(frozenset({0b01, 0b10}), 2) == []
-    assert kernel_pairs(frozenset({0b01}), 2) == []
+    assert kernel_pairs(word({0b01, 0b10}), 2) == []
+    assert kernel_pairs(word({0b01}), 2) == []
 
 
 def test_kernel_with_remainder():
-    f = frozenset({0b0011, 0b0101, 0b1000})  # x1x2 ^ x1x3 ^ x4
+    f = word({0b0011, 0b0101, 0b1000})     # x1x2 ^ x1x3 ^ x4
     by_co = {co: kernel for kernel, co in kernel_pairs(f, 4)}
     kernel = by_co[0b0001]
-    assert kernel == frozenset({0b0010, 0b0100})
-    assert remainder(f, kernel, 0b0001) == frozenset({0b1000})
+    assert kernel == word({0b0010, 0b0100})
+    assert remainder(f, kernel, 0b0001) == word({0b1000})
     pair_identity_holds(f, kernel, 0b0001)
 
 
@@ -77,9 +83,81 @@ def test_kernel_identity_on_random_expressions():
     rng = random.Random(17)
     for _ in range(40):
         n = rng.randint(2, 6)
-        f = frozenset(rng.randrange(1 << n) for _ in range(rng.randint(2, 12)))
+        f = word(rng.randrange(1 << n) for _ in range(rng.randint(2, 12)))
         for kernel, co in kernel_pairs(f, n):
             pair_identity_holds(f, kernel, co)
+
+
+def _set_kernel_pairs(masks, n_vars):
+    """Kernel enumeration on frozensets of cube masks, the form factoring
+    ran on before coefficient words; the reference for kernel_pairs."""
+    out = []
+    seen = set()
+
+    def recurse(g, min_var, co):
+        if len(out) >= optimize.KERNEL_CAP:
+            return
+        for i in range(min_var, n_vars):
+            bit = 1 << i
+            with_i = [m for m in g if m & bit]
+            if len(with_i) < 2:
+                continue
+            cc = with_i[0]
+            for m in with_i[1:]:
+                cc &= m
+            if cc & (bit - 1):
+                continue
+            q = frozenset(m & ~cc for m in with_i)
+            key = (co | cc, q)
+            if key not in seen:
+                seen.add(key)
+                out.append((q, co | cc))
+                if len(out) >= optimize.KERNEL_CAP:
+                    return
+            recurse(q, i + 1, co | cc)
+
+    recurse(masks, 0, 0)
+    return out
+
+
+def _set_divide(masks, divisor):
+    """Weak division on frozensets of cube masks; the reference for divide."""
+    d = sorted(divisor)
+    q = None
+    for dj in d:
+        qj = {m & ~dj for m in masks if m & dj == dj}
+        q = qj if q is None else q & qj
+    q = q or set()
+    kept = []
+    used = set()
+    for qi in sorted(q):
+        products = {dj | qi for dj in d}
+        if len(products) == len(d) and not (products & used):
+            kept.append(qi)
+            used |= products
+    return frozenset(kept), masks - used
+
+
+_CUBE_SETS = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.frozensets(st.integers(0, (1 << n) - 1), max_size=40),
+    st.lists(st.frozensets(st.integers(0, (1 << n) - 1), max_size=5),
+             max_size=3)))
+
+
+@given(_CUBE_SETS)
+@settings(max_examples=300, deadline=None)
+def test_word_factoring_matches_the_cube_set_reference(case):
+    n, masks, divisors = case
+    f = word(masks)
+    want = _set_kernel_pairs(masks, n)
+    pairs = kernel_pairs(f, n)
+    assert pairs == [(word(k), co) for k, co in want]      # same order
+    for k in range(4):
+        assert best_divisor(pairs, k) == best_divisor(
+            [(word(ker), co) for ker, co in want], k)
+    for d in [k for k, _co in want[:4]] + divisors:
+        q, r = _set_divide(masks, d)
+        assert divide(f, word(d), n) == (word(q), word(r))
 
 
 def test_kernel_cap_is_loose_by_at_most_one_pair_per_variable(monkeypatch):
@@ -92,42 +170,42 @@ def test_kernel_cap_is_loose_by_at_most_one_pair_per_variable(monkeypatch):
         monkeypatch.setattr(optimize, "KERNEL_CAP", cap)
         for _ in range(60):
             n = rng.randint(3, 7)
-            masks = frozenset(rng.randrange(1 << n)
-                              for _ in range(rng.randint(4, 30)))
-            pairs = kernel_pairs(masks, n)
+            f = word(rng.randrange(1 << n) for _ in range(rng.randint(4, 30)))
+            pairs = kernel_pairs(f, n)
             assert len(pairs) <= cap + n
             overshoots += len(pairs) > cap
             params = OptimizeParams(kernel_threshold=rng.randint(1, 3))
-            tree = optimize._factor(masks, n, params)
+            tree = optimize._factor(f, n, params)
             dag = build_dag_from_trees([tree], n, 3)
-            assert dag_to_expressions(dag)[0].masks == masks
+            assert dag_to_expressions(dag)[0].coeffs == f
     assert overshoots
 
 
 def test_divisor_selection():
-    assert best_divisor(kernel_pairs(frozenset({0b01, 0b10}), 2), 0) is None
-    f = frozenset({0b0011, 0b0101, 0b1010, 0b1100})
+    assert best_divisor(kernel_pairs(word({0b01, 0b10}), 2), 0) is None
+    f = word({0b0011, 0b0101, 0b1010, 0b1100})
     pairs = kernel_pairs(f, 4)
     pick = best_divisor(pairs, 1)
     assert pick is not None
     # minimum remainder wins
-    assert len(remainder(f, *pairs[pick])) == min(
-        len(remainder(f, kernel, co)) for kernel, co in pairs
-        if len(kernel) > 1)
+    assert remainder(f, *pairs[pick]).bit_count() == min(
+        remainder(f, kernel, co).bit_count() for kernel, co in pairs
+        if kernel.bit_count() > 1)
     # a threshold above every kernel size declines to factor
     assert best_divisor(pairs, 10) is None
 
 
-def _reference_select_divisor(masks, pairs, threshold):
+def _reference_select_divisor(f, pairs, threshold):
     """The ranking factoring used before it worked on masks alone: minimum
     remainder, then larger kernel, lowest co-kernel mask and the kernel's
     sorted cube list."""
     best = best_key = None
     for kernel, co in pairs:
-        if len(kernel) <= threshold:
+        size = kernel.bit_count()
+        if size <= threshold:
             continue
-        key = (len(remainder(masks, kernel, co)), -len(kernel), co,
-               tuple(cube_order(kernel)))
+        key = (remainder(f, kernel, co).bit_count(), -size, co,
+               tuple(cube_order(bit_support(kernel))))
         if best_key is None or key < best_key:
             best, best_key = (kernel, co), key
     return best
@@ -139,7 +217,7 @@ def _picked(pairs, threshold):
 
 
 def _tied_cube_sets(rng):
-    """Cube sets whose kernels tie on size: one kernel under several
+    """Expressions whose kernels tie on size: one kernel under several
     co-kernels, plus a little noise."""
     n = rng.randint(4, 7)
     split = rng.randint(2, n - 2)
@@ -148,21 +226,21 @@ def _tied_cube_sets(rng):
     cos = rng.sample(high, rng.randint(2, min(4, len(high))))
     masks = {(co << split) | k for co in cos for k in kernel}
     masks ^= {rng.randrange(1 << n) for _ in range(rng.randint(0, 3))}
-    return n, frozenset(masks)
+    return n, word(masks)
 
 
-def _top_divisor(monkeypatch, masks, n, params):
+def _top_divisor(monkeypatch, f, n, params):
     """The divisor _factor splits off first, or None."""
     seen = []
     real = optimize.divide
 
-    def spy(m, d):
+    def spy(w, d, n_vars):
         seen.append(d)
-        return real(m, d)
+        return real(w, d, n_vars)
 
     with monkeypatch.context() as mp:
         mp.setattr(optimize, "divide", spy)
-        optimize._factor(masks, n, params)
+        optimize._factor(f, n, params)
     return seen[0] if seen else None
 
 
@@ -171,16 +249,15 @@ def test_factoring_picks_the_divisor_the_kernel_objects_picked(monkeypatch):
     picked = 0
     for case in range(600):
         if case % 3 == 0:
-            n, masks = _tied_cube_sets(rng)
+            n, f = _tied_cube_sets(rng)
         else:
             n = rng.randint(2, 7)
-            masks = frozenset(rng.randrange(1 << n)
-                              for _ in range(rng.randint(2, 40)))
-        if len(masks) < 2:
+            f = word(rng.randrange(1 << n) for _ in range(rng.randint(2, 40)))
+        if f.bit_count() < 2:
             continue
         k = rng.randint(1, 5)
-        want = _reference_select_divisor(masks, kernel_pairs(masks, n), k)
-        got = _top_divisor(monkeypatch, masks, n,
+        want = _reference_select_divisor(f, kernel_pairs(f, n), k)
+        got = _top_divisor(monkeypatch, f, n,
                            OptimizeParams(kernel_threshold=k))
         assert got == (None if want is None else want[0])
         picked += want is not None
@@ -192,39 +269,37 @@ def test_divisor_ties_break_on_co_kernel_then_cube_order():
     # kernel_pairs itself never yields, since a co-kernel fixes its kernel)
     rng = random.Random(314)
     for _ in range(300):
-        n, masks = _tied_cube_sets(rng)
+        n, f = _tied_cube_sets(rng)
         pairs = []
-        for kernel, co in kernel_pairs(masks, n):
-            size = len(kernel)
+        for kernel, co in kernel_pairs(f, n):
+            size = kernel.bit_count()
             if size < 3 or rng.random() < 0.3:
                 pairs.append((kernel, co))
                 continue
-            cubes = sorted(kernel)
+            cubes = bit_support(kernel)
             for _ in range(3):
-                pairs.append((frozenset(rng.sample(cubes, size - 1)), co))
+                pairs.append((word(rng.sample(cubes, size - 1)), co))
         rng.shuffle(pairs)
         for k in range(1, 6):
             assert _picked(pairs, k) == \
-                _reference_select_divisor(masks, pairs, k)
+                _reference_select_divisor(f, pairs, k)
 
 
 def test_weak_division_is_exact():
     rng = random.Random(23)
     for _ in range(40):
         n = rng.randint(2, 6)
-        masks = frozenset(rng.randrange(1 << n)
-                          for _ in range(rng.randint(2, 12)))
-        for kernel, _co in kernel_pairs(masks, n)[:3]:
-            q, r = divide(masks, kernel)
-            assert and_masks(q, kernel) ^ r == masks
+        f = word(rng.randrange(1 << n) for _ in range(rng.randint(2, 12)))
+        for kernel, _co in kernel_pairs(f, n)[:3]:
+            q, r = divide(f, kernel, n)
+            assert product(q, kernel) ^ r == f
 
 
 def tree_semantics_match(masks, n, params):
     tree = factor_expression(expr(n, masks), params)
     dag = build_dag_from_trees([tree], n, params.max_and_arity)
     back = dag_to_expressions(dag)[0]
-    assert back.masks == frozenset(masks)
-
+    assert back == expr(n, masks)
 
 def test_factoring_preserves_semantics():
     params = OptimizeParams(kernel_threshold=1)
@@ -255,7 +330,7 @@ def test_threshold_changes_the_shape_but_not_the_function():
         params = OptimizeParams(kernel_threshold=k)
         tree = factor_expression(expr(5, masks), params)
         dag = build_dag_from_trees([tree], 5, 3)
-        assert dag_to_expressions(dag)[0].masks == frozenset(masks)
+        assert dag_to_expressions(dag)[0] == expr(5, masks)
         shapes.add(len(dag))
     assert len(shapes) > 1
 
@@ -272,8 +347,7 @@ def test_subset_children_get_hoisted():
     big = next(nid for nid, n in dag.nodes.items()
                if n.kind == T_AND and nid != small)
     assert small in dag.nodes[big].children
-    assert [e.masks for e in dag_to_expressions(dag)] == \
-        [frozenset({0b011}), frozenset({0b111})]
+    assert dag_to_expressions(dag) == [expr(3, [0b011]), expr(3, [0b111])]
 
 
 def test_small_overlap_is_not_shared():
@@ -287,12 +361,12 @@ def test_small_overlap_is_not_shared():
 def test_identical_nodes_merge():
     dag = flat_dag([expr(3, [0b011, 0b100])], 4)
     # append a structural twin of the and node by hand
-    twin = dag._fresh(T_AND, [])
+    twin = dag.add(T_AND, [])
     orig = next(nid for nid, n in dag.nodes.items() if n.kind == T_AND)
     x1 = dag.var_node(0)
     x2 = dag.var_node(1)
     dag.set_children(twin, [x1, x2])
-    extra = dag._fresh(T_XOR, [])
+    extra = dag.add(T_XOR, [])
     dag.set_children(extra, [twin, dag.var_node(2)])
     dag.set_children(dag.root, dag.nodes[dag.root].children + [extra])
     dag.output_order.append(("y2", extra))
@@ -312,12 +386,12 @@ def test_sharing_never_grows_the_graph_and_keeps_semantics():
                           for _ in range(rng.randint(1, 10))})
                  for _ in range(rng.randint(1, 3))]
         dag = flat_dag(exprs, rng.choice([3, 4, n + 1]))
-        want = [e.masks for e in dag_to_expressions(dag)]
+        want = dag_to_expressions(dag)
         before = len(dag)
         common_cube_sharing(dag)
         assert len(dag) <= before
         assert validate_dag(dag) == []
-        assert [e.masks for e in dag_to_expressions(dag)] == want
+        assert dag_to_expressions(dag) == want
 
 
 def test_sharing_ends_with_fresh_depths_at_every_sweep_cap():
@@ -427,7 +501,7 @@ def _sharing_cases(rng):
             twin_of = rng.choice(pair[0].internal_ids())
             for dag in pair:
                 node = dag.nodes[twin_of]
-                twin = dag._fresh(node.kind, node.children[::-1])
+                twin = dag.add(node.kind, node.children[::-1])
                 dag.set_children(dag.root, dag.nodes[dag.root].children + [twin])
                 dag.output_order.append(("twin", twin))
                 dag.recompute_depths()
@@ -452,7 +526,7 @@ def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
             kids = sorted(set(node.children))
             for child_set in (kids, kids[:2], kids[1:]):
                 got = optimize._node_with_children(ours, node.kind,
-                                                   frozenset(child_set))
+                                                   set(child_set))
                 assert got == \
                     _reference_find_with_children(ours, node.kind, set(child_set))
             assert optimize._share_candidates(ours, nid) == \
@@ -512,14 +586,14 @@ def _depth_drop_scene():
     depth 2, so only A, now the deeper of the two, can pair them.
     """
     dag, x = _and_xor_dag(8)
-    a = dag.get_or_create(T_AND, [x[1], x[2], x[3]])
-    b = dag.get_or_create(T_AND, [x[1], x[2]])
-    c = dag.get_or_create(T_AND, [x[2], x[1]])
-    xx = dag.get_or_create(T_XOR, [b, c, x[5], x[6]])
+    a = dag.add(T_AND, [x[1], x[2], x[3]])
+    b = dag.add(T_AND, [x[1], x[2]])
+    c = dag.add(T_AND, [x[2], x[1]])
+    xx = dag.add(T_XOR, [b, c, x[5], x[6]])
     _finish(dag,
-            dag.get_or_create(T_XOR, [dag.get_or_create(T_AND, [a, x[7]]), x[8]]),
-            dag.get_or_create(T_XOR, [dag.get_or_create(T_AND, [xx, x[7]]), x[8]]),
-            dag.get_or_create(T_XOR, [b, x[4]]))
+            dag.add(T_XOR, [dag.add(T_AND, [a, x[7]]), x[8]]),
+            dag.add(T_XOR, [dag.add(T_AND, [xx, x[7]]), x[8]]),
+            dag.add(T_XOR, [b, x[4]]))
     assert (dag.nodes[a].depth, dag.nodes[b].depth) == (3, 4)
     return dag, [f"merge #{c} into #{b}", f"subset: #{a} now references #{b}"]
 
@@ -533,15 +607,15 @@ def _depth_rise_scene():
     depth 4 under Q, and J, at depth 3, no longer looks at it.
     """
     dag, x = _and_xor_dag(9)
-    r = dag.get_or_create(T_AND, [x[1], x[2], x[3], x[4], x[5]])
-    q = dag.get_or_create(T_AND, [x[1], x[2], x[3], x[4]])
-    i = dag.get_or_create(T_AND, [x[1], x[2], x[3]])
-    j = dag.get_or_create(T_AND, [x[1], x[2]])
-    k = dag.get_or_create(T_AND, [x[2], x[1]])
+    r = dag.add(T_AND, [x[1], x[2], x[3], x[4], x[5]])
+    q = dag.add(T_AND, [x[1], x[2], x[3], x[4]])
+    i = dag.add(T_AND, [x[1], x[2], x[3]])
+    j = dag.add(T_AND, [x[1], x[2]])
+    k = dag.add(T_AND, [x[2], x[1]])
     _finish(dag,
-            dag.get_or_create(T_XOR, [r, q, i, x[6]]),
-            dag.get_or_create(T_XOR, [dag.get_or_create(T_XOR, [j, x[7]]),
-                                      dag.get_or_create(T_XOR, [k, x[8]])]))
+            dag.add(T_XOR, [r, q, i, x[6]]),
+            dag.add(T_XOR, [dag.add(T_XOR, [j, x[7]]),
+                                      dag.add(T_XOR, [k, x[8]])]))
     assert (dag.nodes[i].depth, dag.nodes[j].depth) == (2, 3)
     return dag, [f"merge #{k} into #{j}", f"subset: #{r} now references #{q}",
                  f"subset: #{q} now references #{i}",
@@ -559,18 +633,18 @@ def _pruned_hoist_scene():
     any more.
     """
     dag, x = _and_xor_dag(16)
-    k = dag.get_or_create(T_AND, [x[1], x[2]])
-    d = dag.get_or_create(T_AND, [x[2], x[1]])
-    i = dag.get_or_create(T_AND, [x[1], x[2], x[3]])
-    m = dag.get_or_create(T_AND, [x[1], x[2], x[3], x[4]])
-    j = dag.get_or_create(T_AND, [x[1], x[2], x[11]])
-    p = dag.get_or_create(T_AND, [x[7], x[8], x[9]])
-    q = dag.get_or_create(T_AND, [x[7], x[8], x[10]])
-    xx = dag.get_or_create(T_XOR, [k, d, x[5], x[6]])
+    k = dag.add(T_AND, [x[1], x[2]])
+    d = dag.add(T_AND, [x[2], x[1]])
+    i = dag.add(T_AND, [x[1], x[2], x[3]])
+    m = dag.add(T_AND, [x[1], x[2], x[3], x[4]])
+    j = dag.add(T_AND, [x[1], x[2], x[11]])
+    p = dag.add(T_AND, [x[7], x[8], x[9]])
+    q = dag.add(T_AND, [x[7], x[8], x[10]])
+    xx = dag.add(T_XOR, [k, d, x[5], x[6]])
     _finish(dag,
-            dag.get_or_create(T_AND, [
-                dag.get_or_create(T_XOR, [xx, i, m, p, q, x[12]]), x[13]]),
-            dag.get_or_create(T_XOR, [j, x[14]]))
+            dag.add(T_AND, [
+                dag.add(T_XOR, [xx, i, m, p, q, x[12]]), x[13]]),
+            dag.add(T_XOR, [j, x[14]]))
     return dag, [f"merge #{d} into #{k}", f"subset: #{m} now references #{i}"]
 
 
@@ -578,12 +652,12 @@ def _pruned_hoist_scene():
                                    _pruned_hoist_scene])
 def test_hand_built_scenes_match_the_all_pairs_reference(scene):
     dag, events = scene()
-    want = [e.masks for e in dag_to_expressions(dag)]
+    want = dag_to_expressions(dag)
     assert common_cube_sharing(dag).events == events
     ref, _ = scene()
     assert _reference_cube_sharing(ref).events == events
     assert dump_text(dag) == dump_text(ref)
-    assert [e.masks for e in dag_to_expressions(dag)] == want
+    assert dag_to_expressions(dag) == want
 
 
 def test_cube_sharing_retests_only_what_shares_changed(monkeypatch):
@@ -614,13 +688,13 @@ def build_reduction_scene():
 
 def test_xor_parent_rerouted_through_existing_pair():
     dag = build_reduction_scene()
-    want = [e.masks for e in dag_to_expressions(dag)]
+    want = dag_to_expressions(dag)
     a = dag.var_node(0)
     before = len(dag.nodes[a].parents)
     report = reduce_parents(dag, a)
     assert report.events
     assert len(dag.nodes[a].parents) < before
-    assert [e.masks for e in dag_to_expressions(dag)] == want
+    assert dag_to_expressions(dag) == want
     assert validate_dag(dag) == []
 
 
@@ -634,9 +708,8 @@ def test_product_rewrites_through_the_pair_node():
                if dag.nodes[p].kind in (T_AND, T_XOR)]
     assert len(parents) == 1
     assert dag.nodes[parents[0]].kind == T_XOR
-    assert [e.masks for e in dag_to_expressions(dag)] == \
-        [frozenset({0b001, 0b010}), frozenset({0b001, 0b100}),
-         frozenset({0b011})]
+    assert dag_to_expressions(dag) == \
+        [expr(3, [0b001, 0b010]), expr(3, [0b001, 0b100]), expr(3, [0b011])]
 
 
 def test_no_pair_node_means_no_op():
@@ -656,7 +729,7 @@ def test_reduction_pass_strictly_shrinks_or_reports_nothing():
                  for _ in range(rng.randint(1, 3))]
         dag = flat_dag(exprs, 3)
         common_cube_sharing(dag)
-        want = [e.masks for e in dag_to_expressions(dag)]
+        want = dag_to_expressions(dag)
         counts = {nid: len(dag.nodes[nid].parents)
                   for nid, node in dag.nodes.items() if node.kind == "t_identifier"}
         report = parent_reduction_pass(dag)
@@ -664,4 +737,4 @@ def test_reduction_pass_strictly_shrinks_or_reports_nothing():
             assert any(len(dag.nodes[nid].parents) < c
                        for nid, c in counts.items() if nid in dag.nodes)
         assert validate_dag(dag) == []
-        assert [e.masks for e in dag_to_expressions(dag)] == want
+        assert dag_to_expressions(dag) == want
