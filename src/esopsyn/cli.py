@@ -157,11 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_grid(tokens: list[str]) -> dict[str, list[int]]:
     grid = {"T": [3, 4], "C": [0, 1], "K": list(range(8)), "P": [0, 1]}
+    given: set[str] = set()
     for tok in tokens:
         knob, _, spec = tok.partition("=")
         knob = knob.strip().upper()
         if knob not in grid or not spec:
             raise SpecFormatError(f"bad grid token {tok!r}")
+        if knob in given:
+            raise SpecFormatError(f"grid knob {knob} given twice (in {tok!r})")
+        given.add(knob)
         values: list[int] = []
         for part in spec.split(","):
             part = part.strip()
@@ -383,7 +387,9 @@ def run_cli(argv=None) -> int:
         print(f"did not converge: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (SpecFormatError, SynthesisError, OSError, KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print the message
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -3,10 +3,12 @@
 Five node kinds: t_root (collects the per-output top nodes), t_xor, t_and,
 t_identifier (a variable, or a circuit line once mapping starts) and
 t_constant.  There is one node per variable and per constant, and the
-builder hash-conses, so identical subterms reuse one node; later passes
-create nodes with `add`.  Depth labels are the longest path from the
-root: the graph passes recompute them when they finish, and collapsing a
-mapped node into an identifier updates only the depths below it.
+builder hash-conses, so identical subterms reuse one node; it also keeps
+each cube's and-chain by cube mask, so a cube that occurs in many outputs
+costs one lookup after its first.  Later passes create nodes with `add`.
+Depth labels are the longest path from the root: the graph passes
+recompute them when they finish, and collapsing a mapped node into an
+identifier updates only the depths below it.
 
 Every edit goes through one of five helpers (`add`, `set_children`,
 `to_identifier`, `_delete`, `recompute_depths`), and once recording is on
@@ -28,7 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .funcs import EsopExpression, bit_support, mobius_bits
+from .funcs import EsopExpression, bit_support, cube_order, mobius_bits
 
 T_CONST = "t_constant"
 T_ID = "t_identifier"
@@ -39,13 +41,10 @@ T_XOR = "t_xor"
 LEAF_KINDS = (T_CONST, T_ID)
 
 
-# Factored forms accepted by the builder.  A cube mask plus optional
-# subtrees under an AND, and an XOR of parts; a bare cube is the leaf.
-
-@dataclass(frozen=True)
-class FCube:
-    mask: int
-
+# Factored forms accepted by the builder: a cube mask plus subtrees under
+# an AND, and an XOR of parts.  The leaf is an ANF coefficient word (an
+# `int`, as in EsopExpression.coeffs): the xor of its cubes, each built as
+# an and-chain once per cube mask.
 
 @dataclass(frozen=True)
 class FAnd:
@@ -477,8 +476,10 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     eventual Toffoli spans at most T lines.
 
     Identical subterms share one node: the build keeps its own
-    `(kind, children) -> id` table, the graph's only hash-consing.  Ids
-    are never reused, so the entry of a node deleted since is just stale.
+    `(kind, children) -> id` table, the graph's only hash-consing, and in
+    the same table each cube mask's node, so a repeated cube costs one
+    lookup.  Ids are never reused, so the entry of a node deleted since
+    is just stale.
     """
     if max_and_arity < 2:
         raise ValueError(f"Toffoli size bound must be >= 2, got {max_and_arity}")
@@ -490,7 +491,7 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     # floor is 2 even when T = 2.
     arity = max(2, max_and_arity - 1)
     dag = EsopDag(n_vars)
-    made: dict[tuple, int] = {}
+    made: dict[tuple | int, int] = {}
     tops = []
     for tree in trees:
         # wire each top into the root right away so later builds cannot
@@ -513,29 +514,36 @@ def _consed(dag: EsopDag, made: dict, kind: str, kids: list[int]) -> int:
 
 
 def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
-    if isinstance(tree, FCube):
-        return _node_of_cube(dag, made, tree.mask, arity)
     if isinstance(tree, FAnd):
         kids = [dag.var_node(i) for i in bit_support(tree.cube_mask)]
         kids += [_node_of_tree(dag, made, s, arity) for s in tree.subs]
         return _and_chain(dag, made, kids, arity)
-    if isinstance(tree, FXor):
-        parity: dict[int, int] = {}
-        order: list[int] = []
-        for part in tree.parts:
-            nid = _node_of_tree(dag, made, part, arity)
-            for k in _xor_flatten(dag, nid):
-                if k not in parity:
-                    parity[k] = 0
-                    order.append(k)
-                parity[k] ^= 1
-        kids = [k for k in order if parity[k]]
-        if not kids:
-            return dag.const_node(0)
-        if len(kids) == 1:
-            return kids[0]
-        return _consed(dag, made, T_XOR, kids)
-    raise TypeError(f"unexpected tree part {tree!r}")
+    if isinstance(tree, int):
+        parts = (tree,)
+    elif isinstance(tree, FXor):
+        parts = tree.parts
+    else:
+        raise TypeError(f"unexpected tree part {tree!r}")
+    parity: dict[int, int] = {}
+    order: list[int] = []
+    for part in parts:
+        if isinstance(part, int):
+            # a word's cubes join this xor directly: no xor node of its own
+            nids = [_node_of_cube(dag, made, m, arity)
+                    for m in cube_order(bit_support(part))]
+        else:
+            nids = _xor_flatten(dag, _node_of_tree(dag, made, part, arity))
+        for k in nids:
+            if k not in parity:
+                parity[k] = 0
+                order.append(k)
+            parity[k] ^= 1
+    kids = [k for k in order if parity[k]]
+    if not kids:
+        return dag.const_node(0)
+    if len(kids) == 1:
+        return kids[0]
+    return _consed(dag, made, T_XOR, kids)
 
 
 def _xor_flatten(dag: EsopDag, nid: int):
@@ -549,13 +557,16 @@ def _xor_flatten(dag: EsopDag, nid: int):
 
 
 def _node_of_cube(dag: EsopDag, made: dict, mask: int, arity: int) -> int:
-    deg = mask.bit_count()
-    if deg == 0:
-        return dag.const_node(1)
-    if deg == 1:
-        return dag.var_node(mask.bit_length() - 1)
-    kids = [dag.var_node(i) for i in bit_support(mask)]
-    return _and_chain(dag, made, kids, arity)
+    """The node of one cube, built on its mask's first occurrence."""
+    nid = made.get(mask)
+    if nid is None or nid not in dag.nodes:
+        if mask:
+            kids = [dag.var_node(i) for i in bit_support(mask)]
+            nid = _and_chain(dag, made, kids, arity)
+        else:
+            nid = dag.const_node(1)
+        made[mask] = nid
+    return nid
 
 
 def _and_chain(dag: EsopDag, made: dict, kids: list[int], arity: int) -> int:

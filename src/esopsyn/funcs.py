@@ -58,7 +58,7 @@ class EsopExpression:
 
 def cube_order(masks) -> list[int]:
     """Deterministic cube order: by degree, then mask value."""
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
+    return sorted(sorted(masks), key=int.bit_count)   # the sort is stable
 
 
 def _default_names(prefix: str, count: int) -> list[str]:

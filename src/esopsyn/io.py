@@ -6,7 +6,10 @@ Three spec formats are accepted:
     optional ``.ilb`` / ``.ob`` name lists of exactly N and M names), then
     ``<inbits> <outbits>`` rows.  ``-`` in the inputs expands to both
     values; ``-`` in an output resolves to 0 (logged).  Rows never listed
-    default to all-zero outputs.
+    default to all-zero outputs.  Under ``.type esop`` the rows are the
+    cubes of an exclusive sum of products and the outputs of all rows
+    covering an input xor; under ``f``, ``fd`` or ``fr`` (or no ``.type``)
+    rows covering one input must agree.
   * permutations: a single line ``perm v0 v1 ...``.
   * cube lists: one output per line, products joined by ``^``
     (e.g. ``1 ^ x1 ^ x1x2``).
@@ -94,12 +97,15 @@ def _parse_perm(lines, origin) -> Permutation:
         raise SpecFormatError(f"{origin}: {e}") from None
 
 
+PLA_TYPES = ("f", "fd", "fr", "esop")
+
+
 def _parse_pla(lines, origin) -> TruthTable:
     n = m = None
     input_names: tuple = ()
     output_names: tuple = ()
-    assigned: dict[int, int] = {}
-    forced: dict[int, int] = {}
+    esop = False
+    rows: list[tuple[str, int]] = []   # (input pattern, output bits)
     for ln in lines:
         parts = ln.split()
         key = parts[0]
@@ -111,7 +117,13 @@ def _parse_pla(lines, origin) -> TruthTable:
             input_names = tuple(parts[1:])
         elif key == ".ob":
             output_names = tuple(parts[1:])
-        elif key in (".p", ".type"):
+        elif key == ".type":
+            if len(parts) != 2 or parts[1] not in PLA_TYPES:
+                raise SpecFormatError(
+                    f"{origin}: unsupported .type {' '.join(parts[1:])!r}; "
+                    f"expected one of {', '.join(PLA_TYPES)}")
+            esop = parts[1] == "esop"
+        elif key == ".p":
             continue
         elif key == ".e":
             break
@@ -138,11 +150,7 @@ def _parse_pla(lines, origin) -> TruthTable:
                              origin, ln)
                 elif ch != "0":
                     raise SpecFormatError(f"{origin}: bad output bit {ch!r}")
-            for idx in _expand_input(inbits, origin):
-                if idx in assigned and assigned[idx] != value:
-                    raise SpecFormatError(
-                        f"{origin}: conflicting rows for input {idx}")
-                assigned[idx] = value
+            rows.append((inbits, value))
     if n is None or m is None:
         raise SpecFormatError(f"{origin}: missing .i/.o header")
     for key, names, count in ((".ilb", input_names, n), (".ob", output_names, m)):
@@ -150,8 +158,18 @@ def _parse_pla(lines, origin) -> TruthTable:
             raise SpecFormatError(
                 f"{origin}: {key} lists {len(names)} names, the header "
                 f"declares {count}")
-    rows = tuple(assigned.get(i, 0) for i in range(1 << n))
-    return TruthTable(n, m, rows, input_names, output_names)
+    # an ESOP's rows are cubes whose outputs xor; otherwise the rows that
+    # cover one input must agree
+    assigned: dict[int, int] = {}
+    for inbits, value in rows:
+        for idx in _expand_input(inbits, origin):
+            if esop:
+                assigned[idx] = assigned.get(idx, 0) ^ value
+            elif assigned.setdefault(idx, value) != value:
+                raise SpecFormatError(
+                    f"{origin}: conflicting rows for input {idx}")
+    return TruthTable(n, m, tuple(assigned.get(i, 0) for i in range(1 << n)),
+                      input_names, output_names)
 
 
 def _header_count(parts: list[str], origin: str) -> int:

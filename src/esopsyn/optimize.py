@@ -26,7 +26,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .dag import (
-    EsopDag, FAnd, FCube, FXor, T_AND, T_ID, T_XOR,
+    EsopDag, FAnd, FXor, T_AND, T_ID, T_XOR,
 )
 from .funcs import EsopExpression, bit_support, cube_order, variable_patterns
 
@@ -157,29 +157,23 @@ def factor_expression(expr: EsopExpression, params: OptimizeParams):
 
     Splits off the selected divisor, then factors divisor, quotient and
     remainder the same way; when no kernel beats the threshold (or K is 0)
-    the flat two-level form is kept.
+    the flat two-level form is kept: the coefficient word itself, an `int`
+    leaf that the graph builder reads as the xor of its cubes.
     """
     return _factor(expr.coeffs, expr.n_vars, params)
 
 
-def _flat_tree(word: int):
-    parts = tuple(FCube(m) for m in cube_order(bit_support(word)))
-    if len(parts) == 1:
-        return parts[0]
-    return FXor(parts)
-
-
 def _factor(word: int, n_vars: int, params: OptimizeParams):
     if word.bit_count() < 2 or params.kernel_threshold == 0:
-        return _flat_tree(word)
+        return word
     pairs = kernel_pairs(word, n_vars)
     idx = best_divisor(pairs, params.kernel_threshold)
     if idx is None:
-        return _flat_tree(word)
+        return word
     d = pairs[idx][0]
     quotient, remainder = divide(word, d, n_vars)
     if not quotient:
-        return _flat_tree(word)
+        return word
     tree_d = _factor(d, n_vars, params)
     if quotient.bit_count() == 1:
         product = FAnd(quotient.bit_length() - 1, (tree_d,))

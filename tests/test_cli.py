@@ -93,13 +93,25 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
              "no_inputs.pla": (["synth"], ".i 0\n.o 1\n"),
              "no_outputs.pla": (["synth"], ".i 2\n.o 0\n"),
              "short_ilb.pla": (["synth"], ".i 2\n.o 1\n.ilb a\n00 1\n"),
-             "long_ob.pla": (["synth"], ".i 2\n.o 1\n.ob p q\n00 1\n")}
+             "long_ob.pla": (["synth"], ".i 2\n.o 1\n.ob p q\n00 1\n"),
+             "bad_type.pla": (["synth"], ".i 2\n.o 1\n.type exor\n1- 1\n")}
     for name, (cmd, text) in cases.items():
         path = tmp_path / name
         path.write_text(text)
         assert run_cli(cmd + ["--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_esop_pla_and_its_cube_list_check_each_other(tmp_path, capsys):
+    pla = tmp_path / "x.pla"
+    pla.write_text(".i 2\n.o 1\n.type esop\n1- 1\n-1 1\n")
+    cubes = tmp_path / "x.cubes"
+    cubes.write_text("x1 ^ x2\n")
+    out = tmp_path / "x.tfc"
+    assert run_cli(["synth", "--in", str(pla), "--out", str(out)]) == 0
+    assert run_cli(["verify", "--in", str(out), "--spec", str(cubes)]) == 0
+    assert capsys.readouterr().out.startswith("equivalent to x.cubes")
 
 
 def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
@@ -117,7 +129,8 @@ def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
              ["ancilla-free", "--exhaustive", "-1"],
              sweep + ["--grid", "K=5..2"], sweep + ["--grid", "C=0,1,2"],
              sweep + ["--grid", "P=-1"], sweep + ["--jobs", "0"],
-             sweep + ["--jobs", "-3"],
+             sweep + ["--jobs", "-3"], sweep + ["--grid", "T=3", "T=4"],
+             ["synth", "--in", "bench:nosuch"],
              # argparse's own usage errors, and the removed --verify
              ["synth", "--in", "bench:rd53", "-T", "x"],
              ["synth", "--in", "bench:rd53", "--verify", "off"]]
@@ -127,6 +140,12 @@ def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert run_cli(["synth", "--exhaustive", "4"]) == 1
     assert "1 to 3" in capsys.readouterr().err
+    # a knob given twice is refused, not silently overridden
+    assert run_cli(sweep + ["--grid", "T=3", "t=4"]) == 1
+    assert "T given twice" in capsys.readouterr().err
+    # the message of a KeyError, without the quotes str() puts round it
+    assert run_cli(["synth", "--in", "bench:nosuch"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown benchmark 'nosuch';")
     assert not report.exists()
 
 

@@ -1,14 +1,19 @@
 import copy
+import functools
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from esopsyn import benchmarks
 from esopsyn.dag import (
-    T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees, dag_to_expressions,
-    dump_text, validate_dag,
+    EsopDag, FAnd, FXor, T_AND, T_CONST, T_ID, T_XOR, _and_chain, _consed,
+    _xor_flatten, build_dag_from_trees, dag_to_expressions, dump_text,
+    validate_dag,
 )
 from esopsyn.funcs import (
-    EsopExpression, Permutation, anf_from_truth_table,
+    EsopExpression, Permutation, anf_from_truth_table, bit_support, cube_order,
     truth_table_from_permutation,
 )
 from esopsyn.optimize import OptimizeParams, factor_expression
@@ -214,3 +219,128 @@ def test_var_node_recreates_a_pruned_variable():
     again = dag.var_node(2)
     assert again != x3 and dag.nodes[again].label == "x3"
     assert dag.var_node(2) == again
+
+
+# -- the per-occurrence builder: the reference for the per-mask chain cache --
+
+
+@dataclass(frozen=True)
+class _FCube:
+    mask: int
+
+
+def _reference_tree(tree):
+    """A factored tree in the builder's former form: cube leaves, a flat
+    word as a bare cube or an xor of cubes, and the cubes of a flat
+    remainder spliced into the xor that holds it."""
+    if isinstance(tree, int):
+        parts = tuple(_FCube(m) for m in cube_order(bit_support(tree)))
+        return parts[0] if len(parts) == 1 else FXor(parts)
+    if isinstance(tree, FAnd):
+        return FAnd(tree.cube_mask, tuple(_reference_tree(s) for s in tree.subs))
+    parts = ()
+    for part in tree.parts:
+        old = _reference_tree(part)
+        spliced = isinstance(part, int) and isinstance(old, FXor)
+        parts += old.parts if spliced else (old,)
+    return FXor(parts)
+
+
+def _reference_node(dag, made, tree, arity):
+    """Every cube occurrence builds its whole and-chain again and leaves
+    the hash-consing to find the nodes."""
+    if isinstance(tree, _FCube):
+        if tree.mask == 0:
+            return dag.const_node(1)
+        kids = [dag.var_node(i) for i in bit_support(tree.mask)]
+        return _and_chain(dag, made, kids, arity)
+    if isinstance(tree, FAnd):
+        kids = [dag.var_node(i) for i in bit_support(tree.cube_mask)]
+        kids += [_reference_node(dag, made, s, arity) for s in tree.subs]
+        return _and_chain(dag, made, kids, arity)
+    parity: dict[int, int] = {}
+    order: list[int] = []
+    for part in tree.parts:
+        for k in _xor_flatten(dag, _reference_node(dag, made, part, arity)):
+            if k not in parity:
+                parity[k] = 0
+                order.append(k)
+            parity[k] ^= 1
+    kids = [k for k in order if parity[k]]
+    if not kids:
+        return dag.const_node(0)
+    if len(kids) == 1:
+        return kids[0]
+    return _consed(dag, made, T_XOR, kids)
+
+
+def _reference_build(trees, n_vars, max_and_arity):
+    arity = max(2, max_and_arity - 1)
+    dag = EsopDag(n_vars)
+    made: dict = {}
+    tops = []
+    for tree in trees:
+        top = _reference_node(dag, made, _reference_tree(tree), arity)
+        tops.append(top)
+        if top not in dag.nodes[dag.root].children:
+            dag.set_children(dag.root, dag.nodes[dag.root].children + [top])
+    dag.output_order = [(f"y{i + 1}", top) for i, top in enumerate(tops)]
+    dag.recompute_depths()
+    return dag
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_trees(name, k):
+    spec = benchmarks.get(name)
+    if isinstance(spec, Permutation):
+        spec = truth_table_from_permutation(spec)
+    exprs = anf_from_truth_table(spec)
+    params = OptimizeParams(kernel_threshold=k)
+    return tuple(exprs), tuple(factor_expression(e, params) for e in exprs)
+
+
+def _tree_kinds(tree):
+    if isinstance(tree, FAnd):
+        return {FAnd}.union(*map(_tree_kinds, tree.subs))
+    if isinstance(tree, FXor):
+        return {FXor}.union(*map(_tree_kinds, tree.parts))
+    return {type(tree)}
+
+
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_cached_chains_build_the_per_occurrence_graph(name):
+    for k in (0, 1, 3):
+        exprs, trees = _benchmark_trees(name, k)
+        for t in (3, 4, 5):
+            got = build_dag_from_trees(list(trees), exprs[0].n_vars, t)
+            want = _reference_build(trees, exprs[0].n_vars, t)
+            assert dump_text(got) == dump_text(want), (k, t)
+
+
+@pytest.mark.parametrize("name", benchmarks.names())
+def test_factored_trees_hold_only_and_xor_and_words(name):
+    for k in (0, 1, 3):
+        exprs, trees = _benchmark_trees(name, k)
+        for tree in trees:
+            assert _tree_kinds(tree) <= {FAnd, FXor, int}
+        dag = build_dag_from_trees(list(trees), exprs[0].n_vars, 3)
+        assert dag_to_expressions(dag) == list(exprs)
+
+
+@st.composite
+def _words(draw):
+    n = draw(st.integers(1, 8))
+    words = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1),
+                          min_size=1, max_size=3))
+    return n, words
+
+
+@settings(max_examples=40, deadline=None)
+@given(_words(), st.sampled_from([0, 1, 2, 3]), st.integers(2, 5))
+def test_cached_chains_match_the_reference_on_random_words(case, k, t):
+    n, words = case
+    params = OptimizeParams(kernel_threshold=k)
+    trees = [factor_expression(EsopExpression(n, w), params) for w in words]
+    got = build_dag_from_trees(trees, n, t)
+    assert dump_text(got) == dump_text(_reference_build(trees, n, t))
+    assert dag_to_expressions(got) == [EsopExpression(n, w) for w in words]

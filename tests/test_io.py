@@ -60,6 +60,31 @@ def test_conflicting_rows_are_rejected():
     assert tt.rows == (1, 0)
 
 
+ESOP_PLA = ".i 2\n.o 1\n.type esop\n1- 1\n-1 1\n"
+
+
+def test_esop_pla_rows_xor():
+    tt = parse_spec_text(ESOP_PLA)
+    assert tt.rows == (0, 1, 1, 0)
+    assert tt.rows == parse_spec_text("x1 ^ x2\n").rows
+    # under esop, rows that disagree are terms, not a conflict
+    assert parse_spec_text(".i 1\n.o 2\n.type esop\n- 11\n1 01\n").rows == (3, 1)
+
+
+@pytest.mark.parametrize("kind", ["", ".type f\n", ".type fd\n", ".type fr\n"])
+def test_sum_of_products_pla_types_keep_rows_that_agree(kind):
+    tt = parse_spec_text(ESOP_PLA.replace(".type esop\n", kind))
+    assert tt.rows == (0, 1, 1, 1)
+    with pytest.raises(SpecFormatError, match="conflicting rows"):
+        parse_spec_text(f".i 1\n.o 1\n{kind}0 1\n- 0\n")
+
+
+@pytest.mark.parametrize("line", [".type exor", ".type", ".type esop fd"])
+def test_unknown_pla_type_is_a_format_error(line):
+    with pytest.raises(SpecFormatError, match="^spec.pla: unsupported .type"):
+        parse_spec_text(f".i 1\n.o 1\n{line}\n0 1\n", origin="spec.pla")
+
+
 def test_malformed_specs():
     for text in (".i 2\n.o 1\n00 1 extra\n",
                  ".i 2\n.o 1\n000 1\n",
