@@ -8,7 +8,9 @@ each cube's and-chain by cube mask, so a cube that occurs in many outputs
 costs one lookup after its first.  Later passes create nodes with `add`.
 Depth labels are the longest path from the root: the graph passes
 recompute them when they finish, and collapsing a mapped node into an
-identifier updates only the depths below it.
+identifier updates only the depths below it.  `recompute_depths` deletes
+the nodes the root no longer reaches, returns their ids (cube sharing
+drops them from its shape index) and relabels every depth.
 
 Every edit goes through one of five helpers (`add`, `set_children`,
 `to_identifier`, `_delete`, `recompute_depths`), and once recording is on
@@ -234,11 +236,15 @@ class EsopDag:
 
     # -- depth / pruning -----------------------------------------------------
 
-    def recompute_depths(self):
+    def recompute_depths(self) -> list[int]:
         """Delete every node the root no longer reaches and relabel each
-        depth as the longest path from the root."""
+        depth as the longest path from the root; returns the deleted ids.
+
+        Once the dead nodes are gone every parent left is live, so a
+        node's in-degree for the topological walk is its parent count.
+        """
         if self.depths_fresh:
-            return
+            return []
         if self.touched is not None:
             self.touched.update(self.nodes)
         reach = {self.root}
@@ -254,10 +260,11 @@ class EsopDag:
             for c in node.children:
                 if c in self.nodes:
                     self.nodes[c].parents.remove(nid)
-        indeg = {nid: sum(1 for p in self.nodes[nid].parents if p in reach)
-                 for nid in reach}
+        indeg = {}
         for nid in reach:
-            self.nodes[nid].depth = 0
+            node = self.nodes[nid]
+            node.depth = 0
+            indeg[nid] = len(node.parents)
         queue = [self.root]
         while queue:
             u = queue.pop()
@@ -270,6 +277,7 @@ class EsopDag:
                 if indeg[c] == 0:
                     queue.append(c)
         self.depths_fresh = True
+        return dead
 
     def internal_ids(self) -> list[int]:
         return sorted(

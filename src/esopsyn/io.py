@@ -104,7 +104,7 @@ def _parse_pla(lines, origin) -> TruthTable:
     n = m = None
     input_names: tuple = ()
     output_names: tuple = ()
-    esop = False
+    pla_type = None
     rows: list[tuple[str, int]] = []   # (input pattern, output bits)
     for ln in lines:
         parts = ln.split()
@@ -122,7 +122,7 @@ def _parse_pla(lines, origin) -> TruthTable:
                 raise SpecFormatError(
                     f"{origin}: unsupported .type {' '.join(parts[1:])!r}; "
                     f"expected one of {', '.join(PLA_TYPES)}")
-            esop = parts[1] == "esop"
+            pla_type = parts[1]
         elif key == ".p":
             continue
         elif key == ".e":
@@ -158,13 +158,17 @@ def _parse_pla(lines, origin) -> TruthTable:
             raise SpecFormatError(
                 f"{origin}: {key} lists {len(names)} names, the header "
                 f"declares {count}")
-    # an ESOP's rows are cubes whose outputs xor; otherwise the rows that
-    # cover one input must agree
+    # an ESOP's rows are cubes whose outputs xor; under f and fd a 0 output
+    # bit only leaves the input out of that output's ON-set, so the outputs
+    # of the rows covering one input are ORed; under fr or no .type those
+    # rows must agree
     assigned: dict[int, int] = {}
     for inbits, value in rows:
         for idx in _expand_input(inbits, origin):
-            if esop:
+            if pla_type == "esop":
                 assigned[idx] = assigned.get(idx, 0) ^ value
+            elif pla_type in ("f", "fd"):
+                assigned[idx] = assigned.get(idx, 0) | value
             elif assigned.setdefault(idx, value) != value:
                 raise SpecFormatError(
                     f"{origin}: conflicting rows for input {idx}")

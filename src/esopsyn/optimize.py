@@ -17,12 +17,15 @@ variables and shifts them down, one shift per variable
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
 given a new partner; pair verdicts are cached for the pass (see
-common_cube_sharing).
+common_cube_sharing).  For the length of a pass it also keeps each
+internal node's kind and child set and the nodes of each such shape
+(_ShapeIndex): a partner whose common-child count allows no merge, subset
+or overlap is dropped before it is sorted or tested, and an overlap finds
+its hoist node with one lookup.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .dag import (
@@ -89,18 +92,24 @@ def kernel_pairs(word: int, n_vars: int) -> list[tuple[int, int]]:
             with_i = g & patterns[i]
             if with_i.bit_count() < 2:
                 continue
-            # the common cube: every variable no cube of with_i lacks
-            cc = sum(1 << j for j, p in enumerate(patterns) if with_i & p == with_i)
-            if cc & ((1 << i) - 1):
-                continue  # a smaller variable index reaches the same kernel
-            q = _cube_quotient(with_i, cc, patterns)
-            key = (co | cc, q)
-            if key not in seen:
-                seen.add(key)
-                out.append((q, co | cc))
-                if len(out) >= KERNEL_CAP:
-                    return
-            recurse(q, i + 1, co | cc)
+            for j in range(i):
+                if with_i & patterns[j] == with_i:
+                    break   # a smaller variable index reaches the same kernel
+            else:
+                # the common cube: every variable no cube of with_i lacks,
+                # divided out as it is found (a shift keeps the other bits)
+                cc, q = 0, with_i
+                for j in range(i, n_vars):
+                    if q & patterns[j] == q:
+                        cc |= 1 << j
+                        q >>= 1 << j
+                key = (co | cc, q)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((q, co | cc))
+                    if len(out) >= KERNEL_CAP:
+                        return
+                recurse(q, i + 1, co | cc)
 
     recurse(word, 0, 0)
     return out
@@ -258,18 +267,39 @@ def _share(dag: EsopDag, i: int, j: int, rule: str,
     return f"overlap: #{i} and #{j} share #{s}", [i, j]
 
 
-def _node_with_children(dag: EsopDag, kind: str,
-                        child_set: set[int]) -> int | None:
-    """Lowest id of the `kind` nodes whose children are exactly child_set.
+class _ShapeIndex:
+    """Each internal node's (kind, child set), and the nodes of each such
+    shape; common_cube_sharing keeps one for the length of a call.
 
-    Such a node is a parent of every member of the set, so only the
-    parents of the member with the fewest parents are searched.
+    `update(nids)` re-reads the given nodes from the graph, so a node
+    whose children changed takes its new shape and a deleted one leaves.
     """
-    nodes = dag.nodes
-    member = min(child_set, key=lambda c: len(nodes[c].parents))
-    return min((p for p in nodes[member].parents
-                if nodes[p].kind == kind
-                and set(nodes[p].children) == child_set), default=None)
+
+    def __init__(self, dag: EsopDag):
+        self.nodes = dag.nodes
+        self.shape: dict[int, tuple[str, frozenset[int]]] = {}
+        self.ids: dict[tuple[str, frozenset[int]], set[int]] = {}
+        self.update(dag.nodes)
+
+    def update(self, nids):
+        nodes, shape, ids = self.nodes, self.shape, self.ids
+        for nid in nids:
+            old = shape.pop(nid, None)
+            if old is not None:
+                same = ids[old]
+                same.discard(nid)
+                if not same:
+                    del ids[old]
+            node = nodes.get(nid)
+            if node is not None and node.kind in (T_AND, T_XOR):
+                key = shape[nid] = (node.kind, frozenset(node.children))
+                ids.setdefault(key, set()).add(nid)
+
+    def hoist(self, kind: str, child_set) -> int | None:
+        """Lowest id of the `kind` nodes whose children are exactly
+        child_set, or None (the `hoist` that `_share` asks)."""
+        same = self.ids.get((kind, frozenset(child_set)))
+        return min(same) if same else None
 
 
 def _co_parents(dag: EsopDag, i: int) -> set[int]:
@@ -290,19 +320,30 @@ def _co_parents(dag: EsopDag, i: int) -> set[int]:
     return shared
 
 
-def _share_candidates(dag: EsopDag, i: int) -> list[int]:
-    """Partners for node i, in (depth desc, id) order: the co-parents
-    sharing at least two distinct children with it, no deeper than i.
+def _share_candidates(dag: EsopDag, i: int, index: _ShapeIndex) -> list[int]:
+    """Partners for node i, in (depth desc, id) order: the co-parents of
+    i's kind, no deeper than i, whose c common children allow a share.
 
-    A merge or a subset shares every child of the smaller node and an
-    internal node has at least two, and an overlap needs two common
-    children, so no other node can be shareable with i.
+    `_shareable` refuses every other node.  A merge or a subset shares
+    every child of the smaller node, so c is one side's child count; an
+    overlap needs 2c above both counts; and all three need c >= 2 (an
+    internal node has at least two children), which a co-parent has.
+    `index` gives each internal node's kind and child set.
     """
-    nodes = dag.nodes
+    nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
-    return sorted(
-        (j for j in _co_parents(dag, i) if 0 < nodes[j].depth <= depth),
-        key=lambda j: (-nodes[j].depth, j))
+    kind, ci = shape[i]
+    out = []
+    for j in _co_parents(dag, i):
+        sj = shape.get(j)
+        if sj is None or sj[0] != kind or not 0 < nodes[j].depth <= depth:
+            continue
+        cj = sj[1]
+        c = len(ci & cj)
+        if c == len(ci) or c == len(cj) or (2 * c > len(ci) and 2 * c > len(cj)):
+            out.append(j)
+    out.sort(key=lambda j: (-nodes[j].depth, j))
+    return out
 
 
 _UNTESTED = object()
@@ -327,21 +368,23 @@ def common_cube_sharing(dag: EsopDag,
     stays dirty; each later sweep starts by dirtying every node that got
     deeper, and the co-parents at least as deep as a node that got
     shallower.  A pair's verdict is kept under both nodes' child-list
-    versions, and an overlap's hoist node is looked up among the parents
-    of its common children (`_node_with_children`).  None of this changes
-    which shares are made.
+    versions.  A `_ShapeIndex` holds every internal node's kind and child
+    set, moved along with each share (the nodes it reshaped and the node
+    a merge dropped) and each sweep's pruning; it filters the partners
+    (`_share_candidates`) and finds an overlap's hoist node with one
+    lookup.  None of this changes which shares are made.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
     dirty: set[int] = set()
     version: dict[int, int] = {}
     verdicts: dict[tuple[int, int, int, int], str | None] = {}
-    hoist = functools.partial(_node_with_children, dag)
+    index = _ShapeIndex(dag)
     levels: dict[int, list[int]] = {}   # the previous sweep's depths
     changed = True
     for sweep in range(sweep_cap):
         changed = False
-        dag.recompute_depths()
+        index.update(dag.recompute_depths())
         for depth, ids in levels.items():
             for nid in ids:
                 node = nodes.get(nid)
@@ -360,7 +403,7 @@ def common_cube_sharing(dag: EsopDag,
                 if i not in nodes or (sweep and i not in dirty):
                     continue
                 vi = version.get(i, 0)
-                for j in _share_candidates(dag, i):
+                for j in _share_candidates(dag, i, index):
                     vj = version.get(j, 0)
                     key = (i, vi, j, vj) if i < j else (j, vj, i, vi)
                     rule = verdicts.get(key, _UNTESTED)
@@ -368,9 +411,10 @@ def common_cube_sharing(dag: EsopDag,
                         rule = verdicts[key] = _shareable(dag, i, j)
                     if rule is None:
                         continue
-                    shared = _share(dag, i, j, rule, hoist)
+                    shared = _share(dag, i, j, rule, index.hoist)
                     if shared:
                         event, reshaped = shared
+                        index.update((i, j, *reshaped))
                         report.events.append(event)
                         changed = True
                         for nid in reshaped:

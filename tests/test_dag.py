@@ -209,6 +209,89 @@ def test_recompute_on_fresh_depths_returns_at_once():
     assert dag.depths_fresh and dag.nodes[top].depth == 1
 
 
+def _reference_depths(dag):
+    """(depth of each node the root reaches, ids it does not reach): a
+    depth is the longest path from the root, by memoized recursion over
+    the parents the root reaches."""
+    reach = {dag.root}
+    stack = [dag.root]
+    while stack:
+        for c in dag.nodes[stack.pop()].children:
+            if c not in reach:
+                reach.add(c)
+                stack.append(c)
+
+    @functools.cache
+    def depth(nid):
+        if nid == dag.root:
+            return 0
+        return 1 + max(depth(p) for p in dag.nodes[nid].parents if p in reach)
+
+    return {nid: depth(nid) for nid in reach}, set(dag.nodes) - reach
+
+
+def _check_recompute(dag, recompute):
+    """Run `recompute` (the graph's own recompute_depths) and check it
+    against the reference; returns the ids it pruned."""
+    want, dead = _reference_depths(dag)
+    pruned = recompute()
+    assert sorted(pruned) == sorted(dead)
+    assert {nid: node.depth for nid, node in dag.nodes.items()} == want
+    return pruned
+
+
+def test_recompute_depths_matches_the_longest_path_reference():
+    # random adds and rewires; a child always has a lower id than its
+    # parent (the root aside), so the graph stays acyclic
+    rng = random.Random(4242)
+    pruned = 0
+    for _ in range(60):
+        dag = EsopDag(6)
+        live = [dag.var_node(v) for v in range(6)]
+        for _step in range(40):
+            op = rng.randrange(5)
+            if op <= 1 or len(live) < 8:
+                kids = rng.sample(live, rng.randint(2, min(4, len(live))))
+                live.append(dag.add(rng.choice([T_AND, T_XOR]), kids))
+            elif op == 2:
+                nid = rng.choice([k for k in live if dag.nodes[k].children])
+                lower = [k for k in live if k < nid]
+                if len(lower) >= 2:
+                    dag.set_children(
+                        nid, rng.sample(lower, rng.randint(2, min(4, len(lower)))))
+            elif op == 3:
+                dag.set_children(dag.root,
+                                 rng.sample(live, rng.randint(1, min(3, len(live)))))
+            else:
+                pruned += len(_check_recompute(dag, dag.recompute_depths))
+                live = [k for k in live if k in dag.nodes]
+                live += [dag.var_node(v) for v in range(6)
+                         if dag.var_node(v) not in live]
+        _check_recompute(dag, dag.recompute_depths)
+    assert pruned >= 100
+
+
+def test_recompute_depths_matches_the_reference_at_every_sharing_sweep(monkeypatch):
+    from esopsyn.optimize import common_cube_sharing
+
+    tt = benchmarks.get("aes_sbox")
+    params = OptimizeParams(3, True, 3, False)
+    dag = build_dag_from_trees(
+        [factor_expression(e, params) for e in anf_from_truth_table(tt)],
+        tt.n_inputs, params.max_and_arity)
+    real = dag.recompute_depths
+    runs = []
+
+    def checked():
+        runs.append(_check_recompute(dag, real))
+        return runs[-1]
+
+    monkeypatch.setattr(dag, "recompute_depths", checked)
+    assert len(common_cube_sharing(dag).events) == 86
+    # one run per sweep, the first on the builder's fresh depths
+    assert len(runs) == 22
+
+
 def test_var_node_recreates_a_pruned_variable():
     dag = flat_dag([expr(3, [0b011, 0b100])], 3)
     x3 = dag.var_node(2)

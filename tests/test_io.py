@@ -75,8 +75,17 @@ def test_esop_pla_rows_xor():
 def test_sum_of_products_pla_types_keep_rows_that_agree(kind):
     tt = parse_spec_text(ESOP_PLA.replace(".type esop\n", kind))
     assert tt.rows == (0, 1, 1, 1)
-    with pytest.raises(SpecFormatError, match="conflicting rows"):
-        parse_spec_text(f".i 1\n.o 1\n{kind}0 1\n- 0\n")
+    disagree = f".i 1\n.o 1\n{kind}0 1\n- 0\n"
+    if kind in ("", ".type fr\n"):
+        # a 0 output bit is in the OFF-set: the rows must agree
+        with pytest.raises(SpecFormatError, match="conflicting rows"):
+            parse_spec_text(disagree)
+    else:
+        # a 0 output bit only leaves the input out of the ON-set: rows or
+        assert parse_spec_text(disagree).rows == (1, 0)
+        # y1 = x1, y2 = x2 as two rows
+        two = parse_spec_text(f".i 2\n.o 2\n{kind}1- 10\n-1 01\n")
+        assert two.rows == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("line", [".type exor", ".type", ".type esop fd"])

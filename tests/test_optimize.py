@@ -425,15 +425,51 @@ def _reference_find_with_children(dag, kind, child_set, exclude=()):
     return None
 
 
-def _reference_share_candidates(dag, i):
-    """Co-parents counted child by child with a Counter."""
+def _reference_co_parents(dag, i):
+    """(co-parent, common-child count) of node i, counted child by child
+    with a Counter: the nodes other than i with at least two children in
+    common with it, no deeper than i, in (depth desc, id) order."""
     shared = Counter(p for c in set(dag.nodes[i].children)
                      for p in set(dag.nodes[c].parents))
     depth = dag.nodes[i].depth
     return sorted(
-        (j for j, k in shared.items()
+        ((j, k) for j, k in shared.items()
          if k >= 2 and j != i and 0 < dag.nodes[j].depth <= depth),
-        key=lambda j: (-dag.nodes[j].depth, j))
+        key=lambda jk: (-dag.nodes[jk[0]].depth, jk[0]))
+
+
+def _reference_share_candidates(dag, i):
+    """The co-parents of i's kind whose c common children allow a merge
+    or subset (c is one side's child count) or an overlap (2c above
+    both counts)."""
+    ni = dag.nodes[i]
+    size_i = len(set(ni.children))
+    out = []
+    for j, c in _reference_co_parents(dag, i):
+        nj = dag.nodes[j]
+        size_j = len(set(nj.children))
+        if nj.kind == ni.kind and (c in (size_i, size_j)
+                                   or 2 * c > size_i and 2 * c > size_j):
+            out.append(j)
+    return out
+
+
+def _check_shape_index(dag, index):
+    """The index holds each internal node's kind and child set, and its
+    hoist answers equal the whole-graph search for every node's child set
+    and two of its subsets (the search of `_reference_find_with_children`,
+    run once into a table of the lowest id per kind and child set)."""
+    shapes = {nid: (dag.nodes[nid].kind, frozenset(dag.nodes[nid].children))
+              for nid in dag.internal_ids()}
+    assert index.shape == shapes
+    lowest = {}
+    for nid, shape in shapes.items():     # ascending ids
+        lowest.setdefault(shape, nid)
+    for kind, kids in shapes.values():
+        kids = sorted(kids)
+        for child_set in (kids, kids[:2], kids[1:]):
+            assert index.hoist(kind, set(child_set)) == \
+                lowest.get((kind, frozenset(child_set)))
 
 
 def _reference_cube_sharing(dag, sweep_cap=32):
@@ -516,42 +552,62 @@ def counted(fn):
     return wrapper
 
 
+def _checked_sharing(monkeypatch, dag, cap):
+    """Run cube sharing with its steps checked against the references.
+
+    Each partner list equals the reference's, and each co-parent the
+    partner filter drops is one `_shareable` refuses.  After every share,
+    at the next partner list (one share under a sweep cap may end the
+    run first), the shape index equals the graph (`_check_shape_index`),
+    and each hoist a share asks for equals the whole-graph search.  Returns
+    the report, the nodes whose partners were compared and the
+    `recompute_depths` runs.
+    """
+    real_candidates, real_share = optimize._share_candidates, optimize._share
+    compared = []
+    pending = [True]    # also check the index as it was built
+
+    def checked_candidates(dag, i, index):
+        if pending[0]:
+            _check_shape_index(dag, index)
+            pending[0] = False
+        got = real_candidates(dag, i, index)
+        assert got == _reference_share_candidates(dag, i)
+        for j, _c in _reference_co_parents(dag, i):
+            if j not in got:
+                assert optimize._shareable(dag, i, j) is None
+        compared.append(i)
+        return got
+
+    def checked_share(dag, i, j, rule, hoist):
+        def checked_hoist(kind, child_set):
+            got = hoist(kind, child_set)
+            assert got == _reference_find_with_children(dag, kind, child_set)
+            return got
+        pending[0] = True
+        return real_share(dag, i, j, rule, checked_hoist)
+
+    recomputes = counted(dag.recompute_depths)
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_share_candidates", checked_candidates)
+        m.setattr(optimize, "_share", checked_share)
+        m.setattr(dag, "recompute_depths", recomputes)
+        report = common_cube_sharing(dag, cap)
+    return report, compared, recomputes.calls
+
+
 def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
     rng = random.Random(31)
     rules = Counter()
     sweeps = Counter()
     for (ours, ref), cap in _sharing_cases(rng):
-        for nid in ours.internal_ids():
-            node = ours.nodes[nid]
-            kids = sorted(set(node.children))
-            for child_set in (kids, kids[:2], kids[1:]):
-                got = optimize._node_with_children(ours, node.kind,
-                                                   set(child_set))
-                assert got == \
-                    _reference_find_with_children(ours, node.kind, set(child_set))
-            assert optimize._share_candidates(ours, nid) == \
-                _reference_share_candidates(ours, nid)
         want = _reference_cube_sharing(ref, cap)
-        # co-parents equal the counted reference at every node the sweeps visit
-        real_candidates = optimize._share_candidates
-
-        def checked_candidates(dag, i):
-            got = real_candidates(dag, i)
-            assert got == _reference_share_candidates(dag, i)
-            compared.append(i)
-            return got
-
-        compared = []
-        recomputes = counted(ours.recompute_depths)
-        with monkeypatch.context() as m:
-            m.setattr(optimize, "_share_candidates", checked_candidates)
-            m.setattr(ours, "recompute_depths", recomputes)
-            got = common_cube_sharing(ours, cap)
+        got, compared, recomputes = _checked_sharing(monkeypatch, ours, cap)
         assert compared
         assert got.events == want.events
         assert dump_text(ours) == dump_text(ref)
         rules.update(event.split()[0] for event in got.events)
-        sweeps[cap] = max(sweeps[cap], recomputes.calls)
+        sweeps[cap] = max(sweeps[cap], recomputes)
     # merges, subset hoists and overlap hoists all fired, and some run
     # took four sweeps
     assert rules["merge"] and rules["subset:"] and rules["overlap:"]
@@ -660,19 +716,35 @@ def test_hand_built_scenes_match_the_all_pairs_reference(scene):
     assert dag_to_expressions(dag) == want
 
 
-def test_cube_sharing_retests_only_what_shares_changed(monkeypatch):
-    # AES S-box at TCKP 3130: 86 shares over 22 sweeps; testing every
-    # co-parent pair of every node in each sweep took 91,681 verdicts
-    shareable = counted(optimize._shareable)
-    monkeypatch.setattr(optimize, "_shareable", shareable)
+def _aes_sharing_dag():
+    """The AES S-box graph cube sharing gets at TCKP 3130."""
     tt = benchmarks.get("aes_sbox")
     params = OptimizeParams(3, True, 3, False)
     exprs = anf_from_truth_table(tt)
-    dag = build_dag_from_trees([factor_expression(e, params) for e in exprs],
-                               tt.n_inputs, params.max_and_arity)
-    report = common_cube_sharing(dag)
+    return build_dag_from_trees([factor_expression(e, params) for e in exprs],
+                                tt.n_inputs, params.max_and_arity)
+
+
+def test_cube_sharing_retests_only_what_shares_changed(monkeypatch):
+    # AES S-box at TCKP 3130: 86 shares over 22 sweeps; testing every
+    # co-parent pair of every node in each sweep took 91,681 verdicts,
+    # and testing every co-parent of a node's kind and depth range 5,756
+    shareable = counted(optimize._shareable)
+    monkeypatch.setattr(optimize, "_shareable", shareable)
+    report = common_cube_sharing(_aes_sharing_dag())
     assert len(report.events) == 86
-    assert shareable.calls <= 15_000
+    assert shareable.calls <= 1_000
+
+
+def test_cube_sharing_steps_match_the_references_on_the_aes_sbox(monkeypatch):
+    dag = _aes_sharing_dag()
+    want = dag_to_expressions(dag)
+    report, compared, recomputes = _checked_sharing(
+        monkeypatch, dag, optimize.SHARING_SWEEP_CAP)
+    assert len(report.events) == 86
+    assert sum(e.startswith("overlap:") for e in report.events)
+    assert len(compared) >= 900 and recomputes == 22
+    assert dag_to_expressions(dag) == want
 
 
 # -- parent reduction -------------------------------------------------------
