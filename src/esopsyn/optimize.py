@@ -16,12 +16,11 @@ variables and shifts them down, one shift per variable
 
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
-given a new partner; pair verdicts are cached for the pass (see
-common_cube_sharing).  For the length of a pass it also keeps each
-internal node's kind and child set and the nodes of each such shape
-(_ShapeIndex): a partner whose common-child count allows no merge, subset
-or overlap is dropped before it is sorted or tested, and an overlap finds
-its hoist node with one lookup.
+given a new partner (see common_cube_sharing).  For the length of a pass
+it also keeps each internal node's kind and child set and the nodes of
+each such shape (_ShapeIndex): the common-child count of a node and each
+co-parent decides the pair's rule (merge, subset, overlap or none), and
+an overlap finds its hoist node with one lookup.
 """
 
 from __future__ import annotations
@@ -208,30 +207,6 @@ class MutationReport:
 # -- common cube sharing -------------------------------------------------------
 
 
-def _shareable(dag: EsopDag, i: int, j: int) -> str | None:
-    """Which sharing rule a node pair satisfies: merge, subset or overlap.
-
-    Subset: one node's children all appear in the other.  Overlap: the
-    common children outnumber half of each node's children (a majority of
-    the combined count can never happen unless one side is a subset, so
-    the test is per node).
-    """
-    ni, nj = dag.nodes[i], dag.nodes[j]
-    if ni.kind != nj.kind or ni.kind not in (T_AND, T_XOR):
-        return None
-    ci, cj = set(ni.children), set(nj.children)
-    if i in cj or j in ci:
-        return None
-    if ci == cj:
-        return "merge"
-    if ci < cj or cj < ci:
-        return "subset"
-    common = ci & cj
-    if len(common) >= 2 and 2 * len(common) > len(ci) and 2 * len(common) > len(cj):
-        return "overlap"
-    return None
-
-
 def _share(dag: EsopDag, i: int, j: int, rule: str,
            hoist) -> tuple[str, list[int]] | None:
     """Apply a share; returns its event and the nodes whose children changed.
@@ -320,15 +295,22 @@ def _co_parents(dag: EsopDag, i: int) -> set[int]:
     return shared
 
 
-def _share_candidates(dag: EsopDag, i: int, index: _ShapeIndex) -> list[int]:
-    """Partners for node i, in (depth desc, id) order: the co-parents of
-    i's kind, no deeper than i, whose c common children allow a share.
+def _share_candidates(dag: EsopDag, i: int,
+                      index: _ShapeIndex) -> list[tuple[int, str]]:
+    """(partner, rule) pairs for node i, in (partner depth desc, id) order.
 
-    `_shareable` refuses every other node.  A merge or a subset shares
-    every child of the smaller node, so c is one side's child count; an
-    overlap needs 2c above both counts; and all three need c >= 2 (an
-    internal node has at least two children), which a co-parent has.
-    `index` gives each internal node's kind and child set.
+    A partner is a co-parent of i's kind, no deeper than i, that is
+    neither i's child nor its parent, and whose c common children with i
+    allow one of the rules `_share` applies:
+    - merge: both child sets are equal;
+    - subset: c is one side's child count, so that side's children all
+      appear in the other;
+    - overlap: 2c is above both counts, so the common children outnumber
+      half of each node's children (a majority of the combined count can
+      never happen unless one side is a subset, so the test is per node).
+    All three need c >= 2 (an internal node has at least two children),
+    which a co-parent has.  `index` gives each internal node's kind and
+    child set.
     """
     nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
@@ -339,14 +321,17 @@ def _share_candidates(dag: EsopDag, i: int, index: _ShapeIndex) -> list[int]:
         if sj is None or sj[0] != kind or not 0 < nodes[j].depth <= depth:
             continue
         cj = sj[1]
+        if i in cj or j in ci:
+            continue
         c = len(ci & cj)
-        if c == len(ci) or c == len(cj) or (2 * c > len(ci) and 2 * c > len(cj)):
-            out.append(j)
-    out.sort(key=lambda j: (-nodes[j].depth, j))
+        if c == len(ci) and c == len(cj):
+            out.append((j, "merge"))
+        elif c == len(ci) or c == len(cj):
+            out.append((j, "subset"))
+        elif 2 * c > len(ci) and 2 * c > len(cj):
+            out.append((j, "overlap"))
+    out.sort(key=lambda jr: (-nodes[jr[0]].depth, jr[0]))
     return out
-
-
-_UNTESTED = object()
 
 
 def common_cube_sharing(dag: EsopDag,
@@ -367,18 +352,15 @@ def common_cube_sharing(dag: EsopDag,
     it changed and their co-parents after it, and the node that made it
     stays dirty; each later sweep starts by dirtying every node that got
     deeper, and the co-parents at least as deep as a node that got
-    shallower.  A pair's verdict is kept under both nodes' child-list
-    versions.  A `_ShapeIndex` holds every internal node's kind and child
+    shallower.  A `_ShapeIndex` holds every internal node's kind and child
     set, moved along with each share (the nodes it reshaped and the node
-    a merge dropped) and each sweep's pruning; it filters the partners
-    (`_share_candidates`) and finds an overlap's hoist node with one
-    lookup.  None of this changes which shares are made.
+    a merge dropped) and each sweep's pruning; from it `_share_candidates`
+    names each partner's rule, and an overlap finds its hoist node with
+    one lookup.  None of this changes which shares are made.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
     dirty: set[int] = set()
-    version: dict[int, int] = {}
-    verdicts: dict[tuple[int, int, int, int], str | None] = {}
     index = _ShapeIndex(dag)
     levels: dict[int, list[int]] = {}   # the previous sweep's depths
     changed = True
@@ -402,15 +384,7 @@ def common_cube_sharing(dag: EsopDag,
             for i in levels[depth]:
                 if i not in nodes or (sweep and i not in dirty):
                     continue
-                vi = version.get(i, 0)
-                for j in _share_candidates(dag, i, index):
-                    vj = version.get(j, 0)
-                    key = (i, vi, j, vj) if i < j else (j, vj, i, vi)
-                    rule = verdicts.get(key, _UNTESTED)
-                    if rule is _UNTESTED:
-                        rule = verdicts[key] = _shareable(dag, i, j)
-                    if rule is None:
-                        continue
+                for j, rule in _share_candidates(dag, i, index):
                     shared = _share(dag, i, j, rule, index.hoist)
                     if shared:
                         event, reshaped = shared
@@ -418,7 +392,6 @@ def common_cube_sharing(dag: EsopDag,
                         report.events.append(event)
                         changed = True
                         for nid in reshaped:
-                            version[nid] = version.get(nid, 0) + 1
                             dirty.add(nid)
                             dirty |= _co_parents(dag, nid)
                         dirty.add(i)

@@ -439,19 +439,44 @@ def _reference_co_parents(dag, i):
 
 
 def _reference_share_candidates(dag, i):
-    """The co-parents of i's kind whose c common children allow a merge
-    or subset (c is one side's child count) or an overlap (2c above
-    both counts)."""
+    """The co-parents of i's kind, neither i's child nor its parent, whose
+    c common children allow a merge or subset (c is one side's child
+    count) or an overlap (2c above both counts)."""
     ni = dag.nodes[i]
     size_i = len(set(ni.children))
     out = []
     for j, c in _reference_co_parents(dag, i):
         nj = dag.nodes[j]
         size_j = len(set(nj.children))
-        if nj.kind == ni.kind and (c in (size_i, size_j)
-                                   or 2 * c > size_i and 2 * c > size_j):
+        if nj.kind == ni.kind and i not in nj.children \
+                and j not in ni.children \
+                and (c in (size_i, size_j) or 2 * c > size_i and 2 * c > size_j):
             out.append(j)
     return out
+
+
+def _reference_shareable(dag, i, j):
+    """Which sharing rule a node pair satisfies: merge, subset or overlap.
+
+    Subset: one node's children all appear in the other.  Overlap: the
+    common children outnumber half of each node's children (a majority of
+    the combined count can never happen unless one side is a subset, so
+    the test is per node).
+    """
+    ni, nj = dag.nodes[i], dag.nodes[j]
+    if ni.kind != nj.kind or ni.kind not in (T_AND, T_XOR):
+        return None
+    ci, cj = set(ni.children), set(nj.children)
+    if i in cj or j in ci:
+        return None
+    if ci == cj:
+        return "merge"
+    if ci < cj or cj < ci:
+        return "subset"
+    common = ci & cj
+    if len(common) >= 2 and 2 * len(common) > len(ci) and 2 * len(common) > len(cj):
+        return "overlap"
+    return None
 
 
 def _check_shape_index(dag, index):
@@ -494,7 +519,7 @@ def _reference_cube_sharing(dag, sweep_cap=32):
                             continue
                         if dag.nodes[j].depth != depth_j:
                             continue
-                        rule = optimize._shareable(dag, i, j)
+                        rule = _reference_shareable(dag, i, j)
                         if rule is None:
                             continue
                         shared = optimize._share(
@@ -555,8 +580,9 @@ def counted(fn):
 def _checked_sharing(monkeypatch, dag, cap):
     """Run cube sharing with its steps checked against the references.
 
-    Each partner list equals the reference's, and each co-parent the
-    partner filter drops is one `_shareable` refuses.  After every share,
+    Each partner list equals the reference's, each partner's rule is the
+    one `_reference_shareable` names, and each co-parent the partner
+    filter drops is one it refuses.  After every share,
     at the next partner list (one share under a sweep cap may end the
     run first), the shape index equals the graph (`_check_shape_index`),
     and each hoist a share asks for equals the whole-graph search.  Returns
@@ -572,10 +598,13 @@ def _checked_sharing(monkeypatch, dag, cap):
             _check_shape_index(dag, index)
             pending[0] = False
         got = real_candidates(dag, i, index)
-        assert got == _reference_share_candidates(dag, i)
+        partners = [j for j, _rule in got]
+        assert partners == _reference_share_candidates(dag, i)
+        for j, rule in got:
+            assert rule == _reference_shareable(dag, i, j)
         for j, _c in _reference_co_parents(dag, i):
-            if j not in got:
-                assert optimize._shareable(dag, i, j) is None
+            if j not in partners:
+                assert _reference_shareable(dag, i, j) is None
         compared.append(i)
         return got
 
@@ -617,8 +646,9 @@ def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
 # Hand-built graphs for the re-test rule.  Each returns the graph and the
 # shares cube sharing must make on it.  Each fails when one part of the
 # rule is left out, which the random graphs above do not detect: the
-# dirtying after a depth drop, the dirtying after a depth rise, and
-# discarding the hoist index at the start of a sweep.
+# dirtying after a depth drop, the dirtying after a depth rise,
+# discarding the hoist index at the start of a sweep, and refusing a
+# partner that is the node's own parent.
 
 
 def _and_xor_dag(n_vars):
@@ -652,6 +682,21 @@ def _depth_drop_scene():
             dag.add(T_XOR, [b, x[4]]))
     assert (dag.nodes[a].depth, dag.nodes[b].depth) == (3, 4)
     return dag, [f"merge #{c} into #{b}", f"subset: #{a} now references #{b}"]
+
+
+def _parent_child_scene():
+    """A node's parent shares two children with it and must not share.
+
+    I = x1.x2 and J = and(I, x1, x2, x3): J is I's parent, shallower than
+    I, and holds both of I's children.  Taken as a subset, J would
+    reference I twice; no share applies.
+    """
+    dag, x = _and_xor_dag(4)
+    i = dag.add(T_AND, [x[1], x[2]])
+    j = dag.add(T_AND, [i, x[1], x[2], x[3]])
+    _finish(dag, dag.add(T_XOR, [j, x[4]]))
+    assert dag.nodes[j].depth < dag.nodes[i].depth
+    return dag, []
 
 
 def _depth_rise_scene():
@@ -704,8 +749,8 @@ def _pruned_hoist_scene():
     return dag, [f"merge #{d} into #{k}", f"subset: #{m} now references #{i}"]
 
 
-@pytest.mark.parametrize("scene", [_depth_drop_scene, _depth_rise_scene,
-                                   _pruned_hoist_scene])
+@pytest.mark.parametrize("scene", [_depth_drop_scene, _parent_child_scene,
+                                   _depth_rise_scene, _pruned_hoist_scene])
 def test_hand_built_scenes_match_the_all_pairs_reference(scene):
     dag, events = scene()
     want = dag_to_expressions(dag)
@@ -726,14 +771,14 @@ def _aes_sharing_dag():
 
 
 def test_cube_sharing_retests_only_what_shares_changed(monkeypatch):
-    # AES S-box at TCKP 3130: 86 shares over 22 sweeps; testing every
-    # co-parent pair of every node in each sweep took 91,681 verdicts,
-    # and testing every co-parent of a node's kind and depth range 5,756
-    shareable = counted(optimize._shareable)
-    monkeypatch.setattr(optimize, "_shareable", shareable)
+    # AES S-box at TCKP 3130: 86 shares over 22 sweeps; building the
+    # partner list of every node in each sweep took 11,726 lists, and
+    # building only the dirty nodes' lists takes 970
+    candidates = counted(optimize._share_candidates)
+    monkeypatch.setattr(optimize, "_share_candidates", candidates)
     report = common_cube_sharing(_aes_sharing_dag())
     assert len(report.events) == 86
-    assert shareable.calls <= 1_000
+    assert candidates.calls <= 1_000
 
 
 def test_cube_sharing_steps_match_the_references_on_the_aes_sbox(monkeypatch):
