@@ -270,15 +270,17 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
         l.output_name = None
     for name, want, line_id in zip(spec.output_names, wanted, claims):
         if line_id is None:
-            # duplicate output or a constant: copy / build onto a fresh line
-            src = next((i for i, f in enumerate(funcs) if f == want), None)
+            # a constant or a duplicate output: a fresh line, which already
+            # carries 0, or a copy / an inverter onto one
             line_id = _fresh_line(circuit)
-            if src is not None:
-                circuit.append(cnot(src, line_id))
-            elif want == full:
-                circuit.append(not_gate(line_id))
-            elif want != 0:
-                raise SynthesisError(f"no line carries output {name}")
+            if want != 0:
+                src = next((i for i, f in enumerate(funcs) if f == want), None)
+                if src is not None:
+                    circuit.append(cnot(src, line_id))
+                elif want == full:
+                    circuit.append(not_gate(line_id))
+                else:
+                    raise SynthesisError(f"no line carries output {name}")
             funcs.append(want)
         circuit.lines[line_id].role = ROLE_OUTPUT
         circuit.lines[line_id].output_name = name

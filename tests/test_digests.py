@@ -27,7 +27,8 @@ def _tckp(code: str) -> OptimizeParams:
 
 
 def _wide_table() -> TruthTable:
-    # 3 inputs, 10 outputs: duplicated functions, constant 0 and constant 1
+    # 3 inputs, 10 outputs: duplicated functions, constant 0 and constant 1;
+    # the second constant 0 (y10) is a fresh line with no gate
     x1, x2, x3 = 0b10101010, 0b11001100, 0b11110000
     full = 0xFF
     columns = [x1 & x2, x1 ^ x3, x1, x1 & x2, 0, full, x2 & x3 ^ x1,
@@ -50,7 +51,7 @@ CASES = {
     "present_sbox-3131": (lambda: benchmarks.get("present_sbox"), "3131",
         "9d1f97aa470e9cea98137f30bb7945faf3332a0053f4142acbbf6310bcd915f0"),
     "wide-3in-10out-3100": (_wide_table, "3100",
-        "8c90e407e44d033f84df7f7b70e9cf5883650c423b0aa91e2dc1013a5a76bda1"),
+        "e70f06d1d40bd0e85a8dce52848b0cbfbb5de98c5b65f9b1a6d7582c20a800cd"),
     "w-named-inputs-3100": (_w_named_inputs, "3100",
         "4ed3348b209fd0291c0eda913d79f7aeca06b5802ee5da3176d0ad0af88751a6"),
     "hwb5-3100": (lambda: benchmarks.get("hwb5"), "3100",

@@ -182,6 +182,14 @@ def test_all_constant_outputs():
     assert zero.gate_count == 0 and zero.garbage_count == 3
 
 
+def test_a_second_constant_zero_output_costs_nothing():
+    # a fresh line already carries 0: no copy of the first zero line
+    circ, rep = synthesize(TruthTable(2, 2, (0, 0, 0, 0)))
+    assert circ.gates == []
+    assert (rep.quantum_cost, rep.gate_count) == (0, 0)
+    assert sorted(circ.output_map()) == ["y1", "y2"]
+
+
 def test_input_limit_guard(monkeypatch):
     monkeypatch.setattr(mapper, "DEFAULT_INPUT_LIMIT", 4)
     with pytest.raises(SynthesisError, match="^5 inputs exceeds"):
