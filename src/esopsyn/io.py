@@ -158,6 +158,7 @@ def _parse_pla(lines, origin) -> TruthTable:
             raise SpecFormatError(
                 f"{origin}: {key} lists {len(names)} names, the header "
                 f"declares {count}")
+        _refuse_repeats(names, origin, key + " lists {!r} twice")
     # an ESOP's rows are cubes whose outputs xor; under f and fd a 0 output
     # bit only leaves the input out of that output's ON-set, so the outputs
     # of the rows covering one input are ORed; under fr or no .type those
@@ -174,6 +175,16 @@ def _parse_pla(lines, origin) -> TruthTable:
                     f"{origin}: conflicting rows for input {idx}")
     return TruthTable(n, m, tuple(assigned.get(i, 0) for i in range(1 << n)),
                       input_names, output_names)
+
+
+def _refuse_repeats(names, origin: str, message: str):
+    """Fail on the first name that occurs twice; `message` is formatted
+    with it."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise SpecFormatError(f"{origin}: {message.format(name)}")
+        seen.add(name)
 
 
 def _header_count(parts: list[str], origin: str) -> int:
@@ -283,7 +294,9 @@ def read_circuit(path: str) -> Circuit:
 
 def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
     """Parse `format_circuit` text.  Every `.i/.o/.c/.g` entry must name a
-    `.v` line; a `.i` list must be exactly the lines not declared constant."""
+    `.v` line; a `.i` list must be exactly the lines not declared constant.
+    `.v` declares each line once, and `.o` gives each line and each output
+    name once."""
     names: list[str] = []
     inputs: set[str] | None = None
     outputs: dict[str, str] = {}
@@ -299,11 +312,15 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         rest = parts[1] if len(parts) > 1 else ""
         if key == ".v":
             names = [t.strip() for t in rest.split(",") if t.strip()]
+            _refuse_repeats(names, origin, ".v declares line {!r} twice")
         elif key == ".i":
             inputs = {t.strip() for t in rest.split(",") if t.strip()}
         elif key == ".o":
             for tok in filter(None, map(str.strip, rest.split(","))):
                 oname, _, lname = tok.partition(":")
+                if (lname or oname) in outputs:
+                    raise SpecFormatError(
+                        f"{origin}: .o names line {lname or oname!r} twice")
                 outputs[lname or oname] = oname
         elif key == ".c":
             for tok in filter(None, map(str.strip, rest.split(","))):
@@ -325,6 +342,7 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
             gate_rows.append((key[0], width, operands))
         else:
             raise SpecFormatError(f"{origin}: unrecognized line {ln!r}")
+    _refuse_repeats(outputs.values(), origin, ".o gives output {!r} to two lines")
     if not names:
         raise SpecFormatError(f"{origin}: missing .v line declaration")
     declared = set(names)

@@ -94,7 +94,13 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
              "no_outputs.pla": (["synth"], ".i 2\n.o 0\n"),
              "short_ilb.pla": (["synth"], ".i 2\n.o 1\n.ilb a\n00 1\n"),
              "long_ob.pla": (["synth"], ".i 2\n.o 1\n.ob p q\n00 1\n"),
-             "bad_type.pla": (["synth"], ".i 2\n.o 1\n.type exor\n1- 1\n")}
+             "bad_type.pla": (["synth"], ".i 2\n.o 1\n.type exor\n1- 1\n"),
+             # a name given twice: one line, or one output, would be dropped
+             "dup_ilb.pla": (["synth"], ".i 2\n.o 1\n.ilb a a\n00 1\n"),
+             "dup_ob.pla": (["synth"], ".i 2\n.o 2\n.ob p p\n00 11\n"),
+             "dup_line.tfc": (["cost"], ".v a,a\n.o y1:a\nt1 a\n"),
+             "dup_output.tfc": (["cost"], ".v a,b\n.o y1:a,y1:b\nt2 a,b\n"),
+             "dup_output_line.tfc": (["cost"], ".v a,b\n.o y1:b\n.o y2:b\n")}
     for name, (cmd, text) in cases.items():
         path = tmp_path / name
         path.write_text(text)
