@@ -295,8 +295,8 @@ def read_circuit(path: str) -> Circuit:
 def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
     """Parse `format_circuit` text.  Every `.i/.o/.c/.g` entry must name a
     `.v` line; a `.i` list must be exactly the lines not declared constant.
-    `.v` declares each line once, and `.o` gives each line and each output
-    name once."""
+    `.v` and `.c` name each line once, and `.o` gives each line and each
+    output name once."""
     names: list[str] = []
     inputs: set[str] | None = None
     outputs: dict[str, str] = {}
@@ -325,6 +325,9 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         elif key == ".c":
             for tok in filter(None, map(str.strip, rest.split(","))):
                 lname, _, init = tok.partition("=")
+                if lname in consts:
+                    raise SpecFormatError(
+                        f"{origin}: .c names line {lname!r} twice")
                 if init not in ("", "0", "1"):
                     raise SpecFormatError(
                         f"{origin}: constant {lname} starts at {init!r}, "

@@ -100,7 +100,8 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
              "dup_ob.pla": (["synth"], ".i 2\n.o 2\n.ob p p\n00 11\n"),
              "dup_line.tfc": (["cost"], ".v a,a\n.o y1:a\nt1 a\n"),
              "dup_output.tfc": (["cost"], ".v a,b\n.o y1:a,y1:b\nt2 a,b\n"),
-             "dup_output_line.tfc": (["cost"], ".v a,b\n.o y1:b\n.o y2:b\n")}
+             "dup_output_line.tfc": (["cost"], ".v a,b\n.o y1:b\n.o y2:b\n"),
+             "dup_const.tfc": (["cost"], ".v a,b\n.c b=0\n.c b=1\nt2 a,b\n")}
     for name, (cmd, text) in cases.items():
         path = tmp_path / name
         path.write_text(text)
