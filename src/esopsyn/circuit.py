@@ -27,33 +27,37 @@ ROLE_GARBAGE = "garbage"
 ROLE_ANCILLA = "ancilla_restored"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """A Toffoli-family or Fredkin-family gate.
 
     controls is a sorted tuple of line ids; targets has one entry for the
     Toffoli family (NOT/CNOT/Toffoli_k) and two for Fredkin (the swapped
-    pair).
+    pair).  One set over all the lines checks a valid gate; the message
+    is worked out only for an invalid one.
     """
 
     family: str
     controls: tuple[int, ...]
     targets: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.family not in (TOFFOLI, FREDKIN):
-            raise ValueError(f"unknown gate family {self.family!r}")
-        object.__setattr__(self, "controls", tuple(sorted(self.controls)))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        want = 1 if self.family == TOFFOLI else 2
-        if len(self.targets) != want:
-            raise ValueError(f"{self.family}-family gate needs {want} target(s)")
-        if len(set(self.controls)) != len(self.controls):
-            raise ValueError("duplicate control lines")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("duplicate target lines")
-        if set(self.controls) & set(self.targets):
-            raise ValueError("target appears in control set")
+    def __init__(self, family: str, controls, targets):
+        controls, targets = tuple(sorted(controls)), tuple(targets)
+        want = 1 if family == TOFFOLI else 2 if family == FREDKIN else None
+        if len(targets) != want \
+                or len(set(controls + targets)) != len(controls) + len(targets):
+            raise ValueError(
+                f"unknown gate family {family!r}" if want is None
+                else f"{family}-family gate needs {want} target(s)"
+                if len(targets) != want
+                else "duplicate control lines"
+                if len(set(controls)) != len(controls)
+                else "duplicate target lines"
+                if len(set(targets)) != len(targets)
+                else "target appears in control set")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "targets", targets)
 
     @property
     def width(self) -> int:

@@ -2,10 +2,13 @@
 
 Five node kinds: t_root (collects the per-output top nodes), t_xor, t_and,
 t_identifier (a variable, or a circuit line once mapping starts) and
-t_constant.  There is one node per variable and per constant, and the
-builder hash-conses, so identical subterms reuse one node; it also keeps
-each cube's and-chain by cube mask, so a cube that occurs in many outputs
-costs one lookup after its first.  Later passes create nodes with `add`.
+t_constant.  A node's children are a list; its parents are a multiset
+(parent id -> edge count, in insertion order), so removing an edge is
+O(1) even from a variable with thousands of parents.  There is one node
+per variable and per constant, and the builder hash-conses, so identical
+subterms reuse one node; it also keeps each cube's and-chain by cube
+mask, so a cube that occurs in many outputs costs one lookup after its
+first.  Later passes create nodes with `add`.
 Depth labels are the longest path from the root: the graph passes
 recompute them when they finish, and collapsing a mapped node into an
 identifier updates only the depths below it.  `recompute_depths` deletes
@@ -15,7 +18,8 @@ drops them from its shape index) and relabels every depth.
 Every edit goes through one of five helpers (`add`, `set_children`,
 `to_identifier`, `_delete`, `recompute_depths`), and once recording is on
 they note what they changed in two id sets: `touched` holds the nodes
-whose parent list or depth changed, plus created and deleted nodes;
+whose parents changed, the internal nodes whose depth changed (no reader
+of the sets looks at a leaf's depth), and created and deleted nodes;
 `reshaped` holds the nodes whose children or kind changed.
 `recompute_depths` marks every node.  Recording is off (both `None`)
 until a consumer turns it on and clears the sets as it reads them; the
@@ -66,7 +70,8 @@ class DagNode:
         self.id = nid
         self.kind = kind
         self.children: list[int] = list(children)
-        self.parents: list[int] = []
+        # parent id -> number of edges from it, in first-insertion order
+        self.parents: dict[int, int] = {}
         self.depth = 0
         self.label = label
         self.line = line
@@ -99,8 +104,7 @@ class EsopDag:
         self._next += 1
         node = DagNode(nid, kind, children, label, line)
         self.nodes[nid] = node
-        for c in children:
-            self.nodes[c].parents.append(nid)
+        self._link(nid, children)
         self.depths_fresh = False
         if self.touched is not None:
             self.touched.add(nid)
@@ -122,18 +126,28 @@ class EsopDag:
 
     # -- mutation (all child-list edits go through here) --------------------
 
+    def _link(self, nid: int, children):
+        for c in children:
+            parents = self.nodes[c].parents
+            parents[nid] = parents.get(nid, 0) + 1
+
+    def _unlink(self, nid: int, children):
+        for c in children:
+            parents = self.nodes[c].parents
+            parents[nid] -= 1
+            if not parents[nid]:
+                del parents[nid]
+
     def set_children(self, nid: int, new_children: list[int]):
         node = self.nodes[nid]
-        for c in node.children:
-            self.nodes[c].parents.remove(nid)
+        self._unlink(nid, node.children)
         self.depths_fresh = False
         if self.touched is not None:
             self.touched.update(node.children)
             self.touched.update(new_children)
             self.reshaped.add(nid)
         node.children = list(new_children)
-        for c in node.children:
-            self.nodes[c].parents.append(nid)
+        self._link(nid, node.children)
 
     def xor_splice(self, nid: int, remove: int | None, add: list[int]):
         """Edit an xor node's child set with GF(2) cancellation."""
@@ -183,8 +197,8 @@ class EsopDag:
                 if depth == un.depth:
                     continue
                 un.depth = depth
-                if touched is not None:
-                    touched.add(u)
+                if touched is not None and un.children:
+                    touched.add(u)   # the index reads no leaf's depth
             for c in set(un.children) - queued:
                 queued.add(c)
                 heapq.heappush(heap, (self.nodes[c].depth, c))
@@ -211,8 +225,7 @@ class EsopDag:
     def _delete(self, nid: int):
         node = self.nodes[nid]
         assert not node.parents, f"deleting referenced node {nid}"
-        for c in node.children:
-            self.nodes[c].parents.remove(nid)
+        self._unlink(nid, node.children)
         del self.nodes[nid]
         self.depths_fresh = False
         if self.touched is not None:
@@ -256,15 +269,14 @@ class EsopDag:
                     stack.append(c)
         dead = [i for i in self.nodes if i not in reach]
         for nid in dead:
-            node = self.nodes.pop(nid)
-            for c in node.children:
-                if c in self.nodes:
-                    self.nodes[c].parents.remove(nid)
+            self._unlink(nid, self.nodes[nid].children)
+        for nid in dead:
+            del self.nodes[nid]
         indeg = {}
         for nid in reach:
             node = self.nodes[nid]
             node.depth = 0
-            indeg[nid] = len(node.parents)
+            indeg[nid] = sum(node.parents.values())
         queue = [self.root]
         while queue:
             u = queue.pop()
@@ -357,6 +369,12 @@ def _class(nodes: dict, node: DagNode) -> int:
     return C_OTHER
 
 
+def _ready(node: DagNode, tally: list[int]) -> bool:
+    if node.kind == T_AND:
+        return tally[C_ID] == len(node.children)
+    return not tally[C_OTHER]
+
+
 class ReadyIndex:
     """What the mapping loop reads of the graph, kept up to date from its
     change sets (see the `mapper` module docstring).
@@ -421,7 +439,9 @@ class ReadyIndex:
                 if tally is not None and p not in recount:
                     tally[old] -= 1
                     tally[new] += 1
-                    changed.add(p)
+                    # a node neither ready before nor after keeps no key
+                    if p in self.keys or _ready(nodes[p], tally):
+                        changed.add(p)
         for nid in changed:
             self._update(dag, nid)
 
@@ -448,11 +468,7 @@ class ReadyIndex:
         if old is None:
             self.depth[nid] = node.depth
             self.buckets.setdefault(node.depth, set()).add(nid)
-        if node.kind == T_AND:
-            ready = tally[C_ID] == len(node.children)
-        else:
-            ready = not tally[C_OTHER]
-        if not ready:
+        if not _ready(node, tally):
             self.keys.pop(nid, None)
             return
         key = (-tally[C_ID] - tally[C_CONST], len(node.parents), nid)
@@ -611,18 +627,22 @@ def validate_dag(dag: EsopDag) -> list[str]:
     if roots != [dag.root]:
         issues.append(f"expected exactly one root ({dag.root}), found {roots}")
     seen_labels: dict = {}
+    edges: dict[int, dict[int, int]] = {nid: {} for nid in dag.nodes}
     for nid in sorted(dag.nodes):
-        node = dag.nodes[nid]
-        for c in node.children:
+        for c in dag.nodes[nid].children:
             if c not in dag.nodes:
                 issues.append(f"node {nid} has dangling child {c}")
-            elif nid not in dag.nodes[c].parents:
-                issues.append(f"edge {nid}->{c} missing from child's parent list")
-        for p in node.parents:
+            else:
+                edges[c][nid] = edges[c].get(nid, 0) + 1
+    for nid in sorted(dag.nodes):
+        node = dag.nodes[nid]
+        for p in sorted(node.parents.keys() | edges[nid].keys()):
+            have, want = node.parents.get(p, 0), edges[nid].get(p, 0)
             if p not in dag.nodes:
                 issues.append(f"node {nid} has dangling parent {p}")
-            elif nid not in dag.nodes[p].children:
-                issues.append(f"parent list of {nid} names {p}, which lacks the edge")
+            elif have != want:
+                issues.append(f"node {nid} counts {have} edge(s) from {p}, "
+                              f"which has {want}")
         if node.is_leaf() and node.children:
             issues.append(f"leaf node {nid} has children")
         if node.kind in (T_AND, T_XOR) and len(node.children) < 2:

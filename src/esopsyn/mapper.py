@@ -95,7 +95,7 @@ def find_target(dag: EsopDag) -> TargetChoice | None:
         for nid in level:
             if dag.nodes[nid].kind != T_AND:
                 continue
-            for p in sorted(set(dag.nodes[nid].parents)):
+            for p in sorted(dag.nodes[nid].parents):
                 pn = dag.nodes[p]
                 if pn.kind == T_XOR and pn.depth == depth_max - 2 \
                         and p in ready \

@@ -280,17 +280,20 @@ class _ShapeIndex:
 def _co_parents(dag: EsopDag, i: int) -> set[int]:
     """The nodes other than i sharing at least two distinct children with i.
 
-    A running union of the children's parent lists finds them with set
-    operations, so an input leaf with thousands of parents costs one pass
-    in C.
+    A running union of the children's parent sets but the largest,
+    smallest first, finds the nodes two of them share; the union is then
+    probed in the largest, so a variable with thousands of parents is
+    never walked unless every child has as many.
     """
     nodes = dag.nodes
+    sets = sorted((nodes[c].parents for c in set(nodes[i].children)), key=len)
     seen: set[int] = set()
     shared: set[int] = set()
-    for c in set(nodes[i].children):
-        parents = nodes[c].parents
+    for parents in sets[:-1]:
         shared |= seen.intersection(parents)
         seen.update(parents)
+    if sets:
+        shared |= seen & sets[-1].keys()
     shared.discard(i)
     return shared
 
@@ -428,7 +431,7 @@ def _reaches(dag: EsopDag, src: int, dst: int) -> bool:
 def _binary_xor_parents(dag: EsopDag, a: int) -> list[tuple[int, int]]:
     """(xor node, partner child) pairs where the node is exactly a ^ b."""
     out = []
-    for p in sorted(set(dag.nodes[a].parents)):
+    for p in sorted(dag.nodes[a].parents):
         node = dag.nodes[p]
         if node.kind == T_XOR and len(node.children) == 2:
             b = node.children[1] if node.children[0] == a else node.children[0]
@@ -453,7 +456,7 @@ def reduce_parents(dag: EsopDag, leaf: int) -> MutationReport:
     while True:
         rewrote = False
         for e, b in _binary_xor_parents(dag, leaf):
-            for q in sorted(set(dag.nodes[leaf].parents)):
+            for q in sorted(dag.nodes[leaf].parents):
                 if q == e:
                     continue
                 qn = dag.nodes[q]
@@ -469,7 +472,7 @@ def reduce_parents(dag: EsopDag, leaf: int) -> MutationReport:
                 if qn.kind == T_AND and len(qn.children) == 2 \
                         and set(qn.children) == {leaf, b}:
                     if any(_reaches(dag, e, p)
-                           for p in set(dag.nodes[q].parents)):
+                           for p in dag.nodes[q].parents):
                         continue
                     _apply_product_expansion(dag, q, e, b)
                     report.events.append(f"and expansion at #{q}")
@@ -489,7 +492,7 @@ def _apply_product_expansion(dag: EsopDag, q: int, e: int, b: int):
     """Replace and(a, b) by ((a^b) . b) ^ b everywhere q is referenced."""
     a2 = dag.add(T_AND, [e, b])
     v = None
-    for p in sorted(set(dag.nodes[q].parents)):
+    for p in sorted(dag.nodes[q].parents):
         if p not in dag.nodes:
             continue
         pn = dag.nodes[p]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from esopsyn.circuit import (
     CONSTANT, Circuit, Gate, LineState, ROLE_OUTPUT, cnot, detect_peres,
@@ -27,6 +28,67 @@ def test_gate_validation():
         Gate("f", (0,), (1,))           # fredkin needs two targets
     with pytest.raises(ValueError):
         Gate("q", (), (0,))
+
+
+def _reference_gate_problem(family, controls, targets):
+    """The five checks the gate made one by one, in their order: the
+    message of the first that fails (or None) and the sorted controls."""
+    if family not in ("t", "f"):
+        return f"unknown gate family {family!r}", None
+    controls, targets = tuple(sorted(controls)), tuple(targets)
+    want = 1 if family == "t" else 2
+    if len(targets) != want:
+        return f"{family}-family gate needs {want} target(s)", controls
+    if len(set(controls)) != len(controls):
+        return "duplicate control lines", controls
+    if len(set(targets)) != len(targets):
+        return "duplicate target lines", controls
+    if set(controls) & set(targets):
+        return "target appears in control set", controls
+    return None, controls
+
+
+@st.composite
+def _gate_args(draw):
+    """A valid gate's family, controls and targets, then up to three edits:
+    a new family, a line added to either side (a repeat or an overlap
+    when it is already there), the last target dropped or replaced."""
+    family = draw(st.sampled_from(["t", "f"]))
+    lines = draw(st.permutations(range(6)))
+    k = draw(st.integers(0, 3))
+    controls = list(lines[:k])
+    targets = list(lines[k:k + (1 if family == "t" else 2)])
+    for _ in range(draw(st.integers(0, 3))):
+        edit, line = draw(st.integers(0, 4)), draw(st.sampled_from(lines))
+        if edit == 0:
+            family = draw(st.sampled_from(["t", "f", "q", ""]))
+        elif edit == 1:
+            controls.append(line)
+        elif edit == 2:
+            targets.append(line)
+        elif edit == 3:
+            del targets[-1:]
+        else:
+            targets[-1:] = [line]
+    return family, tuple(controls), tuple(targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gate_args())
+@example(("t", (3, 1), (0,)))
+@example(("f", (1, 1), (2, 2)))
+def test_gate_checks_match_the_one_by_one_reference(args):
+    family, controls, targets = args
+    problem, sorted_controls = _reference_gate_problem(family, controls,
+                                                       targets)
+    if problem is None:
+        g = Gate(family, controls, targets)
+        assert (g.family, g.controls, g.targets) == (
+            family, sorted_controls, targets)
+    else:
+        with pytest.raises(ValueError) as err:
+            Gate(family, controls, targets)
+        assert str(err.value) == problem
 
 
 def test_peres_pairs():

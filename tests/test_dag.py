@@ -123,9 +123,18 @@ def test_validate_reports_broken_mirrors():
     dag = flat_dag([expr(2, [0b01, 0b10])], 3)
     assert validate_dag(dag) == []
     (top,) = dag.nodes[dag.root].children
-    dag.nodes[top].parents.append(12345)
+    dag.nodes[top].parents[12345] = 1
     problems = validate_dag(dag)
     assert any("dangling parent" in p for p in problems)
+    # a parent count off by one is caught as well as a missing parent
+    del dag.nodes[top].parents[12345]
+    child = dag.nodes[top].children[0]
+    dag.nodes[child].parents[top] += 1
+    assert validate_dag(dag) == [
+        f"node {child} counts 2 edge(s) from {top}, which has 1"]
+    del dag.nodes[child].parents[top]
+    assert validate_dag(dag) == [
+        f"node {child} counts 0 edge(s) from {top}, which has 1"]
 
 
 def test_validate_reports_bad_arity():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from esopsyn import benchmarks, optimize
 from esopsyn.dag import T_AND, T_XOR, EsopDag, build_dag_from_trees, \
     dag_to_expressions, dump_text, validate_dag
-from esopsyn.funcs import EsopExpression, anf_from_truth_table, bit_support, \
-    cube_order
+from esopsyn.funcs import EsopExpression, Permutation, anf_from_truth_table, \
+    bit_support, cube_order, truth_table_from_permutation
 from esopsyn.optimize import (
     MutationReport, OptimizeParams, best_divisor, common_cube_sharing,
     divide, factor_expression, kernel_pairs, parent_reduction_pass,
@@ -425,16 +425,24 @@ def _reference_find_with_children(dag, kind, child_set, exclude=()):
     return None
 
 
+def _reference_common_children(dag, i):
+    """{node: common-child count} over the nodes other than i with at
+    least two children in common with it, counted child by child with a
+    Counter."""
+    shared = Counter()
+    for c in set(dag.nodes[i].children):
+        shared.update(dag.nodes[c].parents.keys())
+    return {j: k for j, k in shared.items() if k >= 2 and j != i}
+
+
 def _reference_co_parents(dag, i):
-    """(co-parent, common-child count) of node i, counted child by child
-    with a Counter: the nodes other than i with at least two children in
-    common with it, no deeper than i, in (depth desc, id) order."""
-    shared = Counter(p for c in set(dag.nodes[i].children)
-                     for p in set(dag.nodes[c].parents))
+    """(co-parent, common-child count) of node i: the nodes of
+    `_reference_common_children` no deeper than i, in (depth desc, id)
+    order."""
     depth = dag.nodes[i].depth
     return sorted(
-        ((j, k) for j, k in shared.items()
-         if k >= 2 and j != i and 0 < dag.nodes[j].depth <= depth),
+        ((j, k) for j, k in _reference_common_children(dag, i).items()
+         if 0 < dag.nodes[j].depth <= depth),
         key=lambda jk: (-dag.nodes[jk[0]].depth, jk[0]))
 
 
@@ -790,6 +798,59 @@ def test_cube_sharing_steps_match_the_references_on_the_aes_sbox(monkeypatch):
     assert sum(e.startswith("overlap:") for e in report.events)
     assert len(compared) >= 900 and recomputes == 22
     assert dag_to_expressions(dag) == want
+
+
+def _assert_co_parents_match_the_reference(dag):
+    for i in dag.internal_ids():
+        assert optimize._co_parents(dag, i) == set(
+            _reference_common_children(dag, i)), i
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_co_parents_match_the_reference_on_random_permutations(n):
+    # random.Random(1) permutations at TCKP 3100, as built before sharing:
+    # each variable leaf has hundreds of parents, the and nodes one or two
+    images = list(range(1 << n))
+    random.Random(1).shuffle(images)
+    tt = truth_table_from_permutation(Permutation(tuple(images)))
+    dag = flat_dag(anf_from_truth_table(tt), 3)
+    assert max(len(node.parents) for node in dag.nodes.values()) > 300
+    _assert_co_parents_match_the_reference(dag)
+
+
+def test_co_parents_match_the_reference_after_every_aes_share(monkeypatch):
+    real_share = optimize._share
+    shares = []
+
+    def checked_share(dag, i, j, rule, hoist):
+        shared = real_share(dag, i, j, rule, hoist)
+        if shared:
+            shares.append(shared)
+            _assert_co_parents_match_the_reference(dag)
+        return shared
+
+    monkeypatch.setattr(optimize, "_share", checked_share)
+    common_cube_sharing(_aes_sharing_dag())
+    assert len(shares) == 86
+
+
+def test_co_parents_probe_a_leaf_with_many_parents():
+    # N = x1.A with A = x2.x3: A's one parent is N itself, so N has no
+    # co-parent, while x1 feeds N and a dozen other ands; M = x1.A.x4
+    # would be one, once A has a second parent
+    dag, x = _and_xor_dag(16)
+    a = dag.add(T_AND, [x[2], x[3]])
+    n = dag.add(T_AND, [x[1], a])
+    others = [dag.add(T_AND, [x[1], x[k]]) for k in range(4, 17)]
+    _finish(dag, dag.add(T_XOR, [n, *others]))
+    assert len(dag.nodes[x[1]].parents) == 14 and len(dag.nodes[a].parents) == 1
+    assert optimize._co_parents(dag, n) == set()
+    _assert_co_parents_match_the_reference(dag)
+    m = dag.add(T_AND, [x[1], a, x[4]])
+    _finish(dag, dag.add(T_XOR, [n, m, *others]))
+    assert optimize._co_parents(dag, n) == {m}
+    assert optimize._co_parents(dag, m) == {n, others[0]}
+    _assert_co_parents_match_the_reference(dag)
 
 
 # -- parent reduction -------------------------------------------------------
