@@ -293,15 +293,16 @@ def read_circuit(path: str) -> Circuit:
 
 
 def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
-    """Parse `format_circuit` text.  Every `.i/.o/.c/.g` entry must name a
-    `.v` line; a `.i` list must be exactly the lines not declared constant.
-    `.v` and `.c` name each line once, and `.o` gives each line and each
-    output name once."""
+    """Parse `format_circuit` text.  A repeated directive adds to the
+    earlier ones, so a long list may span lines.  Every `.i/.o/.c/.g`
+    entry must name a `.v` line; a `.i` list must be exactly the lines not
+    declared constant.  Each directive names a line at most once, and `.o`
+    gives each output name once."""
     names: list[str] = []
-    inputs: set[str] | None = None
+    inputs: list[str] | None = None
     outputs: dict[str, str] = {}
     consts: dict[str, int] = {}
-    garbage: set[str] = set()
+    garbage: list[str] = []
     gate_rows: list[tuple[str, int, list[str]]] = []
     for ln in text.splitlines():
         ln = ln.strip()
@@ -311,10 +312,10 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         key = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         if key == ".v":
-            names = [t.strip() for t in rest.split(",") if t.strip()]
-            _refuse_repeats(names, origin, ".v declares line {!r} twice")
+            names += [t.strip() for t in rest.split(",") if t.strip()]
         elif key == ".i":
-            inputs = {t.strip() for t in rest.split(",") if t.strip()}
+            inputs = (inputs or []) + [t.strip() for t in rest.split(",")
+                                       if t.strip()]
         elif key == ".o":
             for tok in filter(None, map(str.strip, rest.split(","))):
                 oname, _, lname = tok.partition(":")
@@ -334,7 +335,7 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
                         f"not 0 or 1")
                 consts[lname] = int(init or 0)
         elif key == ".g":
-            garbage = {t.strip() for t in rest.split(",") if t.strip()}
+            garbage += [t.strip() for t in rest.split(",") if t.strip()]
         elif key[0] in "tf" and key[1:].isdigit():
             width = int(key[1:])
             operands = [t.strip() for t in rest.split(",") if t.strip()]
@@ -345,7 +346,9 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
             gate_rows.append((key[0], width, operands))
         else:
             raise SpecFormatError(f"{origin}: unrecognized line {ln!r}")
+    _refuse_repeats(names, origin, ".v declares line {!r} twice")
     _refuse_repeats(outputs.values(), origin, ".o gives output {!r} to two lines")
+    _refuse_repeats(garbage, origin, ".g names line {!r} twice")
     if not names:
         raise SpecFormatError(f"{origin}: missing .v line declaration")
     declared = set(names)
@@ -355,10 +358,12 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         if undeclared:
             raise SpecFormatError(
                 f"{origin}: {kind} names undeclared line {undeclared[0]!r}")
-    if inputs is not None and inputs != declared - consts.keys():
-        raise SpecFormatError(
-            f"{origin}: .i lists {sorted(inputs)}, but the lines not "
-            f"declared constant are {sorted(declared - consts.keys())}")
+    if inputs is not None:
+        if set(inputs) != declared - consts.keys():
+            raise SpecFormatError(
+                f"{origin}: .i lists {sorted(set(inputs))}, but the lines not "
+                f"declared constant are {sorted(declared - consts.keys())}")
+        _refuse_repeats(inputs, origin, ".i lists line {!r} twice")
     _check_inputs(sum(nm not in consts for nm in names), origin)
     index = {nm: i for i, nm in enumerate(names)}
     lines = []

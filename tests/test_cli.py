@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import random
 import time
 
 import pytest
@@ -108,6 +109,58 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
         assert run_cli(cmd + ["--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+_FUZZ_SEEDS = {
+    "f.pla": (["synth"], ".i 2\n.o 2\n.ilb a b\n.ob p q\n00 01\n01 10\n1- 11\n"),
+    "f.perm": (["synth"], "perm 0 2 3 5 7 1 4 6\n"),
+    "f.cubes": (["synth"], "1 ^ x1 ^ x1x2\nx2x3 ^ x3\n"),
+    "f.tfc": (["cost"], ".v a,b,w\n.i a,b\n.c w=0\n.o y1:w\n.g a,b\n"
+                        "t3 a,b,w\nt2 a,w\n"),
+}
+
+
+def _fuzz_edit(rng, text):
+    """One random edit: a character dropped, inserted or replaced, or a
+    line dropped, doubled or moved."""
+    alphabet = "01-2379 ^x.,:=tfviocgelbpr\n"
+    k = rng.randrange(len(text) + 1)
+    op = rng.randrange(6)
+    if op == 0:
+        return text[:k] + text[k + 1:]
+    if op == 1:
+        return text[:k] + rng.choice(alphabet) + text[k:]
+    if op == 2:
+        return text[:k] + rng.choice(alphabet) + text[k + 1:]
+    lines = text.splitlines(keepends=True) or [""]
+    i = rng.randrange(len(lines))
+    if op == 3:
+        del lines[i]
+    elif op == 4:
+        lines.insert(i, lines[i])
+    else:
+        lines.insert(rng.randrange(len(lines)), lines.pop(i))
+    return "".join(lines)
+
+
+def test_reader_fuzz_exits_0_or_1_with_one_error_line(tmp_path, capsys):
+    # 1-4 random edits of a valid file of each kind: a reader either takes
+    # the file or refuses it with one line, never with a traceback
+    rng = random.Random(7)
+    exits = {0: 0, 1: 0}
+    for k in range(400):
+        name, (cmd, text) = rng.choice(sorted(_FUZZ_SEEDS.items()))
+        for _ in range(rng.randint(1, 4)):
+            text = _fuzz_edit(rng, text)
+        path = tmp_path / f"{k}{name}"
+        path.write_text(text)
+        rc = run_cli(cmd + ["--in", str(path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1), (text, err)
+        exits[rc] += 1
+        if rc == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, text
+    assert min(exits.values()) >= 50
 
 
 def test_esop_pla_and_its_cube_list_check_each_other(tmp_path, capsys):

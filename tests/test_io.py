@@ -241,6 +241,32 @@ def test_circuit_input_list_must_be_the_non_constant_lines(inputs):
         assert back.output_map() == {"y": 2}
 
 
+def test_a_repeated_directive_adds_to_the_earlier_ones():
+    # a second .v declares more lines; it does not replace the first
+    back = parse_circuit_text(".v a,b\n.v c\n.o y1:c\nt1 c\n")
+    assert [l.name for l in back.lines] == ["a", "b", "c"]
+    assert back.output_map() == {"y1": 2}
+    # so a .i written before the last .v must list its lines too
+    with pytest.raises(SpecFormatError, match=re.escape(
+            ".i lists ['a'], but the lines not declared constant are "
+            "['a', 'b']")):
+        parse_circuit_text(".v a\n.i a\n.o y1:a\nt1 a\n.v b\n")
+    back = parse_circuit_text(".v a\n.i a\n.o y1:a\nt1 a\n.v b\n.i b\n"
+                              ".v w\n.c w\n.g b\n.g w\n")
+    assert [(l.origin, l.role) for l in back.lines] == [
+        (INPUT, ROLE_OUTPUT), (INPUT, ROLE_GARBAGE), (CONSTANT, ROLE_GARBAGE)]
+
+
+@pytest.mark.parametrize("text, message", [
+    (".v a\n.v b,a\n", ".v declares line 'a' twice"),
+    (".v a,b\n.i a,b\n.i b\n", ".i lists line 'b' twice"),
+    (".v a,b\n.g a\n.g a\n", ".g names line 'a' twice"),
+])
+def test_a_repeated_directive_names_each_line_once(text, message):
+    with pytest.raises(SpecFormatError, match=re.escape(message)):
+        parse_circuit_text(text)
+
+
 def test_report_rows_have_the_documented_columns(tmp_path):
     params = OptimizeParams(3, True, 2, False)
     c = Circuit(1, [not_gate(0)])
