@@ -11,24 +11,28 @@ mask, so a cube that occurs in many outputs costs one lookup after its
 first.  Later passes create nodes with `add`.
 Depth labels are the longest path from the root: the graph passes
 recompute them when they finish, and collapsing a mapped node into an
-identifier updates only the depths below it.  `recompute_depths` deletes
-the nodes the root no longer reaches, returns their ids (cube sharing
-drops them from its shape index) and relabels every depth.
+identifier updates only the depths below it.  `recompute_depths`
+relabels the nodes whose parents changed since the sets were last
+cleared and the nodes below them (every node while recording is off),
+deletes those the root no longer reaches and returns their ids (cube
+sharing drops them from its shape index).
 
 Every edit goes through one of five helpers (`add`, `set_children`,
 `to_identifier`, `_delete`, `recompute_depths`), and once recording is on
 they note what they changed in two id sets: `touched` holds the nodes
 whose parents changed, the internal nodes whose depth changed (no reader
 of the sets looks at a leaf's depth), and created and deleted nodes;
-`reshaped` holds the nodes whose children or kind changed.
-`recompute_depths` marks every node.  Recording is off (both `None`)
-until a consumer turns it on and clears the sets as it reads them; the
-ready index (`ReadyIndex`, read by `mapper.find_target` and
-`optimize.parent_reduction_pass`) is that consumer, so graph building
-and the graph passes before mapping pay nothing.  `depths_fresh` says
-that no node was created, deleted or given new children since the last
-`recompute_depths`; `add`, `set_children` and `_delete` clear it, and
-a recompute on fresh depths returns at once.
+`reshaped` holds the nodes whose children or kind changed.  Recording is
+off (both `None`) until a consumer turns it on and clears the sets as it
+reads them.  The ready index (`ReadyIndex`, read by `mapper.find_target`
+and `optimize.parent_reduction_pass`) is one; cube sharing records for
+the length of its own pass when it finds recording off, so graph
+building pays nothing.  A consumer clears the sets only while every
+depth is right and the root reaches every node, so a node outside the
+downward cone of the sets needs no relabel.  `depths_fresh` says that no
+node was created, deleted or given new children since the last
+`recompute_depths`; `add`, `set_children` and `_delete` clear it, and a
+recompute on fresh depths returns at once.
 """
 
 from __future__ import annotations
@@ -250,43 +254,63 @@ class EsopDag:
     # -- depth / pruning -----------------------------------------------------
 
     def recompute_depths(self) -> list[int]:
-        """Delete every node the root no longer reaches and relabel each
-        depth as the longest path from the root; returns the deleted ids.
+        """Relabel each depth as the longest path from the root and delete
+        the nodes the root no longer reaches; returns the deleted ids.
 
-        Once the dead nodes are gone every parent left is live, so a
-        node's in-degree for the topological walk is its parent count.
+        A node can lose its root or change depth only below a node whose
+        parents changed, and `touched` records each of those, so only the
+        downward cone of `touched` is relabelled, parents before
+        children; with recording off the cone is every node.  A cone
+        node's parents outside the cone keep their depths, and one left
+        with no parent is deleted.
         """
         if self.depths_fresh:
             return []
-        if self.touched is not None:
-            self.touched.update(self.nodes)
-        reach = {self.root}
-        stack = [self.root]
-        while stack:
-            for c in self.nodes[stack.pop()].children:
-                if c not in reach:
-                    reach.add(c)
-                    stack.append(c)
-        dead = [i for i in self.nodes if i not in reach]
-        for nid in dead:
-            self._unlink(nid, self.nodes[nid].children)
-        for nid in dead:
-            del self.nodes[nid]
-        indeg = {}
-        for nid in reach:
-            node = self.nodes[nid]
-            node.depth = 0
-            indeg[nid] = sum(node.parents.values())
-        queue = [self.root]
+        nodes = self.nodes
+        # per cone node: its edges from the cone still to come, and the
+        # depth its parents outside the cone give it
+        if self.touched is None:
+            indeg = {nid: sum(n.parents.values()) for nid, n in nodes.items()}
+            depth = dict.fromkeys(nodes, 0)
+        else:
+            cone = {i for i in self.touched if i in nodes}
+            stack = list(cone)
+            while stack:
+                for c in nodes[stack.pop()].children:
+                    if c not in cone:
+                        cone.add(c)
+                        stack.append(c)
+            indeg, depth = {}, {}
+            for nid in cone:
+                k = d = 0
+                for p, m in nodes[nid].parents.items():
+                    if p in cone:
+                        k += m
+                    elif nodes[p].depth >= d:
+                        d = nodes[p].depth + 1
+                indeg[nid], depth[nid] = k, d
+        queue = [nid for nid, k in indeg.items() if not k]
+        dead = []
+        touched = self.touched
         while queue:
             u = queue.pop()
-            un = self.nodes[u]
+            un = nodes[u]
+            if u != self.root and not un.parents:
+                dead.append(u)
+                self._delete(u)
+            else:
+                d = depth[u]
+                if d != un.depth:
+                    un.depth = d
+                    if touched is not None and un.children:
+                        touched.add(u)   # the index reads no leaf's depth
+                d += 1
+                for c in un.children:
+                    if d > depth[c]:
+                        depth[c] = d
             for c in un.children:
-                cn = self.nodes[c]
-                if un.depth + 1 > cn.depth:
-                    cn.depth = un.depth + 1
                 indeg[c] -= 1
-                if indeg[c] == 0:
+                if not indeg[c]:
                     queue.append(c)
         self.depths_fresh = True
         return dead

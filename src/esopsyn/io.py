@@ -303,7 +303,7 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
     outputs: dict[str, str] = {}
     consts: dict[str, int] = {}
     garbage: list[str] = []
-    gate_rows: list[tuple[str, int, list[str]]] = []
+    gate_rows: list[tuple[str, str, list[str]]] = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -343,7 +343,7 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
                 raise SpecFormatError(
                     f"{origin}: gate {ln!r} names {len(operands)} lines, "
                     f"width says {width}")
-            gate_rows.append((key[0], width, operands))
+            gate_rows.append((ln, key[0], operands))
         else:
             raise SpecFormatError(f"{origin}: unrecognized line {ln!r}")
     _refuse_repeats(names, origin, ".v declares line {!r} twice")
@@ -380,14 +380,17 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         lines.append(LineState(i, nm, origin_kind, consts.get(nm, 0),
                                role, output_name))
     circuit = Circuit(len(names), [], lines)
-    for family, width, operands in gate_rows:
+    for ln, family, operands in gate_rows:
         try:
             ids = [index[nm] for nm in operands]
         except KeyError as e:
             raise SpecFormatError(f"{origin}: gate uses undeclared line {e}")
         n_targets = 1 if family == "t" else 2
-        circuit.append(Gate(family, tuple(ids[:-n_targets]),
-                            tuple(ids[-n_targets:])))
+        try:
+            gate = Gate(family, ids[:-n_targets], ids[-n_targets:])
+        except ValueError as e:
+            raise SpecFormatError(f"{origin}: gate {ln!r}: {e}") from None
+        circuit.append(gate)
     return circuit
 
 

@@ -17,15 +17,20 @@ variables and shifts them down, one shift per variable
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
 given a new partner (see common_cube_sharing).  For the length of a pass
-it also keeps each internal node's kind and child set and the nodes of
-each such shape (_ShapeIndex): the common-child count of a node and each
-co-parent decides the pair's rule (merge, subset, overlap or none), and
-an overlap finds its hoist node with one lookup.
+it also keeps each internal node's kind and child set, the nodes of each
+such shape, and each node's xor parents (_ShapeIndex): the common-child
+count of a node and each co-parent decides the pair's rule (merge,
+subset, overlap or none), an xor node's counts come from one walk of its
+children's xor parents, and an overlap finds its hoist node with one
+lookup.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .dag import (
     EsopDag, FAnd, FXor, T_AND, T_ID, T_XOR,
@@ -243,21 +248,25 @@ def _share(dag: EsopDag, i: int, j: int, rule: str,
 
 
 class _ShapeIndex:
-    """Each internal node's (kind, child set), and the nodes of each such
-    shape; common_cube_sharing keeps one for the length of a call.
+    """Each internal node's (kind, child set), the nodes of each such
+    shape, and each child's xor parents; common_cube_sharing keeps one
+    for the length of a call.
 
     `update(nids)` re-reads the given nodes from the graph, so a node
-    whose children changed takes its new shape and a deleted one leaves.
+    whose children changed takes its new shape and a deleted one leaves;
+    `xor_parents` maps a node to the xor nodes holding it, by their shapes.
     """
 
     def __init__(self, dag: EsopDag):
         self.nodes = dag.nodes
         self.shape: dict[int, tuple[str, frozenset[int]]] = {}
         self.ids: dict[tuple[str, frozenset[int]], set[int]] = {}
+        self.xor_parents: dict[int, set[int]] = {}
         self.update(dag.nodes)
 
     def update(self, nids):
         nodes, shape, ids = self.nodes, self.shape, self.ids
+        above = self.xor_parents
         for nid in nids:
             old = shape.pop(nid, None)
             if old is not None:
@@ -265,10 +274,16 @@ class _ShapeIndex:
                 same.discard(nid)
                 if not same:
                     del ids[old]
+                if old[0] == T_XOR:
+                    for c in old[1]:
+                        above[c].discard(nid)
             node = nodes.get(nid)
             if node is not None and node.kind in (T_AND, T_XOR):
                 key = shape[nid] = (node.kind, frozenset(node.children))
                 ids.setdefault(key, set()).add(nid)
+                if node.kind == T_XOR:
+                    for c in key[1]:
+                        above.setdefault(c, set()).add(nid)
 
     def hoist(self, kind: str, child_set) -> int | None:
         """Lowest id of the `kind` nodes whose children are exactly
@@ -313,20 +328,28 @@ def _share_candidates(dag: EsopDag, i: int,
       never happen unless one side is a subset, so the test is per node).
     All three need c >= 2 (an internal node has at least two children),
     which a co-parent has.  `index` gives each internal node's kind and
-    child set.
+    child set.  An xor node's co-parents of its kind and their counts come
+    from one walk of its children's xor parents, an and node's from
+    `_co_parents` and one intersection each.
     """
     nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
     kind, ci = shape[i]
+    if kind == T_XOR:
+        counts = Counter(chain.from_iterable(
+            map(index.xor_parents.__getitem__, ci)))
+        common = [(j, c) for j, c in counts.items() if c > 1 and j != i]
+    else:
+        common = [(j, len(ci & shape[j][1])) for j in _co_parents(dag, i)
+                  if j in shape]
     out = []
-    for j in _co_parents(dag, i):
-        sj = shape.get(j)
-        if sj is None or sj[0] != kind or not 0 < nodes[j].depth <= depth:
+    for j, c in common:
+        sj = shape[j]
+        if sj[0] != kind or not 0 < nodes[j].depth <= depth:
             continue
         cj = sj[1]
         if i in cj or j in ci:
             continue
-        c = len(ci & cj)
         if c == len(ci) and c == len(cj):
             out.append((j, "merge"))
         elif c == len(ci) or c == len(cj):
@@ -352,59 +375,83 @@ def common_cube_sharing(dag: EsopDag,
     until its own children change, a node comes to share two children
     with it, a co-parent's children change, or a depth change gives it a
     partner it did not have.  So a share dirties the nodes whose children
-    it changed and their co-parents after it, and the node that made it
-    stays dirty; each later sweep starts by dirtying every node that got
+    it changed and their co-parents, and the node that made it stays
+    dirty; each later sweep starts by dirtying every node that got
     deeper, and the co-parents at least as deep as a node that got
-    shallower.  A `_ShapeIndex` holds every internal node's kind and child
-    set, moved along with each share (the nodes it reshaped and the node
-    a merge dropped) and each sweep's pruning; from it `_share_candidates`
-    names each partner's rule, and an overlap finds its hoist node with
-    one lookup.  None of this changes which shares are made.
+    shallower.  A sweep takes its nodes from a (depth desc, id) heap: the
+    first holds every internal node, a later one the dirty nodes, and a
+    node a share dirties after the current one joins it.  The graph
+    records changes for the pass, so each sweep's relabel visits only the
+    nodes below the last sweep's shares and notes the nodes whose depth
+    it changed.  A `_ShapeIndex` holds every internal node's kind and
+    child set, moved along with each share (the nodes it reshaped and the
+    node a merge dropped) and each sweep's pruning; from it
+    `_share_candidates` names each partner's rule, and an overlap finds
+    its hoist node with one lookup.  None of this changes which shares
+    are made.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
     dirty: set[int] = set()
     index = _ShapeIndex(dag)
-    levels: dict[int, list[int]] = {}   # the previous sweep's depths
+    own = dag.touched is None   # else the ready index reads the sets
     changed = True
     for sweep in range(sweep_cap):
         changed = False
         index.update(dag.recompute_depths())
-        for depth, ids in levels.items():
-            for nid in ids:
+        if not sweep:
+            todo = dag.internal_ids()
+            was = {nid: nodes[nid].depth for nid in todo}
+        else:
+            # the relabel noted each internal node whose depth it changed
+            for nid in dag.touched:
                 node = nodes.get(nid)
-                if node is None or node.depth == depth:
+                if node is None or was.get(nid, node.depth) == node.depth:
                     continue
-                if node.depth > depth:
+                if node.depth > was[nid]:
                     dirty.add(nid)
                 else:
                     dirty.update(k for k in _co_parents(dag, nid)
                                  if nodes[k].depth >= node.depth)
-        levels = {}
-        for nid in dag.internal_ids():
-            levels.setdefault(nodes[nid].depth, []).append(nid)
-        for depth in sorted(levels, reverse=True):
-            for i in levels[depth]:
-                if i not in nodes or (sweep and i not in dirty):
-                    continue
-                for j, rule in _share_candidates(dag, i, index):
-                    shared = _share(dag, i, j, rule, index.hoist)
-                    if shared:
-                        event, reshaped = shared
-                        index.update((i, j, *reshaped))
-                        report.events.append(event)
-                        changed = True
-                        for nid in reshaped:
-                            dirty.add(nid)
-                            dirty |= _co_parents(dag, nid)
-                        dirty.add(i)
-                        break
-                else:
-                    dirty.discard(i)
+                was[nid] = node.depth
+            todo = [nid for nid in dirty if nid in was and nid in nodes]
+        if own:
+            dag.touched, dag.reshaped = set(), set()
+        heap = [(-nodes[nid].depth, nid) for nid in todo]
+        heapq.heapify(heap)
+        queued = set(todo)
+        while heap:
+            at = heapq.heappop(heap)
+            i = at[1]
+            if i not in nodes:
+                continue
+            for j, rule in _share_candidates(dag, i, index):
+                shared = _share(dag, i, j, rule, index.hoist)
+                if shared:
+                    event, reshaped = shared
+                    index.update((i, j, *reshaped))
+                    report.events.append(event)
+                    changed = True
+                    fresh = set(reshaped)
+                    for nid in reshaped:
+                        fresh |= _co_parents(dag, nid)
+                    dirty |= fresh
+                    dirty.add(i)
+                    # a node dirtied after this one in the order is
+                    # tried in this sweep
+                    for nid in fresh - queued:
+                        if nid in was and (-nodes[nid].depth, nid) > at:
+                            queued.add(nid)
+                            heapq.heappush(heap, (-nodes[nid].depth, nid))
+                    break
+            else:
+                dirty.discard(i)
         if not changed:
             break
     if changed:     # a sweep that changed nothing left its depths fresh
         dag.recompute_depths()
+    if own:
+        dag.touched = dag.reshaped = None
     report.nodes_after = len(dag)
     return report
 

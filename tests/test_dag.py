@@ -1,6 +1,7 @@
 import copy
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -16,6 +17,7 @@ from esopsyn.funcs import (
     EsopExpression, Permutation, anf_from_truth_table, bit_support, cube_order,
     truth_table_from_permutation,
 )
+from esopsyn.mapper import synthesize
 from esopsyn.optimize import OptimizeParams, factor_expression
 
 
@@ -185,11 +187,9 @@ def test_long_random_rewrite_sequences_keep_the_graph_valid():
                 map_target(dag, choice, circuit)
                 steps += 1
             assert validate_dag(dag) == []
-            fresh = copy.deepcopy(dag)
-            fresh.depths_fresh = False      # force the full recompute
-            fresh.recompute_depths()
-            assert fresh.nodes.keys() == dag.nodes.keys()
-            assert {nid: n.depth for nid, n in fresh.nodes.items()} == \
+            fresh = copy.deepcopy(dag.nodes)
+            assert _whole_graph_relabel(fresh, dag.root) == []
+            assert {nid: n.depth for nid, n in fresh.items()} == \
                 {nid: n.depth for nid, n in dag.nodes.items()}
 
 
@@ -299,6 +299,76 @@ def test_recompute_depths_matches_the_reference_at_every_sharing_sweep(monkeypat
     assert len(common_cube_sharing(dag).events) == 86
     # one run per sweep, the first on the builder's fresh depths
     assert len(runs) == 22
+
+
+def _whole_graph_relabel(nodes, root):
+    """Relabel every depth of a node table from the root and delete what
+    the root does not reach, in place; returns the deleted ids, sorted.
+    The reference for `recompute_depths`, which relabels only a cone."""
+    reach = {root}
+    stack = [root]
+    while stack:
+        for c in nodes[stack.pop()].children:
+            if c not in reach:
+                reach.add(c)
+                stack.append(c)
+    dead = sorted(set(nodes) - reach)
+    for nid in dead:
+        for c in nodes[nid].children:
+            parents = nodes[c].parents
+            parents[nid] -= 1
+            if not parents[nid]:
+                del parents[nid]
+    for nid in dead:
+        del nodes[nid]
+    indeg = {}
+    for nid, node in nodes.items():
+        node.depth = 0
+        indeg[nid] = sum(node.parents.values())
+    queue = [root]
+    while queue:
+        un = nodes[queue.pop()]
+        for c in un.children:
+            nodes[c].depth = max(nodes[c].depth, un.depth + 1)
+            indeg[c] -= 1
+            if not indeg[c]:
+                queue.append(c)
+    return dead
+
+
+@pytest.mark.parametrize("tckp, runs", [("3130", 23), ("3150", 3),
+                                        ("3111", 63)])
+def test_relabel_matches_a_whole_graph_relabel(monkeypatch, tckp, runs):
+    # AES S-box: every relabel, the builder's, each cube-sharing sweep's
+    # and (at 3111) the one after each of the 53 parent-reduction hits
+    # during mapping, leaves the depths and deletes the nodes that the
+    # whole-graph relabel does on a copy
+    real = EsopDag.recompute_depths
+    seen = []
+    relabels = Counter()
+
+    def checked(dag):
+        fresh = copy.deepcopy(dag.nodes)
+        dead = _whole_graph_relabel(fresh, dag.root)
+        was = {nid: n.depth for nid, n in dag.nodes.items() if n.children}
+        assert sorted(real(dag)) == dead
+        assert {nid: n.depth for nid, n in dag.nodes.items()} == \
+            {nid: n.depth for nid, n in fresh.items()}
+        if dag.touched is not None:
+            # the sets name every internal node whose depth moved
+            moved = {nid for nid, d in was.items()
+                     if nid in dag.nodes and dag.nodes[nid].depth != d}
+            assert moved <= dag.touched
+            relabels[bool(moved)] += 1
+        seen.append(dag.index is not None)
+        return dead
+
+    monkeypatch.setattr(EsopDag, "recompute_depths", checked)
+    t, c, k, p = (int(ch) for ch in tckp)
+    synthesize(benchmarks.get("aes_sbox"), OptimizeParams(t, bool(c), k, bool(p)))
+    assert len(seen) == runs
+    assert sum(seen) == (53 if p else 0)
+    assert relabels[True]
 
 
 def test_var_node_recreates_a_pruned_variable():

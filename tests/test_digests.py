@@ -64,6 +64,11 @@ CASES = {
         "7e9892b2dead1937cbd4aef383d665a7c708ca3ddb352b66d2d90df341cf59fb"),
     "aes_sbox-3150": (lambda: benchmarks.get("aes_sbox"), "3150",
         "588bc359f8a4b7545785f069c58769e43effebe136862f168109b6e30cab921f"),
+    # parent reduction hits during mapping, each followed by a relabel
+    "hwb8-3111": (lambda: benchmarks.get("hwb8"), "3111",
+        "57a78e20091d217bb96c6a422bd1736bb1870cdf69f1843653f9eecf532cef09"),
+    "aes_sbox-3111": (lambda: benchmarks.get("aes_sbox"), "3111",
+        "b4734077264cb53107e077abab43ccbb585200c214868111e7b2971b2a0dd37e"),
 }
 
 

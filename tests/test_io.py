@@ -9,6 +9,7 @@ from esopsyn.circuit import (
     CONSTANT, Circuit, INPUT, LineState, ROLE_GARBAGE, ROLE_OUTPUT, cnot,
     fredkin, not_gate, quantum_cost, toffoli,
 )
+from esopsyn.cli import run_cli
 from esopsyn.funcs import Permutation, TruthTable
 from esopsyn.io import (
     SpecFormatError, format_circuit, parse_circuit_text, parse_spec_text,
@@ -265,6 +266,23 @@ def test_a_repeated_directive_adds_to_the_earlier_ones():
 def test_a_repeated_directive_names_each_line_once(text, message):
     with pytest.raises(SpecFormatError, match=re.escape(message)):
         parse_circuit_text(text)
+
+
+@pytest.mark.parametrize("gate, message", [
+    ("t0", "t-family gate needs 1 target(s)"),
+    ("t2 a,a", "target appears in control set"),
+    ("f1 a", "f-family gate needs 2 target(s)"),
+])
+def test_a_bad_gate_names_its_file_and_line(tmp_path, capsys, gate, message):
+    text = f".v a,b\n{gate}\n"
+    with pytest.raises(SpecFormatError) as err:
+        parse_circuit_text(text)
+    assert str(err.value) == f"<string>: gate {gate!r}: {message}"
+    path = tmp_path / "bad.tfc"
+    path.write_text(text)
+    assert run_cli(["cost", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: gate {gate!r}: {message}\n"
 
 
 def test_report_rows_have_the_documented_columns(tmp_path):

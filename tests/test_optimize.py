@@ -488,13 +488,21 @@ def _reference_shareable(dag, i, j):
 
 
 def _check_shape_index(dag, index):
-    """The index holds each internal node's kind and child set, and its
-    hoist answers equal the whole-graph search for every node's child set
-    and two of its subsets (the search of `_reference_find_with_children`,
-    run once into a table of the lowest id per kind and child set)."""
+    """The index holds each internal node's kind and child set and each
+    child's xor parents, and its hoist answers equal the whole-graph
+    search for every node's child set and two of its subsets (the search
+    of `_reference_find_with_children`, run once into a table of the
+    lowest id per kind and child set)."""
     shapes = {nid: (dag.nodes[nid].kind, frozenset(dag.nodes[nid].children))
               for nid in dag.internal_ids()}
     assert index.shape == shapes
+    xor_parents = {}
+    for nid, (kind, kids) in shapes.items():
+        if kind == T_XOR:
+            for c in kids:
+                xor_parents.setdefault(c, set()).add(nid)
+    assert {c: above for c, above in index.xor_parents.items() if above} \
+        == xor_parents
     lowest = {}
     for nid, shape in shapes.items():     # ascending ids
         lowest.setdefault(shape, nid)
@@ -769,10 +777,10 @@ def test_hand_built_scenes_match_the_all_pairs_reference(scene):
     assert dag_to_expressions(dag) == want
 
 
-def _aes_sharing_dag():
-    """The AES S-box graph cube sharing gets at TCKP 3130."""
+def _aes_sharing_dag(k=3):
+    """The AES S-box graph cube sharing gets at TCKP 31k0."""
     tt = benchmarks.get("aes_sbox")
-    params = OptimizeParams(3, True, 3, False)
+    params = OptimizeParams(3, True, k, False)
     exprs = anf_from_truth_table(tt)
     return build_dag_from_trees([factor_expression(e, params) for e in exprs],
                                 tt.n_inputs, params.max_and_arity)
@@ -798,6 +806,50 @@ def test_cube_sharing_steps_match_the_references_on_the_aes_sbox(monkeypatch):
     assert sum(e.startswith("overlap:") for e in report.events)
     assert len(compared) >= 900 and recomputes == 22
     assert dag_to_expressions(dag) == want
+
+
+def _union_intersect_candidates(dag, i, index):
+    """The partner search before the index kept xor parents: every node
+    `_co_parents` names, its common-child count from one intersection of
+    the two child sets."""
+    nodes, shape = dag.nodes, index.shape
+    depth = nodes[i].depth
+    kind, ci = shape[i]
+    out = []
+    for j in optimize._co_parents(dag, i):
+        sj = shape.get(j)
+        if sj is None or sj[0] != kind or not 0 < nodes[j].depth <= depth:
+            continue
+        cj = sj[1]
+        if i in cj or j in ci:
+            continue
+        c = len(ci & cj)
+        if c == len(ci) and c == len(cj):
+            out.append((j, "merge"))
+        elif c == len(ci) or c == len(cj):
+            out.append((j, "subset"))
+        elif 2 * c > len(ci) and 2 * c > len(cj):
+            out.append((j, "overlap"))
+    out.sort(key=lambda jr: (-nodes[jr[0]].depth, jr[0]))
+    return out
+
+
+@pytest.mark.parametrize("k, shares", [(3, 86), (5, 4)])
+def test_partners_match_the_union_and_intersect_search(monkeypatch, k, shares):
+    # AES S-box at TCKP 3130 and 3150: every (partner, rule) list the pass
+    # builds, xor and and nodes alike
+    real = optimize._share_candidates
+    tried = Counter()
+
+    def checked(dag, i, index):
+        got = real(dag, i, index)
+        assert got == _union_intersect_candidates(dag, i, index), i
+        tried[index.shape[i][0]] += 1
+        return got
+
+    monkeypatch.setattr(optimize, "_share_candidates", checked)
+    assert len(common_cube_sharing(_aes_sharing_dag(k)).events) == shares
+    assert tried[T_XOR] >= 50 and tried[T_AND] >= 50
 
 
 def _assert_co_parents_match_the_reference(dag):
