@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import logging
+import math
 import os
 import sys
 
@@ -46,6 +47,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_NO_CONVERGENCE = 3
+
+MAX_GRID_CONFIGS = 4096   # configurations one sweep may run (the default grid has 64)
 
 
 def _boolish(value: str) -> bool:
@@ -156,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_grid(tokens: list[str]) -> dict[str, list[int]]:
-    grid = {"T": [3, 4], "C": [0, 1], "K": list(range(8)), "P": [0, 1]}
+    """Each knob's values; the configurations are counted, and refused
+    above MAX_GRID_CONFIGS, before any range is expanded."""
+    grid = {"T": [range(3, 5)], "C": [range(2)], "K": [range(8)], "P": [range(2)]}
     given: set[str] = set()
     for tok in tokens:
         knob, _, spec = tok.partition("=")
@@ -166,20 +171,24 @@ def parse_grid(tokens: list[str]) -> dict[str, list[int]]:
         if knob in given:
             raise SpecFormatError(f"grid knob {knob} given twice (in {tok!r})")
         given.add(knob)
-        values: list[int] = []
+        grid[knob] = []
         for part in spec.split(","):
             part = part.strip()
-            if ".." in part:
-                lo, hi = (int(v) for v in part.split(".."))
-                if hi < lo:
-                    raise SpecFormatError(f"empty range {part!r} in grid token {tok!r}")
-                values.extend(range(lo, hi + 1))
-            else:
-                values.append(int(part))
-        if knob in "CP" and not set(values) <= {0, 1}:
-            raise SpecFormatError(f"{knob} takes 0 or 1 in grid token {tok!r}")
-        grid[knob] = values
-    return grid
+            lo, dots, hi = part.partition("..")
+            lo = int(lo)
+            hi = int(hi) if dots else lo
+            if hi < lo:
+                raise SpecFormatError(f"empty range {part!r} in grid token {tok!r}")
+            if knob in "CP" and not 0 <= lo <= hi <= 1:
+                raise SpecFormatError(f"{knob} takes 0 or 1 in grid token {tok!r}")
+            grid[knob].append(range(lo, hi + 1))
+    # len() of a range wider than 2**63 raises OverflowError
+    count = math.prod(sum(r.stop - r.start for r in ranges)
+                      for ranges in grid.values())
+    if count > MAX_GRID_CONFIGS:
+        raise SpecFormatError(f"grid of {count} configurations exceeds the "
+                              f"limit of {MAX_GRID_CONFIGS}")
+    return {knob: [v for r in ranges for v in r] for knob, ranges in grid.items()}
 
 
 def pareto_points(points: list[tuple[int, int]]) -> list[tuple[int, int]]:

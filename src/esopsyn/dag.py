@@ -409,7 +409,8 @@ class ReadyIndex:
     internal nodes by depth, `keys` the branch-3 key of each ready node
     and `heap` those keys, lazily invalidated: an entry is live only while
     it equals its node's key.  `parent_candidates` holds the identifiers
-    with exactly two non-root parents.
+    with two non-root parents that a rewrite fits (`parent_rewrites`): an
+    edit to the kind or children of a leaf's parent touches the leaf.
     """
 
     def __init__(self):
@@ -481,8 +482,7 @@ class ReadyIndex:
                 del self.buckets[old]
             old = None
         if node is not None and node.kind == T_ID \
-                and len(node.parents) in (2, 3) \
-                and sum(p != dag.root for p in node.parents) == 2:
+                and _reducible(dag.nodes, nid, node.parents, dag.root):
             self.parent_candidates.add(nid)
         else:
             self.parent_candidates.discard(nid)
@@ -509,6 +509,42 @@ class ReadyIndex:
         while heap and keys.get(heap[0][2]) != heap[0]:
             heapq.heappop(heap)
         return heap[0] if heap else None
+
+
+def _partner(nodes: dict, leaf: int, e: int, q: int) -> int | None:
+    """b when the leaf's parents e and q fit a rewrite (`parent_rewrites`)."""
+    en, qn = nodes[e], nodes[q]
+    if en.kind != T_XOR or len(en.children) != 2 or e == q:
+        return None
+    b = en.children[1] if en.children[0] == leaf else en.children[0]
+    if b != leaf and (qn.kind == T_XOR or qn.kind == T_AND
+                      and len(qn.children) == 2 and b in qn.children):
+        return b
+    return None
+
+
+def _reducible(nodes: dict, leaf: int, parents: dict, root: int) -> bool:
+    """Whether a rewrite fits a leaf with exactly two non-root parents,
+    without the sort, list or generator of `parent_rewrites`."""
+    if len(parents) != 2 + (root in parents):
+        return False
+    e, q = parents.keys() - {root}
+    return _partner(nodes, leaf, e, q) is not None \
+        or _partner(nodes, leaf, q, e) is not None
+
+
+def parent_rewrites(dag: EsopDag, leaf: int):
+    """The parent-reduction rewrites that fit at an identifier, as
+    (e, b, q) in (e, q) id order: its parent e is the xor leaf ^ b
+    (b != leaf), and its parent q another xor (leaf = e ^ b) or the and
+    of exactly leaf and b (leaf . b = (e . b) ^ b).  Routing q through e
+    takes a parent from the leaf unless it closes a cycle."""
+    parents = sorted(dag.nodes[leaf].parents)
+    for e in parents:
+        for q in parents:
+            b = _partner(dag.nodes, leaf, e, q)
+            if b is not None:
+                yield e, b, q
 
 
 # -- building ----------------------------------------------------------------

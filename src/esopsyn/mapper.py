@@ -27,8 +27,9 @@ delta.  The index also holds depth buckets of the internal nodes
 (branches 1 and 2 read the level one above the deepest leaves from them:
 with fresh depths the deepest node is a leaf one below the deepest
 internal node), a lazily invalidated heap of the branch-3 keys of the
-ready nodes, and the identifiers with exactly two non-root parents that
-`parent_reduction_pass` tries, all updated for the changed nodes only.
+ready nodes, and the identifiers that `parent_reduction_pass` tries (two
+non-root parents that a rewrite fits, `dag.parent_rewrites`), all
+updated for the changed nodes only.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .dag import (
-    EsopDag, FAnd, FXor, T_AND, T_ID, T_XOR,
+    EsopDag, FAnd, FXor, T_AND, T_ID, T_XOR, parent_rewrites,
 )
 from .funcs import EsopExpression, bit_support, cube_order, variable_patterns
 
@@ -475,25 +475,13 @@ def _reaches(dag: EsopDag, src: int, dst: int) -> bool:
     return False
 
 
-def _binary_xor_parents(dag: EsopDag, a: int) -> list[tuple[int, int]]:
-    """(xor node, partner child) pairs where the node is exactly a ^ b."""
-    out = []
-    for p in sorted(dag.nodes[a].parents):
-        node = dag.nodes[p]
-        if node.kind == T_XOR and len(node.children) == 2:
-            b = node.children[1] if node.children[0] == a else node.children[0]
-            if b != a:
-                out.append((p, b))
-    return out
-
-
 def reduce_parents(dag: EsopDag, leaf: int) -> MutationReport:
     """Cut the leaf's parent count by routing parents through an existing
     a^b node:  a = (a^b)^b  for xor parents,  a.b = ((a^b)b)^b  for the
-    two-child and node over the same pair.
+    two-child and node over the same pair (`dag.parent_rewrites`).
 
-    Applies until the leaf's parent count stops shrinking; a no-op when no
-    a^b node exists.
+    Applies the first rewrite that closes no cycle until none is left; a
+    no-op when none fits.
     """
     report = MutationReport(nodes_before=len(dag))
     node = dag.nodes.get(leaf)
@@ -501,33 +489,21 @@ def reduce_parents(dag: EsopDag, leaf: int) -> MutationReport:
         report.nodes_after = len(dag)
         return report
     while True:
-        rewrote = False
-        for e, b in _binary_xor_parents(dag, leaf):
-            for q in sorted(dag.nodes[leaf].parents):
-                if q == e:
+        for e, b, q in parent_rewrites(dag, leaf):
+            if dag.nodes[q].kind == T_XOR:
+                if _reaches(dag, e, q):
+                    continue  # routing through e would close a cycle
+                dag.xor_splice(q, leaf, [e, b])
+                surv = dag.normalize_node(q)
+                report.events.append(
+                    f"xor expansion at #{q}" + ("" if surv == q else f" -> #{surv}"))
+            else:
+                if any(_reaches(dag, e, p) for p in dag.nodes[q].parents):
                     continue
-                qn = dag.nodes[q]
-                if qn.kind == T_XOR:
-                    if _reaches(dag, e, q):
-                        continue  # routing through e would close a cycle
-                    dag.xor_splice(q, leaf, [e, b])
-                    surv = dag.normalize_node(q)
-                    report.events.append(
-                        f"xor expansion at #{q}" + ("" if surv == q else f" -> #{surv}"))
-                    rewrote = True
-                    break
-                if qn.kind == T_AND and len(qn.children) == 2 \
-                        and set(qn.children) == {leaf, b}:
-                    if any(_reaches(dag, e, p)
-                           for p in dag.nodes[q].parents):
-                        continue
-                    _apply_product_expansion(dag, q, e, b)
-                    report.events.append(f"and expansion at #{q}")
-                    rewrote = True
-                    break
-            if rewrote:
-                break
-        if not rewrote:
+                _apply_product_expansion(dag, q, e, b)
+                report.events.append(f"and expansion at #{q}")
+            break
+        else:
             break
     if report:
         dag.recompute_depths()
@@ -561,11 +537,12 @@ def _apply_product_expansion(dag: EsopDag, q: int, e: int, b: int):
 def parent_reduction_pass(dag: EsopDag) -> MutationReport:
     """One mapping-iteration's worth of parent reduction.
 
-    Candidates are the minimum-parent leaves that a single rewrite turns
-    into single-parent leaves (exactly two non-root parents), tried in
-    line order; the first that admits a reduction is reduced and the pass
-    stops until the next mapping iteration.  The graph's ready index
-    keeps the candidate set up to date (see `dag.ReadyIndex`).
+    Candidates are the leaves with exactly two non-root parents that a
+    rewrite fits (`dag.parent_rewrites`), so one rewrite leaves them a
+    single parent.  They are tried in line order; the first with a
+    rewrite that closes no cycle is reduced and the pass stops until the
+    next mapping iteration.  The graph's ready index keeps the candidate
+    set up to date (see `dag.ReadyIndex`).
     """
     candidates = sorted((dag.nodes[nid].line, nid)
                         for nid in dag.refreshed_index().parent_candidates)

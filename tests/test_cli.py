@@ -384,6 +384,32 @@ def test_grid_parser():
                               "P": [0, 1]}
 
 
+def test_grid_over_the_bound_is_refused_before_it_is_expanded(
+        monkeypatch, capsys, tmp_path):
+    # one configuration over the bound is refused, with one line of error
+    # and exit 1; a parser that returned it instead fails this test before
+    # the sweep builds the configurations
+    bound = cli.MAX_GRID_CONFIGS
+    assert len(parse_grid(["T=3", "C=0", "P=0", f"K=1..{bound}"])["K"]) == bound
+    over = ["T=3", "C=0", "P=0", f"K=0..{bound}"]
+    with pytest.raises(SpecFormatError, match=f"{bound + 1} configurations"):
+        parse_grid(over)
+    with pytest.raises(SpecFormatError, match="configurations"):
+        parse_grid(["T=3,4", "C=0", "P=0,1", f"K=0..{bound // 4}"])
+
+    def must_refuse(tokens):
+        parse_grid(tokens)
+        raise AssertionError(f"grid {tokens} accepted")
+
+    monkeypatch.setattr(cli, "parse_grid", must_refuse)
+    report = tmp_path / "r.csv"
+    assert run_cli(["sweep", "--in", "bench:present_sbox", "--grid", *over,
+                    "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid of ") and err.count("\n") == 1
+    assert not report.exists()
+
+
 def test_pareto_front():
     pts = [(10, 3), (8, 5), (12, 1), (10, 4), (8, 6)]
     assert pareto_points(pts) == [(8, 5), (10, 3), (12, 1)]

@@ -36,6 +36,12 @@ def _wide_table() -> TruthTable:
     return TruthTable.from_columns(3, columns)
 
 
+def _permutation(n: int, seed: int = 1) -> Permutation:
+    images = list(range(1 << n))
+    random.Random(seed).shuffle(images)
+    return Permutation(tuple(images))
+
+
 def _w_named_inputs() -> TruthTable:
     # inputs named like the fresh wires; the product needs a fresh line
     return TruthTable(2, 2, (0, 2, 2, 1), ("w1", "w2"))
@@ -69,6 +75,9 @@ CASES = {
         "57a78e20091d217bb96c6a422bd1736bb1870cdf69f1843653f9eecf532cef09"),
     "aes_sbox-3111": (lambda: benchmarks.get("aes_sbox"), "3111",
         "b4734077264cb53107e077abab43ccbb585200c214868111e7b2971b2a0dd37e"),
+    # parent reduction on, but no candidate has a rewrite's shape
+    "perm10-3101": (lambda: _permutation(10), "3101",
+        "57e4594fc38e94a5b7e671dc1a822548cd2794e9cae91e01feec12849324054a"),
 }
 
 
@@ -89,6 +98,21 @@ def test_ancilla_free_circuit_digest():
     perm = Permutation((0, 7, 1, 14, 2, 9, 3, 12, 4, 11, 5, 10, 6, 13, 8, 15))
     assert _digest(*ancilla_free_synthesize(perm)) == \
         "e6717346593929312bfd303fbedd555410cad3418a2605a197c56ec00f5a3fa4"
+
+
+def test_synthesized_four_variable_batch_digest_with_parent_reduction():
+    # 100 seeded 4-variable permutations at 3111; some candidates of the
+    # parent-reduction pass have a rewrite's shape but every rewrite of
+    # theirs would close a cycle, so the pass goes on to the next one
+    rng = random.Random(2)
+    h = hashlib.sha256()
+    for _ in range(100):
+        images = list(range(16))
+        rng.shuffle(images)
+        h.update(format_circuit(*synthesize(
+            Permutation(tuple(images)), _tckp("3111"))).encode())
+    assert h.hexdigest() == \
+        "5d9aa627cc3beace6ce2f5b187c3980aff3611dd2c55efcb3ff60d45b7dbe50f"
 
 
 def _four_variable_batch_digest(policy: str) -> str:

@@ -10,7 +10,7 @@ from esopsyn.circuit import (
 )
 from esopsyn.dag import (
     EsopDag, T_AND, T_CONST, T_ID, T_ROOT, T_XOR, build_dag_from_trees,
-    validate_dag,
+    parent_rewrites, validate_dag,
 )
 from esopsyn.funcs import EsopExpression, Permutation, TruthTable
 from esopsyn.mapper import (
@@ -251,13 +251,14 @@ def _ready(dag, nid):
 
 def _reference_parent_candidates(dag):
     """The all-nodes scan that the index's candidate set replaces: the
-    identifiers with exactly two non-root parents, in (line, id) order."""
+    identifiers with exactly two non-root parents that a parent-reduction
+    rewrite fits, in (line, id) order."""
     candidates = []
     for nid, node in sorted(dag.nodes.items()):
         if node.kind != T_ID:
             continue
         count = sum(1 for p in node.parents if dag.nodes[p].kind != T_ROOT)
-        if count == 2:
+        if count == 2 and next(parent_rewrites(dag, nid), None) is not None:
             candidates.append((node.line if node.line is not None else nid, nid))
     return sorted(candidates)
 
@@ -360,11 +361,13 @@ def test_mapping_loop_work_is_bounded_by_the_graph_size(monkeypatch):
     # over a whole mapping loop, the index refresh, the target choice and
     # the parent-reduction candidate set look up a small multiple of the
     # built graph's edge count in nodes; the rewrite attempts themselves
-    # (reduce_parents) are not counted.  All-nodes rescans after every
-    # rewrite look up ~500 nodes per edge on this permutation.
+    # (reduce_parents) are not counted, and on this permutation no
+    # candidate has a rewrite's shape, so none is made.  All-nodes rescans
+    # after every rewrite look up ~500 nodes per edge on this permutation.
     counting = [False]
     lookups = [0]
     edges = []
+    attempts = []
 
     class CountingNodes(dict):
         def __getitem__(self, nid):
@@ -395,12 +398,18 @@ def test_mapping_loop_work_is_bounded_by_the_graph_size(monkeypatch):
     monkeypatch.setattr(mapper, "find_target", counted(find_target, True))
     monkeypatch.setattr(mapper, "parent_reduction_pass",
                         counted(parent_reduction_pass, True))
-    monkeypatch.setattr(optimize, "reduce_parents",
-                        counted(optimize.reduce_parents, False))
+    reduce_parents = counted(optimize.reduce_parents, False)
+
+    def attempt(*args):
+        attempts.append(args)
+        return reduce_parents(*args)
+
+    monkeypatch.setattr(optimize, "reduce_parents", attempt)
     images = list(range(1 << 10))
     random.Random(1).shuffle(images)
     synthesize(Permutation(tuple(images)), OptimizeParams(3, True, 0, True))
     assert edges and lookups[0] <= 24 * edges[0]
+    assert attempts == []
 
 
 _TABLES = st.integers(1, 5).flatmap(lambda n: st.integers(1, 4).flatmap(

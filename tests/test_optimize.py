@@ -1,12 +1,13 @@
+import copy
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esopsyn import benchmarks, optimize
-from esopsyn.dag import T_AND, T_XOR, EsopDag, build_dag_from_trees, \
-    dag_to_expressions, dump_text, validate_dag
+from esopsyn import benchmarks, mapper, optimize
+from esopsyn.dag import T_AND, T_ID, T_XOR, DagNode, EsopDag, \
+    build_dag_from_trees, dag_to_expressions, dump_text, validate_dag
 from esopsyn.funcs import EsopExpression, Permutation, anf_from_truth_table, \
     bit_support, cube_order, truth_table_from_permutation
 from esopsyn.optimize import (
@@ -968,3 +969,105 @@ def test_reduction_pass_strictly_shrinks_or_reports_nothing():
                        for nid, c in counts.items() if nid in dag.nodes)
         assert validate_dag(dag) == []
         assert dag_to_expressions(dag) == want
+
+
+def _old_rewrites(dag, leaf):
+    """The rewrites the pass made before its candidates were narrowed to
+    the rewrite's shape, in its order, cycle checks included: e is a
+    two-child xor leaf ^ b over the leaf, q any other parent that is an
+    xor or the and of exactly leaf and b."""
+    for e in sorted(dag.nodes[leaf].parents):
+        en = dag.nodes[e]
+        if en.kind != T_XOR or len(en.children) != 2:
+            continue
+        b = en.children[1] if en.children[0] == leaf else en.children[0]
+        if b == leaf:
+            continue
+        for q in sorted(dag.nodes[leaf].parents):
+            if q == e:
+                continue
+            qn = dag.nodes[q]
+            if qn.kind == T_XOR:
+                if not optimize._reaches(dag, e, q):
+                    yield e, b, q
+            elif qn.kind == T_AND and len(qn.children) == 2 \
+                    and set(qn.children) == {leaf, b} \
+                    and not any(optimize._reaches(dag, e, p) for p in qn.parents):
+                yield e, b, q
+
+
+def _old_reduce_parents(dag, leaf):
+    """`reduce_parents` over `_old_rewrites`; returns the events."""
+    events = []
+    while (hit := next(_old_rewrites(dag, leaf), None)) is not None:
+        e, b, q = hit
+        if dag.nodes[q].kind == T_XOR:
+            dag.xor_splice(q, leaf, [e, b])
+            surv = dag.normalize_node(q)
+            events.append(f"xor expansion at #{q}"
+                          + ("" if surv == q else f" -> #{surv}"))
+        else:
+            optimize._apply_product_expansion(dag, q, e, b)
+            events.append(f"and expansion at #{q}")
+    if events:
+        dag.recompute_depths()
+    return events
+
+
+def _clone(dag):
+    twin = copy.copy(dag)
+    twin.nodes = {}
+    for nid, n in dag.nodes.items():
+        c = twin.nodes[nid] = DagNode(nid, n.kind, n.children, n.label, n.line)
+        c.parents, c.depth = dict(n.parents), n.depth
+    twin.output_order = list(dag.output_order)
+    twin._leaves = dict(dag._leaves)
+    twin.touched, twin.reshaped, twin.index = set(dag.touched), set(dag.reshaped), None
+    return twin
+
+
+def _graph(dag):
+    return ({nid: (n.kind, n.children, list(n.parents.items()), n.depth,
+                   n.label, n.line) for nid, n in dag.nodes.items()},
+            dag.output_order, dag._next, dag.touched, dag.reshaped)
+
+
+def test_parent_reduction_pass_matches_the_pass_over_every_two_parent_leaf(
+        monkeypatch):
+    # after every mapping iteration, the pass over the index's candidates
+    # makes the same rewrite as the pass that tries every identifier with
+    # two non-root parents; the reference runs on a copy of the graph,
+    # made only when it finds a rewrite
+    hits = Counter()
+
+    def checked(dag):
+        dag.refreshed_index()
+        order = sorted((n.line, nid) for nid, n in dag.nodes.items()
+                       if n.kind == T_ID
+                       and sum(p != dag.root for p in n.parents) == 2)
+        leaf = next((nid for _, nid in order
+                     if next(_old_rewrites(dag, nid), None)), None)
+        twin = None if leaf is None else _clone(dag)
+        want = [] if leaf is None else _old_reduce_parents(twin, leaf)
+        report = parent_reduction_pass(dag)
+        assert report.events == want
+        if twin is not None:
+            assert _graph(dag) == _graph(twin)
+        hits.update(event.split()[0] for event in want)
+        return report
+
+    monkeypatch.setattr(mapper, "parent_reduction_pass", checked)
+    rng = random.Random(5)
+    specs = [(benchmarks.get("aes_sbox"), OptimizeParams(3, True, 1, True)),
+             (benchmarks.get("hwb8"), OptimizeParams(3, True, 1, True)),
+             (benchmarks.get("aes_sbox"), OptimizeParams(3, True, 3, True))]
+    for n in (3, 4):
+        for k in (0, 1):
+            for _ in range(10):
+                images = list(range(1 << n))
+                rng.shuffle(images)
+                specs.append((Permutation(tuple(images)),
+                              OptimizeParams(3, True, k, True)))
+    for spec, params in specs:
+        mapper.synthesize(spec, params)
+    assert hits["xor"] and hits["and"]
