@@ -175,8 +175,12 @@ def parse_grid(tokens: list[str]) -> dict[str, list[int]]:
         for part in spec.split(","):
             part = part.strip()
             lo, dots, hi = part.partition("..")
-            lo = int(lo)
-            hi = int(hi) if dots else lo
+            try:
+                lo = int(lo)
+                hi = int(hi) if dots else lo
+            except ValueError:
+                raise SpecFormatError(f"bad value {part!r} in grid token "
+                                      f"{tok!r}") from None
             if hi < lo:
                 raise SpecFormatError(f"empty range {part!r} in grid token {tok!r}")
             if knob in "CP" and not 0 <= lo <= hi <= 1:

@@ -12,7 +12,12 @@ integer node ids and sets of them.  The only EsopExpression taken is
 factor_expression's argument.  Its steps (kernel_pairs, best_divisor,
 divide) take words: dividing by a cube keeps the cubes holding each of its
 variables and shifts them down, one shift per variable
-(funcs.variable_patterns).
+(funcs.variable_patterns).  best_divisor ranks by kernel size, then
+co-kernel mask, and a pair below the first recursion level of
+kernel_pairs never outranks the level-one pair it lies under: its kernel
+is no larger and its co-kernel a strict superset.  So factoring ranks
+only the kernels by a single variable unless KERNEL_CAP can cut the
+enumeration short: 2^n_vars > KERNEL_CAP, 11 or more variables.
 
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
@@ -75,6 +80,29 @@ def _cube_quotient(word: int, cube: int, patterns) -> int:
     return word
 
 
+def _variable_kernels(g: int, min_var: int, n_vars: int, patterns):
+    """(i, co-kernel mask, kernel word): the kernel of `g` by each variable
+    x_{i+1}, i >= min_var, held by at least two cubes.  The co-kernel is
+    the largest common cube of those cubes, the kernel their quotient by
+    it."""
+    for i in range(min_var, n_vars):
+        with_i = g & patterns[i]
+        if with_i.bit_count() < 2:
+            continue
+        for j in range(i):
+            if with_i & patterns[j] == with_i:
+                break   # a smaller variable index reaches the same kernel
+        else:
+            # the common cube: every variable no cube of with_i lacks,
+            # divided out as it is found (a shift keeps the other bits)
+            cc, q = 0, with_i
+            for j in range(i, n_vars):
+                if q & patterns[j] == q:
+                    cc |= 1 << j
+                    q >>= 1 << j
+            yield i, cc, q
+
+
 def kernel_pairs(word: int, n_vars: int) -> list[tuple[int, int]]:
     """(kernel word, co-kernel mask) pairs with non-trivial co-kernels.
 
@@ -83,7 +111,9 @@ def kernel_pairs(word: int, n_vars: int) -> list[tuple[int, int]]:
     along the recursion.  Very dense expressions are cut off after
     KERNEL_CAP pairs, loosely: each recursion frame still on the stack
     may add one more pair after the cap, so at most KERNEL_CAP + n_vars
-    pairs come back.
+    pairs come back.  A co-kernel mask fixes its kernel (the quotient of
+    the word by that cube), so there are at most 2^n_vars - 1 pairs, and
+    the cap can cut the enumeration short only when 2^n_vars > KERNEL_CAP.
     """
     patterns = variable_patterns(n_vars)
     out: list[tuple[int, int]] = []
@@ -92,28 +122,14 @@ def kernel_pairs(word: int, n_vars: int) -> list[tuple[int, int]]:
     def recurse(g: int, min_var: int, co: int):
         if len(out) >= KERNEL_CAP:
             return
-        for i in range(min_var, n_vars):
-            with_i = g & patterns[i]
-            if with_i.bit_count() < 2:
-                continue
-            for j in range(i):
-                if with_i & patterns[j] == with_i:
-                    break   # a smaller variable index reaches the same kernel
-            else:
-                # the common cube: every variable no cube of with_i lacks,
-                # divided out as it is found (a shift keeps the other bits)
-                cc, q = 0, with_i
-                for j in range(i, n_vars):
-                    if q & patterns[j] == q:
-                        cc |= 1 << j
-                        q >>= 1 << j
-                key = (co | cc, q)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((q, co | cc))
-                    if len(out) >= KERNEL_CAP:
-                        return
-                recurse(q, i + 1, co | cc)
+        for i, cc, q in _variable_kernels(g, min_var, n_vars, patterns):
+            key = (co | cc, q)
+            if key not in seen:
+                seen.add(key)
+                out.append((q, co | cc))
+                if len(out) >= KERNEL_CAP:
+                    return
+            recurse(q, i + 1, co | cc)
 
     recurse(word, 0, 0)
     return out
@@ -177,9 +193,21 @@ def factor_expression(expr: EsopExpression, params: OptimizeParams):
 
 
 def _factor(word: int, n_vars: int, params: OptimizeParams):
+    """factor_expression on a coefficient word.
+
+    When the cap cannot bind (2^n_vars <= KERNEL_CAP) only the kernels by
+    a single variable (the level-one pairs) are ranked: a deeper pair lies
+    in a level-one pair's quotient, with no more cubes and a larger
+    co-kernel mask, so best_divisor never picks it.  Otherwise the full,
+    capped kernel_pairs list is ranked.
+    """
     if word.bit_count() < 2 or params.kernel_threshold == 0:
         return word
-    pairs = kernel_pairs(word, n_vars)
+    if 1 << n_vars <= KERNEL_CAP:
+        pairs = [(q, cc) for _i, cc, q in _variable_kernels(
+            word, 0, n_vars, variable_patterns(n_vars))]
+    else:
+        pairs = kernel_pairs(word, n_vars)
     idx = best_divisor(pairs, params.kernel_threshold)
     if idx is None:
         return word

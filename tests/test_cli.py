@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import random
+import re
 import time
 
 import pytest
@@ -190,6 +191,9 @@ def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
              sweep + ["--grid", "K=5..2"], sweep + ["--grid", "C=0,1,2"],
              sweep + ["--grid", "P=-1"], sweep + ["--jobs", "0"],
              sweep + ["--jobs", "-3"], sweep + ["--grid", "T=3", "T=4"],
+             # grid values that are not integers
+             sweep + ["--grid", "K=1,,2"], sweep + ["--grid", "K=x"],
+             sweep + ["--grid", "T=3..y"], sweep + ["--grid", "K=1.5"],
              ["synth", "--in", "bench:nosuch"],
              # argparse's own usage errors, and the removed --verify
              ["synth", "--in", "bench:rd53", "-T", "x"],
@@ -379,6 +383,13 @@ def test_grid_parser():
     assert parse_grid(["C=1,0", "P=0..1"])["C"] == [1, 0]
     for tok in ("C=0,1,2", "P=-1", "C=0..2"):
         with pytest.raises(SpecFormatError):
+            parse_grid([tok])
+    # a value that is not an integer is named with its token
+    for tok, part in (("K=1,,2", ""), ("K=x", "x"), ("T=3..y", "3..y"),
+                      ("K=1.5", "1.5")):
+        with pytest.raises(SpecFormatError,
+                           match=re.escape(f"bad value {part!r} in grid "
+                                           f"token {tok!r}")):
             parse_grid([tok])
     assert parse_grid([]) == {"T": [3, 4], "C": [0, 1], "K": list(range(8)),
                               "P": [0, 1]}

@@ -78,6 +78,10 @@ CASES = {
     # parent reduction on, but no candidate has a rewrite's shape
     "perm10-3101": (lambda: _permutation(10), "3101",
         "57e4594fc38e94a5b7e671dc1a822548cd2794e9cae91e01feec12849324054a"),
+    # K=1 factoring on 1,024-bit words, the widest that rank only the
+    # level-one kernels
+    "perm10-3110": (lambda: _permutation(10), "3110",
+        "9410ca28e3ac3b65f93e6d87f348fa299c9e77a6b23d9e0f536c48539747e11e"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esopsyn import benchmarks, mapper, optimize
-from esopsyn.dag import T_AND, T_ID, T_XOR, DagNode, EsopDag, \
+from esopsyn.dag import T_AND, T_ID, T_XOR, DagNode, EsopDag, FAnd, FXor, \
     build_dag_from_trees, dag_to_expressions, dump_text, validate_dag
 from esopsyn.funcs import EsopExpression, Permutation, anf_from_truth_table, \
     bit_support, cube_order, truth_table_from_permutation
@@ -263,6 +263,55 @@ def test_factoring_picks_the_divisor_the_kernel_objects_picked(monkeypatch):
         assert got == (None if want is None else want[0])
         picked += want is not None
     assert picked > 200
+
+
+def _reference_factor(word, n_vars, params):
+    """_factor as it was when it ranked every pair kernel_pairs enumerates;
+    the reference for ranking only the level-one pairs."""
+    if word.bit_count() < 2 or params.kernel_threshold == 0:
+        return word
+    pairs = kernel_pairs(word, n_vars)
+    idx = best_divisor(pairs, params.kernel_threshold)
+    if idx is None:
+        return word
+    d = pairs[idx][0]
+    quotient, rest = divide(word, d, n_vars)
+    if not quotient:
+        return word
+    tree_d = _reference_factor(d, n_vars, params)
+    if quotient.bit_count() == 1:
+        prod = FAnd(quotient.bit_length() - 1, (tree_d,))
+    else:
+        prod = FAnd(0, (tree_d, _reference_factor(quotient, n_vars, params)))
+    tree_r = _reference_factor(rest, n_vars, params)
+    if isinstance(tree_r, FXor):
+        return FXor((prod,) + tree_r.parts)
+    return FXor((prod, tree_r))
+
+
+def test_factoring_matches_the_full_enumeration_reference(monkeypatch):
+    # at the default cap every word here ranks only the level-one pairs;
+    # at caps 1, 3 and 7 the cap can bind from n = 1, 2 and 3 on, and the
+    # full, capped enumeration is ranked, so a factoring that always took
+    # the level-one pairs fails here
+    rng = random.Random(2024)
+    cases = [_tied_cube_sets(rng) for _ in range(40)]
+    for _ in range(120):
+        n = rng.randint(2, 10)
+        cases.append((n, word(rng.randrange(1 << n)
+                              for _ in range(rng.randint(2, 60)))))
+    # dense words: about half of all cubes
+    cases += [(n, rng.getrandbits(1 << n)) for n in (9, 9, 10, 10)]
+    factored = 0
+    for cap in (optimize.KERNEL_CAP, 1, 3, 7):
+        monkeypatch.setattr(optimize, "KERNEL_CAP", cap)
+        for n, f in cases:
+            for k in range(1, 7):
+                params = OptimizeParams(kernel_threshold=k)
+                want = _reference_factor(f, n, params)
+                assert optimize._factor(f, n, params) == want, (cap, n, f, k)
+                factored += want != f
+    assert factored > 1000
 
 
 def test_divisor_ties_break_on_co_kernel_then_cube_order():
