@@ -298,8 +298,8 @@ def verify_equivalence(c: Circuit, spec: TruthTable) -> Verdict:
     funcs = line_functions(c, n, input_ids)
     outs = [funcs[out_lines[name]] for name in spec.output_names]
     mismatch = 0
-    for j, f in enumerate(outs):
-        mismatch |= f ^ spec.column_bits(j)
+    for f, col in zip(outs, spec.columns):
+        mismatch |= f ^ col
     restored = restored_constants(c, funcs, n)
     dirty = tuple(l.line_id for l in c.lines
                   if l.role == ROLE_ANCILLA and l.line_id not in restored)

@@ -185,6 +185,9 @@ def parse_grid(tokens: list[str]) -> dict[str, list[int]]:
                 raise SpecFormatError(f"empty range {part!r} in grid token {tok!r}")
             if knob in "CP" and not 0 <= lo <= hi <= 1:
                 raise SpecFormatError(f"{knob} takes 0 or 1 in grid token {tok!r}")
+            least = 2 if knob == "T" else 0
+            if lo < least:
+                raise SpecFormatError(f"{knob} takes values >= {least} in grid token {tok!r}")
             grid[knob].append(range(lo, hi + 1))
     # len() of a range wider than 2**63 raises OverflowError
     count = math.prod(sum(r.stop - r.start for r in ranges)

@@ -1,10 +1,10 @@
 """Boolean function representations and truth-table <-> ANF conversions.
 
-Truth tables of n inputs are stored as 2^n rows of packed output bits.
-Single-output columns are manipulated as 2^n-bit Python integers, which
-makes the GF(2) coefficient transform a handful of big-int operations.
-An output's ANF is the transform of its column: one 2^n-bit coefficient
-word whose bit m marks cube m, held by EsopExpression.  A variable's word
+A truth table keeps its 2^n rows of packed output bits and, derived once,
+one 2^n-bit column word per output, the form its consumers read: the GF(2)
+coefficient transform is then a handful of big-int operations.  An output's
+ANF is the transform of its column: one 2^n-bit coefficient word whose bit
+m marks cube m, held by EsopExpression.  A variable's word
 (`variable_patterns`) is both its column and the cubes that contain it.
 
 Bit-order convention: variable x1 is the least-significant bit of the
@@ -69,8 +69,8 @@ def _default_names(prefix: str, count: int) -> list[str]:
 class TruthTable:
     """Multi-output Boolean function: 2^n_inputs rows of n_outputs packed bits.
 
-    Row index i encodes the input assignment (x1 = bit 0 of i); bit j of
-    rows[i] is output j.
+    Row index i encodes the input assignment (x1 = bit 0 of i); output j
+    is bit j of rows[i], and bit i of the derived word columns[j].
     """
 
     n_inputs: int
@@ -78,6 +78,7 @@ class TruthTable:
     rows: tuple[int, ...]
     input_names: tuple[str, ...] = field(default=())
     output_names: tuple[str, ...] = field(default=())
+    columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_inputs < 0 or self.n_outputs < 0:
@@ -101,6 +102,7 @@ class TruthTable:
             raise ValueError("duplicate input names")
         if len(set(self.output_names)) != self.n_outputs:
             raise ValueError("duplicate output names")
+        object.__setattr__(self, "columns", _transpose(self.rows, self.n_outputs))
 
     @classmethod
     def from_columns(
@@ -109,23 +111,19 @@ class TruthTable:
     ) -> "TruthTable":
         """Build from per-output bitsets (bit i of columns[j] = output j at input i)."""
         size = 1 << n_inputs
-        rows = [0] * size
         for j, col in enumerate(columns):
             if col >> size:
                 raise ValueError(f"column {j} wider than 2^{n_inputs} bits")
-            for i in range(size):
-                rows[i] |= (col >> i & 1) << j
-        return cls(n_inputs, len(columns), tuple(rows), tuple(input_names),
-                   tuple(output_names))
+        return cls(n_inputs, len(columns), _transpose(columns, size),
+                   tuple(input_names), tuple(output_names))
 
-    def column_bits(self, j: int) -> int:
-        """Output column j as a 2^n-bit integer (bit i = value at input i)."""
-        if not 0 <= j < self.n_outputs:
-            raise IndexError(f"output {j} out of range")
-        col = 0
-        for i, r in enumerate(self.rows):
-            col |= (r >> j & 1) << i
-        return col
+
+def _transpose(words, width: int) -> tuple[int, ...]:
+    """Bit i of result[j] is bit j of words[i], each word in [0, 2^width):
+    strided slices of one string of all the bits, so linear in its length."""
+    top = 1 << width   # a leading 1 keeps each word's leading zeros in bin()
+    bits = "".join([bin(w | top)[3:] for w in reversed(words)])
+    return tuple([int(bits[width - 1 - j::width] or "0", 2) for j in range(width)])
 
 
 @dataclass(frozen=True)
@@ -151,16 +149,10 @@ class Permutation:
 def variable_patterns(n: int) -> tuple[int, ...]:
     """Per variable x_{i+1}, the 2^n-bit word whose bit m is bit i of m.
 
-    Read as a truth-table column it is the variable itself; read as a
+    It is the variable's column in the identity table; read as a
     coefficient word it is every cube containing the variable.
     """
-    full = (1 << (1 << n)) - 1
-    out = []
-    for i in range(n):
-        step = 1 << i
-        # `step` zeros then `step` ones, repeated across the 2^n bits
-        out.append(full // ((1 << 2 * step) - 1) * (((1 << step) - 1) << step))
-    return tuple(out)
+    return _transpose(range(1 << n), n)
 
 
 def mobius_bits(bits: int, n: int) -> int:
@@ -176,20 +168,25 @@ def mobius_bits(bits: int, n: int) -> int:
 
 
 def bit_support(bits: int) -> list[int]:
-    """Indices of the set bits, ascending."""
+    """Indices of the set bits, ascending; each is cleared from a 64-bit
+    limb, never from the whole word, which would make long words quadratic."""
     out = []
+    off = -1
     while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+        limb = bits & 0xFFFF_FFFF_FFFF_FFFF
+        while limb:
+            low = limb & -limb
+            out.append(low.bit_length() + off)
+            limb ^= low
+        bits >>= 64
+        off += 64
     return out
 
 
 def anf_from_truth_table(tt: TruthTable) -> list[EsopExpression]:
     """ANF (positive-polarity Reed-Muller form) of each output, in order."""
     n = tt.n_inputs
-    return [EsopExpression(n, mobius_bits(tt.column_bits(j), n))
-            for j in range(tt.n_outputs)]
+    return [EsopExpression(n, mobius_bits(col, n)) for col in tt.columns]
 
 
 def truth_table_from_anf(expr: EsopExpression) -> TruthTable:

@@ -366,6 +366,7 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         _refuse_repeats(inputs, origin, ".i lists line {!r} twice")
     _check_inputs(sum(nm not in consts for nm in names), origin)
     index = {nm: i for i, nm in enumerate(names)}
+    ancillae = consts.keys() - garbage   # a constant named in .g is garbage
     lines = []
     for i, nm in enumerate(names):
         origin_kind = CONSTANT if nm in consts else INPUT
@@ -373,9 +374,7 @@ def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:
         output_name = None
         if nm in outputs:
             role, output_name = ROLE_OUTPUT, outputs[nm]
-        elif nm in garbage:
-            role = ROLE_GARBAGE
-        elif nm in consts:
+        elif nm in ancillae:
             role = ROLE_ANCILLA
         lines.append(LineState(i, nm, origin_kind, consts.get(nm, 0),
                                role, output_name))

@@ -264,12 +264,12 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
     carriers: dict[int, list[int]] = {}
     for lid, f in enumerate(funcs):
         carriers.setdefault(f, []).append(lid)
-    wanted = [spec.column_bits(j) for j in range(spec.n_outputs)]
-    claims = [carriers[w].pop(0) if carriers.get(w) else None for w in wanted]
+    claims = [carriers[w].pop(0) if carriers.get(w) else None
+              for w in spec.columns]
     for l in circuit.lines:
         l.role = ROLE_GARBAGE
         l.output_name = None
-    for name, want, line_id in zip(spec.output_names, wanted, claims):
+    for name, want, line_id in zip(spec.output_names, spec.columns, claims):
         if line_id is None:
             # a constant or a duplicate output: a fresh line, which already
             # carries 0, or a copy / an inverter onto one

@@ -194,6 +194,9 @@ def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
              # grid values that are not integers
              sweep + ["--grid", "K=1,,2"], sweep + ["--grid", "K=x"],
              sweep + ["--grid", "T=3..y"], sweep + ["--grid", "K=1.5"],
+             # values below a knob's range
+             sweep + ["--grid", "T=3", "C=1", "P=0", "K=0,-1"],
+             sweep + ["--grid", "T=1"],
              ["synth", "--in", "bench:nosuch"],
              # argparse's own usage errors, and the removed --verify
              ["synth", "--in", "bench:rd53", "-T", "x"],
@@ -207,6 +210,11 @@ def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
     # a knob given twice is refused, not silently overridden
     assert run_cli(sweep + ["--grid", "T=3", "t=4"]) == 1
     assert "T given twice" in capsys.readouterr().err
+    # a value below a knob's range names the knob and its token
+    assert run_cli(sweep + ["--grid", "T=3", "C=1", "P=0", "K=0,-1"]) == 1
+    assert "K takes values >= 0 in grid token 'K=0,-1'" in capsys.readouterr().err
+    assert run_cli(sweep + ["--grid", "T=1"]) == 1
+    assert "T takes values >= 2 in grid token 'T=1'" in capsys.readouterr().err
     # the message of a KeyError, without the quotes str() puts round it
     assert run_cli(["synth", "--in", "bench:nosuch"]) == 1
     assert capsys.readouterr().err.startswith("error: unknown benchmark 'nosuch';")

@@ -61,10 +61,11 @@ def test_empty_and_constant_expressions():
 
 def test_multi_output_tables_give_one_expression_per_output():
     tt = TruthTable(2, 3, (0b100, 0b101, 0b110, 0b011))
+    assert tt.columns == (0b1010, 0b1100, 0b0111)
     exprs = anf_from_truth_table(tt)
     assert [e.sorted_masks() for e in exprs] == [[0b01], [0b10], [0b00, 0b11]]
     for j, e in enumerate(exprs):
-        assert truth_table_from_anf(e).column_bits(0) == tt.column_bits(j)
+        assert truth_table_from_anf(e).columns == (tt.columns[j],)
 
 
 def test_permutation_tables():
@@ -169,7 +170,7 @@ def test_anf_of_random_multi_output_tables(case, rnd):
     assert len(exprs) == m
     for j, e in enumerate(exprs):
         assert all(e.evaluate(x) == rows[x] >> j & 1 for x in range(1 << n))
-        assert truth_table_from_anf(e).column_bits(0) == tt.column_bits(j)
+        assert truth_table_from_anf(e).columns == (tt.columns[j],)
         assert EsopExpression.from_masks(n, e.sorted_masks()) == e
         extra = [rnd.randrange(1 << n) for _ in range(3)]
         twice = e.sorted_masks() + extra + extra[::-1]

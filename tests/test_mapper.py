@@ -216,7 +216,7 @@ def test_order_outputs_recovers_dropped_labels():
     fixed = order_outputs(circ, tt)
     assert set(fixed.output_map()) == {"y1"}
     funcs = line_functions(fixed, 2, [0, 1])
-    assert funcs[fixed.output_map()["y1"]] == tt.column_bits(0)
+    assert funcs[fixed.output_map()["y1"]] == tt.columns[0]
 
 
 def test_parameter_sweep_stays_sound():

@@ -3,10 +3,11 @@
 import contextlib
 import io
 import os
+import random
 import re
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from esopsyn import Circuit, OptimizeParams, Permutation, TruthTable, \
     ancilla_free_synthesize, cnot, not_gate, simulate, synthesize, \
@@ -14,6 +15,7 @@ from esopsyn import Circuit, OptimizeParams, Permutation, TruthTable, \
 from esopsyn.circuit import CONSTANT, INPUT, ROLE_ANCILLA, ROLE_OUTPUT, \
     line_functions
 from esopsyn.cli import run_cli
+from esopsyn.funcs import bit_support
 from esopsyn.io import format_circuit, parse_circuit_text, write_circuit
 
 
@@ -149,3 +151,62 @@ def test_every_single_flipped_gate_fails_verification(case):
         verdict = bool(verify_equivalence(broken, table))
         assert verdict == _pointwise_ok(broken, table), f"gate {i}"
         assert not (bijective and verdict), f"gate {i} flip passed"
+
+
+def _column_by_rows(table, j: int) -> int:
+    """Output j gathered one row at a time: the reference for `columns`."""
+    col = 0
+    for i, r in enumerate(table.rows):
+        col |= (r >> j & 1) << i
+    return col
+
+
+@st.composite
+def any_tables(draw):
+    """Tables of 0 to 8 inputs and 0 to 9 outputs, both empty sides included."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=9))
+    rows = draw(st.lists(st.integers(min_value=0, max_value=(1 << m) - 1),
+                         min_size=1 << n, max_size=1 << n))
+    return TruthTable(n, m, tuple(rows))
+
+
+@given(any_tables())
+@settings(max_examples=100, deadline=None)
+def test_columns_round_trip_through_from_columns(table):
+    assert table.columns == tuple(_column_by_rows(table, j)
+                                  for j in range(table.n_outputs))
+    back = TruthTable.from_columns(table.n_inputs, list(table.columns),
+                                   table.input_names, table.output_names)
+    assert back == table and back.columns == table.columns
+
+
+def _support_by_clearing(bits: int) -> list[int]:
+    """Set bits cleared one at a time from the whole word: the reference
+    for `bit_support`, quadratic in the word's length."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+@st.composite
+def words(draw):
+    """Random words of up to 2^16 bits, their widths spread over every scale."""
+    k = draw(st.integers(min_value=0, max_value=16))
+    width = draw(st.integers(min_value=0, max_value=1 << k))
+    return draw(st.randoms(use_true_random=False)).getrandbits(width)
+
+
+@given(words())
+@example(0)
+@example(1 << 63)
+@example(1 << 64)
+@example(1 << 127)
+@example(1 << 128)
+@example(random.Random(1).getrandbits(1 << 16))
+@settings(max_examples=60, deadline=None)
+def test_bit_support_matches_clearing_one_bit_at_a_time(word):
+    assert bit_support(word) == _support_by_clearing(word)
