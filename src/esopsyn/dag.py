@@ -25,9 +25,10 @@ of the sets looks at a leaf's depth), and created and deleted nodes;
 `reshaped` holds the nodes whose children or kind changed.  Recording is
 off (both `None`) until a consumer turns it on and clears the sets as it
 reads them.  The ready index (`ReadyIndex`, read by `mapper.find_target`
-and `optimize.parent_reduction_pass`) is one; cube sharing records for
-the length of its own pass when it finds recording off, so graph
-building pays nothing.  A consumer clears the sets only while every
+and `optimize.parent_reduction_pass`; it keeps parent-reduction
+candidates only from that pass's first call on) is one; cube sharing
+records for the length of its own pass when it finds recording off, so
+graph building pays nothing.  A consumer clears the sets only while every
 depth is right and the root reaches every node, so a node outside the
 downward cone of the sets needs no relabel.  `depths_fresh` says that no
 node was created, deleted or given new children since the last
@@ -365,17 +366,24 @@ class EsopDag:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def refreshed_index(self) -> ReadyIndex:
+    def refreshed_index(self, parent_candidates: bool = False) -> ReadyIndex:
         """The graph's ready index, brought up to date with the change
-        sets; the first call builds it and turns change recording on."""
+        sets; the first call builds it and turns change recording on, and
+        the first with `parent_candidates` derives them from every
+        identifier and has the index keep them from then on."""
         if self.index is None:
             self.index = ReadyIndex()
             changed = reshaped = set(self.nodes)
         else:
             changed, reshaped = self.touched | self.reshaped, self.reshaped
         self.touched, self.reshaped = set(), set()
-        self.index.refresh(self, changed, reshaped)
-        return self.index
+        index = self.index
+        index.refresh(self, changed, reshaped)
+        if parent_candidates and index.parent_candidates is None:
+            index.parent_candidates = {
+                nid for nid, node in self.nodes.items() if node.kind == T_ID
+                and _reducible(self.nodes, nid, node.parents, self.root)}
+        return index
 
 
 # A child's class, as its and/xor parents count it: an and is ready when
@@ -405,12 +413,18 @@ class ReadyIndex:
 
     `cls` holds each node's class and `counts` tallies each and/xor node's
     children by class; a tally is rebuilt when the node's own children
-    change and otherwise moves by the delta of a child whose class changed.  `depth` and `buckets` hold the
-    internal nodes by depth, `keys` the branch-3 key of each ready node
-    and `heap` those keys, lazily invalidated: an entry is live only while
-    it equals its node's key.  `parent_candidates` holds the identifiers
+    change and otherwise moves by the delta of a child whose class
+    changed.  `depth` and `buckets` hold the internal nodes by depth,
+    `keys` the branch-3 key of each ready node and `heap` those keys,
+    lazily invalidated: an entry is live only while it equals its node's
+    key.
+
+    `parent_candidates` is None until parent reduction first asks for it
+    (`EsopDag.refreshed_index`); from then on it holds the identifiers
     with two non-root parents that a rewrite fits (`parent_rewrites`): an
     edit to the kind or children of a leaf's parent touches the leaf.
+    Until then a refresh skips the changed nodes with no `counts` or
+    `depth` entry, so no leaf is tested for a rewrite.
     """
 
     def __init__(self):
@@ -420,7 +434,7 @@ class ReadyIndex:
         self.buckets: dict[int, set[int]] = {}
         self.keys: dict[int, tuple] = {}
         self.heap: list[tuple] = []
-        self.parent_candidates: set[int] = set()
+        self.parent_candidates: set[int] | None = None
 
     def refresh(self, dag: EsopDag, changed: set[int], reshaped: set[int]):
         """Bring the index up to date with edits to the `changed` nodes,
@@ -467,6 +481,11 @@ class ReadyIndex:
                     # a node neither ready before nor after keeps no key
                     if p in self.keys or _ready(nodes[p], tally):
                         changed.add(p)
+        if self.parent_candidates is None:
+            # a deleted node is gone from counts but may still hold a
+            # depth entry
+            changed = [nid for nid in changed
+                       if nid in counts or nid in self.depth]
         for nid in changed:
             self._update(dag, nid)
 
@@ -481,11 +500,13 @@ class ReadyIndex:
             if not bucket:
                 del self.buckets[old]
             old = None
-        if node is not None and node.kind == T_ID \
-                and _reducible(dag.nodes, nid, node.parents, dag.root):
-            self.parent_candidates.add(nid)
-        else:
-            self.parent_candidates.discard(nid)
+        candidates = self.parent_candidates
+        if candidates is not None:
+            if node is not None and node.kind == T_ID \
+                    and _reducible(dag.nodes, nid, node.parents, dag.root):
+                candidates.add(nid)
+            else:
+                candidates.discard(nid)
         if tally is None:
             self.keys.pop(nid, None)
             return

@@ -26,10 +26,12 @@ and an and above it may become flat) its parents' tallies move by the
 delta.  The index also holds depth buckets of the internal nodes
 (branches 1 and 2 read the level one above the deepest leaves from them:
 with fresh depths the deepest node is a leaf one below the deepest
-internal node), a lazily invalidated heap of the branch-3 keys of the
-ready nodes, and the identifiers that `parent_reduction_pass` tries (two
-non-root parents that a rewrite fits, `dag.parent_rewrites`), all
-updated for the changed nodes only.
+internal node), and a lazily invalidated heap of the branch-3 keys of the
+ready nodes, both updated for the changed nodes only.  Once
+`parent_reduction_pass` first asks for them (P on), it also keeps the
+identifiers that the pass tries (two non-root parents that a rewrite
+fits, `dag.parent_rewrites`); a graph mapped with P off never tests a
+leaf for a rewrite.
 """
 
 from __future__ import annotations

@@ -17,17 +17,21 @@ co-kernel mask, and a pair below the first recursion level of
 kernel_pairs never outranks the level-one pair it lies under: its kernel
 is no larger and its co-kernel a strict superset.  So factoring ranks
 only the kernels by a single variable unless KERNEL_CAP can cut the
-enumeration short: 2^n_vars > KERNEL_CAP, 11 or more variables.
+enumeration short: 2^s > KERNEL_CAP for a word whose cubes use s
+variables, 11 or more.
 
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
 given a new partner (see common_cube_sharing).  For the length of a pass
 it also keeps each internal node's kind and child set, the nodes of each
-such shape, and each node's xor parents (_ShapeIndex): the common-child
-count of a node and each co-parent decides the pair's rule (merge,
-subset, overlap or none), an xor node's counts come from one walk of its
-children's xor parents, and an overlap finds its hoist node with one
-lookup.
+such shape, each node's xor parents, and for each pair of children of an
+and node the and nodes holding both (_ShapeIndex): the common-child
+count of a node and each co-parent of its kind decides the pair's rule
+(merge, subset, overlap or none), an xor node's counts come from one walk
+of its children's xor parents, an and node's co-parents are the holders
+of its child pairs (the double-cube index of Rajski and Vasudevamurthy's
+fast extraction, used here only to find partners), and an overlap finds
+its hoist node with one lookup.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 from .dag import (
     EsopDag, FAnd, FXor, T_AND, T_ID, T_XOR, parent_rewrites,
@@ -112,8 +116,10 @@ def kernel_pairs(word: int, n_vars: int) -> list[tuple[int, int]]:
     KERNEL_CAP pairs, loosely: each recursion frame still on the stack
     may add one more pair after the cap, so at most KERNEL_CAP + n_vars
     pairs come back.  A co-kernel mask fixes its kernel (the quotient of
-    the word by that cube), so there are at most 2^n_vars - 1 pairs, and
-    the cap can cut the enumeration short only when 2^n_vars > KERNEL_CAP.
+    the word by that cube) and is a nonempty set of the variables the
+    word's cubes use, so a word of s variables has at most 2^s - 1 pairs,
+    and the cap can cut the enumeration short only when 2^s > KERNEL_CAP:
+    on words of 11 or more variables.
     """
     patterns = variable_patterns(n_vars)
     out: list[tuple[int, int]] = []
@@ -195,17 +201,19 @@ def factor_expression(expr: EsopExpression, params: OptimizeParams):
 def _factor(word: int, n_vars: int, params: OptimizeParams):
     """factor_expression on a coefficient word.
 
-    When the cap cannot bind (2^n_vars <= KERNEL_CAP) only the kernels by
-    a single variable (the level-one pairs) are ranked: a deeper pair lies
-    in a level-one pair's quotient, with no more cubes and a larger
-    co-kernel mask, so best_divisor never picks it.  Otherwise the full,
-    capped kernel_pairs list is ranked.
+    When the cap cannot bind on the word (2^s <= KERNEL_CAP, where s is
+    the number of variables its cubes use: words of up to 10 variables)
+    only the kernels by a single variable (the level-one pairs) are
+    ranked: a deeper pair lies in a level-one pair's quotient, with no
+    more cubes and a larger co-kernel mask, so best_divisor never picks
+    it.  Otherwise the full, capped kernel_pairs list is ranked.
     """
     if word.bit_count() < 2 or params.kernel_threshold == 0:
         return word
-    if 1 << n_vars <= KERNEL_CAP:
+    patterns = variable_patterns(n_vars)
+    if 1 << sum(bool(word & p) for p in patterns) <= KERNEL_CAP:
         pairs = [(q, cc) for _i, cc, q in _variable_kernels(
-            word, 0, n_vars, variable_patterns(n_vars))]
+            word, 0, n_vars, patterns)]
     else:
         pairs = kernel_pairs(word, n_vars)
     idx = best_divisor(pairs, params.kernel_threshold)
@@ -275,14 +283,27 @@ def _share(dag: EsopDag, i: int, j: int, rule: str,
     return f"overlap: #{i} and #{j} share #{s}", [i, j]
 
 
+def _child_pairs(children: frozenset[int]):
+    """Each unordered pair of distinct children, as a frozenset; a node of
+    two children is its own one pair."""
+    if len(children) == 2:
+        return (children,)
+    return map(frozenset, combinations(children, 2))
+
+
 class _ShapeIndex:
     """Each internal node's (kind, child set), the nodes of each such
-    shape, and each child's xor parents; common_cube_sharing keeps one
-    for the length of a call.
+    shape, each child's xor parents and each child pair's and parents;
+    common_cube_sharing keeps one for the length of a call.
 
     `update(nids)` re-reads the given nodes from the graph, so a node
     whose children changed takes its new shape and a deleted one leaves;
-    `xor_parents` maps a node to the xor nodes holding it, by their shapes.
+    `xor_parents` maps a node to the xor nodes holding it, and `and_pairs`
+    each pair of distinct children of an and node (`_child_pairs`) to the
+    and nodes holding both, by their shapes.  An and node has few
+    children (at most max(2, T - 1) as built, and a share never adds
+    one), so its pairs are few, while a variable can have thousands of
+    parents.
     """
 
     def __init__(self, dag: EsopDag):
@@ -290,11 +311,12 @@ class _ShapeIndex:
         self.shape: dict[int, tuple[str, frozenset[int]]] = {}
         self.ids: dict[tuple[str, frozenset[int]], set[int]] = {}
         self.xor_parents: dict[int, set[int]] = {}
+        self.and_pairs: dict[frozenset[int], set[int]] = {}
         self.update(dag.nodes)
 
     def update(self, nids):
         nodes, shape, ids = self.nodes, self.shape, self.ids
-        above = self.xor_parents
+        above, pairs = self.xor_parents, self.and_pairs
         for nid in nids:
             old = shape.pop(nid, None)
             if old is not None:
@@ -305,6 +327,12 @@ class _ShapeIndex:
                 if old[0] == T_XOR:
                     for c in old[1]:
                         above[c].discard(nid)
+                else:
+                    for pair in _child_pairs(old[1]):
+                        holders = pairs[pair]
+                        holders.discard(nid)
+                        if not holders:
+                            del pairs[pair]
             node = nodes.get(nid)
             if node is not None and node.kind in (T_AND, T_XOR):
                 key = shape[nid] = (node.kind, frozenset(node.children))
@@ -312,33 +340,34 @@ class _ShapeIndex:
                 if node.kind == T_XOR:
                     for c in key[1]:
                         above.setdefault(c, set()).add(nid)
+                else:
+                    for pair in _child_pairs(key[1]):
+                        pairs.setdefault(pair, set()).add(nid)
+
+    def co_parents(self, i: int) -> dict[int, int]:
+        """{j: c} over the nodes j of i's kind, other than i, with c >= 2
+        children in common with it; empty for the root, which has no
+        shape.  An xor node's counts come from one walk of its children's
+        xor parents.  An and node's co-parents are the holders of its
+        child pairs, each counted by one intersection."""
+        shape = self.shape
+        if i not in shape:
+            return {}
+        kind, ci = shape[i]
+        if kind == T_XOR:
+            counts = Counter(chain.from_iterable(
+                map(self.xor_parents.__getitem__, ci)))
+            return {j: c for j, c in counts.items() if c > 1 and j != i}
+        holders = set().union(*map(self.and_pairs.__getitem__,
+                                   _child_pairs(ci)))
+        holders.discard(i)
+        return {j: len(ci & shape[j][1]) for j in holders}
 
     def hoist(self, kind: str, child_set) -> int | None:
         """Lowest id of the `kind` nodes whose children are exactly
         child_set, or None (the `hoist` that `_share` asks)."""
         same = self.ids.get((kind, frozenset(child_set)))
         return min(same) if same else None
-
-
-def _co_parents(dag: EsopDag, i: int) -> set[int]:
-    """The nodes other than i sharing at least two distinct children with i.
-
-    A running union of the children's parent sets but the largest,
-    smallest first, finds the nodes two of them share; the union is then
-    probed in the largest, so a variable with thousands of parents is
-    never walked unless every child has as many.
-    """
-    nodes = dag.nodes
-    sets = sorted((nodes[c].parents for c in set(nodes[i].children)), key=len)
-    seen: set[int] = set()
-    shared: set[int] = set()
-    for parents in sets[:-1]:
-        shared |= seen.intersection(parents)
-        seen.update(parents)
-    if sets:
-        shared |= seen & sets[-1].keys()
-    shared.discard(i)
-    return shared
 
 
 def _share_candidates(dag: EsopDag, i: int,
@@ -356,26 +385,17 @@ def _share_candidates(dag: EsopDag, i: int,
       never happen unless one side is a subset, so the test is per node).
     All three need c >= 2 (an internal node has at least two children),
     which a co-parent has.  `index` gives each internal node's kind and
-    child set.  An xor node's co-parents of its kind and their counts come
-    from one walk of its children's xor parents, an and node's from
-    `_co_parents` and one intersection each.
+    child set, and its co-parents of i's kind with their counts
+    (`_ShapeIndex.co_parents`).
     """
     nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
-    kind, ci = shape[i]
-    if kind == T_XOR:
-        counts = Counter(chain.from_iterable(
-            map(index.xor_parents.__getitem__, ci)))
-        common = [(j, c) for j, c in counts.items() if c > 1 and j != i]
-    else:
-        common = [(j, len(ci & shape[j][1])) for j in _co_parents(dag, i)
-                  if j in shape]
+    ci = shape[i][1]
     out = []
-    for j, c in common:
-        sj = shape[j]
-        if sj[0] != kind or not 0 < nodes[j].depth <= depth:
+    for j, c in index.co_parents(i).items():
+        if not 0 < nodes[j].depth <= depth:
             continue
-        cj = sj[1]
+        cj = shape[j][1]
         if i in cj or j in ci:
             continue
         if c == len(ci) and c == len(cj):
@@ -402,21 +422,24 @@ def common_cube_sharing(dag: EsopDag,
     while it is dirty.  A node whose partners all failed keeps failing
     until its own children change, a node comes to share two children
     with it, a co-parent's children change, or a depth change gives it a
-    partner it did not have.  So a share dirties the nodes whose children
-    it changed and their co-parents, and the node that made it stays
-    dirty; each later sweep starts by dirtying every node that got
-    deeper, and the co-parents at least as deep as a node that got
-    shallower.  A sweep takes its nodes from a (depth desc, id) heap: the
-    first holds every internal node, a later one the dirty nodes, and a
-    node a share dirties after the current one joins it.  The graph
+    partner it did not have.  A partner always has the node's kind, so
+    "co-parents" here are those of the node's own kind: a share dirties
+    the nodes whose children it changed and their co-parents, and the
+    node that made it stays dirty; each later sweep starts by dirtying
+    every node that got deeper, and the co-parents at least as deep as a
+    node that got shallower.  A sweep takes its nodes from a (depth desc,
+    id) heap: the first holds every internal node, a later one the dirty
+    nodes, and a node a share dirties after the current one joins it.  The graph
     records changes for the pass, so each sweep's relabel visits only the
     nodes below the last sweep's shares and notes the nodes whose depth
     it changed.  A `_ShapeIndex` holds every internal node's kind and
-    child set, moved along with each share (the nodes it reshaped and the
-    node a merge dropped) and each sweep's pruning; from it
-    `_share_candidates` names each partner's rule, and an overlap finds
-    its hoist node with one lookup.  None of this changes which shares
-    are made.
+    child set, each node's xor parents and each and-node child pair's and
+    parents, moved along with each share (the nodes it reshaped and the
+    node a merge dropped) and each sweep's pruning; from it the co-parents
+    of a node are read without walking a child's parents, so a variable
+    with thousands of parents costs nothing, `_share_candidates` names
+    each partner's rule, and an overlap finds its hoist node with one
+    lookup.  None of this changes which shares are made.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
@@ -439,7 +462,7 @@ def common_cube_sharing(dag: EsopDag,
                 if node.depth > was[nid]:
                     dirty.add(nid)
                 else:
-                    dirty.update(k for k in _co_parents(dag, nid)
+                    dirty.update(k for k in index.co_parents(nid)
                                  if nodes[k].depth >= node.depth)
                 was[nid] = node.depth
             todo = [nid for nid in dirty if nid in was and nid in nodes]
@@ -462,7 +485,7 @@ def common_cube_sharing(dag: EsopDag,
                     changed = True
                     fresh = set(reshaped)
                     for nid in reshaped:
-                        fresh |= _co_parents(dag, nid)
+                        fresh.update(index.co_parents(nid))
                     dirty |= fresh
                     dirty.add(i)
                     # a node dirtied after this one in the order is
@@ -570,10 +593,11 @@ def parent_reduction_pass(dag: EsopDag) -> MutationReport:
     single parent.  They are tried in line order; the first with a
     rewrite that closes no cycle is reduced and the pass stops until the
     next mapping iteration.  The graph's ready index keeps the candidate
-    set up to date (see `dag.ReadyIndex`).
+    set up to date from the first pass on (see `dag.ReadyIndex`).
     """
+    index = dag.refreshed_index(parent_candidates=True)
     candidates = sorted((dag.nodes[nid].line, nid)
-                        for nid in dag.refreshed_index().parent_candidates)
+                        for nid in index.parent_candidates)
     for _line, nid in candidates:
         report = reduce_parents(dag, nid)
         if report:

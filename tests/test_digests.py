@@ -82,6 +82,12 @@ CASES = {
     # level-one kernels
     "perm10-3110": (lambda: _permutation(10), "3110",
         "9410ca28e3ac3b65f93e6d87f348fa299c9e77a6b23d9e0f536c48539747e11e"),
+    # cube sharing over three-child and nodes: K=3 factoring on the
+    # largest built-in, and the flat form of a 10-input permutation
+    "aes_sbox-4130": (lambda: benchmarks.get("aes_sbox"), "4130",
+        "3925469f9d8c3bed6d89f520a2704c0866302502fc8284f0af749f79576a338a"),
+    "perm10-4100": (lambda: _permutation(10), "4100",
+        "df40e87ed3786c5e69ae66c9f719bf71e100456b5807e597a279c9edc5877017"),
 }
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esopsyn import mapper, optimize
+from esopsyn import dag as dag_module, mapper, optimize
 from esopsyn.circuit import (
     CONSTANT, INPUT, ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, Circuit,
     LineState, line_functions, simulate,
@@ -12,7 +12,10 @@ from esopsyn.dag import (
     EsopDag, T_AND, T_CONST, T_ID, T_ROOT, T_XOR, build_dag_from_trees,
     parent_rewrites, validate_dag,
 )
-from esopsyn.funcs import EsopExpression, Permutation, TruthTable
+from esopsyn.funcs import (
+    EsopExpression, Permutation, TruthTable, anf_from_truth_table,
+    truth_table_from_permutation,
+)
 from esopsyn.mapper import (
     RULE_AND_XOR_PARENT, RULE_MAX_CHILD, RULE_XOR_SINGLE, SynthesisError,
     TargetChoice, _fresh_line, _single_parent_leaf, find_target,
@@ -300,10 +303,11 @@ def _reference_find_target(dag):
 def test_indexed_find_target_matches_the_all_nodes_scan():
     # random interleavings of cube sharing, parent reduction, mapping and
     # collapsing an arbitrary internal node (which moves the depths of
-    # internal descendants); the indexed choice and parent-reduction
-    # candidates must equal the full scans' after every step
+    # internal descendants); the indexed choice must equal the full
+    # scan's after every step, and so must the parent-reduction
+    # candidates once the first pass has asked the index for them
     rng = random.Random(1618)
-    steps = 0
+    steps = checked = 0
     while steps < 4000:
         n = rng.randint(3, 6)
         exprs = [expr(n, {rng.randrange(1 << n)
@@ -311,12 +315,14 @@ def test_indexed_find_target_matches_the_all_nodes_scan():
                  for _ in range(rng.randint(1, 4))]
         dag = flat_dag(exprs, rng.choice([3, 4]))
         circuit = Circuit(n)
+        reducing = False
         while True:
             op = rng.randrange(6)
             if op == 0:
                 common_cube_sharing(dag, sweep_cap=1)
             elif op == 1:
                 parent_reduction_pass(dag)
+                reducing = True
             elif op == 2:
                 internal = sorted(nid for nid, node in dag.nodes.items()
                                   if node.kind in (T_AND, T_XOR))
@@ -325,14 +331,79 @@ def test_indexed_find_target_matches_the_all_nodes_scan():
                     dag.to_identifier(rng.choice(internal), line, f"@{line}")
             choice = find_target(dag)
             assert choice == _reference_find_target(dag)
-            assert sorted((dag.nodes[nid].line, nid)
-                          for nid in dag.index.parent_candidates) \
-                == _reference_parent_candidates(dag)
+            if reducing:
+                assert sorted((dag.nodes[nid].line, nid)
+                              for nid in dag.index.parent_candidates) \
+                    == _reference_parent_candidates(dag)
+                checked += 1
+            else:
+                assert dag.index.parent_candidates is None
             steps += 1
             if choice is None:
                 break
             if op >= 3:
                 map_target(dag, choice, circuit)
+    assert checked >= 1000
+
+
+def test_mapping_without_parent_reduction_never_tests_a_leaf(monkeypatch):
+    # P off: the ready index keeps no parent-reduction candidates, so no
+    # leaf is ever tested for a rewrite
+    def refuse(*args):
+        raise AssertionError("a leaf was tested for a parent rewrite")
+
+    monkeypatch.setattr(dag_module, "_reducible", refuse)
+    images = list(range(1 << 8))
+    random.Random(1).shuffle(images)
+    for spec in (Permutation(tuple(images)), NTH_PRIME3):
+        for params in (OptimizeParams(3, True, 0, False),
+                       OptimizeParams(4, False, 1, False)):
+            synthesize(spec, params)
+
+
+def test_first_parent_reduction_pass_derives_its_candidates(monkeypatch):
+    # mapping steps with P off move and delete nodes while the index
+    # keeps no candidates; the first pass then tries exactly the leaves
+    # the all-nodes scan names, in line order, and the index stays right
+    # for the mapping steps after it.  Random permutations at TCKP 3111,
+    # each first mapped until the scan names a candidate (most do at
+    # K = 1) and at least a random number of steps has run
+    tried = []
+    monkeypatch.setattr(optimize, "reduce_parents", lambda dag, leaf: (
+        tried.append(leaf) or optimize.MutationReport()))
+    rng = random.Random(99)
+    params = OptimizeParams(3, True, 1, True)
+    passes = deleted = 0
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        images = list(range(1 << n))
+        rng.shuffle(images)
+        tt = truth_table_from_permutation(Permutation(tuple(images)))
+        dag = build_dag_from_trees(
+            [factor_expression(e, params) for e in anf_from_truth_table(tt)],
+            n, 3)
+        common_cube_sharing(dag)
+        circuit = Circuit(n)
+        before = set(dag.nodes)
+        steps = rng.randint(1, 6)
+        while (choice := find_target(dag)) is not None and (
+                steps > 0 or not _reference_parent_candidates(dag)):
+            map_target(dag, choice, circuit)
+            steps -= 1
+        deleted += bool(before - set(dag.nodes))
+        assert dag.index.parent_candidates is None
+        want = _reference_parent_candidates(dag)
+        tried.clear()
+        parent_reduction_pass(dag)
+        assert tried == [nid for _line, nid in want]
+        passes += bool(want)
+        while (choice := find_target(dag)) is not None:
+            assert choice == _reference_find_target(dag)
+            assert sorted((dag.nodes[nid].line, nid)
+                          for nid in dag.index.parent_candidates) \
+                == _reference_parent_candidates(dag)
+            map_target(dag, choice, circuit)
+    assert passes >= 40 and deleted >= 40
 
 
 def test_find_target_follows_depths_that_a_collapse_lowers():

@@ -1,6 +1,7 @@
 import copy
 import random
 from collections import Counter
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,6 +313,69 @@ def test_factoring_matches_the_full_enumeration_reference(monkeypatch):
                 assert optimize._factor(f, n, params) == want, (cap, n, f, k)
                 factored += want != f
     assert factored > 1000
+
+
+def _support(f) -> int:
+    """The mask of the variables the cubes of word f use."""
+    used = 0
+    for m in bit_support(f):
+        used |= m
+    return used
+
+
+def test_factoring_reads_the_support_of_each_word(monkeypatch):
+    # words over 12 declared variables whose cubes use at most 10 of
+    # them: the cap cannot bind at its default, so only the level-one
+    # pairs are ranked although 2^12 is above it.  At caps 2, 4, 8 and 16
+    # a word whose cubes use 2, 3, 4 or 5 variables can have more pairs
+    # than the cap, so the full, capped enumeration is ranked: a test
+    # that undercounts the support by one takes the level-one pairs there
+    rng = random.Random(4096)
+    cases = []
+    for k in range(152):
+        used = sum(1 << v for v in rng.sample(range(12), rng.randint(1, 10)))
+        if k < 150:
+            cubes = [rng.randrange(1 << 12) & used
+                     for _ in range(rng.randint(2, 60))]
+        else:   # dense: about half of the cubes over 10 variables
+            used = (1 << 12) - 1 - sum(
+                1 << v for v in rng.sample(range(12), 2))
+            cubes = [m for m in range(1 << 12)
+                     if m & used == m and rng.random() < 0.5]
+        cases.append(word(cubes))
+    assert max(_support(f).bit_count() for f in cases) == 10
+    factored = 0
+    for cap in (optimize.KERNEL_CAP, 2, 4, 8, 16):
+        monkeypatch.setattr(optimize, "KERNEL_CAP", cap)
+        for f in cases:
+            for k in (1, 3):
+                params = OptimizeParams(kernel_threshold=k)
+                want = _reference_factor(f, 12, params)
+                assert optimize._factor(f, 12, params) == want, (cap, f, k)
+                factored += want != f
+    assert factored > 500
+
+
+def test_wide_specs_enumerate_only_words_the_cap_can_cut(monkeypatch):
+    # an 11-input permutation at K = 1: its outputs use all 11 variables,
+    # so the full enumeration runs on them, but never on a divisor,
+    # quotient or remainder whose cubes use 10 or fewer
+    real = optimize.kernel_pairs
+    wide = []
+
+    def only_wide(f, n_vars):
+        assert 1 << _support(f).bit_count() > optimize.KERNEL_CAP
+        wide.append(f)
+        return real(f, n_vars)
+
+    monkeypatch.setattr(optimize, "kernel_pairs", only_wide)
+    images = list(range(1 << 11))
+    random.Random(1).shuffle(images)
+    tt = truth_table_from_permutation(Permutation(tuple(images)))
+    trees = [factor_expression(e, OptimizeParams(kernel_threshold=1))
+             for e in anf_from_truth_table(tt)]
+    assert len(wide) >= 11
+    assert all(isinstance(tree, FXor) for tree in trees)
 
 
 def test_divisor_ties_break_on_co_kernel_then_cube_order():
@@ -827,10 +891,10 @@ def test_hand_built_scenes_match_the_all_pairs_reference(scene):
     assert dag_to_expressions(dag) == want
 
 
-def _aes_sharing_dag(k=3):
-    """The AES S-box graph cube sharing gets at TCKP 31k0."""
+def _aes_sharing_dag(k=3, t=3):
+    """The AES S-box graph cube sharing gets at TCKP t1k0."""
     tt = benchmarks.get("aes_sbox")
-    params = OptimizeParams(3, True, k, False)
+    params = OptimizeParams(t, True, k, False)
     exprs = anf_from_truth_table(tt)
     return build_dag_from_trees([factor_expression(e, params) for e in exprs],
                                 tt.n_inputs, params.max_and_arity)
@@ -858,22 +922,37 @@ def test_cube_sharing_steps_match_the_references_on_the_aes_sbox(monkeypatch):
     assert dag_to_expressions(dag) == want
 
 
-def _union_intersect_candidates(dag, i, index):
-    """The partner search before the index kept xor parents: every node
-    `_co_parents` names, its common-child count from one intersection of
-    the two child sets."""
+def _probed_co_parents(dag, i):
+    """The nodes other than i, of any kind, sharing at least two distinct
+    children with i, found on the graph's parent sets: a running union
+    of the children's parent sets but the largest, smallest first, probed
+    in the largest (the search before the index kept child pairs)."""
+    nodes = dag.nodes
+    sets = sorted((nodes[c].parents for c in set(nodes[i].children)), key=len)
+    seen, shared = set(), set()
+    for parents in sets[:-1]:
+        shared |= seen.intersection(parents)
+        seen.update(parents)
+    if sets:
+        shared |= seen & sets[-1].keys()
+    shared.discard(i)
+    return shared
+
+
+def _partners(dag, i, common, index):
+    """`_share_candidates`' filter and order over (co-parent, count)
+    pairs of any kind."""
     nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
     kind, ci = shape[i]
     out = []
-    for j in optimize._co_parents(dag, i):
+    for j, c in common:
         sj = shape.get(j)
         if sj is None or sj[0] != kind or not 0 < nodes[j].depth <= depth:
             continue
         cj = sj[1]
         if i in cj or j in ci:
             continue
-        c = len(ci & cj)
         if c == len(ci) and c == len(cj):
             out.append((j, "merge"))
         elif c == len(ci) or c == len(cj):
@@ -882,6 +961,32 @@ def _union_intersect_candidates(dag, i, index):
             out.append((j, "overlap"))
     out.sort(key=lambda jr: (-nodes[jr[0]].depth, jr[0]))
     return out
+
+
+def _union_intersect_candidates(dag, i, index):
+    """The partner search before the index kept xor parents: every node
+    `_probed_co_parents` names, its common-child count from one
+    intersection of the two child sets."""
+    ci = index.shape[i][1]
+    return _partners(dag, i, [
+        (j, len(ci & index.shape[j][1])) for j in _probed_co_parents(dag, i)
+        if j in index.shape], index)
+
+
+def _xor_walk_candidates(dag, i, index):
+    """The partner search before the index kept child pairs: an xor
+    node's counts from one walk of its children's xor parents, an and
+    node's co-parents from `_probed_co_parents` and one intersection
+    each."""
+    kind, ci = index.shape[i]
+    if kind == T_XOR:
+        counts = Counter(chain.from_iterable(
+            map(index.xor_parents.__getitem__, ci)))
+        common = [(j, c) for j, c in counts.items() if c > 1 and j != i]
+    else:
+        common = [(j, len(ci & index.shape[j][1]))
+                  for j in _probed_co_parents(dag, i) if j in index.shape]
+    return _partners(dag, i, common, index)
 
 
 @pytest.mark.parametrize("k, shares", [(3, 86), (5, 4)])
@@ -902,10 +1007,78 @@ def test_partners_match_the_union_and_intersect_search(monkeypatch, k, shares):
     assert tried[T_XOR] >= 50 and tried[T_AND] >= 50
 
 
-def _assert_co_parents_match_the_reference(dag):
+def _permutation_sharing_dag(n, k, t):
+    """The graph cube sharing gets for the `random.Random(1)` permutation
+    on n inputs at TCKP t1k0."""
+    images = list(range(1 << n))
+    random.Random(1).shuffle(images)
+    tt = truth_table_from_permutation(Permutation(tuple(images)))
+    params = OptimizeParams(t, True, k, False)
+    return build_dag_from_trees(
+        [factor_expression(e, params) for e in anf_from_truth_table(tt)],
+        n, t)
+
+
+@pytest.mark.parametrize("build, shares, wide", [
+    (lambda: _aes_sharing_dag(3), 86, False),
+    (lambda: _aes_sharing_dag(3, t=4), 117, True),
+    (lambda: _permutation_sharing_dag(10, 1, 3), 675, False),
+    (lambda: _permutation_sharing_dag(10, 0, 4), 833, True),
+], ids=["aes_sbox-3130", "aes_sbox-4130", "perm10-3110", "perm10-4100"])
+def test_pair_indexed_partners_match_the_co_parent_search(
+        monkeypatch, build, shares, wide):
+    # every (partner, rule) list the pass builds equals the search over
+    # the graph's parent sets, and after every share the pair entries
+    # equal the graph's; at T = 4 some and nodes tried have three children
+    real_candidates, real_share = optimize._share_candidates, optimize._share
+    tried = Counter()
+    pending = [False]
+
+    def checked_candidates(dag, i, index):
+        if pending[0]:
+            assert index.and_pairs == _reference_and_pairs(dag)
+            pending[0] = False
+        got = real_candidates(dag, i, index)
+        assert got == _xor_walk_candidates(dag, i, index), i
+        kind, ci = index.shape[i]
+        tried[kind, len(ci)] += 1
+        return got
+
+    def checked_share(*args):
+        shared = real_share(*args)
+        pending[0] = bool(shared)
+        return shared
+
+    monkeypatch.setattr(optimize, "_share_candidates", checked_candidates)
+    monkeypatch.setattr(optimize, "_share", checked_share)
+    assert len(common_cube_sharing(build()).events) == shares
+    assert tried[T_XOR, 2] + tried[T_AND, 2] >= 100
+    assert bool(tried[T_AND, 3]) == wide
+
+
+def _reference_and_pairs(dag):
+    """Each pair of distinct children of an and node mapped to the and
+    nodes holding both."""
+    pairs = {}
+    for nid in dag.internal_ids():
+        node = dag.nodes[nid]
+        if node.kind == T_AND:
+            for a, b in combinations(set(node.children), 2):
+                pairs.setdefault(frozenset((a, b)), set()).add(nid)
+    return pairs
+
+
+def _assert_co_parents_match_the_reference(dag, index=None):
+    """The index's co-parents of every internal node are the nodes of its
+    kind that the child-by-child count names, with their counts."""
+    if index is None:
+        index = optimize._ShapeIndex(dag)
+    assert index.and_pairs == _reference_and_pairs(dag)
     for i in dag.internal_ids():
-        assert optimize._co_parents(dag, i) == set(
-            _reference_common_children(dag, i)), i
+        kind = dag.nodes[i].kind
+        assert index.co_parents(i) == {
+            j: k for j, k in _reference_common_children(dag, i).items()
+            if dag.nodes[j].kind == kind}, i
 
 
 @pytest.mark.parametrize("n", [10, 11])
@@ -921,37 +1094,42 @@ def test_co_parents_match_the_reference_on_random_permutations(n):
 
 
 def test_co_parents_match_the_reference_after_every_aes_share(monkeypatch):
-    real_share = optimize._share
-    shares = []
+    # the index moves with each share and each sweep's pruning, and after
+    # each move its co-parents equal the graph's
+    real_update = optimize._ShapeIndex.update
+    updates = []
 
-    def checked_share(dag, i, j, rule, hoist):
-        shared = real_share(dag, i, j, rule, hoist)
-        if shared:
-            shares.append(shared)
-            _assert_co_parents_match_the_reference(dag)
-        return shared
+    def checked_update(index, nids):
+        real_update(index, nids)
+        updates.append(nids)
+        _assert_co_parents_match_the_reference(dag, index)
 
-    monkeypatch.setattr(optimize, "_share", checked_share)
-    common_cube_sharing(_aes_sharing_dag())
-    assert len(shares) == 86
+    dag = _aes_sharing_dag()
+    monkeypatch.setattr(optimize._ShapeIndex, "update", checked_update)
+    assert len(common_cube_sharing(dag).events) == 86
+    assert len(updates) >= 86
 
 
 def test_co_parents_probe_a_leaf_with_many_parents():
     # N = x1.A with A = x2.x3: A's one parent is N itself, so N has no
-    # co-parent, while x1 feeds N and a dozen other ands; M = x1.A.x4
-    # would be one, once A has a second parent
+    # co-parent, while x1 feeds N and a dozen other ands: N's one child
+    # pair holds N alone.  M = x1.A.x4 is one once A has a second parent,
+    # and M's three pairs find N and x1.x4
     dag, x = _and_xor_dag(16)
     a = dag.add(T_AND, [x[2], x[3]])
     n = dag.add(T_AND, [x[1], a])
     others = [dag.add(T_AND, [x[1], x[k]]) for k in range(4, 17)]
     _finish(dag, dag.add(T_XOR, [n, *others]))
     assert len(dag.nodes[x[1]].parents) == 14 and len(dag.nodes[a].parents) == 1
-    assert optimize._co_parents(dag, n) == set()
+    index = optimize._ShapeIndex(dag)
+    assert index.and_pairs[frozenset((x[1], a))] == {n}
+    assert index.co_parents(n) == {}
     _assert_co_parents_match_the_reference(dag)
     m = dag.add(T_AND, [x[1], a, x[4]])
     _finish(dag, dag.add(T_XOR, [n, m, *others]))
-    assert optimize._co_parents(dag, n) == {m}
-    assert optimize._co_parents(dag, m) == {n, others[0]}
+    index = optimize._ShapeIndex(dag)
+    assert index.co_parents(n) == {m: 2}
+    assert index.co_parents(m) == {n: 2, others[0]: 2}
     _assert_co_parents_match_the_reference(dag)
 
 
