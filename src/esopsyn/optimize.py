@@ -24,22 +24,24 @@ Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
 given a new partner (see common_cube_sharing).  For the length of a pass
 it also keeps each internal node's kind and child set, the nodes of each
-such shape, each node's xor parents, and for each pair of children of an
-and node the and nodes holding both (_ShapeIndex): the common-child
-count of a node and each co-parent of its kind decides the pair's rule
-(merge, subset, overlap or none), an xor node's counts come from one walk
-of its children's xor parents, an and node's co-parents are the holders
-of its child pairs (the double-cube index of Rajski and Vasudevamurthy's
-fast extraction, used here only to find partners), and an overlap finds
-its hoist node with one lookup.
+such shape, for each node a bitmask of the xor nodes holding it, and for
+each pair of children of an and node the and nodes holding both
+(_ShapeIndex): the common-child count of a node and each co-parent of
+its kind decides the pair's rule (merge, subset, overlap or none).  An
+and node's co-parents are the holders of its child pairs (the
+double-cube index of Rajski and Vasudevamurthy's fast extraction, used
+here only to find partners).  Output xor nodes are too wide for pair
+entries, so an xor node's counts are summed bit-sliced over its
+children's masks, every xor node's count at once, and its rules come
+from comparing those slices with the width slices of all xor nodes.  An
+overlap finds its hoist node with one lookup.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations, zip_longest
 
 from .dag import (
     EsopDag, FAnd, FXor, T_AND, T_ID, T_XOR, parent_rewrites,
@@ -49,6 +51,7 @@ from .funcs import EsopExpression, bit_support, cube_order, variable_patterns
 
 SHARING_SWEEP_CAP = 32   # cube-sharing sweeps per pass
 KERNEL_CAP = 2000        # kernels enumerated per expression (see kernel_pairs)
+FEW_CO_PARENTS = 8       # xor co-parents ruled pair by pair below this many
 
 
 @dataclass(frozen=True)
@@ -249,32 +252,30 @@ class MutationReport:
 
 
 def _share(dag: EsopDag, i: int, j: int, rule: str,
-           hoist) -> tuple[str, list[int]] | None:
+           index: _ShapeIndex) -> tuple[str, list[int]] | None:
     """Apply a share; returns its event and the nodes whose children changed.
 
-    `hoist(kind, child_set)` names the lowest-id node of `kind` whose
-    children are exactly `child_set`, or None.  An overlap never asks for
-    i's or j's own child set: neither is a subset of the other.
+    Both child sets are read from `index.shape`, and `index.hoist(kind,
+    child_set)` names the lowest-id node of `kind` whose children are
+    exactly `child_set`, or None.  An overlap never asks for i's or j's
+    own child set: neither is a subset of the other.
     """
-    ni, nj = dag.nodes[i], dag.nodes[j]
-    ci, cj = set(ni.children), set(nj.children)
     if rule == "merge":
         keep, drop = (i, j) if i < j else (j, i)
         parents = list(dag.nodes[drop].parents)
         dag.merge_nodes(keep, drop)
         return f"merge #{drop} into #{keep}", parents
+    (kind, ci), cj = index.shape[i], index.shape[j][1]
     if rule == "subset":
-        if cj < ci:
-            i, j = j, i
-            ni, nj = nj, ni
-            ci, cj = cj, ci
-        rest = [c for c in nj.children if c not in ci]
+        if len(cj) < len(ci):
+            i, j, ci = j, i, cj
+        rest = [c for c in dag.nodes[j].children if c not in ci]
         dag.set_children(j, [i] + rest)
         return f"subset: #{j} now references #{i}", [j]
     # overlap: hoist only onto an already existing node so the total node
     # count can never grow; fresh hoists are the kernel engine's job
     common = ci & cj
-    s = hoist(ni.kind, common)
+    s = index.hoist(kind, common)
     if s is None:
         return None
     for nid in (i, j):
@@ -291,32 +292,118 @@ def _child_pairs(children: frozenset[int]):
     return map(frozenset, combinations(children, 2))
 
 
+def _rule(c: int, wi: int, wj: int) -> str | None:
+    """The share two nodes of wi and wj distinct children, c of them in
+    common, allow (see `_share_candidates`)."""
+    if c == wi or c == wj:
+        return "merge" if wi == wj else "subset"
+    if 2 * c > wi and 2 * c > wj:
+        return "overlap"
+    return None
+
+
+def _slice_sum(masks) -> list[int]:
+    """The bit-sliced sum of bitmasks: bit s of slice k is bit k of the
+    number of masks holding bit s.  Each mask ripples its carries up the
+    slices, every slot's counter at once."""
+    out: list[int] = []
+    for carry in masks:
+        k = 0
+        while carry:
+            if k == len(out):
+                out.append(carry)
+                break
+            s = out[k]
+            out[k] = s ^ carry
+            carry &= s
+            k += 1
+    return out
+
+
+def _toggle(slices: list[int], bit: int, value: int):
+    """Flip `bit` in the slices where `value` has a one."""
+    slices.extend([0] * (value.bit_length() - len(slices)))
+    k = 0
+    while value:
+        if value & 1:
+            slices[k] ^= bit
+        value >>= 1
+        k += 1
+
+
+def _constant(v: int) -> list[int]:
+    """The slices of v in every slot: all ones (-1) where v has a bit."""
+    return [-(v >> k & 1) for k in range(v.bit_length())]
+
+
+def _equal(a: list[int], b: list[int], among: int) -> int:
+    """The slots of `among` where bit-sliced values a and b are equal."""
+    for x, y in zip_longest(a, b, fillvalue=0):
+        among &= ~(x ^ y)
+    return among
+
+
+def _above(a: list[int], b: list[int], among: int) -> int:
+    """The slots of `among` where bit-sliced value a exceeds b, decided at
+    the highest slice where they differ."""
+    above = 0
+    for x, y in reversed(list(zip_longest(a, b, fillvalue=0))):
+        above |= among & x & ~y
+        among &= ~(x ^ y)
+    return above
+
+
+def _rule_masks(counts: list[int], wi: int, widths: list[int],
+                among: int) -> tuple[tuple[str, int], ...]:
+    """(rule, mask) for each rule of `_rule`: the slots of `among` whose
+    common-child count c with a node of wi children (`counts`, bit-sliced)
+    allows it, given their own child counts (`widths`, bit-sliced).  c
+    equal to wi puts that node's children within the slot's, c equal to
+    the slot's width the slot's within the node's, and the overlap test
+    compares c with both half widths: wi // 2 a constant, the slots' the
+    width slices shifted down by one."""
+    in_slot = _equal(counts, _constant(wi), among)
+    in_node = _equal(counts, widths, among)
+    either = in_slot | in_node
+    over = _above(counts, widths[1:], _above(
+        counts, _constant(wi >> 1), among & ~either))
+    return (("merge", in_slot & in_node), ("subset", in_slot ^ in_node),
+            ("overlap", over))
+
+
 class _ShapeIndex:
     """Each internal node's (kind, child set), the nodes of each such
-    shape, each child's xor parents and each child pair's and parents;
-    common_cube_sharing keeps one for the length of a call.
+    shape, a bitmask of each child's xor parents and each child pair's
+    and parents; common_cube_sharing keeps one for the length of a call.
 
     `update(nids)` re-reads the given nodes from the graph, so a node
-    whose children changed takes its new shape and a deleted one leaves;
-    `xor_parents` maps a node to the xor nodes holding it, and `and_pairs`
-    each pair of distinct children of an and node (`_child_pairs`) to the
-    and nodes holding both, by their shapes.  An and node has few
-    children (at most max(2, T - 1) as built, and a share never adds
-    one), so its pairs are few, while a variable can have thousands of
-    parents.
+    whose children changed takes its new shape and a deleted one leaves.
+    Each xor node owns one bit, its slot (`xor_slot`, read back through
+    `xor_ids`); `xor_masks` maps a node to the mask of the xor nodes
+    holding it, and `width_slices` gives every xor node's child count,
+    bit-sliced.  `and_pairs` maps each pair of distinct children of an and
+    node (`_child_pairs`) to the and nodes holding both.  An and node has
+    few children (at most max(2, T - 1) as built, and a share never adds
+    one), so its pairs are few; an output xor node can have thousands of
+    children, so xor nodes are counted on masks instead, where a variable
+    with thousands of xor parents costs one mask per count.
     """
 
     def __init__(self, dag: EsopDag):
         self.nodes = dag.nodes
         self.shape: dict[int, tuple[str, frozenset[int]]] = {}
         self.ids: dict[tuple[str, frozenset[int]], set[int]] = {}
-        self.xor_parents: dict[int, set[int]] = {}
+        self.xor_slot: dict[int, int] = {}
+        self.xor_ids: list[int] = []
+        self.xor_masks: dict[int, int] = {}
+        self.widths: list[int] | None = None    # see width_slices
         self.and_pairs: dict[frozenset[int], set[int]] = {}
         self.update(dag.nodes)
 
     def update(self, nids):
         nodes, shape, ids = self.nodes, self.shape, self.ids
-        above, pairs = self.xor_parents, self.and_pairs
+        slot, masks, widths = self.xor_slot, self.xor_masks, self.widths
+        pairs = self.and_pairs
         for nid in nids:
             old = shape.pop(nid, None)
             if old is not None:
@@ -324,48 +411,109 @@ class _ShapeIndex:
                 same.discard(nid)
                 if not same:
                     del ids[old]
-                if old[0] == T_XOR:
-                    for c in old[1]:
-                        above[c].discard(nid)
-                else:
+                if old[0] == T_AND:
                     for pair in _child_pairs(old[1]):
                         holders = pairs[pair]
                         holders.discard(nid)
                         if not holders:
                             del pairs[pair]
             node = nodes.get(nid)
+            new = None
             if node is not None and node.kind in (T_AND, T_XOR):
-                key = shape[nid] = (node.kind, frozenset(node.children))
-                ids.setdefault(key, set()).add(nid)
-                if node.kind == T_XOR:
-                    for c in key[1]:
-                        above.setdefault(c, set()).add(nid)
-                else:
-                    for pair in _child_pairs(key[1]):
+                new = shape[nid] = (node.kind, frozenset(node.children))
+                ids.setdefault(new, set()).add(nid)
+                if node.kind == T_AND:
+                    for pair in _child_pairs(new[1]):
                         pairs.setdefault(pair, set()).add(nid)
+            if (new or old or (None,))[0] != T_XOR:    # now or before
+                continue
+            # toggle the node's bit on the children it gained or lost, and
+            # on the width slices where its old and new counts differ
+            if nid not in slot:
+                slot[nid] = len(self.xor_ids)
+                self.xor_ids.append(nid)
+            bit = 1 << slot[nid]
+            was = old[1] if old else frozenset()
+            now = new[1] if new else frozenset()
+            for c in was ^ now:
+                masks[c] = masks.get(c, 0) ^ bit
+            if widths is not None:
+                _toggle(widths, bit, len(was) ^ len(now))
 
-    def co_parents(self, i: int) -> dict[int, int]:
-        """{j: c} over the nodes j of i's kind, other than i, with c >= 2
-        children in common with it; empty for the root, which has no
-        shape.  An xor node's counts come from one walk of its children's
-        xor parents.  An and node's co-parents are the holders of its
-        child pairs, each counted by one intersection."""
-        shape = self.shape
-        if i not in shape:
-            return {}
-        kind, ci = shape[i]
-        if kind == T_XOR:
-            counts = Counter(chain.from_iterable(
-                map(self.xor_parents.__getitem__, ci)))
-            return {j: c for j, c in counts.items() if c > 1 and j != i}
+    def width_slices(self) -> list[int]:
+        """Every xor node's child count, bit-sliced over the slots.  Only
+        the comparisons of `partners` read them, so they are built on
+        their first use and `update` keeps them from then on."""
+        if self.widths is None:
+            self.widths = []
+            for nid, (kind, kids) in self.shape.items():
+                if kind == T_XOR:
+                    _toggle(self.widths, 1 << self.xor_slot[nid], len(kids))
+        return self.widths
+
+    def _xor_co_parents(self, i: int) -> tuple[list[int], int]:
+        """Xor node i's common-child counts, bit-sliced over the slots (the
+        `_slice_sum` of its children's masks), and the mask of the other
+        xor nodes holding at least two of its children."""
+        counts = _slice_sum(map(self.xor_masks.__getitem__, self.shape[i][1]))
+        many = 0
+        for s in counts[1:]:
+            many |= s
+        return counts, many & ~(1 << self.xor_slot[i])
+
+    def _and_co_parents(self, i: int) -> set[int]:
         holders = set().union(*map(self.and_pairs.__getitem__,
-                                   _child_pairs(ci)))
+                                   _child_pairs(self.shape[i][1])))
         holders.discard(i)
-        return {j: len(ci & shape[j][1]) for j in holders}
+        return holders
+
+    def co_parents(self, i: int):
+        """The nodes j of i's kind, other than i, with at least two children
+        in common with it; none for the root, which has no shape.  An xor
+        node's are the slots whose bit-sliced count over its children's
+        masks is 2 or more (a bit set in a slice above the first), an and
+        node's the holders of its child pairs."""
+        if i not in self.shape:
+            return ()
+        if self.shape[i][0] == T_XOR:
+            ids = self.xor_ids
+            return [ids[s] for s in bit_support(self._xor_co_parents(i)[1])]
+        return self._and_co_parents(i)
+
+    def partners(self, i: int) -> list[tuple[int, str]]:
+        """(co-parent, rule) for each co-parent of i whose common-child
+        count allows a share (`_rule`), in no set order.
+
+        An and node's co-parents, and an xor node's when fewer than
+        FEW_CO_PARENTS, are ruled one by one from the intersection of the
+        two child sets; otherwise `_rule_masks` rules every xor co-parent
+        at once on the bit-sliced counts.
+        """
+        shape = self.shape
+        ci = shape[i][1]
+        if shape[i][0] == T_XOR:
+            counts, many = self._xor_co_parents(i)
+            if not many:
+                return []
+            ids = self.xor_ids
+            if many.bit_count() >= FEW_CO_PARENTS:
+                return [(ids[s], rule) for rule, mask in _rule_masks(
+                    counts, len(ci), self.width_slices(), many)
+                    for s in bit_support(mask)]
+            co = [ids[s] for s in bit_support(many)]
+        else:
+            co = self._and_co_parents(i)
+        out = []
+        for j in co:
+            cj = shape[j][1]
+            rule = _rule(len(ci & cj), len(ci), len(cj))
+            if rule:
+                out.append((j, rule))
+        return out
 
     def hoist(self, kind: str, child_set) -> int | None:
         """Lowest id of the `kind` nodes whose children are exactly
-        child_set, or None (the `hoist` that `_share` asks)."""
+        child_set, or None (the hoist that `_share` asks for)."""
         same = self.ids.get((kind, frozenset(child_set)))
         return min(same) if same else None
 
@@ -385,25 +533,17 @@ def _share_candidates(dag: EsopDag, i: int,
       never happen unless one side is a subset, so the test is per node).
     All three need c >= 2 (an internal node has at least two children),
     which a co-parent has.  `index` gives each internal node's kind and
-    child set, and its co-parents of i's kind with their counts
-    (`_ShapeIndex.co_parents`).
+    child set, and the co-parents of i's kind that pass a rule
+    (`_ShapeIndex.partners`; an xor node with many co-parents has them
+    all ruled at once, as masks, by `_rule_masks`); only those meet the
+    depth and parent tests.
     """
     nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
     ci = shape[i][1]
-    out = []
-    for j, c in index.co_parents(i).items():
-        if not 0 < nodes[j].depth <= depth:
-            continue
-        cj = shape[j][1]
-        if i in cj or j in ci:
-            continue
-        if c == len(ci) and c == len(cj):
-            out.append((j, "merge"))
-        elif c == len(ci) or c == len(cj):
-            out.append((j, "subset"))
-        elif 2 * c > len(ci) and 2 * c > len(cj):
-            out.append((j, "overlap"))
+    out = [(j, rule) for j, rule in index.partners(i)
+           if 0 < nodes[j].depth <= depth
+           and i not in shape[j][1] and j not in ci]
     out.sort(key=lambda jr: (-nodes[jr[0]].depth, jr[0]))
     return out
 
@@ -433,13 +573,17 @@ def common_cube_sharing(dag: EsopDag,
     records changes for the pass, so each sweep's relabel visits only the
     nodes below the last sweep's shares and notes the nodes whose depth
     it changed.  A `_ShapeIndex` holds every internal node's kind and
-    child set, each node's xor parents and each and-node child pair's and
-    parents, moved along with each share (the nodes it reshaped and the
-    node a merge dropped) and each sweep's pruning; from it the co-parents
-    of a node are read without walking a child's parents, so a variable
-    with thousands of parents costs nothing, `_share_candidates` names
-    each partner's rule, and an overlap finds its hoist node with one
-    lookup.  None of this changes which shares are made.
+    child set, a mask of each node's xor parents and each and-node child
+    pair's and parents, moved along with each share (the nodes it
+    reshaped and the node a merge dropped) and each sweep's pruning; from
+    it the co-parents of a node are read without walking a child's
+    parents: an and node's from its pairs, an xor node's as one mask from
+    a bit-sliced count, so a variable with thousands of parents costs one
+    mask per count.  `_share_candidates` names each partner's rule, the
+    comparisons on those counts doing it for every xor co-parent at once,
+    and an overlap finds its hoist node with one lookup.  Both dirtying
+    steps take a node's co-parents from `_ShapeIndex.co_parents`.  None
+    of this changes which shares are made.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
@@ -477,7 +621,7 @@ def common_cube_sharing(dag: EsopDag,
             if i not in nodes:
                 continue
             for j, rule in _share_candidates(dag, i, index):
-                shared = _share(dag, i, j, rule, index.hoist)
+                shared = _share(dag, i, j, rule, index)
                 if shared:
                     event, reshaped = shared
                     index.update((i, j, *reshaped))

@@ -2,6 +2,7 @@ import copy
 import random
 from collections import Counter
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -601,22 +602,46 @@ def _reference_shareable(dag, i, j):
     return None
 
 
+def _sliced_value(slices, slot):
+    """The number a bit-sliced value holds in one slot."""
+    return sum((s >> slot & 1) << k for k, s in enumerate(slices))
+
+
+def _check_xor_masks(dag, index):
+    """The index holds each child's xor parents, as the graph has them, as
+    a slot mask."""
+    nodes, slot = dag.nodes, index.xor_slot
+    held = {c for nid in dag.internal_ids() if nodes[nid].kind == T_XOR
+            for c in nodes[nid].children}
+    assert {c: m for c, m in index.xor_masks.items() if m} == {
+        c: sum(1 << slot[p] for p in nodes[c].parents
+               if nodes[p].kind == T_XOR) for c in held}
+
+
+def _check_xor_slots(dag, index):
+    """The index holds each child's xor parents as a slot mask
+    (`_check_xor_masks`), and each xor node's child count in the width
+    slices (0 in a dead node's slot; the slices are built here if the
+    pass has not built them yet)."""
+    _check_xor_masks(dag, index)
+    for s, nid in enumerate(index.xor_ids):
+        assert index.xor_slot[nid] == s
+        node = dag.nodes.get(nid)
+        assert node is None or node.kind == T_XOR
+        assert _sliced_value(index.width_slices(), s) == \
+            (len(set(node.children)) if node else 0), nid
+
+
 def _check_shape_index(dag, index):
-    """The index holds each internal node's kind and child set and each
-    child's xor parents, and its hoist answers equal the whole-graph
-    search for every node's child set and two of its subsets (the search
-    of `_reference_find_with_children`, run once into a table of the
-    lowest id per kind and child set)."""
+    """The index holds each internal node's kind and child set and its
+    xor slots (`_check_xor_slots`), and its hoist answers equal the
+    whole-graph search for every node's child set and two of its subsets
+    (the search of `_reference_find_with_children`, run once into a table
+    of the lowest id per kind and child set)."""
     shapes = {nid: (dag.nodes[nid].kind, frozenset(dag.nodes[nid].children))
               for nid in dag.internal_ids()}
     assert index.shape == shapes
-    xor_parents = {}
-    for nid, (kind, kids) in shapes.items():
-        if kind == T_XOR:
-            for c in kids:
-                xor_parents.setdefault(c, set()).add(nid)
-    assert {c: above for c, above in index.xor_parents.items() if above} \
-        == xor_parents
+    _check_xor_slots(dag, index)
     lowest = {}
     for nid, shape in shapes.items():     # ascending ids
         lowest.setdefault(shape, nid)
@@ -625,6 +650,17 @@ def _check_shape_index(dag, index):
         for child_set in (kids, kids[:2], kids[1:]):
             assert index.hoist(kind, set(child_set)) == \
                 lowest.get((kind, frozenset(child_set)))
+
+
+def _graph_shapes(dag, i, j):
+    """What `_share` reads of its index for nodes i and j, taken from the
+    graph: their kinds and child sets, and a hoist that searches the whole
+    graph."""
+    return SimpleNamespace(
+        shape={nid: (dag.nodes[nid].kind, frozenset(dag.nodes[nid].children))
+               for nid in (i, j)},
+        hoist=lambda kind, child_set: _reference_find_with_children(
+            dag, kind, child_set, exclude=(i, j)))
 
 
 def _reference_cube_sharing(dag, sweep_cap=32):
@@ -653,9 +689,7 @@ def _reference_cube_sharing(dag, sweep_cap=32):
                         if rule is None:
                             continue
                         shared = optimize._share(
-                            dag, i, j, rule, lambda kind, child_set:
-                            _reference_find_with_children(
-                                dag, kind, child_set, exclude=(i, j)))
+                            dag, i, j, rule, _graph_shapes(dag, i, j))
                         if shared:
                             report.events.append(shared[0])
                             changed = True
@@ -738,13 +772,17 @@ def _checked_sharing(monkeypatch, dag, cap):
         compared.append(i)
         return got
 
-    def checked_share(dag, i, j, rule, hoist):
+    def checked_share(dag, i, j, rule, index):
+        hoist = index.hoist
+
         def checked_hoist(kind, child_set):
             got = hoist(kind, child_set)
             assert got == _reference_find_with_children(dag, kind, child_set)
             return got
         pending[0] = True
-        return real_share(dag, i, j, rule, checked_hoist)
+        with monkeypatch.context() as m:
+            m.setattr(index, "hoist", checked_hoist)
+            return real_share(dag, i, j, rule, index)
 
     recomputes = counted(dag.recompute_depths)
     with monkeypatch.context() as m:
@@ -974,14 +1012,16 @@ def _union_intersect_candidates(dag, i, index):
 
 
 def _xor_walk_candidates(dag, i, index):
-    """The partner search before the index kept child pairs: an xor
-    node's counts from one walk of its children's xor parents, an and
-    node's co-parents from `_probed_co_parents` and one intersection
-    each."""
+    """The partner search before the index kept child pairs and slot
+    masks: an xor node's counts from one walk of its children's xor
+    parents, read off the graph, an and node's co-parents from
+    `_probed_co_parents` and one intersection each."""
     kind, ci = index.shape[i]
     if kind == T_XOR:
+        nodes = dag.nodes
         counts = Counter(chain.from_iterable(
-            map(index.xor_parents.__getitem__, ci)))
+            [p for p in nodes[c].parents if nodes[p].kind == T_XOR]
+            for c in ci))
         common = [(j, c) for j, c in counts.items() if c > 1 and j != i]
     else:
         common = [(j, len(ci & index.shape[j][1]))
@@ -989,22 +1029,52 @@ def _xor_walk_candidates(dag, i, index):
     return _partners(dag, i, common, index)
 
 
+def _check_dirtying(monkeypatch, dag):
+    """Check every co-parent list the pass dirties against the
+    child-by-child count; returns the kinds and sizes of those lists."""
+    real = optimize._ShapeIndex.co_parents
+    seen = Counter()
+
+    def checked(index, i):
+        got = list(real(index, i))
+        want = _reference_common_children(dag, i)
+        kind = dag.nodes[i].kind
+        assert sorted(got) == sorted(
+            j for j in want if dag.nodes[j].kind == kind), i
+        seen[kind, len(got) >= optimize.FEW_CO_PARENTS] += 1
+        return got
+
+    monkeypatch.setattr(optimize._ShapeIndex, "co_parents", checked)
+    return seen
+
+
 @pytest.mark.parametrize("k, shares", [(3, 86), (5, 4)])
 def test_partners_match_the_union_and_intersect_search(monkeypatch, k, shares):
     # AES S-box at TCKP 3130 and 3150: every (partner, rule) list the pass
-    # builds, xor and and nodes alike
+    # builds, xor and and nodes alike, equals both searches the index
+    # replaced, and so does every co-parent list a share or a depth
+    # change dirties
     real = optimize._share_candidates
     tried = Counter()
 
     def checked(dag, i, index):
         got = real(dag, i, index)
         assert got == _union_intersect_candidates(dag, i, index), i
-        tried[index.shape[i][0]] += 1
+        assert got == _xor_walk_candidates(dag, i, index), i
+        kind = index.shape[i][0]
+        many = index._xor_co_parents(i)[1] if kind == T_XOR else 0
+        tried[kind, many.bit_count() >= optimize.FEW_CO_PARENTS] += 1
         return got
 
+    dag = _aes_sharing_dag(k)
+    dirtied = _check_dirtying(monkeypatch, dag)
     monkeypatch.setattr(optimize, "_share_candidates", checked)
-    assert len(common_cube_sharing(_aes_sharing_dag(k)).events) == shares
-    assert tried[T_XOR] >= 50 and tried[T_AND] >= 50
+    assert len(common_cube_sharing(dag).events) == shares
+    # xor nodes with many co-parents were ruled by the bit-sliced
+    # comparisons, those with few pair by pair
+    assert tried[T_XOR, True] >= 100 and tried[T_XOR, False]
+    assert tried[T_AND, False] >= 50
+    assert sum(dirtied.values()) >= shares
 
 
 def _permutation_sharing_dag(n, k, t):
@@ -1028,8 +1098,10 @@ def _permutation_sharing_dag(n, k, t):
 def test_pair_indexed_partners_match_the_co_parent_search(
         monkeypatch, build, shares, wide):
     # every (partner, rule) list the pass builds equals the search over
-    # the graph's parent sets, and after every share the pair entries
-    # equal the graph's; at T = 4 some and nodes tried have three children
+    # the graph's parent sets, every co-parent list it dirties equals the
+    # child-by-child count, and after every share the pair entries and
+    # xor slots equal the graph's; at T = 4 some and nodes tried have
+    # three children
     real_candidates, real_share = optimize._share_candidates, optimize._share
     tried = Counter()
     pending = [False]
@@ -1037,6 +1109,7 @@ def test_pair_indexed_partners_match_the_co_parent_search(
     def checked_candidates(dag, i, index):
         if pending[0]:
             assert index.and_pairs == _reference_and_pairs(dag)
+            _check_xor_masks(dag, index)
             pending[0] = False
         got = real_candidates(dag, i, index)
         assert got == _xor_walk_candidates(dag, i, index), i
@@ -1049,11 +1122,14 @@ def test_pair_indexed_partners_match_the_co_parent_search(
         pending[0] = bool(shared)
         return shared
 
+    dag = build()
+    dirtied = _check_dirtying(monkeypatch, dag)
     monkeypatch.setattr(optimize, "_share_candidates", checked_candidates)
     monkeypatch.setattr(optimize, "_share", checked_share)
-    assert len(common_cube_sharing(build()).events) == shares
+    assert len(common_cube_sharing(dag).events) == shares
     assert tried[T_XOR, 2] + tried[T_AND, 2] >= 100
     assert bool(tried[T_AND, 3]) == wide
+    assert sum(dirtied.values()) >= shares
 
 
 def _reference_and_pairs(dag):
@@ -1070,13 +1146,21 @@ def _reference_and_pairs(dag):
 
 def _assert_co_parents_match_the_reference(dag, index=None):
     """The index's co-parents of every internal node are the nodes of its
-    kind that the child-by-child count names, with their counts."""
+    kind that the child-by-child count names, with their counts: an xor
+    node's read from its bit-sliced counts, an and node's from the two
+    child sets."""
     if index is None:
         index = optimize._ShapeIndex(dag)
     assert index.and_pairs == _reference_and_pairs(dag)
     for i in dag.internal_ids():
-        kind = dag.nodes[i].kind
-        assert index.co_parents(i) == {
+        kind, ci = index.shape[i]
+        got = list(index.co_parents(i))
+        if kind == T_XOR:
+            counts = index._xor_co_parents(i)[0]
+            got = {j: _sliced_value(counts, index.xor_slot[j]) for j in got}
+        else:
+            got = {j: len(ci & index.shape[j][1]) for j in got}
+        assert got == {
             j: k for j, k in _reference_common_children(dag, i).items()
             if dag.nodes[j].kind == kind}, i
 
@@ -1123,13 +1207,13 @@ def test_co_parents_probe_a_leaf_with_many_parents():
     assert len(dag.nodes[x[1]].parents) == 14 and len(dag.nodes[a].parents) == 1
     index = optimize._ShapeIndex(dag)
     assert index.and_pairs[frozenset((x[1], a))] == {n}
-    assert index.co_parents(n) == {}
+    assert not index.co_parents(n)
     _assert_co_parents_match_the_reference(dag)
     m = dag.add(T_AND, [x[1], a, x[4]])
     _finish(dag, dag.add(T_XOR, [n, m, *others]))
     index = optimize._ShapeIndex(dag)
-    assert index.co_parents(n) == {m: 2}
-    assert index.co_parents(m) == {n: 2, others[0]: 2}
+    assert set(index.co_parents(n)) == {m}
+    assert set(index.co_parents(m)) == {n, others[0]}
     _assert_co_parents_match_the_reference(dag)
 
 

@@ -6,6 +6,8 @@ import os
 import random
 import re
 import tempfile
+from collections import Counter
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,8 +17,10 @@ from esopsyn import Circuit, OptimizeParams, Permutation, TruthTable, \
 from esopsyn.circuit import CONSTANT, INPUT, ROLE_ANCILLA, ROLE_OUTPUT, \
     line_functions
 from esopsyn.cli import run_cli
+from esopsyn.dag import T_XOR
 from esopsyn.funcs import bit_support
 from esopsyn.io import format_circuit, parse_circuit_text, write_circuit
+from esopsyn.optimize import _rule_masks, _ShapeIndex
 
 
 @st.composite
@@ -210,3 +214,85 @@ def words(draw):
 @settings(max_examples=60, deadline=None)
 def test_bit_support_matches_clearing_one_bit_at_a_time(word):
     assert bit_support(word) == _support_by_clearing(word)
+
+
+LEAVES = range(1000, 1048)
+
+
+@st.composite
+def xor_families(draw):
+    """Up to 40 xor nodes' child sets of 2 to 40 leaves (so a count needs
+    six slices), each fresh or an earlier one with leaves dropped and
+    added, so that equal, nested and overlapping sets all occur; then up
+    to 12 changes, each a node reshaped to a new set or deleted (None),
+    and whether the width slices are built before the changes."""
+    fresh = st.sets(st.sampled_from(LEAVES), min_size=2, max_size=40)
+    family = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        if family and draw(st.booleans()):
+            base = draw(st.sampled_from(family))
+            drop = draw(st.sets(st.sampled_from(sorted(base)),
+                                max_size=len(base) - 2))
+            add = draw(st.sets(st.sampled_from(LEAVES), max_size=4))
+            family.append(frozenset(sorted((base - drop) | add)[:40]))
+        else:
+            family.append(frozenset(draw(fresh)))
+    changes = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=len(family) - 1),
+        st.none() | fresh | st.sampled_from(family)), max_size=12))
+    return family, changes, draw(st.booleans())
+
+
+def _pair_rule(ci, cj):
+    """The share two child sets with at least two common children allow."""
+    c = len(ci & cj)
+    if c < 2:
+        return None
+    if ci == cj:
+        return "merge"
+    if ci < cj or cj < ci:
+        return "subset"
+    return "overlap" if 2 * c > len(ci) and 2 * c > len(cj) else None
+
+
+def _at(slices, slot):
+    return sum((s >> slot & 1) << k for k, s in enumerate(slices))
+
+
+@given(xor_families())
+@settings(max_examples=80, deadline=None)
+def test_bit_sliced_counts_and_rule_masks_match_the_pairwise_search(case):
+    # every slot's bit-sliced common-child count equals a Counter over the
+    # live nodes' child sets (0 for a deleted node), and the rule masks
+    # name each pair's rule, after reshapes and deletions
+    family, changes, built_first = case
+    nodes = {nid: SimpleNamespace(kind=T_XOR, children=sorted(kids))
+             for nid, kids in enumerate(family)}
+    index = _ShapeIndex(SimpleNamespace(nodes=nodes))
+    if built_first:
+        index.width_slices()
+    for nid, kids in changes:
+        if nid in nodes:
+            if kids is None:
+                del nodes[nid]
+            else:
+                nodes[nid].children = sorted(kids)
+            index.update([nid])
+    live = {nid: frozenset(node.children) for nid, node in nodes.items()}
+    widths = index.width_slices()
+    for nid, s in index.xor_slot.items():
+        assert _at(widths, s) == len(live.get(nid, ()))
+    for i, ci in live.items():
+        want = Counter(j for c in ci for j, cj in live.items() if c in cj)
+        counts, many = index._xor_co_parents(i)
+        for nid, s in index.xor_slot.items():
+            assert _at(counts, s) == want[nid]
+        assert {index.xor_ids[s] for s in bit_support(many)} == \
+            {j for j, c in want.items() if c >= 2 and j != i}
+        rules = {j: _pair_rule(ci, live[j]) for j in live if j != i}
+        rules = {j: rule for j, rule in rules.items() if rule}
+        masks = _rule_masks(counts, len(ci), widths, many)
+        assert sum(mask.bit_count() for _rule, mask in masks) == len(rules)
+        assert {index.xor_ids[s]: rule for rule, mask in masks
+                for s in bit_support(mask)} == rules
+        assert dict(index.partners(i)) == rules
