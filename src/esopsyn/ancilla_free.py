@@ -46,6 +46,8 @@ POLICY_UNIQUE_PAIR = "unique-pair"   # control = the other cube's unique variabl
 POLICY_COMMON_CONTROL = "common-control"  # control = a shared variable
 
 _TOO_WIDE = "rule set covers at most four variables"
+# `reduce_to_identity` gives up after this many times 4^n substitutions
+SUBSTITUTION_CAP_FACTOR = 10
 
 
 class NonConvergenceError(Exception):
@@ -298,8 +300,7 @@ _small_finish_ops = functools.lru_cache(maxsize=2048)(_linear_finish_ops)
 
 
 def reduce_to_identity(state: ExpressionState,
-                       policy: str = POLICY_UNIQUE_PAIR,
-                       iteration_cap: int | None = None) -> ExpressionState:
+                       policy: str = POLICY_UNIQUE_PAIR) -> ExpressionState:
     """Run the substitution loop until every expression is a distinct
     single literal on its own line.
 
@@ -313,7 +314,7 @@ def reduce_to_identity(state: ExpressionState,
     rescue) the T3 search's overall winner is accepted at most twice in a
     row before giving up (reported as non-convergence).
 
-    More than `iteration_cap` substitutions (default 10 * 4**n) is
+    More than `SUBSTITUTION_CAP_FACTOR * 4**n` substitutions is
     non-convergence; a degree phase whose (expressions, escapes) repeats,
     or a T2/T3 loop whose (expressions, last step, escapes) repeats, is
     cycling toward that cap and raises its error at once.  Candidates
@@ -323,7 +324,7 @@ def reduce_to_identity(state: ExpressionState,
     n = state.n_vars
     if n > 4:
         raise NonConvergenceError(_TOO_WIDE)
-    cap = iteration_cap if iteration_cap is not None else 10 * 4 ** n
+    cap = SUBSTITUTION_CAP_FACTOR * 4 ** n
     capped = f"no convergence within {cap} substitutions"
     steps = 0
     escapes = 0

@@ -165,21 +165,20 @@ def simulate(c: Circuit, bits: int) -> int:
     return bits
 
 
-def line_functions(c: Circuit, n_inputs: int, input_line_ids=None) -> list[int]:
-    """Function carried by every line, as 2^n_inputs-bit integers.
+def line_functions(c: Circuit) -> list[int]:
+    """Function carried by every line, as 2^n-bit integers over the n
+    variables of the circuit's `INPUT` lines (the first of them is x1).
 
     Symbolic bit-parallel simulation: one big-int op per gate line instead
     of a loop over assignments.
     """
-    size = 1 << n_inputs
-    full = (1 << size) - 1
-    if input_line_ids is None:
-        input_line_ids = list(range(n_inputs))
+    inputs = c.input_lines()
+    full = (1 << (1 << len(inputs))) - 1
     funcs = []
     for line in c.lines:
         funcs.append(full if line.origin == CONSTANT and line.init else 0)
-    for lid, pattern in zip(input_line_ids, variable_patterns(n_inputs)):
-        funcs[lid] = pattern
+    for line, pattern in zip(inputs, variable_patterns(len(inputs))):
+        funcs[line.line_id] = pattern
     for g in c.gates:
         ctl = full
         for cid in g.controls:
@@ -194,19 +193,19 @@ def line_functions(c: Circuit, n_inputs: int, input_line_ids=None) -> list[int]:
     return funcs
 
 
-def restored_constants(c: Circuit, funcs: list[int], n_inputs: int) -> tuple[int, ...]:
+def restored_constants(c: Circuit, funcs: list[int]) -> tuple[int, ...]:
     """Constant lines whose final function (as from `line_functions`) is
     their init value."""
-    full = (1 << (1 << n_inputs)) - 1
+    full = (1 << (1 << len(c.input_lines()))) - 1
     return tuple(l.line_id for l in c.lines if l.origin == CONSTANT
                  and funcs[l.line_id] == (full if l.init else 0))
 
 
-def assign_spare_roles(c: Circuit, funcs: list[int], n_inputs: int):
+def assign_spare_roles(c: Circuit, funcs: list[int]):
     """Role of every line that carries no output, from the final functions
     (as from `line_functions`): a constant line back at its init value is
     an ancilla, and any other line is garbage."""
-    restored = set(restored_constants(c, funcs, n_inputs))
+    restored = set(restored_constants(c, funcs))
     for l in c.lines:
         if l.role != ROLE_OUTPUT:
             l.role = ROLE_ANCILLA if l.line_id in restored else ROLE_GARBAGE
@@ -286,21 +285,19 @@ def verify_equivalence(c: Circuit, spec: TruthTable) -> Verdict:
     lowest mismatching input, with the outputs the circuit gives there.
     """
     n = spec.n_inputs
-    input_ids = [l.line_id for l in c.lines if l.origin == INPUT]
-    if len(input_ids) != n:
-        raise ValueError(
-            f"circuit has {len(input_ids)} input lines, spec has {n}"
-        )
+    k = len(c.input_lines())
+    if k != n:
+        raise ValueError(f"circuit has {k} input lines, spec has {n}")
     out_lines: dict[str, int] = c.output_map()
     missing = [name for name in spec.output_names if name not in out_lines]
     if missing:
         raise ValueError(f"circuit lacks output lines for {missing}")
-    funcs = line_functions(c, n, input_ids)
+    funcs = line_functions(c)
     outs = [funcs[out_lines[name]] for name in spec.output_names]
     mismatch = 0
     for f, col in zip(outs, spec.columns):
         mismatch |= f ^ col
-    restored = restored_constants(c, funcs, n)
+    restored = restored_constants(c, funcs)
     dirty = tuple(l.line_id for l in c.lines
                   if l.role == ROLE_ANCILLA and l.line_id not in restored)
     if mismatch == 0:

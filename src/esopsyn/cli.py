@@ -334,9 +334,7 @@ def _cmd_ancilla_free(args) -> int:
 def _cmd_cost(args) -> int:
     circuit = read_circuit(args.input)
     # roles from simulation, not from the file's .g declarations
-    input_ids = [l.line_id for l in circuit.input_lines()]
-    funcs = line_functions(circuit, len(input_ids), input_ids)
-    assign_spare_roles(circuit, funcs, len(input_ids))
+    assign_spare_roles(circuit, line_functions(circuit))
     report = quantum_cost(circuit)
     print(f"qc={report.quantum_cost} gates={report.gate_count} "
           f"lines={report.line_count} garbage={report.garbage_count} "

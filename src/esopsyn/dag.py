@@ -324,13 +324,12 @@ class EsopDag:
 
     # -- semantics ----------------------------------------------------------
 
-    def expand(self, nid: int, resolver=None, _memo=None) -> int:
+    def expand(self, nid: int, _memo=None) -> int:
         """ANF coefficient word computed by structural GF(2) expansion.
 
-        `resolver(line_id) -> int` supplies the coefficient word of the
-        function carried by a circuit line for identifiers created during
-        mapping.  A product is the transform of the AND of its factors'
-        truth-table columns.
+        A product is the transform of the AND of its factors' truth-table
+        columns.  Only input variables expand: an identifier that mapping
+        made for a circuit line (`@<line>`) raises ValueError.
         """
         if _memo is None:
             _memo = {}
@@ -344,19 +343,16 @@ class EsopDag:
             if node.line is not None and node.label == f"x{node.line + 1}":
                 out = 1 << (1 << node.line)
             else:
-                # "@<line>" identifiers stand for a circuit line mid-mapping
-                if resolver is None:
-                    raise ValueError(f"no resolver for line identifier {node.label}")
-                out = resolver(node.line)
+                raise ValueError(f"cannot expand line identifier {node.label}")
         elif node.kind == T_XOR:
             out = 0
             for c in node.children:
-                out ^= self.expand(c, resolver, _memo)
+                out ^= self.expand(c, _memo)
         elif node.kind == T_AND:
             n = self.n_vars
             column = (1 << (1 << n)) - 1
             for c in node.children:
-                column &= mobius_bits(self.expand(c, resolver, _memo), n)
+                column &= mobius_bits(self.expand(c, _memo), n)
             out = mobius_bits(column, n)
         else:
             raise ValueError(f"cannot expand {node.kind}")
@@ -698,7 +694,7 @@ def dag_to_expressions(dag: EsopDag) -> list[EsopExpression]:
     if problems:
         raise ValueError("malformed graph: " + "; ".join(problems))
     memo: dict[int, int] = {}
-    return [EsopExpression(dag.n_vars, dag.expand(nid, None, memo))
+    return [EsopExpression(dag.n_vars, dag.expand(nid, memo))
             for _name, nid in dag.output_order]
 
 

@@ -2,8 +2,9 @@
 
 Three spec formats are accepted:
 
-  * PLA-style truth tables: ``.i N`` / ``.o M`` headers (N, M >= 1;
-    optional ``.ilb`` / ``.ob`` name lists of exactly N and M names), then
+  * PLA-style truth tables: ``.i N`` / ``.o M`` headers (N, M >= 1,
+    2^N * M at most ``MAX_TABLE_BITS``; optional ``.ilb`` / ``.ob`` name
+    lists of exactly N and M names, none holding ``,`` or ``:``), then
     ``<inbits> <outbits>`` rows.  ``-`` in the inputs expands to both
     values; ``-`` in an output resolves to 0 (logged).  Rows never listed
     default to all-zero outputs.  Under ``.type esop`` the rows are the
@@ -35,6 +36,9 @@ from .funcs import EsopExpression, Permutation, TruthTable, mobius_bits
 from .mapper import DEFAULT_INPUT_LIMIT
 
 log = logging.getLogger("esopsyn")
+
+# 2^n rows times m outputs: 16 outputs over the 16-input limit
+MAX_TABLE_BITS = 1 << 20
 
 
 class SpecFormatError(ValueError):
@@ -153,12 +157,22 @@ def _parse_pla(lines, origin) -> TruthTable:
             rows.append((inbits, value))
     if n is None or m is None:
         raise SpecFormatError(f"{origin}: missing .i/.o header")
+    if m << n > MAX_TABLE_BITS:
+        raise SpecFormatError(
+            f"{origin}: a table of 2^{n} rows by {m} outputs ({m << n} bits) "
+            f"exceeds the limit of {MAX_TABLE_BITS} bits")
     for key, names, count in ((".ilb", input_names, n), (".ob", output_names, m)):
         if names and len(names) != count:
             raise SpecFormatError(
                 f"{origin}: {key} lists {len(names)} names, the header "
                 f"declares {count}")
         _refuse_repeats(names, origin, key + " lists {!r} twice")
+        # the circuit format separates names by ',' and output from line by ':'
+        bad = next((nm for nm in names if "," in nm or ":" in nm), None)
+        if bad is not None:
+            raise SpecFormatError(
+                f"{origin}: {key} name {bad!r} holds ',' or ':', which a "
+                f"circuit file cannot hold")
     # an ESOP's rows are cubes whose outputs xor; under f and fd a 0 output
     # bit only leaves the input out of that output's ON-set, so the outputs
     # of the rows covering one input are ORed; under fr or no .type those

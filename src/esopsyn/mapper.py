@@ -44,12 +44,9 @@ from .circuit import (
     ROLE_OUTPUT, VerificationError, assign_spare_roles, cnot, line_functions,
     not_gate, quantum_cost, toffoli, verify_equivalence,
 )
-from .dag import (
-    EsopDag, T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees, validate_dag,
-)
+from .dag import EsopDag, T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees
 from .funcs import (
-    EsopExpression, Permutation, TruthTable, anf_from_truth_table, mobius_bits,
-    truth_table_from_permutation,
+    Permutation, TruthTable, anf_from_truth_table, truth_table_from_permutation,
 )
 from .optimize import (
     OptimizeParams, common_cube_sharing, factor_expression,
@@ -172,7 +169,6 @@ def map_target(dag: EsopDag, choice: TargetChoice, circuit: Circuit) -> list:
 def synthesize(
     spec: TruthTable | Permutation,
     params: OptimizeParams = OptimizeParams(),
-    check_invariants: bool = False,
     trace=None,
 ) -> tuple[Circuit, CostReport]:
     """Full pipeline: ANF, graph build, optimization passes, mapping loop,
@@ -180,7 +176,9 @@ def synthesize(
 
     Every returned circuit has passed an exhaustive check against the
     spec; a failure is an internal-consistency bug and raises
-    VerificationError.  The report's runtime includes the check.
+    VerificationError.  The report's runtime includes the check.  A
+    `trace` callable gets one line per cube-sharing pass, parent-reduction
+    pass that changed the graph, and mapping iteration (`iter k:`).
     """
     t0 = time.perf_counter()
     tt = truth_table_from_permutation(spec) if isinstance(spec, Permutation) else spec
@@ -218,11 +216,6 @@ def synthesize(
         if trace is not None:
             trace(f"iter {iterations}: {choice.rule} #{choice.node} -> "
                   + "; ".join(str(g) for g in gates))
-        if check_invariants:
-            problems = validate_dag(dag)
-            if problems:
-                raise SynthesisError(f"graph invariant broken: {problems}")
-            _check_outputs_preserved(dag, circuit, exprs)
         if iterations > guard:
             raise SynthesisError("mapping loop exceeded its iteration bound")
 
@@ -235,22 +228,6 @@ def synthesize(
     return circuit, quantum_cost(circuit, time.perf_counter() - t0)
 
 
-def _check_outputs_preserved(dag: EsopDag, circuit: Circuit, exprs):
-    """Test-mode oracle: every pending output still expands to its spec."""
-    n = dag.n_vars
-    funcs = line_functions(circuit, n)
-
-    def resolver(line_id):
-        return mobius_bits(funcs[line_id], n)
-
-    memo = {}
-    for (name, nid), expr in zip(dag.output_order, exprs):
-        got = dag.expand(nid, resolver, memo)
-        if got != expr.coeffs:
-            raise SynthesisError(
-                f"output {name} drifted: {EsopExpression(n, got)}")
-
-
 def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
     """Label the lines carrying the spec's outputs and re-derive every role.
 
@@ -260,8 +237,7 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
     output order already claims as many lines as possible.  Every other
     line gets its role from `assign_spare_roles`.
     """
-    input_ids = [l.line_id for l in circuit.lines if l.origin == INPUT]
-    funcs = line_functions(circuit, spec.n_inputs, input_ids)
+    funcs = line_functions(circuit)
     full = (1 << (1 << spec.n_inputs)) - 1
     carriers: dict[int, list[int]] = {}
     for lid, f in enumerate(funcs):
@@ -287,7 +263,7 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
             funcs.append(want)
         circuit.lines[line_id].role = ROLE_OUTPUT
         circuit.lines[line_id].output_name = name
-    assign_spare_roles(circuit, funcs, spec.n_inputs)
+    assign_spare_roles(circuit, funcs)
     return circuit
 
 

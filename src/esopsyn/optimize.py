@@ -22,19 +22,8 @@ variables, 11 or more.
 
 Cube sharing sweeps the graph until no share applies, and after its first
 sweep it tests again only the nodes a share or a depth change could have
-given a new partner (see common_cube_sharing).  For the length of a pass
-it also keeps each internal node's kind and child set, the nodes of each
-such shape, for each node a bitmask of the xor nodes holding it, and for
-each pair of children of an and node the and nodes holding both
-(_ShapeIndex): the common-child count of a node and each co-parent of
-its kind decides the pair's rule (merge, subset, overlap or none).  An
-and node's co-parents are the holders of its child pairs (the
-double-cube index of Rajski and Vasudevamurthy's fast extraction, used
-here only to find partners).  Output xor nodes are too wide for pair
-entries, so an xor node's counts are summed bit-sliced over its
-children's masks, every xor node's count at once, and its rules come
-from comparing those slices with the width slices of all xor nodes.  An
-overlap finds its hoist node with one lookup.
+given a new partner (see common_cube_sharing); the partners come from an
+index of the graph's shapes kept for the pass (_ShapeIndex).
 """
 
 from __future__ import annotations
@@ -372,21 +361,37 @@ def _rule_masks(counts: list[int], wi: int, widths: list[int],
 
 
 class _ShapeIndex:
-    """Each internal node's (kind, child set), the nodes of each such
-    shape, a bitmask of each child's xor parents and each child pair's
-    and parents; common_cube_sharing keeps one for the length of a call.
+    """The partner search of cube sharing: each internal node's (kind,
+    child set), the nodes of each such shape, a bitmask of each child's
+    xor parents and each child pair's and parents.  common_cube_sharing
+    keeps one for the length of a call and moves it along with each share
+    and each sweep's pruning: `update(nids)` re-reads the given nodes from
+    the graph, so a node whose children changed takes its new shape and a
+    deleted one leaves.
 
-    `update(nids)` re-reads the given nodes from the graph, so a node
-    whose children changed takes its new shape and a deleted one leaves.
-    Each xor node owns one bit, its slot (`xor_slot`, read back through
-    `xor_ids`); `xor_masks` maps a node to the mask of the xor nodes
-    holding it, and `width_slices` gives every xor node's child count,
-    bit-sliced.  `and_pairs` maps each pair of distinct children of an and
-    node (`_child_pairs`) to the and nodes holding both.  An and node has
-    few children (at most max(2, T - 1) as built, and a share never adds
-    one), so its pairs are few; an output xor node can have thousands of
-    children, so xor nodes are counted on masks instead, where a variable
-    with thousands of xor parents costs one mask per count.
+    A node's co-parents are the other nodes of its kind holding at least
+    two of its children, and the number of children a node has in common
+    with a co-parent decides the pair's rule (`_rule`: merge, subset,
+    overlap or none).  They are read without walking a child's parents.
+    An and node has few children (at most max(2, T - 1) as built, and a
+    share never adds one), so `and_pairs` maps each pair of distinct
+    children of an and node (`_child_pairs`) to the and nodes holding
+    both, and an and node's co-parents are the holders of its child pairs
+    (the double-cube index of Rajski and Vasudevamurthy's fast extraction,
+    used here only to find partners).  An output xor node can have
+    thousands of children, too many for pair entries, so xor nodes are
+    counted on masks instead.  Each xor node owns one bit, its slot
+    (`xor_slot`, read back through `xor_ids`); `xor_masks` maps a node to
+    the mask of the xor nodes holding it.  Summed bit-sliced over an xor
+    node's children (`_slice_sum`), the masks give its common-child count
+    with every xor node at once, so a variable with thousands of xor
+    parents costs one mask per count; the slots whose count is 2 or more
+    are its co-parents.  With FEW_CO_PARENTS or more of them, `_rule_masks`
+    rules them all at once, comparing those slices with every xor node's
+    child count (`width_slices`, also bit-sliced); fewer, and the
+    co-parents of an and node, are ruled one by one on the intersection of
+    the two child sets.  An overlap finds its hoist node with one lookup
+    (`hoist`).
     """
 
     def __init__(self, dag: EsopDag):
@@ -469,10 +474,7 @@ class _ShapeIndex:
 
     def co_parents(self, i: int):
         """The nodes j of i's kind, other than i, with at least two children
-        in common with it; none for the root, which has no shape.  An xor
-        node's are the slots whose bit-sliced count over its children's
-        masks is 2 or more (a bit set in a slice above the first), an and
-        node's the holders of its child pairs."""
+        in common with it; none for the root, which has no shape."""
         if i not in self.shape:
             return ()
         if self.shape[i][0] == T_XOR:
@@ -482,13 +484,7 @@ class _ShapeIndex:
 
     def partners(self, i: int) -> list[tuple[int, str]]:
         """(co-parent, rule) for each co-parent of i whose common-child
-        count allows a share (`_rule`), in no set order.
-
-        An and node's co-parents, and an xor node's when fewer than
-        FEW_CO_PARENTS, are ruled one by one from the intersection of the
-        two child sets; otherwise `_rule_masks` rules every xor co-parent
-        at once on the bit-sliced counts.
-        """
+        count allows a share (`_rule`), in no set order."""
         shape = self.shape
         ci = shape[i][1]
         if shape[i][0] == T_XOR:
@@ -532,11 +528,7 @@ def _share_candidates(dag: EsopDag, i: int,
       half of each node's children (a majority of the combined count can
       never happen unless one side is a subset, so the test is per node).
     All three need c >= 2 (an internal node has at least two children),
-    which a co-parent has.  `index` gives each internal node's kind and
-    child set, and the co-parents of i's kind that pass a rule
-    (`_ShapeIndex.partners`; an xor node with many co-parents has them
-    all ruled at once, as masks, by `_rule_masks`); only those meet the
-    depth and parent tests.
+    which a co-parent has.
     """
     nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
@@ -548,15 +540,15 @@ def _share_candidates(dag: EsopDag, i: int,
     return out
 
 
-def common_cube_sharing(dag: EsopDag,
-                        sweep_cap: int = SHARING_SWEEP_CAP) -> MutationReport:
+def common_cube_sharing(dag: EsopDag) -> MutationReport:
     """Hoist shared child subsets so common subterms are computed once.
 
     Scans nodes from one level above the deepest leaves toward the root,
     pairing each node with its co-parents (nodes sharing at least two of
     its children) at its own and every shallower level; at most one share
-    is applied per node per sweep, and sweeps repeat to a fixpoint.
-    Sharing creates no node, so depths stay as the sweep began.
+    is applied per node per sweep, and sweeps repeat to a fixpoint, or
+    until SHARING_SWEEP_CAP (read at each call) have run.  Sharing creates
+    no node, so depths stay as the sweep began.
 
     The first sweep tries every node; after that a node is tried only
     while it is dirty.  A node whose partners all failed keeps failing
@@ -569,21 +561,11 @@ def common_cube_sharing(dag: EsopDag,
     every node that got deeper, and the co-parents at least as deep as a
     node that got shallower.  A sweep takes its nodes from a (depth desc,
     id) heap: the first holds every internal node, a later one the dirty
-    nodes, and a node a share dirties after the current one joins it.  The graph
-    records changes for the pass, so each sweep's relabel visits only the
-    nodes below the last sweep's shares and notes the nodes whose depth
-    it changed.  A `_ShapeIndex` holds every internal node's kind and
-    child set, a mask of each node's xor parents and each and-node child
-    pair's and parents, moved along with each share (the nodes it
-    reshaped and the node a merge dropped) and each sweep's pruning; from
-    it the co-parents of a node are read without walking a child's
-    parents: an and node's from its pairs, an xor node's as one mask from
-    a bit-sliced count, so a variable with thousands of parents costs one
-    mask per count.  `_share_candidates` names each partner's rule, the
-    comparisons on those counts doing it for every xor co-parent at once,
-    and an overlap finds its hoist node with one lookup.  Both dirtying
-    steps take a node's co-parents from `_ShapeIndex.co_parents`.  None
-    of this changes which shares are made.
+    nodes, and a node a share dirties after the current one joins it.  The
+    graph records changes for the pass, so each sweep's relabel visits
+    only the nodes below the last sweep's shares and notes the nodes whose
+    depth it changed.  Partners and the co-parents both dirtying steps
+    read come from a `_ShapeIndex` kept for the call.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
@@ -591,7 +573,7 @@ def common_cube_sharing(dag: EsopDag,
     index = _ShapeIndex(dag)
     own = dag.touched is None   # else the ready index reads the sets
     changed = True
-    for sweep in range(sweep_cap):
+    for sweep in range(SHARING_SWEEP_CAP):
         changed = False
         index.update(dag.recompute_depths())
         if not sweep:

@@ -263,9 +263,11 @@ def test_progress_and_history_shape():
     assert len(state.history) <= 10 * 4 ** 3
 
 
-def test_iteration_cap_reports_non_convergence():
-    with pytest.raises(NonConvergenceError):
-        reduce_to_identity(THREE_17_STATE, iteration_cap=1)
+def test_iteration_cap_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(ancilla_free, "SUBSTITUTION_CAP_FACTOR", 0)
+    with pytest.raises(NonConvergenceError,
+                       match="^no convergence within 0 substitutions$"):
+        reduce_to_identity(THREE_17_STATE)
 
 
 def test_too_many_variables_is_rejected(monkeypatch):

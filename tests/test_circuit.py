@@ -174,7 +174,7 @@ def test_reversed_gate_list_undoes_the_circuit():
 def test_line_functions_match_pointwise_simulation():
     rng = random.Random(21)
     c = _random_circuit(rng, 4, 15)
-    funcs = line_functions(c, 4)
+    funcs = line_functions(c)
     for x in range(16):
         end = simulate(c, x)
         for lid in range(4):
@@ -209,6 +209,6 @@ def test_verify_reports_restored_constants():
     # compute onto the helper and uncompute it again
     c = Circuit(2, [cnot(0, 1), cnot(0, 1)], lines)
     assert verify_equivalence(c, spec)
-    assert restored_constants(c, line_functions(c, 1), 1) == (1,)
+    assert restored_constants(c, line_functions(c)) == (1,)
     rep = quantum_cost(c)
     assert rep.ancilla_count == 0  # roles come from the line metadata

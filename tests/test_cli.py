@@ -100,6 +100,12 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
              # a name given twice: one line, or one output, would be dropped
              "dup_ilb.pla": (["synth"], ".i 2\n.o 1\n.ilb a a\n00 1\n"),
              "dup_ob.pla": (["synth"], ".i 2\n.o 2\n.ob p p\n00 11\n"),
+             # a name the circuit file would split at ',' or ':'
+             "comma_ilb.pla": (["synth"], ".i 2\n.o 1\n.ilb a,x b\n00 1\n"),
+             "colon_ilb.pla": (["synth"], ".i 2\n.o 1\n.ilb a b:x\n00 1\n"),
+             "comma_ob.pla": (["synth"], ".i 2\n.o 2\n.ob p,q r\n00 11\n"),
+             "colon_ob.pla": (["synth"], ".i 2\n.o 2\n.ob p r:q\n00 11\n"),
+             "wide_table.pla": (["synth"], ".i 1\n.o 1000000000\n"),
              "dup_line.tfc": (["cost"], ".v a,a\n.o y1:a\nt1 a\n"),
              "dup_output.tfc": (["cost"], ".v a,b\n.o y1:a,y1:b\nt2 a,b\n"),
              "dup_output_line.tfc": (["cost"], ".v a,b\n.o y1:b\n.o y2:b\n"),
@@ -309,6 +315,31 @@ def test_named_outputs_flow_through(tmp_path):
     assert ".i a,b" in text
     assert "carry:" in text and "summ:" in text
     assert run_cli(["verify", "--in", str(out), "--spec", str(spec)]) == 0
+
+
+def test_trace_prints_each_iteration_and_leaves_the_circuit_alone(
+        tmp_path, capsys, monkeypatch):
+    mapped = 0
+    real = mapper.map_target
+
+    def counted(*args):
+        nonlocal mapped
+        mapped += 1
+        return real(*args)
+
+    monkeypatch.setattr(mapper, "map_target", counted)
+    plain, traced = tmp_path / "plain.tfc", tmp_path / "traced.tfc"
+    argv = ["synth", "--in", "bench:rd53", "-K", "1", "-P", "1", "--out"]
+    assert run_cli(argv + [str(plain)]) == 0
+    assert capsys.readouterr().out == ""
+    mapped = 0
+    assert run_cli(argv + [str(traced), "--trace"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    iters = [ln.split(":")[0] for ln in lines if ln.startswith("iter ")]
+    assert mapped > 0
+    assert iters == [f"iter {k}" for k in range(1, mapped + 1)]
+    assert sum(ln.startswith("cube_sharing: ") for ln in lines) == 1
+    assert traced.read_text() == plain.read_text()
 
 
 def test_ancilla_free_keeps_the_names_of_a_pla(tmp_path):

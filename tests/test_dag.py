@@ -155,13 +155,17 @@ def test_dumps_carry_depth_suffixes():
     assert "x1_" in text
 
 
-def test_long_random_rewrite_sequences_keep_the_graph_valid():
-    # >1000 rewrite steps across sharing, parent reduction and mapping,
-    # revalidating as we go; node set and depths must equal what a full
-    # recompute derives (validate_dag alone accepts depths that are too high)
+def test_long_random_rewrite_sequences_keep_the_graph_valid(monkeypatch):
+    # >1000 rewrite steps across one-sweep sharing, parent reduction and
+    # mapping, revalidating as we go; node set and depths must equal what a
+    # full recompute derives (validate_dag alone accepts depths that are
+    # too high)
+    from esopsyn import optimize
     from esopsyn.circuit import Circuit
     from esopsyn.mapper import find_target, map_target
     from esopsyn.optimize import common_cube_sharing, parent_reduction_pass
+
+    monkeypatch.setattr(optimize, "SHARING_SWEEP_CAP", 1)
 
     rng = random.Random(2718)
     steps = 0
@@ -175,7 +179,7 @@ def test_long_random_rewrite_sequences_keep_the_graph_valid():
         while True:
             op = rng.randrange(3)
             if op == 0:
-                rep = common_cube_sharing(dag, sweep_cap=1)
+                rep = common_cube_sharing(dag)
                 steps += max(1, len(rep.events))
             elif op == 1:
                 parent_reduction_pass(dag)

@@ -109,16 +109,24 @@ def test_malformed_specs():
         parse_spec_text("perm 0 1 2\n")
 
 
-@pytest.mark.parametrize("text", [
-    ".i 30\n.o 1\n",
-    "x1 ^ x40\n",
-    "perm " + " ".join(str(v) for v in range((1 << 17) + 1)) + "\n",
+@pytest.mark.parametrize("text, message", [
+    (".i 30\n.o 1\n", "exceeds the limit 16"),
+    ("x1 ^ x40\n", "exceeds the limit 16"),
+    ("perm " + " ".join(str(v) for v in range((1 << 17) + 1)) + "\n",
+     "exceeds the limit 16"),
+    (".i 1\n.o 1000000000\n", "exceeds the limit of 1048576 bits"),
+    (".i 16\n.o 17\n", "2\\^16 rows by 17 outputs"),
 ])
-def test_oversized_specs_are_rejected_before_allocating(text):
+def test_oversized_specs_are_rejected_before_allocating(text, message):
     start = time.perf_counter()
-    with pytest.raises(SpecFormatError, match="exceeds the limit 16"):
+    with pytest.raises(SpecFormatError, match=message):
         parse_spec_text(text)
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_table_bound_admits_sixteen_outputs_over_sixteen_inputs():
+    table = parse_spec_text(".i 16\n.o 16\n")
+    assert (table.n_inputs, table.n_outputs) == (16, 16)
 
 
 @pytest.mark.parametrize("text", [".i\n.o 1\n", ".i 2\n.o\n",
@@ -134,6 +142,11 @@ def test_pla_header_without_an_integer_is_a_format_error(text):
     (".i 2\n.o 1\n.ilb a\n00 1\n", ".ilb lists 1 names, the header declares 2"),
     (".i 2\n.o 1\n.ilb a b c\n", ".ilb lists 3 names"),
     (".ob p q\n.i 2\n.o 1\n", ".ob lists 2 names, the header declares 1"),
+    # names a circuit file would split at ',' or ':'
+    (".i 2\n.o 1\n.ilb a,x b\n", ".ilb name 'a,x' holds ',' or ':'"),
+    (".i 2\n.o 1\n.ilb a b:x\n", ".ilb name 'b:x' holds ',' or ':'"),
+    (".i 2\n.o 2\n.ob p,q r\n", ".ob name 'p,q' holds ',' or ':'"),
+    (".i 2\n.o 2\n.ob p r:q\n", ".ob name 'r:q' holds ',' or ':'"),
 ])
 def test_pla_counts_and_name_lists_must_agree(text, message):
     with pytest.raises(SpecFormatError, match=f"^spec.pla: {re.escape(message)}"):

@@ -14,7 +14,7 @@ from esopsyn.dag import (
 )
 from esopsyn.funcs import (
     EsopExpression, Permutation, TruthTable, anf_from_truth_table,
-    truth_table_from_permutation,
+    mobius_bits, truth_table_from_permutation,
 )
 from esopsyn.mapper import (
     RULE_AND_XOR_PARENT, RULE_MAX_CHILD, RULE_XOR_SINGLE, SynthesisError,
@@ -218,20 +218,74 @@ def test_order_outputs_recovers_dropped_labels():
             line.output_name = None
     fixed = order_outputs(circ, tt)
     assert set(fixed.output_map()) == {"y1"}
-    funcs = line_functions(fixed, 2, [0, 1])
+    funcs = line_functions(fixed)
     assert funcs[fixed.output_map()["y1"]] == tt.columns[0]
 
 
-def test_parameter_sweep_stays_sound():
+def _pending_outputs(dag, circuit):
+    """ANF coefficient word of each output, as `EsopDag.expand` gives it,
+    except that an identifier mapping made (`@<line>`) stands for the
+    function its circuit line carries now."""
+    n = dag.n_vars
+    funcs = line_functions(circuit)
+    memo = {}
+
+    def expand(nid):
+        if nid in memo:
+            return memo[nid]
+        node = dag.nodes[nid]
+        if node.kind == T_CONST:
+            out = 1 if node.label else 0
+        elif node.kind == T_ID:
+            out = 1 << (1 << node.line) if node.label == f"x{node.line + 1}" \
+                else mobius_bits(funcs[node.line], n)
+        elif node.kind == T_XOR:
+            out = 0
+            for c in node.children:
+                out ^= expand(c)
+        else:
+            column = (1 << (1 << n)) - 1
+            for c in node.children:
+                column &= mobius_bits(expand(c), n)
+            out = mobius_bits(column, n)
+        memo[nid] = out
+        return out
+
+    return [(name, expand(nid)) for name, nid in dag.output_order]
+
+
+def test_parameter_sweep_stays_sound(monkeypatch):
+    # after every rewrite of the real mapping loop the graph is well formed
+    # and every output, the mapped part read off the circuit, is its spec
+    want = {}
+    rewrites = 0
+    real = mapper.map_target
+
+    def checked(dag, choice, circuit):
+        nonlocal rewrites
+        gates = real(dag, choice, circuit)
+        rewrites += 1
+        problems = validate_dag(dag)
+        assert not problems, f"graph invariant broken: {problems}"
+        for name, got in _pending_outputs(dag, circuit):
+            assert got == want[name], \
+                f"output {name} drifted: {EsopExpression(dag.n_vars, got)}"
+        return gates
+
+    monkeypatch.setattr(mapper, "map_target", checked)
     rng = random.Random(10)
     for _ in range(25):
         n = rng.randint(2, 4)
         images = list(range(1 << n))
         rng.shuffle(images)
         spec = Permutation(tuple(images))
+        tt = truth_table_from_permutation(spec)
+        want = {name: e.coeffs for name, e
+                in zip(tt.output_names, anf_from_truth_table(tt))}
         params = OptimizeParams(rng.choice([2, 3, 4, 5]), rng.random() < 0.5,
                                 rng.randint(0, 5), rng.random() < 0.5)
-        synthesize(spec, params, check_invariants=True)
+        synthesize(spec, params)
+    assert rewrites > 100
 
 
 def _ready(dag, nid):
@@ -300,12 +354,13 @@ def _reference_find_target(dag):
     return TargetChoice(best, RULE_MAX_CHILD)
 
 
-def test_indexed_find_target_matches_the_all_nodes_scan():
-    # random interleavings of cube sharing, parent reduction, mapping and
-    # collapsing an arbitrary internal node (which moves the depths of
-    # internal descendants); the indexed choice must equal the full
-    # scan's after every step, and so must the parent-reduction
+def test_indexed_find_target_matches_the_all_nodes_scan(monkeypatch):
+    # random interleavings of one-sweep cube sharing, parent reduction,
+    # mapping and collapsing an arbitrary internal node (which moves the
+    # depths of internal descendants); the indexed choice must equal the
+    # full scan's after every step, and so must the parent-reduction
     # candidates once the first pass has asked the index for them
+    monkeypatch.setattr(optimize, "SHARING_SWEEP_CAP", 1)
     rng = random.Random(1618)
     steps = checked = 0
     while steps < 4000:
@@ -319,7 +374,7 @@ def test_indexed_find_target_matches_the_all_nodes_scan():
         while True:
             op = rng.randrange(6)
             if op == 0:
-                common_cube_sharing(dag, sweep_cap=1)
+                common_cube_sharing(dag)
             elif op == 1:
                 parent_reduction_pass(dag)
                 reducing = True

@@ -509,7 +509,7 @@ def test_sharing_never_grows_the_graph_and_keeps_semantics():
         assert dag_to_expressions(dag) == want
 
 
-def test_sharing_ends_with_fresh_depths_at_every_sweep_cap():
+def test_sharing_ends_with_fresh_depths_at_every_sweep_cap(monkeypatch):
     # the last recompute is skipped only after a sweep that changed nothing
     rng = random.Random(29)
     for cap in (0, 1, 2, 32):
@@ -522,7 +522,9 @@ def test_sharing_ends_with_fresh_depths_at_every_sweep_cap():
             for node in dag.nodes.values():
                 node.depth = 0
             dag.depths_fresh = False    # the depths were written directly
-            common_cube_sharing(dag, cap)
+            with monkeypatch.context() as m:
+                m.setattr(optimize, "SHARING_SWEEP_CAP", cap)
+                common_cube_sharing(dag)
             assert validate_dag(dag) == []
             depths = {nid: node.depth for nid, node in dag.nodes.items()}
             dag.depths_fresh = False    # recompute for the comparison
@@ -789,7 +791,8 @@ def _checked_sharing(monkeypatch, dag, cap):
         m.setattr(optimize, "_share_candidates", checked_candidates)
         m.setattr(optimize, "_share", checked_share)
         m.setattr(dag, "recompute_depths", recomputes)
-        report = common_cube_sharing(dag, cap)
+        m.setattr(optimize, "SHARING_SWEEP_CAP", cap)
+        report = common_cube_sharing(dag)
     return report, compared, recomputes.calls
 
 

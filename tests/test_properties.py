@@ -98,9 +98,7 @@ def _inputs(circuit):
 def test_circuit_text_round_trip_keeps_line_functions_and_roles(case):
     circuit, table = case
     back = parse_circuit_text(format_circuit(circuit))
-    n = table.n_inputs
-    assert line_functions(back, n, _inputs(back)) == \
-        line_functions(circuit, n, _inputs(circuit))
+    assert line_functions(back) == line_functions(circuit)
     assert [(l.name, l.origin, l.init, l.role, l.output_name)
             for l in back.lines] == \
         [(l.name, l.origin, l.init, l.role, l.output_name)
