@@ -5,14 +5,12 @@ symmetric threshold functions, hidden-weighted-bit, modular adders, the
 cipher S-boxes) are generated from that definition.  A few classic names
 are only distributed as PLA files whose contents are not reproducible
 from their name; those are deterministic stand-ins of the conventional
-input/output sizes, seeded per name, and marked reconstructed=True.
+input/output sizes, seeded per name.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
 
 from .funcs import Permutation, TruthTable
 
@@ -149,21 +147,12 @@ def _seeded_permutation(name: str, n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-@dataclass(frozen=True)
-class Benchmark:
-    name: str
-    build: Callable[[], TruthTable | Permutation]
-    reconstructed: bool = False  # stand-in at the conventional size only
-
-    def spec(self) -> TruthTable | Permutation:
-        return self.build()
+# name -> the function that makes its spec
+_REGISTRY = {}
 
 
-_REGISTRY: dict[str, Benchmark] = {}
-
-
-def _add(name: str, build, reconstructed: bool = False):
-    _REGISTRY[name] = Benchmark(name, build, reconstructed)
+def _add(name: str, build):
+    _REGISTRY[name] = build
 
 
 _add("xor5", lambda: _table(5, 1, lambda x: x.bit_count() & 1))
@@ -200,19 +189,19 @@ _add("nth_prime_8_inc", lambda: _nth_prime_inc(8))
 _add("cycle10_2", _cycle10_2)
 _add("present_sbox", _present_sbox)
 _add("aes_sbox", _aes_sbox)
+_add("sqr6", lambda: _table(6, 12, lambda x: x * x))
 
 # names whose reference PLA contents are not derivable from the name:
 # deterministic stand-ins at the conventional sizes
-_add("4_49", lambda: _seeded_permutation("4_49", 4), reconstructed=True)
-_add("ham3", lambda: _seeded_permutation("ham3", 3), reconstructed=True)
-_add("ham7", lambda: _seeded_permutation("ham7", 7), reconstructed=True)
-_add("alu", lambda: _seeded_table("alu", 5, 8), reconstructed=True)
-_add("bw", lambda: _seeded_table("bw", 5, 28), reconstructed=True)
-_add("f51m", lambda: _seeded_table("f51m", 8, 8), reconstructed=True)
-_add("5xp1", lambda: _seeded_table("5xp1", 7, 10), reconstructed=True)
-_add("sqr6", lambda: _table(6, 12, lambda x: x * x))
-_add("wim", lambda: _seeded_table("wim", 4, 7), reconstructed=True)
-_add("z4ml", lambda: _seeded_table("z4ml", 7, 4), reconstructed=True)
+_add("4_49", lambda: _seeded_permutation("4_49", 4))
+_add("ham3", lambda: _seeded_permutation("ham3", 3))
+_add("ham7", lambda: _seeded_permutation("ham7", 7))
+_add("alu", lambda: _seeded_table("alu", 5, 8))
+_add("bw", lambda: _seeded_table("bw", 5, 28))
+_add("f51m", lambda: _seeded_table("f51m", 8, 8))
+_add("5xp1", lambda: _seeded_table("5xp1", 7, 10))
+_add("wim", lambda: _seeded_table("wim", 4, 7))
+_add("z4ml", lambda: _seeded_table("z4ml", 7, 4))
 
 TABLE_ESOP_COMPARISON = [
     "2of5", "3_17", "4_49", "4mod5", "5one013", "5one245", "5xp1",
@@ -236,6 +225,6 @@ def names() -> list[str]:
 
 def get(name: str) -> TruthTable | Permutation:
     try:
-        return _REGISTRY[name].spec()
+        return _REGISTRY[name]()
     except KeyError:
         raise KeyError(f"unknown benchmark {name!r}; see benchmarks.names()") from None

@@ -60,12 +60,12 @@ def _boolish(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
-def _load_spec(ref: str | None, fmt: str):
+def _load_spec(ref: str | None):
     if ref is None:
         raise SpecFormatError("no spec given: pass --in FILE or --in bench:<name>")
     if ref.startswith("bench:"):
         return benchmarks.get(ref[len("bench:"):]), ref[len("bench:"):]
-    return parse_spec(ref, fmt), os.path.basename(ref)
+    return parse_spec(ref), os.path.basename(ref)
 
 
 def _exhaustive(args) -> bool:
@@ -90,8 +90,6 @@ def _params_from_args(args) -> OptimizeParams:
 
 def _add_spec_arguments(sub, exhaustive: bool = True):
     sub.add_argument("--in", dest="input", help="spec file or bench:<name>")
-    sub.add_argument("--format", choices=["auto", "pla", "perm", "cubes"],
-                     default="auto")
     if exhaustive:
         sub.add_argument("--exhaustive", type=int, metavar="N",
                          help="run every N-variable reversible function instead")
@@ -146,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="check a circuit against a spec")
     ver.add_argument("--in", dest="input", required=True, help="circuit file")
     ver.add_argument("--spec", required=True, help="spec file or bench:<name>")
-    ver.add_argument("--format", choices=["auto", "pla", "perm", "cubes"],
-                     default="auto")
 
     sweep = subs.add_parser("sweep", help="parameter grid over one function")
     _add_spec_arguments(sweep, exhaustive=False)
@@ -281,6 +277,18 @@ def _exhaustive_items(n: int, *rest):
         yield ("".join(map(str, images)), Permutation(images)) + rest
 
 
+def _emit(args, name, mode, spec, params, circuit, report):
+    """Write one engine's circuit to --out (or stdout) and its report row
+    to --report, if given."""
+    if args.out:
+        write_circuit(circuit, args.out, report)
+    else:
+        sys.stdout.write(format_circuit(circuit, report))
+    if args.report:
+        n, m = _spec_shape(spec)
+        write_report(args.report, [report_row(name, mode, n, m, params, report)])
+
+
 def _cmd_synth(args) -> int:
     if _exhaustive(args):
         params = _params_from_args(args)
@@ -289,18 +297,11 @@ def _cmd_synth(args) -> int:
         print(f"{count} functions, mean gates {mean['gates']:.3f}, "
               f"mean qc {mean['qc']:.3f}, mean garbage {mean['garbage']:.3f}")
         return EXIT_OK
-    spec, name = _load_spec(args.input, args.format)
+    spec, name = _load_spec(args.input)
     params = _params_from_args(args)
-    trace = print if args.trace else (log.info if args.verbose > 1 else None)
-    circuit, report = synthesize(spec, params, trace=trace)
-    n, m = _spec_shape(spec)
-    if args.out:
-        write_circuit(circuit, args.out, report)
-    else:
-        sys.stdout.write(format_circuit(circuit, report))
-    if args.report:
-        write_report(args.report, [report_row(
-            name, "synth", n, m, params, report)])
+    circuit, report = synthesize(
+        spec, params, trace=print if args.trace else None)
+    _emit(args, name, "synth", spec, params, circuit, report)
     log.info("%s: qc=%d gates=%d garbage=%d", name,
              report.quantum_cost, report.gate_count, report.garbage_count)
     return EXIT_OK
@@ -317,17 +318,10 @@ def _cmd_ancilla_free(args) -> int:
             print(f"{runs - converged} functions did not converge")
             return EXIT_NO_CONVERGENCE
         return EXIT_OK
-    spec, name = _load_spec(args.input, args.format)
+    spec, name = _load_spec(args.input)
     circuit, report = ancilla_free.ancilla_free_synthesize(
         spec, policy=args.policy)
-    if args.out:
-        write_circuit(circuit, args.out, report)
-    else:
-        sys.stdout.write(format_circuit(circuit, report))
-    if args.report:
-        n, m = _spec_shape(spec)
-        write_report(args.report, [report_row(
-            name, "ancilla-free", n, m, OptimizeParams(), report)])
+    _emit(args, name, "ancilla-free", spec, OptimizeParams(), circuit, report)
     return EXIT_OK
 
 
@@ -344,7 +338,7 @@ def _cmd_cost(args) -> int:
 
 def _cmd_verify(args) -> int:
     circuit = read_circuit(args.input)
-    spec, name = _load_spec(args.spec, args.format)
+    spec, name = _load_spec(args.spec)
     if isinstance(spec, Permutation):
         spec = truth_table_from_permutation(spec)
     verdict = verify_equivalence(circuit, spec)
@@ -364,7 +358,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise SpecFormatError(
             f"--jobs takes a count of at least 1, got {args.jobs}")
-    spec, name = _load_spec(args.input, args.format)
+    spec, name = _load_spec(args.input)
     grid = parse_grid(args.grid)
     configs = sorted(itertools.product(grid["T"], grid["C"], grid["K"], grid["P"]))
     items = [(name, spec, OptimizeParams(t, bool(c), k, bool(p)))
@@ -390,8 +384,7 @@ def run_cli(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         logging.basicConfig(
-            level=logging.DEBUG if args.verbose > 1
-            else logging.INFO if args.verbose else logging.WARNING,
+            level=logging.INFO if args.verbose else logging.WARNING,
             format="%(name)s: %(message)s")
         return _COMMANDS[args.mode](args)
     except VerificationError as e:

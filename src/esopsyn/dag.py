@@ -579,8 +579,11 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     Identical subterms share one node: the build keeps its own
     `(kind, children) -> id` table, the graph's only hash-consing, and in
     the same table each cube mask's node, so a repeated cube costs one
-    lookup.  Ids are never reused, so the entry of a node deleted since
-    is just stale.
+    lookup.  A build deletes no node, so no entry goes stale: the parts of
+    a factored xor are words and products, never xors, and a product's
+    node is an and node, for it has two or more distinct children (a
+    kernel of two or more cubes, and a quotient that holds the nonempty
+    co-kernel cube).
     """
     if max_and_arity < 2:
         raise ValueError(f"Toffoli size bound must be >= 2, got {max_and_arity}")
@@ -595,8 +598,6 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     made: dict[tuple | int, int] = {}
     tops = []
     for tree in trees:
-        # wire each top into the root right away so later builds cannot
-        # flatten it away as an unreferenced xor
         top = _node_of_tree(dag, made, tree, arity)
         tops.append(top)
         if top not in dag.nodes[dag.root].children:
@@ -609,7 +610,7 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
 def _consed(dag: EsopDag, made: dict, kind: str, kids: list[int]) -> int:
     key = (kind, tuple(kids))
     nid = made.get(key)
-    if nid is None or nid not in dag.nodes:
+    if nid is None:
         nid = made[key] = dag.add(kind, kids)
     return nid
 
@@ -633,7 +634,7 @@ def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
             nids = [_node_of_cube(dag, made, m, arity)
                     for m in cube_order(bit_support(part))]
         else:
-            nids = _xor_flatten(dag, _node_of_tree(dag, made, part, arity))
+            nids = [_node_of_tree(dag, made, part, arity)]
         for k in nids:
             if k not in parity:
                 parity[k] = 0
@@ -647,20 +648,10 @@ def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
     return _consed(dag, made, T_XOR, kids)
 
 
-def _xor_flatten(dag: EsopDag, nid: int):
-    """Xor directly under xor is always flattened (GF(2) associativity)."""
-    node = dag.nodes[nid]
-    if node.kind == T_XOR and not node.parents:
-        kids = list(node.children)
-        dag._delete(nid)
-        return kids
-    return [nid]
-
-
 def _node_of_cube(dag: EsopDag, made: dict, mask: int, arity: int) -> int:
     """The node of one cube, built on its mask's first occurrence."""
     nid = made.get(mask)
-    if nid is None or nid not in dag.nodes:
+    if nid is None:
         if mask:
             kids = [dag.var_node(i) for i in bit_support(mask)]
             nid = _and_chain(dag, made, kids, arity)
@@ -728,27 +719,7 @@ def validate_dag(dag: EsopDag) -> list[str]:
             if node.label in seen_labels:
                 issues.append(f"duplicate identifier {node.label!r}")
             seen_labels[node.label] = nid
-    # acyclicity via iterative DFS with colors
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in dag.nodes}
-    for start in sorted(dag.nodes):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(dag.nodes[start].children))]
-        color[start] = GREY
-        while stack:
-            nid, it = stack[-1]
-            adv = next(it, None)
-            if adv is None:
-                color[nid] = BLACK
-                stack.pop()
-            elif adv in dag.nodes:
-                if color[adv] == GREY:
-                    issues.append(f"cycle through node {adv}")
-                    color[adv] = BLACK
-                elif color[adv] == WHITE:
-                    color[adv] = GREY
-                    stack.append((adv, iter(dag.nodes[adv].children)))
+    # depths cannot rise along every edge of a cycle, so this reports each
     for nid, n in dag.nodes.items():
         for c in n.children:
             if c in dag.nodes and dag.nodes[c].depth <= n.depth:

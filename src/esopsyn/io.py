@@ -54,33 +54,34 @@ def _check_inputs(n: int, origin: str) -> int:
     return n
 
 
-def parse_spec(path: str, fmt: str = "auto") -> TruthTable | Permutation:
+def _read_text(path: str) -> str:
+    """A file's text; bytes the locale cannot decode are a format error."""
     with open(path) as fh:
-        text = fh.read()
-    return parse_spec_text(text, fmt, origin=path)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise SpecFormatError(f"{path}: {e}") from None
 
 
-def parse_spec_text(text: str, fmt: str = "auto",
+def parse_spec(path: str) -> TruthTable | Permutation:
+    return parse_spec_text(_read_text(path), origin=path)
+
+
+def parse_spec_text(text: str, *,
                     origin: str = "<string>") -> TruthTable | Permutation:
+    """A spec whose format is read from its first line, blank lines and
+    `#` comments skipped: a permutation when it starts with `perm`, a PLA
+    when with a `.` directive, else a cube list."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise SpecFormatError(f"{origin}: empty specification")
-    if fmt == "auto":
-        head = lines[0].split()[0]
-        if head == "perm":
-            fmt = "perm"
-        elif head.startswith("."):
-            fmt = "pla"
-        else:
-            fmt = "cubes"
-    if fmt == "perm":
+    head = lines[0].split()[0]
+    if head == "perm":
         return _parse_perm(lines, origin)
-    if fmt == "pla":
+    if head.startswith("."):
         return _parse_pla(lines, origin)
-    if fmt == "cubes":
-        return _parse_cubes(lines, origin)
-    raise SpecFormatError(f"unknown spec format {fmt!r}")
+    return _parse_cubes(lines, origin)
 
 
 def _parse_perm(lines, origin) -> Permutation:
@@ -302,8 +303,7 @@ def write_circuit(c: Circuit, path: str, report: CostReport | None = None):
 
 
 def read_circuit(path: str) -> Circuit:
-    with open(path) as fh:
-        return parse_circuit_text(fh.read(), origin=path)
+    return parse_circuit_text(_read_text(path), origin=path)
 
 
 def parse_circuit_text(text: str, origin: str = "<string>") -> Circuit:

@@ -187,7 +187,7 @@ def synthesize(
         raise SynthesisError("need at least one input")
     if n > DEFAULT_INPUT_LIMIT:
         raise SynthesisError(
-            f"{n} inputs exceeds the configured limit {DEFAULT_INPUT_LIMIT}")
+            f"{n} inputs exceeds the limit {DEFAULT_INPUT_LIMIT}")
 
     exprs = anf_from_truth_table(tt)
     trees = [factor_expression(e, params) for e in exprs]

@@ -35,7 +35,7 @@ from itertools import combinations, zip_longest
 from .dag import (
     EsopDag, FAnd, FXor, T_AND, T_ID, T_XOR, parent_rewrites,
 )
-from .funcs import EsopExpression, bit_support, cube_order, variable_patterns
+from .funcs import EsopExpression, bit_support, variable_patterns
 
 
 SHARING_SWEEP_CAP = 32   # cube-sharing sweeps per pass
@@ -111,22 +111,20 @@ def kernel_pairs(word: int, n_vars: int) -> list[tuple[int, int]]:
     the word by that cube) and is a nonempty set of the variables the
     word's cubes use, so a word of s variables has at most 2^s - 1 pairs,
     and the cap can cut the enumeration short only when 2^s > KERNEL_CAP:
-    on words of 11 or more variables.
+    on words of 11 or more variables.  No co-kernel comes twice: each step
+    divides by the smallest variable of its common cube (_variable_kernels
+    skips the others), so the steps to a co-kernel are fixed by it.
     """
     patterns = variable_patterns(n_vars)
     out: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
 
     def recurse(g: int, min_var: int, co: int):
         if len(out) >= KERNEL_CAP:
             return
         for i, cc, q in _variable_kernels(g, min_var, n_vars, patterns):
-            key = (co | cc, q)
-            if key not in seen:
-                seen.add(key)
-                out.append((q, co | cc))
-                if len(out) >= KERNEL_CAP:
-                    return
+            out.append((q, co | cc))
+            if len(out) >= KERNEL_CAP:
+                return
             recurse(q, i + 1, co | cc)
 
     recurse(word, 0, 0)
@@ -137,22 +135,18 @@ def best_divisor(pairs, threshold: int) -> int | None:
     """Index of the divisor among (kernel word, co-kernel mask) pairs.
 
     Only kernels with more than `threshold` cubes qualify.  The largest
-    kernel wins, then the lowest co-kernel mask, then the kernel's cubes in
-    cube_order.  For the pairs of one expression the largest kernel also
-    leaves the smallest remainder: each product co | k is a distinct cube
-    of the expression, so the remainder has len(expr) - len(kernel) cubes.
-    The cube order is built only for pairs tied on size and co-kernel.
+    kernel wins, then the lowest co-kernel mask.  For the pairs of one
+    expression the largest kernel also leaves the smallest remainder: each
+    product co | k is a distinct cube of the expression, so the remainder
+    has len(expr) - len(kernel) cubes.  No two pairs of one word tie: a
+    co-kernel fixes its kernel, and neither kernel_pairs nor the level-one
+    list holds a co-kernel twice.
     """
     best = best_key = None
     for idx, (ker, co) in enumerate(pairs):
         size = ker.bit_count()
-        if size <= threshold:
-            continue
-        key = (-size, co)
-        if best is None or key < best_key or (
-                key == best_key and cube_order(bit_support(ker))
-                < cube_order(bit_support(pairs[best][0]))):
-            best, best_key = idx, key
+        if size > threshold and (best is None or (-size, co) < best_key):
+            best, best_key = idx, (-size, co)
     return best
 
 
@@ -212,9 +206,8 @@ def _factor(word: int, n_vars: int, params: OptimizeParams):
     if idx is None:
         return word
     d = pairs[idx][0]
+    # the co-kernel cube is always a quotient cube, so quotient is not 0
     quotient, remainder = divide(word, d, n_vars)
-    if not quotient:
-        return word
     tree_d = _factor(d, n_vars, params)
     if quotient.bit_count() == 1:
         product = FAnd(quotient.bit_length() - 1, (tree_d,))
@@ -693,8 +686,6 @@ def _apply_product_expansion(dag: EsopDag, q: int, e: int, b: int):
     a2 = dag.add(T_AND, [e, b])
     v = None
     for p in sorted(dag.nodes[q].parents):
-        if p not in dag.nodes:
-            continue
         pn = dag.nodes[p]
         if pn.kind == T_XOR:
             dag.xor_splice(p, q, [a2, b])
@@ -707,7 +698,7 @@ def _apply_product_expansion(dag: EsopDag, q: int, e: int, b: int):
         dag.output_order = [
             (name, v if nid == q else nid) for name, nid in dag.output_order
         ]
-    if q in dag.nodes and not dag.nodes[q].parents:
+    if not dag.nodes[q].parents:
         dag._delete(q)
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from esopsyn.circuit import (
-    CONSTANT, Circuit, Gate, LineState, ROLE_OUTPUT, cnot, detect_peres,
-    fredkin, gate_cost, line_functions, not_gate, quantum_cost,
+    CONSTANT, FREDKIN, Circuit, Gate, LineState, ROLE_OUTPUT, cnot,
+    detect_peres, fredkin, gate_cost, line_functions, not_gate, quantum_cost,
     restored_constants, simulate, toffoli, verify_equivalence,
 )
 from esopsyn.funcs import TruthTable
@@ -173,12 +173,16 @@ def test_reversed_gate_list_undoes_the_circuit():
 
 def test_line_functions_match_pointwise_simulation():
     rng = random.Random(21)
-    c = _random_circuit(rng, 4, 15)
-    funcs = line_functions(c)
-    for x in range(16):
-        end = simulate(c, x)
-        for lid in range(4):
-            assert (funcs[lid] >> x) & 1 == (end >> lid) & 1
+    fredkins = 0
+    for n_lines in (3, 3, 4, 4, 5, 5, 6, 6):
+        c = _random_circuit(rng, n_lines, 15)
+        fredkins += sum(g.family == FREDKIN for g in c.gates)
+        funcs = line_functions(c)
+        for x in range(1 << n_lines):
+            end = simulate(c, x)
+            for lid in range(n_lines):
+                assert (funcs[lid] >> x) & 1 == (end >> lid) & 1
+    assert fredkins >= 8   # the controlled swaps are checked too
 
 
 def identity_circuit(n):

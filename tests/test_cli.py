@@ -109,10 +109,16 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
              "dup_line.tfc": (["cost"], ".v a,a\n.o y1:a\nt1 a\n"),
              "dup_output.tfc": (["cost"], ".v a,b\n.o y1:a,y1:b\nt2 a,b\n"),
              "dup_output_line.tfc": (["cost"], ".v a,b\n.o y1:b\n.o y2:b\n"),
-             "dup_const.tfc": (["cost"], ".v a,b\n.c b=0\n.c b=1\nt2 a,b\n")}
+             "dup_const.tfc": (["cost"], ".v a,b\n.c b=0\n.c b=1\nt2 a,b\n"),
+             # bytes UTF-8 cannot decode (a UTF-16 byte-order mark)
+             "utf16.pla": (["synth"], b"\xff\xfe.\x00i\x00"),
+             "utf16.tfc": (["cost"], b"\xff\xfe.\x00v\x00")}
     for name, (cmd, text) in cases.items():
         path = tmp_path / name
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         assert run_cli(cmd + ["--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
@@ -206,7 +212,13 @@ def test_missing_spec_and_bad_options_fail_with_one_line(tmp_path, capsys,
              ["synth", "--in", "bench:nosuch"],
              # argparse's own usage errors, and the removed --verify
              ["synth", "--in", "bench:rd53", "-T", "x"],
-             ["synth", "--in", "bench:rd53", "--verify", "off"]]
+             ["synth", "--in", "bench:rd53", "--verify", "off"],
+             # the removed --format: a spec's first line names its format
+             ["synth", "--in", "bench:rd53", "--format", "pla"],
+             ["ancilla-free", "--in", "bench:hwb4", "--format", "perm"],
+             sweep + ["--format", "cubes"],
+             ["verify", "--in", "c.tfc", "--spec", "bench:rd53",
+              "--format", "auto"]]
     for argv in cases:
         assert run_cli(argv) == 1, argv
         err = capsys.readouterr().err

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from esopsyn import benchmarks
 from esopsyn.dag import (
-    EsopDag, FAnd, FXor, T_AND, T_CONST, T_ID, T_XOR, _and_chain, _consed,
-    _xor_flatten, build_dag_from_trees, dag_to_expressions, dump_text,
-    validate_dag,
+    EsopDag, FAnd, FXor, T_AND, T_CONST, T_ID, T_XOR, _and_chain,
+    build_dag_from_trees, dag_to_expressions, dump_text, validate_dag,
 )
 from esopsyn.funcs import (
     EsopExpression, Permutation, anf_from_truth_table, bit_support, cube_order,
@@ -137,6 +136,23 @@ def test_validate_reports_broken_mirrors():
     del dag.nodes[child].parents[top]
     assert validate_dag(dag) == [
         f"node {child} counts 0 edge(s) from {top}, which has 1"]
+
+
+def test_validate_reports_a_cycle_of_two_xor_nodes():
+    dag = flat_dag([expr(2, [0b01, 0b10]), expr(2, [0b00, 0b11])], 3)
+    a, b = dag.nodes[dag.root].children
+    assert dag.nodes[a].kind == dag.nodes[b].kind == T_XOR
+    dag.set_children(a, dag.nodes[a].children + [b])
+    dag.set_children(b, dag.nodes[b].children + [a])
+    for nid, node in dag.nodes.items():
+        if nid not in (dag.root, a, b):
+            node.depth += 10   # below a and b whatever their depths
+    # whatever the depths say, one edge of the cycle does not go down
+    for da, db in ((1, 1), (1, 2), (2, 1), (5, 3)):
+        dag.nodes[a].depth, dag.nodes[b].depth = da, db
+        problems = validate_dag(dag)
+        assert f"depth of {b} not below its parent {a}" in problems or \
+            f"depth of {a} not below its parent {b}" in problems, (da, db)
 
 
 def test_validate_reports_bad_arity():
@@ -412,6 +428,25 @@ def _reference_tree(tree):
     return FXor(parts)
 
 
+def _reference_flatten(dag, nid):
+    """An xor directly under an xor is flattened (GF(2) associativity):
+    the inner one is deleted, so its entry in `made` goes stale."""
+    node = dag.nodes[nid]
+    if node.kind == T_XOR and not node.parents:
+        kids = list(node.children)
+        dag._delete(nid)
+        return kids
+    return [nid]
+
+
+def _reference_consed(dag, made, kind, kids):
+    key = (kind, tuple(kids))
+    nid = made.get(key)
+    if nid is None or nid not in dag.nodes:
+        nid = made[key] = dag.add(kind, kids)
+    return nid
+
+
 def _reference_node(dag, made, tree, arity):
     """Every cube occurrence builds its whole and-chain again and leaves
     the hash-consing to find the nodes."""
@@ -427,7 +462,7 @@ def _reference_node(dag, made, tree, arity):
     parity: dict[int, int] = {}
     order: list[int] = []
     for part in tree.parts:
-        for k in _xor_flatten(dag, _reference_node(dag, made, part, arity)):
+        for k in _reference_flatten(dag, _reference_node(dag, made, part, arity)):
             if k not in parity:
                 parity[k] = 0
                 order.append(k)
@@ -437,7 +472,7 @@ def _reference_node(dag, made, tree, arity):
         return dag.const_node(0)
     if len(kids) == 1:
         return kids[0]
-    return _consed(dag, made, T_XOR, kids)
+    return _reference_consed(dag, made, T_XOR, kids)
 
 
 def _reference_build(trees, n_vars, max_and_arity):

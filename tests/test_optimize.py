@@ -11,7 +11,7 @@ from esopsyn import benchmarks, mapper, optimize
 from esopsyn.dag import T_AND, T_ID, T_XOR, DagNode, EsopDag, FAnd, FXor, \
     build_dag_from_trees, dag_to_expressions, dump_text, validate_dag
 from esopsyn.funcs import EsopExpression, Permutation, anf_from_truth_table, \
-    bit_support, cube_order, truth_table_from_permutation
+    bit_support, cube_order, truth_table_from_permutation, variable_patterns
 from esopsyn.optimize import (
     MutationReport, OptimizeParams, best_divisor, common_cube_sharing,
     divide, factor_expression, kernel_pairs, parent_reduction_pass,
@@ -379,25 +379,27 @@ def test_wide_specs_enumerate_only_words_the_cap_can_cut(monkeypatch):
     assert all(isinstance(tree, FXor) for tree in trees)
 
 
-def test_divisor_ties_break_on_co_kernel_then_cube_order():
-    # hand-made pairs: equal-size sub-kernels under one co-kernel (a tie
-    # kernel_pairs itself never yields, since a co-kernel fixes its kernel)
+def _quotient_by_cube(f, cube):
+    """The cubes of word f that hold `cube`, with `cube` taken out."""
+    return word(m ^ cube for m in bit_support(f) if m & cube == cube)
+
+
+def test_divisor_candidates_never_share_a_co_kernel():
+    # a co-kernel fixes its kernel, and neither candidate list holds one
+    # twice, so best_divisor's key (size, co-kernel) never ties
     rng = random.Random(314)
     for _ in range(300):
         n, f = _tied_cube_sets(rng)
-        pairs = []
-        for kernel, co in kernel_pairs(f, n):
-            size = kernel.bit_count()
-            if size < 3 or rng.random() < 0.3:
-                pairs.append((kernel, co))
-                continue
-            cubes = bit_support(kernel)
-            for _ in range(3):
-                pairs.append((word(rng.sample(cubes, size - 1)), co))
-        rng.shuffle(pairs)
-        for k in range(1, 6):
-            assert _picked(pairs, k) == \
-                _reference_select_divisor(f, pairs, k)
+        level_one = [(q, cc) for _i, cc, q in optimize._variable_kernels(
+            f, 0, n, variable_patterns(n))]
+        for pairs in (kernel_pairs(f, n), level_one):
+            cos = [co for _kernel, co in pairs]
+            assert len(set(cos)) == len(cos)
+            for kernel, co in pairs:
+                assert kernel == _quotient_by_cube(f, co)
+            for k in range(1, 6):
+                assert _picked(pairs, k) == \
+                    _reference_select_divisor(f, pairs, k)
 
 
 def test_weak_division_is_exact():
@@ -405,9 +407,10 @@ def test_weak_division_is_exact():
     for _ in range(40):
         n = rng.randint(2, 6)
         f = word(rng.randrange(1 << n) for _ in range(rng.randint(2, 12)))
-        for kernel, _co in kernel_pairs(f, n)[:3]:
+        for kernel, co in kernel_pairs(f, n)[:3]:
             q, r = divide(f, kernel, n)
             assert product(q, kernel) ^ r == f
+            assert q >> co & 1   # the co-kernel cube is a quotient cube
 
 
 def tree_semantics_match(masks, n, params):
