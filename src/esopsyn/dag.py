@@ -12,28 +12,22 @@ first.  Later passes create nodes with `add`.
 Depth labels are the longest path from the root: the graph passes
 recompute them when they finish, and collapsing a mapped node into an
 identifier updates only the depths below it.  `recompute_depths`
-relabels the nodes whose parents changed since the sets were last
-cleared and the nodes below them (every node while recording is off),
-deletes those the root no longer reaches and returns their ids (cube
-sharing drops them from its shape index).
+relabels the nodes whose parents changed since the log was last cleared
+and the nodes below them, deletes those the root no longer reaches, and
+returns their ids and the old depth of each internal node it moved.
 
 Every edit goes through one of five helpers (`add`, `set_children`,
-`to_identifier`, `_delete`, `recompute_depths`), and once recording is on
-they note what they changed in two id sets: `touched` holds the nodes
-whose parents changed, the internal nodes whose depth changed (no reader
-of the sets looks at a leaf's depth), and created and deleted nodes;
-`reshaped` holds the nodes whose children or kind changed.  Recording is
-off (both `None`) until a consumer turns it on and clears the sets as it
-reads them.  The ready index (`ReadyIndex`, read by `mapper.find_target`
-and `optimize.parent_reduction_pass`; it keeps parent-reduction
-candidates only from that pass's first call on) is one; cube sharing
-records for the length of its own pass when it finds recording off, so
-graph building pays nothing.  A consumer clears the sets only while every
-depth is right and the root reaches every node, so a node outside the
-downward cone of the sets needs no relabel.  `depths_fresh` says that no
-node was created, deleted or given new children since the last
-`recompute_depths`; `add`, `set_children` and `_delete` clear it, and a
-recompute on fresh depths returns at once.
+`to_identifier`, `_delete`, `recompute_depths`), and each notes what it
+changed in the graph's edit log of two id sets: `touched` holds the
+nodes whose parents changed, the internal nodes whose depth changed and
+created and deleted nodes; `reshaped` holds the nodes whose children or
+kind changed.  The ready index (`ReadyIndex`, read by
+`mapper.find_target` and `optimize.parent_reduction_pass`) clears the
+log as it reads it; until the graph has one, `recompute_depths` clears
+it.  Either clears it only while every depth is right and the root
+reaches every node, so an empty `touched` means every depth is right, a
+node outside its downward cone needs no relabel, and a build's relabel,
+with every node in the log, covers the whole graph.
 """
 
 from __future__ import annotations
@@ -94,10 +88,9 @@ class EsopDag:
         self.nodes: dict[int, DagNode] = {}
         self._next = 0
         self._leaves: dict[tuple, int] = {}   # (kind, label) -> var/const node
-        self.touched: set[int] | None = None
-        self.reshaped: set[int] | None = None
+        self.touched: set[int] = set()     # the edit log (module docstring)
+        self.reshaped: set[int] = set()
         self.index: ReadyIndex | None = None   # see refreshed_index
-        self.depths_fresh = False
         self.root = self.add(T_ROOT)
         self.output_order: list[tuple[str, int]] = []
 
@@ -110,10 +103,8 @@ class EsopDag:
         node = DagNode(nid, kind, children, label, line)
         self.nodes[nid] = node
         self._link(nid, children)
-        self.depths_fresh = False
-        if self.touched is not None:
-            self.touched.add(nid)
-            self.touched.update(children)
+        self.touched.add(nid)
+        self.touched.update(children)
         return nid
 
     def _leaf(self, kind, label, line=None) -> int:
@@ -146,11 +137,9 @@ class EsopDag:
     def set_children(self, nid: int, new_children: list[int]):
         node = self.nodes[nid]
         self._unlink(nid, node.children)
-        self.depths_fresh = False
-        if self.touched is not None:
-            self.touched.update(node.children)
-            self.touched.update(new_children)
-            self.reshaped.add(nid)
+        self.touched.update(node.children)
+        self.touched.update(new_children)
+        self.reshaped.add(nid)
         node.children = list(new_children)
         self._link(nid, node.children)
 
@@ -202,7 +191,7 @@ class EsopDag:
                 if depth == un.depth:
                     continue
                 un.depth = depth
-                if touched is not None and un.children:
+                if un.children:
                     touched.add(u)   # the index reads no leaf's depth
             for c in set(un.children) - queued:
                 queued.add(c)
@@ -232,10 +221,8 @@ class EsopDag:
         assert not node.parents, f"deleting referenced node {nid}"
         self._unlink(nid, node.children)
         del self.nodes[nid]
-        self.depths_fresh = False
-        if self.touched is not None:
-            self.touched.add(nid)
-            self.touched.update(node.children)
+        self.touched.add(nid)
+        self.touched.update(node.children)
 
     def normalize_node(self, nid: int) -> int:
         """Resolve degenerate arity after a rewrite; returns the surviving id."""
@@ -254,45 +241,43 @@ class EsopDag:
 
     # -- depth / pruning -----------------------------------------------------
 
-    def recompute_depths(self) -> list[int]:
+    def recompute_depths(self) -> tuple[list[int], dict[int, int]]:
         """Relabel each depth as the longest path from the root and delete
-        the nodes the root no longer reaches; returns the deleted ids.
+        the nodes the root no longer reaches; returns the deleted ids and
+        the old depth of each internal node whose depth changed.
 
         A node can lose its root or change depth only below a node whose
         parents changed, and `touched` records each of those, so only the
-        downward cone of `touched` is relabelled, parents before
-        children; with recording off the cone is every node.  A cone
-        node's parents outside the cone keep their depths, and one left
-        with no parent is deleted.
+        downward cone of `touched` is relabelled, parents before children;
+        an empty log returns at once.  A cone node's parents outside the
+        cone keep their depths, and one left with no parent is deleted.
+        The moved nodes join the log for the ready index; with no index,
+        the relabel clears the log instead.
         """
-        if self.depths_fresh:
-            return []
-        nodes = self.nodes
+        nodes, touched = self.nodes, self.touched
+        if not touched:
+            return [], {}
+        cone = {i for i in touched if i in nodes}
+        stack = list(cone)
+        while stack:
+            for c in nodes[stack.pop()].children:
+                if c not in cone:
+                    cone.add(c)
+                    stack.append(c)
         # per cone node: its edges from the cone still to come, and the
         # depth its parents outside the cone give it
-        if self.touched is None:
-            indeg = {nid: sum(n.parents.values()) for nid, n in nodes.items()}
-            depth = dict.fromkeys(nodes, 0)
-        else:
-            cone = {i for i in self.touched if i in nodes}
-            stack = list(cone)
-            while stack:
-                for c in nodes[stack.pop()].children:
-                    if c not in cone:
-                        cone.add(c)
-                        stack.append(c)
-            indeg, depth = {}, {}
-            for nid in cone:
-                k = d = 0
-                for p, m in nodes[nid].parents.items():
-                    if p in cone:
-                        k += m
-                    elif nodes[p].depth >= d:
-                        d = nodes[p].depth + 1
-                indeg[nid], depth[nid] = k, d
+        indeg, depth = {}, {}
+        for nid in cone:
+            k = d = 0
+            for p, m in nodes[nid].parents.items():
+                if p in cone:
+                    k += m
+                elif nodes[p].depth >= d:
+                    d = nodes[p].depth + 1
+            indeg[nid], depth[nid] = k, d
         queue = [nid for nid, k in indeg.items() if not k]
         dead = []
-        touched = self.touched
+        moved = {}
         while queue:
             u = queue.pop()
             un = nodes[u]
@@ -302,9 +287,9 @@ class EsopDag:
             else:
                 d = depth[u]
                 if d != un.depth:
+                    if un.children:     # the index reads no leaf's depth
+                        moved[u] = un.depth
                     un.depth = d
-                    if touched is not None and un.children:
-                        touched.add(u)   # the index reads no leaf's depth
                 d += 1
                 for c in un.children:
                     if d > depth[c]:
@@ -313,8 +298,12 @@ class EsopDag:
                 indeg[c] -= 1
                 if not indeg[c]:
                     queue.append(c)
-        self.depths_fresh = True
-        return dead
+        if self.index is None:
+            touched.clear()
+            self.reshaped.clear()
+        else:
+            touched.update(moved)
+        return dead, moved
 
     def internal_ids(self) -> list[int]:
         return sorted(
@@ -363,9 +352,9 @@ class EsopDag:
         return len(self.nodes)
 
     def refreshed_index(self, parent_candidates: bool = False) -> ReadyIndex:
-        """The graph's ready index, brought up to date with the change
-        sets; the first call builds it and turns change recording on, and
-        the first with `parent_candidates` derives them from every
+        """The graph's ready index, brought up to date with the edit log,
+        which it then clears; the first call builds it from every node,
+        and the first with `parent_candidates` derives them from every
         identifier and has the index keep them from then on."""
         if self.index is None:
             self.index = ReadyIndex()
@@ -405,7 +394,7 @@ def _ready(node: DagNode, tally: list[int]) -> bool:
 
 class ReadyIndex:
     """What the mapping loop reads of the graph, kept up to date from its
-    change sets (see the `mapper` module docstring).
+    edit log (see the `mapper` module docstring).
 
     `cls` holds each node's class and `counts` tallies each and/xor node's
     children by class; a tally is rebuilt when the node's own children
@@ -626,21 +615,18 @@ def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
         parts = tree.parts
     else:
         raise TypeError(f"unexpected tree part {tree!r}")
-    parity: dict[int, int] = {}
-    order: list[int] = []
+    # No child repeats, so none cancels: a node computes one word, and
+    # these words differ.  The parts are products, each of two or more
+    # cubes that no other product nor the remainder holds (weak division),
+    # and the cubes of the last remainder, which are distinct masks.
+    kids: list[int] = []
     for part in parts:
         if isinstance(part, int):
             # a word's cubes join this xor directly: no xor node of its own
-            nids = [_node_of_cube(dag, made, m, arity)
-                    for m in cube_order(bit_support(part))]
+            kids += [_node_of_cube(dag, made, m, arity)
+                     for m in cube_order(bit_support(part))]
         else:
-            nids = [_node_of_tree(dag, made, part, arity)]
-        for k in nids:
-            if k not in parity:
-                parity[k] = 0
-                order.append(k)
-            parity[k] ^= 1
-    kids = [k for k in order if parity[k]]
+            kids.append(_node_of_tree(dag, made, part, arity))
     if not kids:
         return dag.const_node(0)
     if len(kids) == 1:

@@ -85,12 +85,10 @@ def parse_spec_text(text: str, *,
 
 
 def _parse_perm(lines, origin) -> Permutation:
-    tokens = []
-    for ln in lines:
-        parts = ln.split()
-        if parts[0] == "perm":
-            parts = parts[1:]
-        tokens.extend(parts)
+    if len(lines) > 1:
+        raise SpecFormatError(
+            f"{origin}: a permutation is one 'perm' line, got {len(lines)}")
+    tokens = lines[0].split()[1:]
     _check_inputs((len(tokens) - 1).bit_length(), origin)
     try:
         images = tuple(int(t) for t in tokens)

@@ -14,7 +14,7 @@ and rewrites it into gates:
 Branch 3 always succeeds, so mapping always terminates.
 
 `find_target` reads a ready index kept on the graph (`dag.ReadyIndex`)
-and refreshed from the graph's change sets (see `dag`) at each call, so a
+and refreshed from the graph's edit log (see `dag`) at each call, so a
 call costs what the last rewrites changed rather than the graph's size.
 A node is ready when every child can be emitted directly as gates: an
 and whose children are all identifiers, or an xor whose children are

@@ -554,39 +554,32 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
     every node that got deeper, and the co-parents at least as deep as a
     node that got shallower.  A sweep takes its nodes from a (depth desc,
     id) heap: the first holds every internal node, a later one the dirty
-    nodes, and a node a share dirties after the current one joins it.  The
-    graph records changes for the pass, so each sweep's relabel visits
-    only the nodes below the last sweep's shares and notes the nodes whose
-    depth it changed.  Partners and the co-parents both dirtying steps
+    nodes, and a node a share dirties after the current one joins it.
+    The graph's edit log limits each sweep's relabel to the nodes below
+    the last sweep's shares, and the relabel returns the old depth of
+    each node it moved.  Partners and the co-parents both dirtying steps
     read come from a `_ShapeIndex` kept for the call.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
     dirty: set[int] = set()
     index = _ShapeIndex(dag)
-    own = dag.touched is None   # else the ready index reads the sets
     changed = True
     for sweep in range(SHARING_SWEEP_CAP):
         changed = False
-        index.update(dag.recompute_depths())
+        dead, moved = dag.recompute_depths()
+        index.update(dead)
         if not sweep:
             todo = dag.internal_ids()
-            was = {nid: nodes[nid].depth for nid in todo}
         else:
-            # the relabel noted each internal node whose depth it changed
-            for nid in dag.touched:
-                node = nodes.get(nid)
-                if node is None or was.get(nid, node.depth) == node.depth:
-                    continue
-                if node.depth > was[nid]:
+            for nid, old in moved.items():
+                depth = nodes[nid].depth
+                if depth > old:
                     dirty.add(nid)
                 else:
                     dirty.update(k for k in index.co_parents(nid)
-                                 if nodes[k].depth >= node.depth)
-                was[nid] = node.depth
-            todo = [nid for nid in dirty if nid in was and nid in nodes]
-        if own:
-            dag.touched, dag.reshaped = set(), set()
+                                 if nodes[k].depth >= depth)
+            todo = [nid for nid in dirty if nid in index.shape]
         heap = [(-nodes[nid].depth, nid) for nid in todo]
         heapq.heapify(heap)
         queued = set(todo)
@@ -610,7 +603,7 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
                     # a node dirtied after this one in the order is
                     # tried in this sweep
                     for nid in fresh - queued:
-                        if nid in was and (-nodes[nid].depth, nid) > at:
+                        if nid in index.shape and (-nodes[nid].depth, nid) > at:
                             queued.add(nid)
                             heapq.heappush(heap, (-nodes[nid].depth, nid))
                     break
@@ -620,8 +613,6 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
             break
     if changed:     # a sweep that changed nothing left its depths fresh
         dag.recompute_depths()
-    if own:
-        dag.touched = dag.reshaped = None
     report.nodes_after = len(dag)
     return report
 

@@ -110,6 +110,8 @@ def test_malformed_files_fail_with_one_line(tmp_path, capsys):
              "dup_output.tfc": (["cost"], ".v a,b\n.o y1:a,y1:b\nt2 a,b\n"),
              "dup_output_line.tfc": (["cost"], ".v a,b\n.o y1:b\n.o y2:b\n"),
              "dup_const.tfc": (["cost"], ".v a,b\n.c b=0\n.c b=1\nt2 a,b\n"),
+             # two permutations are not one of twice the length
+             "two_lines.perm": (["synth"], "perm 1 0\nperm 3 2\n"),
              # bytes UTF-8 cannot decode (a UTF-16 byte-order mark)
              "utf16.pla": (["synth"], b"\xff\xfe.\x00i\x00"),
              "utf16.tfc": (["cost"], b"\xff\xfe.\x00v\x00")}

@@ -226,16 +226,17 @@ def test_depths_increase_along_edges():
 
 def test_recompute_on_fresh_depths_returns_at_once():
     dag = flat_dag([expr(3, [0b011, 0b101, 0b110])], 3)
-    assert dag.depths_fresh
+    # with no ready index, the builder's relabel cleared the log
+    assert dag.index is None and not dag.touched and not dag.reshaped
     top = dag.nodes[dag.root].children[0]
-    dag.nodes[top].depth = 7        # a direct write the flag cannot see
-    dag.recompute_depths()
+    dag.nodes[top].depth = 7        # a direct write the log cannot see
+    assert dag.recompute_depths() == ([], {})
     assert dag.nodes[top].depth == 7
     x1 = dag.var_node(0)
     dag.set_children(dag.root, [top, x1])
-    assert not dag.depths_fresh
-    dag.recompute_depths()
-    assert dag.depths_fresh and dag.nodes[top].depth == 1
+    assert dag.touched
+    assert dag.recompute_depths() == ([], {top: 7})
+    assert not dag.touched and dag.nodes[top].depth == 1
 
 
 def _reference_depths(dag):
@@ -259,14 +260,23 @@ def _reference_depths(dag):
     return {nid: depth(nid) for nid in reach}, set(dag.nodes) - reach
 
 
+def _moved(dag, was):
+    """Each internal node whose depth differs from `was` (the depths taken
+    before a relabel), mapped to its depth there."""
+    return {nid: d for nid, d in was.items()
+            if nid in dag.nodes and dag.nodes[nid].depth != d}
+
+
 def _check_recompute(dag, recompute):
     """Run `recompute` (the graph's own recompute_depths) and check it
-    against the reference; returns the ids it pruned."""
+    against the reference; returns what it returned."""
     want, dead = _reference_depths(dag)
-    pruned = recompute()
+    was = {nid: n.depth for nid, n in dag.nodes.items() if n.children}
+    pruned, moved = got = recompute()
     assert sorted(pruned) == sorted(dead)
     assert {nid: node.depth for nid, node in dag.nodes.items()} == want
-    return pruned
+    assert moved == _moved(dag, was)
+    return got
 
 
 def test_recompute_depths_matches_the_longest_path_reference():
@@ -292,7 +302,7 @@ def test_recompute_depths_matches_the_longest_path_reference():
                 dag.set_children(dag.root,
                                  rng.sample(live, rng.randint(1, min(3, len(live)))))
             else:
-                pruned += len(_check_recompute(dag, dag.recompute_depths))
+                pruned += len(_check_recompute(dag, dag.recompute_depths)[0])
                 live = [k for k in live if k in dag.nodes]
                 live += [dag.var_node(v) for v in range(6)
                          if dag.var_node(v) not in live]
@@ -371,17 +381,16 @@ def test_relabel_matches_a_whole_graph_relabel(monkeypatch, tckp, runs):
         fresh = copy.deepcopy(dag.nodes)
         dead = _whole_graph_relabel(fresh, dag.root)
         was = {nid: n.depth for nid, n in dag.nodes.items() if n.children}
-        assert sorted(real(dag)) == dead
+        got = real(dag)
+        assert sorted(got[0]) == dead
         assert {nid: n.depth for nid, n in dag.nodes.items()} == \
             {nid: n.depth for nid, n in fresh.items()}
-        if dag.touched is not None:
-            # the sets name every internal node whose depth moved
-            moved = {nid for nid, d in was.items()
-                     if nid in dag.nodes and dag.nodes[nid].depth != d}
-            assert moved <= dag.touched
-            relabels[bool(moved)] += 1
+        # it returns the old depth of every internal node whose depth moved
+        assert got[1] == _moved(dag, was)
+        if seen:    # the builder's relabel moves every depth
+            relabels[bool(got[1])] += 1
         seen.append(dag.index is not None)
-        return dead
+        return got
 
     monkeypatch.setattr(EsopDag, "recompute_depths", checked)
     t, c, k, p = (int(ch) for ch in tckp)

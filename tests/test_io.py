@@ -102,6 +102,9 @@ def test_malformed_specs():
                  "00 1\n.i 2\n",
                  ".i 1\n.o 1\n0 2\n",
                  ".weird 3\n",
+                 # a permutation is one line, not two read as one
+                 "perm 1 0\nperm 3 2\n",
+                 "perm 0 1\n2 3\n",
                  ""):
         with pytest.raises(SpecFormatError):
             parse_spec_text(text)

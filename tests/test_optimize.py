@@ -524,15 +524,45 @@ def test_sharing_ends_with_fresh_depths_at_every_sweep_cap(monkeypatch):
             dag = flat_dag(exprs, rng.choice([3, 4]))
             for node in dag.nodes.values():
                 node.depth = 0
-            dag.depths_fresh = False    # the depths were written directly
+            dag.touched.update(dag.nodes)   # the depths were written directly
             with monkeypatch.context() as m:
                 m.setattr(optimize, "SHARING_SWEEP_CAP", cap)
                 common_cube_sharing(dag)
             assert validate_dag(dag) == []
             depths = {nid: node.depth for nid, node in dag.nodes.items()}
-            dag.depths_fresh = False    # recompute for the comparison
+            dag.touched.update(dag.nodes)   # recompute for the comparison
             dag.recompute_depths()
             assert depths == {nid: node.depth for nid, node in dag.nodes.items()}
+
+
+def test_cube_sharing_leaves_the_log_only_to_a_ready_index():
+    # with no index, each relabel clears the graph's edit log; with one,
+    # the log keeps every edit for the index, which then answers as one
+    # built afresh does
+    rng = random.Random(43)
+    shared = 0
+    for _ in range(80):
+        n = rng.randint(3, 6)
+        exprs = [expr(n, {rng.randrange(1 << n)
+                          for _ in range(rng.randint(2, 12))})
+                 for _ in range(rng.randint(1, 4))]
+        lone, indexed = flat_dag(exprs, 3), flat_dag(exprs, 3)
+        indexed.refreshed_index()
+        before = {nid: list(node.children)
+                  for nid, node in indexed.nodes.items()}
+        report = common_cube_sharing(lone)
+        assert common_cube_sharing(indexed).events == report.events
+        assert dump_text(indexed) == dump_text(lone)
+        assert not lone.touched and not lone.reshaped
+        gone = before.keys() - indexed.nodes.keys()
+        reshaped = {nid for nid, kids in before.items()
+                    if nid in indexed.nodes
+                    and indexed.nodes[nid].children != kids}
+        assert bool(gone | reshaped) == bool(report)
+        assert gone <= indexed.touched and reshaped <= indexed.reshaped
+        assert mapper.find_target(indexed) == mapper.find_target(lone)
+        shared += bool(report)
+    assert shared >= 10
 
 
 def _reference_find_with_children(dag, kind, child_set, exclude=()):
@@ -1339,6 +1369,7 @@ def _clone(dag):
         c.parents, c.depth = dict(n.parents), n.depth
     twin.output_order = list(dag.output_order)
     twin._leaves = dict(dag._leaves)
+    # with no index, the twin's relabel clears its own log
     twin.touched, twin.reshaped, twin.index = set(dag.touched), set(dag.reshaped), None
     return twin
 
@@ -1346,7 +1377,7 @@ def _clone(dag):
 def _graph(dag):
     return ({nid: (n.kind, n.children, list(n.parents.items()), n.depth,
                    n.label, n.line) for nid, n in dag.nodes.items()},
-            dag.output_order, dag._next, dag.touched, dag.reshaped)
+            dag.output_order, dag._next)
 
 
 def test_parent_reduction_pass_matches_the_pass_over_every_two_parent_leaf(
