@@ -34,7 +34,8 @@ class Gate:
     controls is a sorted tuple of line ids; targets has one entry for the
     Toffoli family (NOT/CNOT/Toffoli_k) and two for Fredkin (the swapped
     pair).  One set over all the lines checks a valid gate; the message
-    is worked out only for an invalid one.
+    is worked out only for an invalid one.  The fields are written
+    through the slot descriptors, which skips the frozen class's setattr.
     """
 
     family: str
@@ -42,7 +43,9 @@ class Gate:
     targets: tuple[int, ...]
 
     def __init__(self, family: str, controls, targets):
-        controls, targets = tuple(sorted(controls)), tuple(targets)
+        controls, targets = tuple(controls), tuple(targets)
+        if len(controls) > 1:
+            controls = tuple(sorted(controls))
         want = 1 if family == TOFFOLI else 2 if family == FREDKIN else None
         if len(targets) != want \
                 or len(set(controls + targets)) != len(controls) + len(targets):
@@ -55,9 +58,9 @@ class Gate:
                 else "duplicate target lines"
                 if len(set(targets)) != len(targets)
                 else "target appears in control set")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "targets", targets)
+        _set_family(self, family)
+        _set_controls(self, controls)
+        _set_targets(self, targets)
 
     @property
     def width(self) -> int:
@@ -67,6 +70,10 @@ class Gate:
     def __str__(self) -> str:
         lines = ",".join(str(c) for c in self.controls + self.targets)
         return f"{self.family}{self.width} {lines}"
+
+
+_set_family, _set_controls, _set_targets = (
+    Gate.family.__set__, Gate.controls.__set__, Gate.targets.__set__)
 
 
 def not_gate(target: int) -> Gate:

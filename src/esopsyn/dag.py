@@ -11,10 +11,13 @@ mask, so a cube that occurs in many outputs costs one lookup after its
 first.  Later passes create nodes with `add`.
 Depth labels are the longest path from the root: the graph passes
 recompute them when they finish, and collapsing a mapped node into an
-identifier updates only the depths below it.  `recompute_depths`
-relabels the nodes whose parents changed since the log was last cleared
-and the nodes below them, deletes those the root no longer reaches, and
-returns their ids and the old depth of each internal node it moved.
+identifier updates only the depths below it, its internal nodes through a
+heap by old depth and its leaves after the heap drains: a leaf's parents
+are internal nodes (or the root), so by then each has its final depth.
+`recompute_depths` relabels the nodes whose parents changed since the log
+was last cleared and the nodes below them, deletes those the root no
+longer reaches, and returns their ids and the old depth of each internal
+node it moved.
 
 Every edit goes through one of five helpers (`add`, `set_children`,
 `to_identifier`, `_delete`, `recompute_depths`), and each notes what it
@@ -164,26 +167,29 @@ class EsopDag:
         unreachable, so only they are re-derived, parents before children
         (by old depth): a node left without parents is deleted, any other
         takes one more than its deepest parent.  On a pruned graph with
-        fresh depths this equals a full `recompute_depths`.
+        fresh depths this equals a full `recompute_depths`.  Only internal
+        nodes go through the heap; the leaves reached are settled after
+        it drains, with the same parent scan.  That is exact: every parent
+        of a leaf is internal (or the root), so each of its parents in
+        the cone is shallower and the heap has settled it by then.
         """
-        node = self.nodes[nid]
-        heap = [(self.nodes[c].depth, c) for c in set(node.children)]
+        nodes, touched = self.nodes, self.touched
+        node = nodes[nid]
+        queued = set(node.children)
+        # a sorted list is already a heap
+        heap = sorted((nodes[c].depth, c) for c in queued if nodes[c].children)
+        leaves = [c for c in queued if not nodes[c].children]
         self.set_children(nid, [])
-        node.kind = T_ID
-        node.label = label
-        node.line = line_id
-        touched = self.touched
-        heapq.heapify(heap)
-        queued = {c for _, c in heap}
-        while heap:
-            _, u = heapq.heappop(heap)
-            un = self.nodes[u]
+        node.kind, node.label, node.line = T_ID, label, line_id
+        while heap or leaves:
+            u = heapq.heappop(heap)[1] if heap else leaves.pop()
+            un = nodes[u]
             if not un.parents:
                 self._delete(u)
             else:
                 depth = 0
                 for p in un.parents:
-                    d = self.nodes[p].depth + 1
+                    d = nodes[p].depth + 1
                     if d > depth:
                         depth = d
                         if depth == un.depth:
@@ -193,9 +199,13 @@ class EsopDag:
                 un.depth = depth
                 if un.children:
                     touched.add(u)   # the index reads no leaf's depth
-            for c in set(un.children) - queued:
-                queued.add(c)
-                heapq.heappush(heap, (self.nodes[c].depth, c))
+            for c in un.children:
+                if c not in queued:
+                    queued.add(c)
+                    if nodes[c].children:
+                        heapq.heappush(heap, (nodes[c].depth, c))
+                    else:
+                        leaves.append(c)
 
     def merge_nodes(self, keep: int, drop: int):
         """Redirect every reference to `drop` onto `keep` and delete it."""

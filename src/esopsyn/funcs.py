@@ -13,8 +13,11 @@ truth-table index.  Output y1 is the least-significant bit of each row.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,18 +171,23 @@ def mobius_bits(bits: int, n: int) -> int:
 
 
 def bit_support(bits: int) -> list[int]:
-    """Indices of the set bits, ascending; each is cleared from a 64-bit
-    limb, never from the whole word, which would make long words quadratic."""
+    """Indices of the set bits, ascending, in time linear in the word's
+    length plus its set bits.  A word of up to 1024 bits is cleared from
+    its top bit down.  A longer one is read from its bytes as 64-bit limbs,
+    and only its nonzero limbs are decoded, so no step shifts the whole
+    word."""
+    if bits >> 1024:
+        limbs = array("Q", bits.to_bytes(-(-bits.bit_length() // 64) * 8, "little"))
+        if sys.byteorder == "big":
+            limbs.byteswap()
+        return [64 * i + j for i in compress(range(len(limbs)), limbs)
+                for j in bit_support(limbs[i])]
     out = []
-    off = -1
     while bits:
-        limb = bits & 0xFFFF_FFFF_FFFF_FFFF
-        while limb:
-            low = limb & -limb
-            out.append(low.bit_length() + off)
-            limb ^= low
-        bits >>= 64
-        off += 64
+        top = bits.bit_length() - 1
+        out.append(top)
+        bits ^= 1 << top
+    out.reverse()
     return out
 
 

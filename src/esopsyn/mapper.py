@@ -6,7 +6,8 @@ and rewrites it into gates:
   1. an xor node one level above the deepest leaves owning a leaf nobody
      else references -- the leaf's line absorbs the xor in place;
   2. an and node at that level whose xor parent two levels up owns such a
-     leaf -- the parent is mapped the same way;
+     leaf -- the parent is mapped the same way (the first such and node
+     in id order, and of its fitting parents the one of smallest id);
   3. otherwise the node with the most leaf children (ties: fewest parents)
      is computed onto a fresh constant line, which costs a garbage line
      but frees single-parent leaves for later iterations.
@@ -37,7 +38,7 @@ leaf for a rewrite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import (
     CONSTANT, Circuit, CostReport, INPUT, LineState, ROLE_GARBAGE,
@@ -64,8 +65,9 @@ class SynthesisError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TargetChoice:
+class TargetChoice(NamedTuple):
+    """The node to map and the branch (`RULE_*`) that chose it."""
+
     node: int
     rule: str
 
@@ -95,12 +97,12 @@ def find_target(dag: EsopDag) -> TargetChoice | None:
         for nid in level:
             if dag.nodes[nid].kind != T_AND:
                 continue
-            for p in sorted(dag.nodes[nid].parents):
-                pn = dag.nodes[p]
-                if pn.kind == T_XOR and pn.depth == depth_max - 2 \
-                        and p in ready \
-                        and _single_parent_leaf(dag, p) is not None:
-                    return TargetChoice(p, RULE_AND_XOR_PARENT)
+            fits = [p for p in dag.nodes[nid].parents
+                    if p in ready and dag.nodes[p].kind == T_XOR
+                    and dag.nodes[p].depth == depth_max - 2
+                    and _single_parent_leaf(dag, p) is not None]
+            if fits:
+                return TargetChoice(min(fits), RULE_AND_XOR_PARENT)
     best = index.best()
     if best is None:
         raise SynthesisError("no mappable node in a non-empty graph")

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -89,6 +90,26 @@ def test_gate_checks_match_the_one_by_one_reference(args):
         with pytest.raises(ValueError) as err:
             Gate(family, controls, targets)
         assert str(err.value) == problem
+
+
+def test_gates_are_immutable_hashable_values():
+    g = toffoli([5, 1, 3], 0)
+    assert g.controls == (1, 3, 5) and type(g.controls) is tuple
+    assert g.targets == (0,) and type(g.targets) is tuple
+    for field, value in (("family", "f"), ("controls", (2,)),
+                         ("targets", (4,))):
+        with pytest.raises(AttributeError):
+            setattr(g, field, value)
+    assert (g.family, g.controls, g.targets) == ("t", (1, 3, 5), (0,))
+    same = Gate("t", (3, 5, 1), [0])
+    assert same == g and hash(same) == hash(g) and len({g, same}) == 1
+    assert g != toffoli([1, 3], 0) and g != fredkin([1, 3], 0, 5)
+    # a process pool (sweep --jobs) moves gates between processes
+    for gate in (g, not_gate(2), cnot(4, 1), fredkin([0], 2, 1)):
+        back = pickle.loads(pickle.dumps(gate))
+        assert back == gate and hash(back) == hash(gate)
+        assert (back.family, back.controls, back.targets) == \
+            (gate.family, gate.controls, gate.targets)
 
 
 def test_peres_pairs():

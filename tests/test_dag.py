@@ -213,6 +213,50 @@ def test_long_random_rewrite_sequences_keep_the_graph_valid(monkeypatch):
                 {nid: n.depth for nid, n in dag.nodes.items()}
 
 
+def test_a_collapse_settles_leaves_after_the_internal_nodes_above_them():
+    # root -> top -> z -> y -> x1, top -> x1, root -> w -> y: collapsing
+    # top deletes z and lowers y from 3 to 2, so x1, a leaf child of top,
+    # must take its depth from y's new depth (4 -> 3).  Then collapsing
+    # the output xor `out` orphans its three line identifiers at once
+    from esopsyn.mapper import find_target
+
+    dag = EsopDag(4)
+    x = [dag.var_node(i) for i in range(4)]
+    y = dag.add(T_AND, [x[0], x[1]])
+    z = dag.add(T_AND, [y, x[2]])
+    top = dag.add(T_XOR, [z, x[0]])
+    w = dag.add(T_XOR, [y, x[3]])
+    lines = [dag.add(T_ID, label=f"@{k}", line=k) for k in (4, 5, 6)]
+    out = dag.add(T_XOR, lines)
+    dag.set_children(dag.root, [top, w, out])
+    dag.recompute_depths()
+    assert [dag.nodes[i].depth for i in (y, x[0])] == [3, 4]
+    find_target(dag)     # the ready index now holds every node
+
+    def depths_match_a_whole_graph_relabel():
+        assert validate_dag(dag) == []
+        fresh = copy.deepcopy(dag.nodes)
+        assert _whole_graph_relabel(fresh, dag.root) == []
+        assert {nid: n.depth for nid, n in fresh.items()} == \
+            {nid: n.depth for nid, n in dag.nodes.items()}
+
+    dag.to_identifier(top, 7, "@7")
+    assert z not in dag.nodes and x[2] not in dag.nodes
+    assert [dag.nodes[i].depth for i in (y, x[0], x[1])] == [2, 3, 3]
+    depths_match_a_whole_graph_relabel()
+    assert find_target(dag) is not None
+
+    dag.to_identifier(out, 8, "@8")
+    for leaf in lines:
+        assert leaf not in dag.nodes and leaf in dag.touched
+    depths_match_a_whole_graph_relabel()
+    find_target(dag)
+    index = dag.index
+    for leaf in lines:
+        assert all(leaf not in table for table in
+                   (index.cls, index.counts, index.depth, index.keys))
+
+
 def test_depths_increase_along_edges():
     rng = random.Random(77)
     for _ in range(10):

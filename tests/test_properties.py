@@ -202,14 +202,26 @@ def words(draw):
     return draw(st.randoms(use_true_random=False)).getrandbits(width)
 
 
-@given(words())
+@st.composite
+def sparse_long_words(draw):
+    """Words of 2^14 to 2^16 bits with a few set bits: long words whose
+    limbs are mostly zero, as the slot masks of cube sharing are."""
+    width = draw(st.integers(min_value=1 << 14, max_value=1 << 16))
+    bits = draw(st.sets(st.integers(0, width - 2), min_size=1, max_size=8))
+    return sum(1 << b for b in bits) | 1 << (width - 1)
+
+
+@given(st.one_of(words(), sparse_long_words()))
 @example(0)
 @example(1 << 63)
 @example(1 << 64)
 @example(1 << 127)
 @example(1 << 128)
+@example(1 << 1024)
+@example(1 << 1087 | 1 << 1088 | 1 << 64 | 1)
+@example(1 << 23158 | 1 << 9000 | 1 << 8191 | 1 << 4096 | 1 << 130)
 @example(random.Random(1).getrandbits(1 << 16))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_bit_support_matches_clearing_one_bit_at_a_time(word):
     assert bit_support(word) == _support_by_clearing(word)
 
