@@ -20,10 +20,10 @@ only the kernels by a single variable unless KERNEL_CAP can cut the
 enumeration short: 2^s > KERNEL_CAP for a word whose cubes use s
 variables, 11 or more.
 
-Cube sharing sweeps the graph until no share applies, and after its first
-sweep it tests again only the nodes a share or a depth change could have
-given a new partner (see common_cube_sharing); the partners come from an
-index of the graph's shapes kept for the pass (_ShapeIndex).
+Cube sharing sweeps the graph until no share applies, testing again only
+the nodes a share or a depth change could have given a new partner (see
+common_cube_sharing); the search and the re-testing ask one question of
+an index of the graph's shapes kept for the pass (_ShapeIndex.partners).
 """
 
 from __future__ import annotations
@@ -365,7 +365,10 @@ class _ShapeIndex:
     A node's co-parents are the other nodes of its kind holding at least
     two of its children, and the number of children a node has in common
     with a co-parent decides the pair's rule (`_rule`: merge, subset,
-    overlap or none).  They are read without walking a child's parents.
+    overlap or none).  The rule reads only that count and the two child
+    counts, so it is symmetric: j is i's partner (`partners`) exactly when
+    i is j's, and the search and the re-test bookkeeping ask that one
+    question.  Co-parents are read without walking a child's parents.
     An and node has few children (at most max(2, T - 1) as built, and a
     share never adds one), so `and_pairs` maps each pair of distinct
     children of an and node (`_child_pairs`) to the and nodes holding
@@ -459,22 +462,6 @@ class _ShapeIndex:
             many |= s
         return counts, many & ~(1 << self.xor_slot[i])
 
-    def _and_co_parents(self, i: int) -> set[int]:
-        holders = set().union(*map(self.and_pairs.__getitem__,
-                                   _child_pairs(self.shape[i][1])))
-        holders.discard(i)
-        return holders
-
-    def co_parents(self, i: int):
-        """The nodes j of i's kind, other than i, with at least two children
-        in common with it; none for the root, which has no shape."""
-        if i not in self.shape:
-            return ()
-        if self.shape[i][0] == T_XOR:
-            ids = self.xor_ids
-            return [ids[s] for s in bit_support(self._xor_co_parents(i)[1])]
-        return self._and_co_parents(i)
-
     def partners(self, i: int) -> list[tuple[int, str]]:
         """(co-parent, rule) for each co-parent of i whose common-child
         count allows a share (`_rule`), in no set order."""
@@ -491,7 +478,9 @@ class _ShapeIndex:
                     for s in bit_support(mask)]
             co = [ids[s] for s in bit_support(many)]
         else:
-            co = self._and_co_parents(i)
+            co = set().union(*map(self.and_pairs.__getitem__,
+                                  _child_pairs(ci)))
+            co.discard(i)
         out = []
         for j in co:
             cj = shape[j][1]
@@ -543,43 +532,40 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
     until SHARING_SWEEP_CAP (read at each call) have run.  Sharing creates
     no node, so depths stay as the sweep began.
 
-    The first sweep tries every node; after that a node is tried only
-    while it is dirty.  A node whose partners all failed keeps failing
-    until its own children change, a node comes to share two children
-    with it, a co-parent's children change, or a depth change gives it a
-    partner it did not have.  A partner always has the node's kind, so
-    "co-parents" here are those of the node's own kind: a share dirties
-    the nodes whose children it changed and their co-parents, and the
-    node that made it stays dirty; each later sweep starts by dirtying
-    every node that got deeper, and the co-parents at least as deep as a
-    node that got shallower.  A sweep takes its nodes from a (depth desc,
-    id) heap: the first holds every internal node, a later one the dirty
-    nodes, and a node a share dirties after the current one joins it.
-    The graph's edit log limits each sweep's relabel to the nodes below
-    the last sweep's shares, and the relabel returns the old depth of
-    each node it moved.  Partners and the co-parents both dirtying steps
-    read come from a `_ShapeIndex` kept for the call.
+    A node is tried only while it is dirty, and every node starts dirty.
+    A node whose candidates all failed keeps failing until one of three
+    things gives it a new one, each found through the symmetric partner
+    question the search asks (`_ShapeIndex.partners`).  A share reshapes
+    a node r: r can become k's partner only if k becomes r's, so the
+    share dirties the reshaped nodes and their partners, and the node
+    that made it stays dirty.  A hoist node appears: an overlap hoists
+    exactly the pair's common children c, so when a reshaped r now has
+    children c, each side is a subset partner of r.  A depth moves: the
+    depth filter is the one asymmetric part, so each sweep starts by
+    dirtying every node that got deeper, and the partners at least as
+    deep as a node that got shallower.  A sweep takes the dirty nodes
+    from a (depth desc, id) heap, and a node a share dirties after the
+    current one joins it.  The graph's edit log limits each sweep's
+    relabel to the nodes below the last sweep's shares, and the relabel
+    returns the old depth of each node it moved.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
-    dirty: set[int] = set()
     index = _ShapeIndex(dag)
+    dirty = set(dag.internal_ids())
     changed = True
-    for sweep in range(SHARING_SWEEP_CAP):
+    for _ in range(SHARING_SWEEP_CAP):
         changed = False
         dead, moved = dag.recompute_depths()
         index.update(dead)
-        if not sweep:
-            todo = dag.internal_ids()
-        else:
-            for nid, old in moved.items():
-                depth = nodes[nid].depth
-                if depth > old:
-                    dirty.add(nid)
-                else:
-                    dirty.update(k for k in index.co_parents(nid)
-                                 if nodes[k].depth >= depth)
-            todo = [nid for nid in dirty if nid in index.shape]
+        for nid, old in moved.items():
+            depth = nodes[nid].depth
+            if depth > old:
+                dirty.add(nid)
+            else:
+                dirty.update(k for k, _rule in index.partners(nid)
+                             if nodes[k].depth >= depth)
+        todo = [nid for nid in dirty if nid in index.shape]
         heap = [(-nodes[nid].depth, nid) for nid in todo]
         heapq.heapify(heap)
         queued = set(todo)
@@ -595,15 +581,15 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
                     index.update((i, j, *reshaped))
                     report.events.append(event)
                     changed = True
-                    fresh = set(reshaped)
-                    for nid in reshaped:
-                        fresh.update(index.co_parents(nid))
+                    fresh = {nid for nid in reshaped if nid in index.shape}
+                    for nid in tuple(fresh):    # the root has no shape
+                        fresh.update(k for k, _rule in index.partners(nid))
                     dirty |= fresh
                     dirty.add(i)
                     # a node dirtied after this one in the order is
                     # tried in this sweep
                     for nid in fresh - queued:
-                        if nid in index.shape and (-nodes[nid].depth, nid) > at:
+                        if (-nodes[nid].depth, nid) > at:
                             queued.add(nid)
                             heapq.heappush(heap, (-nodes[nid].depth, nid))
                     break

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 from collections import Counter
 from itertools import chain, combinations
 from types import SimpleNamespace
@@ -627,6 +628,12 @@ def _reference_shareable(dag, i, j):
     ci, cj = set(ni.children), set(nj.children)
     if i in cj or j in ci:
         return None
+    return _reference_rule(ci, cj)
+
+
+def _reference_rule(ci, cj):
+    """The rule of `_reference_shareable` for two child sets, whichever
+    node holds the other."""
     if ci == cj:
         return "merge"
     if ci < cj or cj < ci:
@@ -976,13 +983,14 @@ def _aes_sharing_dag(k=3, t=3):
 
 def test_cube_sharing_retests_only_what_shares_changed(monkeypatch):
     # AES S-box at TCKP 3130: 86 shares over 22 sweeps; building the
-    # partner list of every node in each sweep took 11,726 lists, and
-    # building only the dirty nodes' lists takes 970
+    # partner list of every node in each sweep took 11,726 lists,
+    # dirtying the co-parents (two or more common children) of what
+    # changed took 959, and dirtying only its partners takes 692
     candidates = counted(optimize._share_candidates)
     monkeypatch.setattr(optimize, "_share_candidates", candidates)
     report = common_cube_sharing(_aes_sharing_dag())
     assert len(report.events) == 86
-    assert candidates.calls <= 1_000
+    assert candidates.calls == 692
 
 
 def test_cube_sharing_steps_match_the_references_on_the_aes_sbox(monkeypatch):
@@ -992,7 +1000,7 @@ def test_cube_sharing_steps_match_the_references_on_the_aes_sbox(monkeypatch):
         monkeypatch, dag, optimize.SHARING_SWEEP_CAP)
     assert len(report.events) == 86
     assert sum(e.startswith("overlap:") for e in report.events)
-    assert len(compared) >= 900 and recomputes == 22
+    assert len(compared) == 692 and recomputes == 22
     assert dag_to_expressions(dag) == want
 
 
@@ -1066,21 +1074,29 @@ def _xor_walk_candidates(dag, i, index):
 
 
 def _check_dirtying(monkeypatch, dag):
-    """Check every co-parent list the pass dirties against the
-    child-by-child count; returns the kinds and sizes of those lists."""
-    real = optimize._ShapeIndex.co_parents
+    """Check every partner list the index builds against `_reference_rule`
+    (the rule of `_reference_shareable`) over the co-parents of the
+    child-by-child count; returns the kinds and co-parent counts of the
+    lists `common_cube_sharing` builds itself, to dirty from."""
+    real = optimize._ShapeIndex.partners
     seen = Counter()
 
     def checked(index, i):
-        got = list(real(index, i))
-        want = _reference_common_children(dag, i)
-        kind = dag.nodes[i].kind
-        assert sorted(got) == sorted(
-            j for j in want if dag.nodes[j].kind == kind), i
-        seen[kind, len(got) >= optimize.FEW_CO_PARENTS] += 1
+        got = real(index, i)
+        partners = dict(got)
+        assert len(partners) == len(got), i
+        kind, ci = dag.nodes[i].kind, set(dag.nodes[i].children)
+        co = [j for j in _reference_common_children(dag, i)
+              if dag.nodes[j].kind == kind]
+        assert partners.keys() <= set(co), i
+        for j in co:
+            assert partners.get(j) == _reference_rule(
+                ci, set(dag.nodes[j].children)), (i, j)
+        if sys._getframe(1).f_code.co_name == "common_cube_sharing":
+            seen[kind, len(co) >= optimize.FEW_CO_PARENTS] += 1
         return got
 
-    monkeypatch.setattr(optimize._ShapeIndex, "co_parents", checked)
+    monkeypatch.setattr(optimize._ShapeIndex, "partners", checked)
     return seen
 
 
@@ -1088,8 +1104,8 @@ def _check_dirtying(monkeypatch, dag):
 def test_partners_match_the_union_and_intersect_search(monkeypatch, k, shares):
     # AES S-box at TCKP 3130 and 3150: every (partner, rule) list the pass
     # builds, xor and and nodes alike, equals both searches the index
-    # replaced, and so does every co-parent list a share or a depth
-    # change dirties
+    # replaced, and every partner list a share or a depth change dirties
+    # from names the rule of each co-parent of the child-by-child count
     real = optimize._share_candidates
     tried = Counter()
 
@@ -1134,10 +1150,10 @@ def _permutation_sharing_dag(n, k, t):
 def test_pair_indexed_partners_match_the_co_parent_search(
         monkeypatch, build, shares, wide):
     # every (partner, rule) list the pass builds equals the search over
-    # the graph's parent sets, every co-parent list it dirties equals the
-    # child-by-child count, and after every share the pair entries and
-    # xor slots equal the graph's; at T = 4 some and nodes tried have
-    # three children
+    # the graph's parent sets, every partner list it dirties from names
+    # the rule of each co-parent of the child-by-child count, and after
+    # every share the pair entries and xor slots equal the graph's; at
+    # T = 4 some and nodes tried have three children
     real_candidates, real_share = optimize._share_candidates, optimize._share
     tried = Counter()
     pending = [False]
@@ -1180,22 +1196,33 @@ def _reference_and_pairs(dag):
     return pairs
 
 
+def _and_co_parents(index, i):
+    """The and nodes other than i holding one of and node i's child pairs,
+    read from the index's pair entries."""
+    kids = index.shape[i][1]
+    holders = set().union(*(index.and_pairs[frozenset(pair)]
+                            for pair in combinations(kids, 2)))
+    holders.discard(i)
+    return holders
+
+
 def _assert_co_parents_match_the_reference(dag, index=None):
     """The index's co-parents of every internal node are the nodes of its
     kind that the child-by-child count names, with their counts: an xor
-    node's read from its bit-sliced counts, an and node's from the two
-    child sets."""
+    node's read from its bit-sliced counts and co-parent mask, an and
+    node's from its child pairs' holders and the two child sets."""
     if index is None:
         index = optimize._ShapeIndex(dag)
     assert index.and_pairs == _reference_and_pairs(dag)
     for i in dag.internal_ids():
         kind, ci = index.shape[i]
-        got = list(index.co_parents(i))
         if kind == T_XOR:
-            counts = index._xor_co_parents(i)[0]
-            got = {j: _sliced_value(counts, index.xor_slot[j]) for j in got}
+            counts, many = index._xor_co_parents(i)
+            got = {index.xor_ids[s]: _sliced_value(counts, s)
+                   for s in bit_support(many)}
         else:
-            got = {j: len(ci & index.shape[j][1]) for j in got}
+            got = {j: len(ci & index.shape[j][1])
+                   for j in _and_co_parents(index, i)}
         assert got == {
             j: k for j, k in _reference_common_children(dag, i).items()
             if dag.nodes[j].kind == kind}, i
@@ -1215,7 +1242,9 @@ def test_co_parents_match_the_reference_on_random_permutations(n):
 
 def test_co_parents_match_the_reference_after_every_aes_share(monkeypatch):
     # the index moves with each share and each sweep's pruning, and after
-    # each move its co-parents equal the graph's
+    # each move its co-parents equal the graph's, and j is i's partner
+    # exactly when i is j's, by the same rule: the symmetry that lets a
+    # share dirty the reshaped nodes' partners
     real_update = optimize._ShapeIndex.update
     updates = []
 
@@ -1223,6 +1252,11 @@ def test_co_parents_match_the_reference_after_every_aes_share(monkeypatch):
         real_update(index, nids)
         updates.append(nids)
         _assert_co_parents_match_the_reference(dag, index)
+        partners = {i: dict(index.partners(i)) for i in index.shape}
+        assert {kind for kind, _kids in index.shape.values()} == {T_AND, T_XOR}
+        for i, rules in partners.items():
+            for j, rule in rules.items():
+                assert partners[j].get(i) == rule, (i, j)
 
     dag = _aes_sharing_dag()
     monkeypatch.setattr(optimize._ShapeIndex, "update", checked_update)
@@ -1243,13 +1277,13 @@ def test_co_parents_probe_a_leaf_with_many_parents():
     assert len(dag.nodes[x[1]].parents) == 14 and len(dag.nodes[a].parents) == 1
     index = optimize._ShapeIndex(dag)
     assert index.and_pairs[frozenset((x[1], a))] == {n}
-    assert not index.co_parents(n)
+    assert not _and_co_parents(index, n)
     _assert_co_parents_match_the_reference(dag)
     m = dag.add(T_AND, [x[1], a, x[4]])
     _finish(dag, dag.add(T_XOR, [n, m, *others]))
     index = optimize._ShapeIndex(dag)
-    assert set(index.co_parents(n)) == {m}
-    assert set(index.co_parents(m)) == {n, others[0]}
+    assert _and_co_parents(index, n) == {m}
+    assert _and_co_parents(index, m) == {n, others[0]}
     _assert_co_parents_match_the_reference(dag)
 
 

@@ -306,3 +306,9 @@ def test_bit_sliced_counts_and_rule_masks_match_the_pairwise_search(case):
         assert {index.xor_ids[s]: rule for rule, mask in masks
                 for s in bit_support(mask)} == rules
         assert dict(index.partners(i)) == rules
+    # j is i's partner exactly when i is j's, by the same rule, whether the
+    # masks or the pair-by-pair comparisons ruled them
+    partners = {i: dict(index.partners(i)) for i in live}
+    for i in live:
+        for j in live:
+            assert partners[i].get(j) == partners[j].get(i)
