@@ -111,7 +111,7 @@ class LineState:
     """Metadata for one circuit line."""
 
     line_id: int
-    name: str
+    name: str | None           # None on a fresh line until it is named
     origin: str = INPUT
     init: int = 0              # initial value for constant lines
     role: str = ROLE_GARBAGE

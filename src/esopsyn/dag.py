@@ -575,14 +575,15 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     literals is decomposed into a chain of T-1-ary and nodes, so every
     eventual Toffoli spans at most T lines.
 
-    Identical subterms share one node: the build keeps its own
-    `(kind, children) -> id` table, the graph's only hash-consing, and in
-    the same table each cube mask's node, so a repeated cube costs one
-    lookup.  A build deletes no node, so no entry goes stale: the parts of
-    a factored xor are words and products, never xors, and a product's
-    node is an and node, for it has two or more distinct children (a
-    kernel of two or more cubes, and a quotient that holds the nonempty
-    co-kernel cube).
+    Identical subterms share one node: the build keeps its own table
+    (`_consed`), the graph's only hash-consing, and in the same table each
+    cube mask's node, so a repeated cube costs one lookup.  A build
+    deletes no node, so no entry goes stale: the parts of a factored xor
+    are words and products, never xors, and a product's node is an and
+    node, for it has two or more distinct children (a kernel of two or
+    more cubes, and a quotient that holds the nonempty co-kernel cube).
+    The graph holds no twins, two nodes of one kind with one child set
+    (`optimize.common_cube_sharing`).
     """
     if max_and_arity < 2:
         raise ValueError(f"Toffoli size bound must be >= 2, got {max_and_arity}")
@@ -594,7 +595,7 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     # floor is 2 even when T = 2.
     arity = max(2, max_and_arity - 1)
     dag = EsopDag(n_vars)
-    made: dict[tuple | int, int] = {}
+    made: dict[tuple | int, int | frozenset] = {}
     tops = []
     for tree in trees:
         top = _node_of_tree(dag, made, tree, arity)
@@ -607,10 +608,18 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
 
 
 def _consed(dag: EsopDag, made: dict, kind: str, kids: list[int]) -> int:
-    key = (kind, tuple(kids))
-    nid = made.get(key)
+    """The node of `kind` over `kids`, keyed by their set, or an and node
+    by its atoms: the non-and nodes it reaches through and nodes only."""
+    key = frozenset(kids)
+    if kind == T_AND:
+        for k in kids:
+            if ~k in made:
+                key = key - {k} | made[~k]
+    nid = made.get((kind, key))
     if nid is None:
-        nid = made[key] = dag.add(kind, kids)
+        nid = made[kind, key] = dag.add(kind, kids)
+        if kind == T_AND:
+            made[~nid] = key    # cube masks, the other int keys, are >= 0
     return nid
 
 

@@ -105,6 +105,14 @@ class TruthTable:
             raise ValueError("duplicate input names")
         if len(set(self.output_names)) != self.n_outputs:
             raise ValueError("duplicate output names")
+        # a circuit file splits at ',', ':' and line breaks and strips names
+        for role, names in (("input", inames), ("output", onames)):
+            for nm in names:
+                if nm.strip() != nm or nm.splitlines() != [nm] \
+                        or "," in nm or ":" in nm:
+                    raise ValueError(
+                        f"{role} name {nm!r} is empty, holds ',', ':' or a line "
+                        f"break, or has outer whitespace; a circuit file can't")
         object.__setattr__(self, "columns", _transpose(self.rows, self.n_outputs))
 
     @classmethod

@@ -166,12 +166,6 @@ def _parse_pla(lines, origin) -> TruthTable:
                 f"{origin}: {key} lists {len(names)} names, the header "
                 f"declares {count}")
         _refuse_repeats(names, origin, key + " lists {!r} twice")
-        # the circuit format separates names by ',' and output from line by ':'
-        bad = next((nm for nm in names if "," in nm or ":" in nm), None)
-        if bad is not None:
-            raise SpecFormatError(
-                f"{origin}: {key} name {bad!r} holds ',' or ':', which a "
-                f"circuit file cannot hold")
     # an ESOP's rows are cubes whose outputs xor; under f and fd a 0 output
     # bit only leaves the input out of that output's ON-set, so the outputs
     # of the rows covering one input are ORed; under fr or no .type those
@@ -186,8 +180,11 @@ def _parse_pla(lines, origin) -> TruthTable:
             elif assigned.setdefault(idx, value) != value:
                 raise SpecFormatError(
                     f"{origin}: conflicting rows for input {idx}")
-    return TruthTable(n, m, tuple(assigned.get(i, 0) for i in range(1 << n)),
-                      input_names, output_names)
+    try:    # TruthTable holds the circuit format's name rule
+        return TruthTable(n, m, tuple(assigned.get(i, 0) for i in range(1 << n)),
+                          input_names, output_names)
+    except ValueError as e:
+        raise SpecFormatError(f"{origin}: {e}") from None
 
 
 def _refuse_repeats(names, origin: str, message: str):

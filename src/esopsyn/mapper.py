@@ -38,6 +38,7 @@ leaf for a rewrite.
 from __future__ import annotations
 
 import time
+from itertools import count
 from typing import NamedTuple
 
 from .circuit import (
@@ -110,21 +111,10 @@ def find_target(dag: EsopDag) -> TargetChoice | None:
 
 
 def _fresh_line(circuit: Circuit) -> int:
-    """Append a constant-0 line named by the lowest free w<k>.
-
-    Lines are only ever appended and never renamed, so the lowest free
-    name never decreases: the circuit keeps the names seen so far and a
-    cursor, and each call adds only the lines appended since the last.
-    """
-    names, seen, k = getattr(circuit, "_wire_names", None) or (set(), 0, 1)
-    names.update(l.name for l in circuit.lines[seen:])
-    while f"w{k}" in names:
-        k += 1
+    """Append a constant-0 line, unnamed until `order_outputs` names it."""
     lid = circuit.n_lines
-    circuit.lines.append(LineState(lid, f"w{k}", CONSTANT, 0))
+    circuit.lines.append(LineState(lid, None, CONSTANT, 0))
     circuit.n_lines += 1
-    names.add(f"w{k}")
-    circuit._wire_names = (names, len(circuit.lines), k)
     return lid
 
 
@@ -231,13 +221,15 @@ def synthesize(
 
 
 def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
-    """Label the lines carrying the spec's outputs and re-derive every role.
+    """Label the lines carrying the spec's outputs, name the fresh lines
+    and re-derive every role.
 
     Relabeling is free; only an output whose function no unclaimed line
     carries costs a fresh line (a copy, or an inverter for constant 1).
     Candidate lines are grouped by the function they carry, so claiming in
     output order already claims as many lines as possible.  Every other
-    line gets its role from `assign_spare_roles`.
+    line gets its role from `assign_spare_roles`.  The fresh lines, in
+    line order, take the lowest names w<k> that no other line uses.
     """
     funcs = line_functions(circuit)
     full = (1 << (1 << spec.n_inputs)) - 1
@@ -265,6 +257,11 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
             funcs.append(want)
         circuit.lines[line_id].role = ROLE_OUTPUT
         circuit.lines[line_id].output_name = name
+    used = {l.name for l in circuit.lines}
+    free = (f"w{k}" for k in count(1) if f"w{k}" not in used)
+    for l in circuit.lines:
+        if l.name is None:
+            l.name = next(free)
     assign_spare_roles(circuit, funcs)
     return circuit
 

@@ -242,11 +242,6 @@ def _share(dag: EsopDag, i: int, j: int, rule: str,
     exactly `child_set`, or None.  An overlap never asks for i's or j's
     own child set: neither is a subset of the other.
     """
-    if rule == "merge":
-        keep, drop = (i, j) if i < j else (j, i)
-        parents = list(dag.nodes[drop].parents)
-        dag.merge_nodes(keep, drop)
-        return f"merge #{drop} into #{keep}", parents
     (kind, ci), cj = index.shape[i], index.shape[j][1]
     if rule == "subset":
         if len(cj) < len(ci):
@@ -276,9 +271,9 @@ def _child_pairs(children: frozenset[int]):
 
 def _rule(c: int, wi: int, wj: int) -> str | None:
     """The share two nodes of wi and wj distinct children, c of them in
-    common, allow (see `_share_candidates`)."""
+    common, allow (see `_share_candidates`); equal child sets allow none."""
     if c == wi or c == wj:
-        return "merge" if wi == wj else "subset"
+        return "subset" if wi != wj else None
     if 2 * c > wi and 2 * c > wj:
         return "overlap"
     return None
@@ -341,34 +336,30 @@ def _rule_masks(counts: list[int], wi: int, widths: list[int],
     common-child count c with a node of wi children (`counts`, bit-sliced)
     allows it, given their own child counts (`widths`, bit-sliced).  c
     equal to wi puts that node's children within the slot's, c equal to
-    the slot's width the slot's within the node's, and the overlap test
-    compares c with both half widths: wi // 2 a constant, the slots' the
-    width slices shifted down by one."""
+    the slot's width the slot's within the node's (both: equal sets, no
+    rule), and the overlap test compares c with both half widths: wi // 2
+    a constant, the slots' the width slices shifted down by one."""
     in_slot = _equal(counts, _constant(wi), among)
     in_node = _equal(counts, widths, among)
-    either = in_slot | in_node
     over = _above(counts, widths[1:], _above(
-        counts, _constant(wi >> 1), among & ~either))
-    return (("merge", in_slot & in_node), ("subset", in_slot ^ in_node),
-            ("overlap", over))
+        counts, _constant(wi >> 1), among & ~(in_slot | in_node)))
+    return ("subset", in_slot ^ in_node), ("overlap", over)
 
 
 class _ShapeIndex:
     """The partner search of cube sharing: each internal node's (kind,
     child set), the nodes of each such shape, a bitmask of each child's
     xor parents and each child pair's and parents.  common_cube_sharing
-    keeps one for the length of a call and moves it along with each share
-    and each sweep's pruning: `update(nids)` re-reads the given nodes from
-    the graph, so a node whose children changed takes its new shape and a
-    deleted one leaves.
+    keeps one for the length of a call and moves it along with each share:
+    `update(nids)` re-reads the given nodes from the graph, so a node
+    whose children changed takes its new shape and a deleted one leaves.
 
     A node's co-parents are the other nodes of its kind holding at least
     two of its children, and the number of children a node has in common
-    with a co-parent decides the pair's rule (`_rule`: merge, subset,
-    overlap or none).  The rule reads only that count and the two child
-    counts, so it is symmetric: j is i's partner (`partners`) exactly when
-    i is j's, and the search and the re-test bookkeeping ask that one
-    question.  Co-parents are read without walking a child's parents.
+    with a co-parent decides the pair's rule (`_rule`: subset, overlap or
+    none).  The rule reads only that count and the two child counts, so
+    it is symmetric: j is i's partner (`partners`) exactly when i is j's,
+    and the search and the re-test bookkeeping ask that one question.
     An and node has few children (at most max(2, T - 1) as built, and a
     share never adds one), so `and_pairs` maps each pair of distinct
     children of an and node (`_child_pairs`) to the and nodes holding
@@ -503,14 +494,13 @@ def _share_candidates(dag: EsopDag, i: int,
     A partner is a co-parent of i's kind, no deeper than i, that is
     neither i's child nor its parent, and whose c common children with i
     allow one of the rules `_share` applies:
-    - merge: both child sets are equal;
-    - subset: c is one side's child count, so that side's children all
-      appear in the other;
+    - subset: c is one side's child count and not the other's, so that
+      side's children all appear in the other;
     - overlap: 2c is above both counts, so the common children outnumber
       half of each node's children (a majority of the combined count can
       never happen unless one side is a subset, so the test is per node).
-    All three need c >= 2 (an internal node has at least two children),
-    which a co-parent has.
+    Both need c >= 2 (an internal node has at least two children), which
+    a co-parent has; equal child sets allow neither (common_cube_sharing).
     """
     nodes, shape = dag.nodes, index.shape
     depth = nodes[i].depth
@@ -529,63 +519,62 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
     pairing each node with its co-parents (nodes sharing at least two of
     its children) at its own and every shallower level; at most one share
     is applied per node per sweep, and sweeps repeat to a fixpoint, or
-    until SHARING_SWEEP_CAP (read at each call) have run.  Sharing creates
-    no node, so depths stay as the sweep began.
+    until SHARING_SWEEP_CAP (read at each call) have run, each on the
+    depths it began with.
 
-    A node is tried only while it is dirty, and every node starts dirty.
-    A node whose candidates all failed keeps failing until one of three
-    things gives it a new one, each found through the symmetric partner
-    question the search asks (`_ShapeIndex.partners`).  A share reshapes
-    a node r: r can become k's partner only if k becomes r's, so the
-    share dirties the reshaped nodes and their partners, and the node
-    that made it stays dirty.  A hoist node appears: an overlap hoists
-    exactly the pair's common children c, so when a reshaped r now has
-    children c, each side is a subset partner of r.  A depth moves: the
-    depth filter is the one asymmetric part, so each sweep starts by
-    dirtying every node that got deeper, and the partners at least as
-    deep as a node that got shallower.  A sweep takes the dirty nodes
-    from a (depth desc, id) heap, and a node a share dirties after the
-    current one joins it.  The graph's edit log limits each sweep's
-    relabel to the nodes below the last sweep's shares, and the relabel
-    returns the old depth of each node it moved.
+    Sharing has two rules (`_share_candidates`), and twins, two nodes of one
+    kind with one child set, get neither: a graph the builder makes holds
+    none, before the pass or after any share.  (a) Its xor nodes compute
+    distinct functions: each is the node of `_factor(w)` for the word w it
+    computes, `_factor` depends only on w, and equal trees build equal kids.
+    (b) Its and nodes hold distinct atom sets, an and node's atoms being the
+    non-and nodes it reaches through and nodes only: the builder keys each
+    and node by them.  (c) A share creates and deletes no node, changes no
+    node's function and keeps every and node's atoms: the node it hoists, i
+    or s, has exactly the children it replaces, and each path it removes,
+    j->c or i->c, gets a longer one, j->i->c or i->s->c.  Twins after a
+    share would contradict (a) or (b).
+
+    A node is tried only while it is dirty, and every node starts dirty.  A
+    failed node gets a new candidate only in one of three ways, each found
+    through the symmetric partner question the search asks
+    (`_ShapeIndex.partners`).  A share reshapes r: r can become k's partner
+    only if k becomes r's, so a share dirties the reshaped nodes and their
+    partners, and the node that made it stays dirty.  A hoist node appears:
+    an overlap hoists exactly the pair's common children c, so a reshaped r
+    with children c is a subset partner of each side.  A node gets deeper,
+    past a partner's depth filter: by (c) a relabel after a share moves
+    nodes only deeper, so the relabel after each sweep dirties the nodes it
+    moved.  A sweep takes the dirty nodes from a (depth desc, id) heap, and
+    a node a share dirties after the current one joins it.  The relabel
+    before the first sweep settles the edits before the pass (the index
+    never sees a node it deletes); the edit log limits each relabel to the
+    nodes below the last sweep's shares.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
+    dag.recompute_depths()
     index = _ShapeIndex(dag)
     dirty = set(dag.internal_ids())
-    changed = True
     for _ in range(SHARING_SWEEP_CAP):
         changed = False
-        dead, moved = dag.recompute_depths()
-        index.update(dead)
-        for nid, old in moved.items():
-            depth = nodes[nid].depth
-            if depth > old:
-                dirty.add(nid)
-            else:
-                dirty.update(k for k, _rule in index.partners(nid)
-                             if nodes[k].depth >= depth)
-        todo = [nid for nid in dirty if nid in index.shape]
-        heap = [(-nodes[nid].depth, nid) for nid in todo]
+        heap = [(-nodes[nid].depth, nid) for nid in dirty]
         heapq.heapify(heap)
-        queued = set(todo)
+        queued = set(dirty)
         while heap:
             at = heapq.heappop(heap)
             i = at[1]
-            if i not in nodes:
-                continue
             for j, rule in _share_candidates(dag, i, index):
                 shared = _share(dag, i, j, rule, index)
                 if shared:
                     event, reshaped = shared
-                    index.update((i, j, *reshaped))
+                    index.update(reshaped)
                     report.events.append(event)
                     changed = True
-                    fresh = {nid for nid in reshaped if nid in index.shape}
-                    for nid in tuple(fresh):    # the root has no shape
+                    fresh = set(reshaped)
+                    for nid in reshaped:
                         fresh.update(k for k, _rule in index.partners(nid))
-                    dirty |= fresh
-                    dirty.add(i)
+                    dirty |= fresh      # i stays in it
                     # a node dirtied after this one in the order is
                     # tried in this sweep
                     for nid in fresh - queued:
@@ -597,8 +586,7 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
                 dirty.discard(i)
         if not changed:
             break
-    if changed:     # a sweep that changed nothing left its depths fresh
-        dag.recompute_depths()
+        dirty.update(dag.recompute_depths()[1])
     report.nodes_after = len(dag)
     return report
 

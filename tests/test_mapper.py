@@ -169,12 +169,17 @@ def test_fresh_wire_names_avoid_user_input_names():
 
 
 def test_fresh_wire_names_skip_lines_appended_between_calls():
+    # fresh lines stay unnamed until order_outputs names them, in line
+    # order, by the lowest w<k> no line uses
     circ = Circuit(2)
     circ.lines[1].name = "w2"
-    assert circ.lines[_fresh_line(circ)].name == "w1"
-    circ.lines.append(LineState(3, "w3"))
+    fresh = [_fresh_line(circ)]
+    circ.lines.append(LineState(3, "w3", CONSTANT, 0))
     circ.n_lines += 1
-    assert [circ.lines[_fresh_line(circ)].name for _ in range(2)] == ["w4", "w5"]
+    fresh += [_fresh_line(circ) for _ in range(2)]
+    assert [circ.lines[l].name for l in fresh] == [None] * 3
+    order_outputs(circ, TruthTable(2, 1, (0, 1, 0, 1)))
+    assert [l.name for l in circ.lines] == ["x1", "w2", "w1", "w3", "w4", "w5"]
 
 
 def test_all_constant_outputs():

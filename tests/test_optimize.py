@@ -477,24 +477,26 @@ def test_small_overlap_is_not_shared():
     assert before == after
 
 
-def test_identical_nodes_merge():
+def test_sharing_leaves_hand_made_twins_alone():
+    # no rule takes two nodes of one kind with one child set: the and
+    # node's twin, added by hand, stays, and x1.x2.x3 takes the lower id
     dag = flat_dag([expr(3, [0b011, 0b100])], 4)
-    # append a structural twin of the and node by hand
-    twin = dag.add(T_AND, [])
     orig = next(nid for nid, n in dag.nodes.items() if n.kind == T_AND)
-    x1 = dag.var_node(0)
-    x2 = dag.var_node(1)
-    dag.set_children(twin, [x1, x2])
-    extra = dag.add(T_XOR, [])
-    dag.set_children(extra, [twin, dag.var_node(2)])
+    x1, x2, x3 = (dag.var_node(v) for v in range(3))
+    twin = dag.add(T_AND, [x2, x1])
+    big = dag.add(T_AND, [x1, x2, x3])
+    extra = dag.add(T_XOR, [twin, big])
     dag.set_children(dag.root, dag.nodes[dag.root].children + [extra])
     dag.output_order.append(("y2", extra))
     dag.recompute_depths()
-    n_before = len(dag)
-    common_cube_sharing(dag)
-    assert len(dag) < n_before
-    assert orig in dag.nodes and twin not in dag.nodes
+    want = dag_to_expressions(dag)
+    assert optimize._rule(2, 2, 2) is None
+    report = common_cube_sharing(dag)
+    assert report.events == [f"subset: #{big} now references #{orig}"]
+    assert dag.nodes[twin].children == [x2, x1]
     assert validate_dag(dag) == []
+    assert all(len(n.children) != 1 for n in dag.nodes.values())
+    assert dag_to_expressions(dag) == want
 
 
 def test_sharing_never_grows_the_graph_and_keeps_semantics():
@@ -599,8 +601,8 @@ def _reference_co_parents(dag, i):
 
 def _reference_share_candidates(dag, i):
     """The co-parents of i's kind, neither i's child nor its parent, whose
-    c common children allow a merge or subset (c is one side's child
-    count) or an overlap (2c above both counts)."""
+    c common children allow a subset (c is one side's child count, not
+    both) or an overlap (2c above both counts)."""
     ni = dag.nodes[i]
     size_i = len(set(ni.children))
     out = []
@@ -609,13 +611,14 @@ def _reference_share_candidates(dag, i):
         size_j = len(set(nj.children))
         if nj.kind == ni.kind and i not in nj.children \
                 and j not in ni.children \
-                and (c in (size_i, size_j) or 2 * c > size_i and 2 * c > size_j):
+                and ((c == size_i) != (c == size_j)
+                     or c < min(size_i, size_j) and 2 * c > max(size_i, size_j)):
             out.append(j)
     return out
 
 
 def _reference_shareable(dag, i, j):
-    """Which sharing rule a node pair satisfies: merge, subset or overlap.
+    """Which sharing rule a node pair satisfies: subset, overlap or none.
 
     Subset: one node's children all appear in the other.  Overlap: the
     common children outnumber half of each node's children (a majority of
@@ -633,9 +636,9 @@ def _reference_shareable(dag, i, j):
 
 def _reference_rule(ci, cj):
     """The rule of `_reference_shareable` for two child sets, whichever
-    node holds the other."""
+    node holds the other; equal sets allow none."""
     if ci == cj:
-        return "merge"
+        return None
     if ci < cj or cj < ci:
         return "subset"
     common = ci & cj
@@ -747,9 +750,9 @@ def _reference_cube_sharing(dag, sweep_cap=32):
 
 
 def _sharing_cases(rng):
-    """Factored random graphs, some with a structural twin so merges fire:
-    240 with n <= 6, then 60 wider ones (n <= 8, 5-6 outputs of 8-30
-    cubes) that take several sweeps, each under a sweep cap of 1, 2 or 32."""
+    """Factored random graphs: 240 with n <= 6, then 60 wider ones (n <= 8,
+    5-6 outputs of 8-30 cubes) that take several sweeps, each under a
+    sweep cap of 1, 2 or 32."""
     for k in range(300):
         wide = k >= 240
         n = rng.randint(5, 8) if wide else rng.randint(3, 6)
@@ -763,15 +766,6 @@ def _sharing_cases(rng):
         trees = [factor_expression(e, params) for e in exprs]
         pair = [build_dag_from_trees(trees, n, params.max_and_arity)
                 for _ in range(2)]
-        if rng.random() < 0.3:
-            # a structural twin under a new output, so merges fire too
-            twin_of = rng.choice(pair[0].internal_ids())
-            for dag in pair:
-                node = dag.nodes[twin_of]
-                twin = dag.add(node.kind, node.children[::-1])
-                dag.set_children(dag.root, dag.nodes[dag.root].children + [twin])
-                dag.output_order.append(("twin", twin))
-                dag.recompute_depths()
         yield pair, rng.choice([1, 2, 32])
 
 
@@ -848,18 +842,17 @@ def test_cube_sharing_matches_the_all_pairs_reference(monkeypatch):
         assert dump_text(ours) == dump_text(ref)
         rules.update(event.split()[0] for event in got.events)
         sweeps[cap] = max(sweeps[cap], recomputes)
-    # merges, subset hoists and overlap hoists all fired, and some run
-    # took four sweeps
-    assert rules["merge"] and rules["subset:"] and rules["overlap:"]
+    # subset hoists and overlap hoists both fired, and some run took four
+    # sweeps
+    assert rules["subset:"] and rules["overlap:"]
     assert sweeps[32] >= 4
 
 
 # Hand-built graphs for the re-test rule.  Each returns the graph and the
 # shares cube sharing must make on it.  Each fails when one part of the
 # rule is left out, which the random graphs above do not detect: the
-# dirtying after a depth drop, the dirtying after a depth rise,
-# discarding the hoist index at the start of a sweep, and refusing a
-# partner that is the node's own parent.
+# dirtying after a depth rise, the relabel before the index is built,
+# and refusing a partner that is the node's own parent.
 
 
 def _and_xor_dag(n_vars):
@@ -871,28 +864,6 @@ def _finish(dag, *tops):
     dag.set_children(dag.root, list(tops))
     dag.output_order = [(f"y{k}", top) for k, top in enumerate(tops)]
     dag.recompute_depths()
-
-
-def _depth_drop_scene():
-    """A merge whose xor pair cancels lowers a node below a clean one.
-
-    B = x1.x2 and its twin C hang off X = xor(B, C, x5, x6) at depth 4;
-    A = x1.x2.x3 sits at depth 3 and B also feeds an output.  Sweep 1: B
-    tries C before A and merges it, which cancels the pair in X; A,
-    shallower than B, has no candidate and fails.  Sweep 2: B is back at
-    depth 2, so only A, now the deeper of the two, can pair them.
-    """
-    dag, x = _and_xor_dag(8)
-    a = dag.add(T_AND, [x[1], x[2], x[3]])
-    b = dag.add(T_AND, [x[1], x[2]])
-    c = dag.add(T_AND, [x[2], x[1]])
-    xx = dag.add(T_XOR, [b, c, x[5], x[6]])
-    _finish(dag,
-            dag.add(T_XOR, [dag.add(T_AND, [a, x[7]]), x[8]]),
-            dag.add(T_XOR, [dag.add(T_AND, [xx, x[7]]), x[8]]),
-            dag.add(T_XOR, [b, x[4]]))
-    assert (dag.nodes[a].depth, dag.nodes[b].depth) == (3, 4)
-    return dag, [f"merge #{c} into #{b}", f"subset: #{a} now references #{b}"]
 
 
 def _parent_child_scene():
@@ -913,55 +884,56 @@ def _parent_child_scene():
 def _depth_rise_scene():
     """Two hoists in one sweep raise a clean node above a partner.
 
-    J = x1.x2 and its twin K sit at depth 3; R, Q and I, each the next
-    one's superset, sit at depth 2.  Sweep 1: J merges K; R takes Q and Q
-    takes I as a child; I, shallower than J, fails.  Sweep 2: I is at
-    depth 4 under Q, and J, at depth 3, no longer looks at it.
+    J = x1.x2 sits at depth 3; K = x1.x2.x9 and R, Q and I, each the next
+    one's superset, sit at depth 2.  Sweep 1: J hoists into K, its first
+    partner; R takes Q and Q takes I as a child; I, shallower than J,
+    fails.  Sweep 2: I is at depth 4 under Q, and J, at depth 3, no
+    longer looks at it: only I, dirtied by its move, finds J.
     """
     dag, x = _and_xor_dag(9)
+    k = dag.add(T_AND, [x[1], x[2], x[9]])
     r = dag.add(T_AND, [x[1], x[2], x[3], x[4], x[5]])
     q = dag.add(T_AND, [x[1], x[2], x[3], x[4]])
     i = dag.add(T_AND, [x[1], x[2], x[3]])
     j = dag.add(T_AND, [x[1], x[2]])
-    k = dag.add(T_AND, [x[2], x[1]])
     _finish(dag,
-            dag.add(T_XOR, [r, q, i, x[6]]),
-            dag.add(T_XOR, [dag.add(T_XOR, [j, x[7]]),
-                                      dag.add(T_XOR, [k, x[8]])]))
+            dag.add(T_XOR, [k, r, q, i, x[6]]),
+            dag.add(T_XOR, [dag.add(T_XOR, [j, x[7]]), x[8]]))
     assert (dag.nodes[i].depth, dag.nodes[j].depth) == (2, 3)
-    return dag, [f"merge #{k} into #{j}", f"subset: #{r} now references #{q}",
+    return dag, [f"subset: #{k} now references #{j}",
+                 f"subset: #{r} now references #{q}",
                  f"subset: #{q} now references #{i}",
                  f"subset: #{i} now references #{j}"]
 
 
 def _pruned_hoist_scene():
-    """A hoist node that the next sweep prunes.
+    """A hoist node that the relabel before the pass prunes.
 
-    K = x1.x2 and its twin D sit under X = xor(K, D, x5, x6), K's only
-    parent.  Sweep 1: K merges D, which cancels the pair and leaves K
-    unreachable; I = x1.x2.x3 then hoists into M = x1.x2.x3.x4, and the
-    P/Q overlap looks up x7.x8 and finds none.  Sweep 2 prunes K, and I's
-    overlap with J = x1.x2.x11 looks up x1.x2: no node has those children
-    any more.
+    K = x1.x2 sat under X = xor(K, x5, x6), its only parent, until an
+    edit the log still holds took it out of X, so the relabel that starts
+    the pass deletes K.  I = x1.x2.x3 hoists into M = x1.x2.x3.x4, and
+    the P/Q overlap looks up x7.x8 and finds none; I's overlap with
+    J = x1.x2.x11 looks up x1.x2: no node has those children any more.
     """
     dag, x = _and_xor_dag(16)
     k = dag.add(T_AND, [x[1], x[2]])
-    d = dag.add(T_AND, [x[2], x[1]])
     i = dag.add(T_AND, [x[1], x[2], x[3]])
     m = dag.add(T_AND, [x[1], x[2], x[3], x[4]])
     j = dag.add(T_AND, [x[1], x[2], x[11]])
     p = dag.add(T_AND, [x[7], x[8], x[9]])
     q = dag.add(T_AND, [x[7], x[8], x[10]])
-    xx = dag.add(T_XOR, [k, d, x[5], x[6]])
+    xx = dag.add(T_XOR, [k, x[5], x[6]])
     _finish(dag,
             dag.add(T_AND, [
                 dag.add(T_XOR, [xx, i, m, p, q, x[12]]), x[13]]),
             dag.add(T_XOR, [j, x[14]]))
-    return dag, [f"merge #{d} into #{k}", f"subset: #{m} now references #{i}"]
+    dag.set_children(xx, [x[5], x[6]])
+    assert k in dag.nodes and not dag.nodes[k].parents
+    return dag, [f"subset: #{m} now references #{i}"]
 
 
-@pytest.mark.parametrize("scene", [_depth_drop_scene, _parent_child_scene,
-                                   _depth_rise_scene, _pruned_hoist_scene])
+@pytest.mark.parametrize("scene", [_parent_child_scene, _depth_rise_scene,
+                                   _pruned_hoist_scene])
 def test_hand_built_scenes_match_the_all_pairs_reference(scene):
     dag, events = scene()
     want = dag_to_expressions(dag)
@@ -970,6 +942,104 @@ def test_hand_built_scenes_match_the_all_pairs_reference(scene):
     assert _reference_cube_sharing(ref).events == events
     assert dump_text(dag) == dump_text(ref)
     assert dag_to_expressions(dag) == want
+
+
+def _twin_of(dag, nid):
+    """Another node of nid's kind with nid's child set, or None: a twin
+    holds each of nid's children, so it is a parent of the one with the
+    fewest parents."""
+    node = dag.nodes[nid]
+    kids = set(node.children)
+    scarce = min(kids, key=lambda c: len(dag.nodes[c].parents))
+    return next((p for p in dag.nodes[scarce].parents
+                 if p != nid and dag.nodes[p].kind == node.kind
+                 and set(dag.nodes[p].children) == kids), None)
+
+
+def _gf2_product(a, b):
+    """The product of two coefficient words, cube by cube over GF(2)."""
+    out = 0
+    for x in bit_support(a):
+        for y in bit_support(b):
+            out ^= 1 << (x | y)
+    return out
+
+
+def _structured_word(rng, n):
+    """The xor of one to three products of one to three random words of
+    one to three cubes each, so that factoring meets kernels whose own
+    factors are products."""
+    word = 0
+    for _ in range(rng.randint(1, 3)):
+        term = 1 << rng.randrange(1 << n)
+        for _ in range(rng.randint(1, 3)):
+            term = _gf2_product(term, sum(
+                {1 << rng.randrange(1 << n) for _ in range(rng.randint(1, 3))}))
+        word ^= term
+    return word
+
+
+def _builder_graphs(rng):
+    """2,000 graphs the builder makes from random specs (n = 3-9,
+    T = 2-8, K = 0-8; one to five outputs of 2-24 random cubes or of
+    products), then the graph of each digest spec with sharing on."""
+    from test_digests import CASES, _tckp
+    for _ in range(2000):
+        n = rng.randint(3, 9)
+        params = OptimizeParams(rng.randint(2, 8), True, rng.randint(0, 8))
+        words = [_structured_word(rng, n) if rng.random() < 0.5 else
+                 word(rng.randrange(1 << n) for _ in range(rng.randint(2, 24)))
+                 for _ in range(rng.randint(1, 5))]
+        trees = [factor_expression(expr(n, bit_support(w)), params)
+                 for w in words if w]
+        if trees:
+            yield build_dag_from_trees(trees, n, params.max_and_arity)
+    for build, code, _digest in CASES.values():
+        params = _tckp(code)
+        spec = build()
+        if params.cube_sharing:
+            if isinstance(spec, Permutation):
+                spec = truth_table_from_permutation(spec)
+            yield build_dag_from_trees(
+                [factor_expression(e, params) for e in anf_from_truth_table(spec)],
+                spec.n_inputs, params.max_and_arity)
+
+
+def test_builder_graphs_hold_no_twins_before_or_after_any_share(monkeypatch):
+    # no two nodes of one kind share a child set in a graph the builder
+    # makes, nor after any share of cube sharing on it (a share reshapes
+    # only the nodes it returns)
+    real = optimize._share
+    shares = Counter()
+
+    def checked(dag, i, j, rule, index):
+        shared = real(dag, i, j, rule, index)
+        if shared:
+            for nid in shared[1]:
+                assert _twin_of(dag, nid) is None, shared[0]
+            shares[dag.nodes[i].kind, rule] += 1
+        return shared
+
+    monkeypatch.setattr(optimize, "_share", checked)
+    for dag in _builder_graphs(random.Random(47)):
+        for nid in dag.internal_ids():
+            assert _twin_of(dag, nid) is None, nid
+        common_cube_sharing(dag)
+    assert all(shares[kind, rule] >= 100 for kind in (T_AND, T_XOR)
+               for rule in ("subset", "overlap")), shares
+
+
+def test_and_nodes_over_one_atom_set_are_one_node():
+    # x1.(C.A) and x1.C.A, C = x2 + x3 and A = x4 + x5, reach the same
+    # atoms; keyed by child set they would be two nodes, and sharing
+    # would hoist C.A into the second and make them twins
+    c, a = word([0b00010, 0b00100]), word([0b01000, 0b10000])
+    dag = build_dag_from_trees(
+        [FAnd(1, (FXor((FAnd(0, (c, a)), 0)),)), FAnd(1, (c, a))], 5, 4)
+    (_, first), (_, second) = dag.output_order
+    assert first == second
+    assert [dag.nodes[k].kind for k in dag.nodes[first].children] == \
+        ["t_identifier", T_AND]
 
 
 def _aes_sharing_dag(k=3, t=3):
@@ -1035,11 +1105,9 @@ def _partners(dag, i, common, index):
         cj = sj[1]
         if i in cj or j in ci:
             continue
-        if c == len(ci) and c == len(cj):
-            out.append((j, "merge"))
-        elif c == len(ci) or c == len(cj):
+        if (c == len(ci)) != (c == len(cj)):
             out.append((j, "subset"))
-        elif 2 * c > len(ci) and 2 * c > len(cj):
+        elif c < len(ci) and 2 * c > len(ci) and 2 * c > len(cj):
             out.append((j, "overlap"))
     out.sort(key=lambda jr: (-nodes[jr[0]].depth, jr[0]))
     return out

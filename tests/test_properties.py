@@ -254,12 +254,11 @@ def xor_families(draw):
 
 
 def _pair_rule(ci, cj):
-    """The share two child sets with at least two common children allow."""
+    """The share two child sets with at least two common children allow;
+    equal sets allow none."""
     c = len(ci & cj)
-    if c < 2:
+    if c < 2 or ci == cj:
         return None
-    if ci == cj:
-        return "merge"
     if ci < cj or cj < ci:
         return "subset"
     return "overlap" if 2 * c > len(ci) and 2 * c > len(cj) else None
