@@ -6,9 +6,11 @@ t_constant.  A node's children are a list; its parents are a multiset
 (parent id -> edge count, in insertion order), so removing an edge is
 O(1) even from a variable with thousands of parents.  There is one node
 per variable and per constant, and the builder hash-conses, so identical
-subterms reuse one node; it also keeps each cube's and-chain by cube
-mask, so a cube that occurs in many outputs costs one lookup after its
-first.  Later passes create nodes with `add`.
+subterms reuse one node: each level of a cube's and-chain is keyed by
+the sub-mask of variables it covers, so a cube or chain tail already
+built costs one int lookup, a product's and nodes by their atoms and xor
+nodes by their child sets (`build_dag_from_trees`).  Later passes create
+nodes with `add`.
 Depth labels are the longest path from the root: the graph passes
 recompute them when they finish, and collapsing a mapped node into an
 identifier updates only the depths below it, its internal nodes through a
@@ -575,14 +577,24 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     literals is decomposed into a chain of T-1-ary and nodes, so every
     eventual Toffoli spans at most T lines.
 
-    Identical subterms share one node: the build keeps its own table
-    (`_consed`), the graph's only hash-consing, and in the same table each
-    cube mask's node, so a repeated cube costs one lookup.  A build
+    Identical subterms share one node, through one table, the graph's only
+    hash-consing, with two families of keys.  Each level of a cube's
+    and-chain is keyed by the sub-mask of variables it covers
+    (`_node_of_cube`), so a repeated cube, or one whose chain ends in a
+    chain already built, costs one int lookup.  The and nodes of product
+    chains (`_and_chain`) are keyed by their atoms, the non-and nodes they
+    reach through and nodes only, and xor nodes by their child sets
+    (`_consed`).  The families never meet: a cube chain's atoms are
+    variables, while every level of a product chain reaches an xor node.
+    The last kids of a product, which its innermost level holds, are its
+    factors, a kernel or a quotient of two or more cubes, and a factor's
+    node is an xor node or the and node of a product that, by the same
+    argument, reaches one.  So no two and nodes hold one atom set.  A build
     deletes no node, so no entry goes stale: the parts of a factored xor
     are words and products, never xors, and a product's node is an and
-    node, for it has two or more distinct children (a kernel of two or
-    more cubes, and a quotient that holds the nonempty co-kernel cube).
-    The graph holds no twins, two nodes of one kind with one child set
+    node, for it has two or more distinct children (a kernel, and a
+    quotient that holds the nonempty co-kernel cube).  The graph holds no
+    twins, two nodes of one kind with one child set
     (`optimize.common_cube_sharing`).
     """
     if max_and_arity < 2:
@@ -608,8 +620,10 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
 
 
 def _consed(dag: EsopDag, made: dict, kind: str, kids: list[int]) -> int:
-    """The node of `kind` over `kids`, keyed by their set, or an and node
-    by its atoms: the non-and nodes it reaches through and nodes only."""
+    """The node of `kind` over `kids`: an xor node keyed by their set, an
+    and node of a product chain by its atoms, the non-and nodes it reaches
+    through and nodes only.  Cube chains are keyed by mask instead
+    (`_node_of_cube`)."""
     key = frozenset(kids)
     if kind == T_AND:
         for k in kids:
@@ -654,20 +668,48 @@ def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
 
 
 def _node_of_cube(dag: EsopDag, made: dict, mask: int, arity: int) -> int:
-    """The node of one cube, built on its mask's first occurrence."""
+    """The node of one cube: the constant 1, a variable, or the and-chain
+    `_and_chain` would give its variables in ascending order, each level
+    keyed in `made` by the sub-mask it covers (`_cube_level`)."""
     nid = made.get(mask)
     if nid is None:
-        if mask:
-            kids = [dag.var_node(i) for i in bit_support(mask)]
-            nid = _and_chain(dag, made, kids, arity)
+        if mask & (mask - 1):
+            bits = bit_support(mask)
+            kids = [dag.var_node(i) for i in bits]
+            nid = _cube_level(dag, made, mask, bits, kids, 0, arity - 1)
         else:
-            nid = dag.const_node(1)
-        made[mask] = nid
+            nid = made[mask] = dag.var_node(mask.bit_length() - 1) if mask \
+                else dag.const_node(1)
+    return nid
+
+
+def _cube_level(dag: EsopDag, made: dict, mask: int, bits: list[int],
+                kids: list[int], start: int, step: int) -> int:
+    """The level of a cube's chain over kids[start:], the variables
+    bits[start:] of the mask: the and of the first `step` of them and the
+    level over the rest, or of all of them once they fit the arity bound.
+    It is keyed by the sub-mask of those variables, so a cube whose chain
+    ends in one already built finds it with one int lookup, and only the
+    levels still missing are made, innermost first, as `_and_chain` makes
+    them.  No product chain level has the atoms of one of these
+    (`build_dag_from_trees`)."""
+    sub = mask >> bits[start] << bits[start]
+    nid = made.get(sub)
+    if nid is None:
+        if len(kids) - start > step + 1:
+            rest = _cube_level(dag, made, mask, bits, kids, start + step, step)
+            nid = dag.add(T_AND, kids[start:start + step] + [rest])
+        else:
+            nid = dag.add(T_AND, kids[start:])
+        made[sub] = nid
     return nid
 
 
 def _and_chain(dag: EsopDag, made: dict, kids: list[int], arity: int) -> int:
-    """Left-associative chain keeping every and node within the arity bound."""
+    """The and-chain of a product: the and of its first arity - 1 kids and
+    the chain of the rest, or of all of them once they fit the arity
+    bound, each level hash-consed by `_consed`.  `_node_of_cube` follows
+    the same shape over a cube's variables."""
     kids = list(dict.fromkeys(kids))
     if len(kids) == 1:
         return kids[0]

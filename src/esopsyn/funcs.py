@@ -97,17 +97,18 @@ class TruthTable:
         onames = self.output_names or tuple(_default_names("y", self.n_outputs))
         object.__setattr__(self, "input_names", tuple(inames))
         object.__setattr__(self, "output_names", tuple(onames))
-        if len(self.input_names) != self.n_inputs:
-            raise ValueError("input_names length mismatch")
-        if len(self.output_names) != self.n_outputs:
-            raise ValueError("output_names length mismatch")
-        if len(set(self.input_names)) != self.n_inputs:
-            raise ValueError("duplicate input names")
-        if len(set(self.output_names)) != self.n_outputs:
-            raise ValueError("duplicate output names")
-        # a circuit file splits at ',', ':' and line breaks and strips names
-        for role, names in (("input", inames), ("output", onames)):
+        for role, names, count in (("input", self.input_names, self.n_inputs),
+                                   ("output", self.output_names, self.n_outputs)):
+            if len(names) != count:
+                raise ValueError(
+                    f"{len(names)} {role} names given, {count} expected")
+            seen = set()
             for nm in names:
+                if nm in seen:
+                    raise ValueError(f"{role} name {nm!r} given twice")
+                seen.add(nm)
+                # a circuit file splits at ',', ':' and line breaks and
+                # strips names
                 if nm.strip() != nm or nm.splitlines() != [nm] \
                         or "," in nm or ":" in nm:
                     raise ValueError(

@@ -160,12 +160,6 @@ def _parse_pla(lines, origin) -> TruthTable:
         raise SpecFormatError(
             f"{origin}: a table of 2^{n} rows by {m} outputs ({m << n} bits) "
             f"exceeds the limit of {MAX_TABLE_BITS} bits")
-    for key, names, count in ((".ilb", input_names, n), (".ob", output_names, m)):
-        if names and len(names) != count:
-            raise SpecFormatError(
-                f"{origin}: {key} lists {len(names)} names, the header "
-                f"declares {count}")
-        _refuse_repeats(names, origin, key + " lists {!r} twice")
     # an ESOP's rows are cubes whose outputs xor; under f and fd a 0 output
     # bit only leaves the input out of that output's ON-set, so the outputs
     # of the rows covering one input are ORed; under fr or no .type those
@@ -180,7 +174,7 @@ def _parse_pla(lines, origin) -> TruthTable:
             elif assigned.setdefault(idx, value) != value:
                 raise SpecFormatError(
                     f"{origin}: conflicting rows for input {idx}")
-    try:    # TruthTable holds the circuit format's name rule
+    try:    # TruthTable holds the name rules: count, repeats, characters
         return TruthTable(n, m, tuple(assigned.get(i, 0) for i in range(1 << n)),
                           input_names, output_names)
     except ValueError as e:

@@ -529,33 +529,42 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
     computes, `_factor` depends only on w, and equal trees build equal kids.
     (b) Its and nodes hold distinct atom sets, an and node's atoms being the
     non-and nodes it reaches through and nodes only: the builder keys each
-    and node by them.  (c) A share creates and deletes no node, changes no
-    node's function and keeps every and node's atoms: the node it hoists, i
-    or s, has exactly the children it replaces, and each path it removes,
-    j->c or i->c, gets a longer one, j->i->c or i->s->c.  Twins after a
-    share would contradict (a) or (b).
+    level of a cube's chain by the mask of the variables it reaches, its
+    atoms, and each level of a product chain by its atoms, and no level of
+    one family has the atoms of a level of the other, for every product
+    chain level reaches an xor node (`dag.build_dag_from_trees`).  (c) A
+    share creates and deletes no node, changes no node's function and
+    keeps every and node's atoms: the node it hoists, i or s, has exactly
+    the children it replaces, and each path it removes, j->c or i->c, gets
+    a longer one, j->i->c or i->s->c.  Twins after a share would
+    contradict (a) or (b).
 
-    A node is tried only while it is dirty, and every node starts dirty.  A
-    failed node gets a new candidate only in one of three ways, each found
-    through the symmetric partner question the search asks
-    (`_ShapeIndex.partners`).  A share reshapes r: r can become k's partner
-    only if k becomes r's, so a share dirties the reshaped nodes and their
-    partners, and the node that made it stays dirty.  A hoist node appears:
-    an overlap hoists exactly the pair's common children c, so a reshaped r
-    with children c is a subset partner of each side.  A node gets deeper,
-    past a partner's depth filter: by (c) a relabel after a share moves
-    nodes only deeper, so the relabel after each sweep dirties the nodes it
-    moved.  A sweep takes the dirty nodes from a (depth desc, id) heap, and
-    a node a share dirties after the current one joins it.  The relabel
-    before the first sweep settles the edits before the pass (the index
-    never sees a node it deletes); the edit log limits each relabel to the
-    nodes below the last sweep's shares.
+    A node is tried only while it is dirty.  The nodes with a co-parent
+    start dirty: every xor node, and each and node holding a child pair
+    that another and node holds (`_ShapeIndex.and_pairs`).  A node with no
+    co-parent has no partner, and a share that gives it one dirties it, by
+    the first of the ways below.  A failed node gets a new candidate only
+    in one of three ways, each found through the symmetric partner question
+    the search asks (`_ShapeIndex.partners`).  A share reshapes r: r can
+    become k's partner only if k becomes r's, so a share dirties the
+    reshaped nodes and their partners, and the node that made it stays
+    dirty.  A hoist node appears: an overlap hoists exactly the pair's
+    common children c, so a reshaped r with children c is a subset partner
+    of each side.  A node gets deeper, past a partner's depth filter: by
+    (c) a relabel after a share moves nodes only deeper, so the relabel
+    after each sweep dirties the nodes it moved.  A sweep takes the dirty
+    nodes from a (depth desc, id) heap, and a node a share dirties after
+    the current one joins it.  The relabel before the first sweep settles
+    the edits before the pass (the index never sees a node it deletes); the
+    edit log limits each relabel to the nodes below the last sweep's
+    shares.
     """
     report = MutationReport(nodes_before=len(dag))
     nodes = dag.nodes
     dag.recompute_depths()
     index = _ShapeIndex(dag)
-    dirty = set(dag.internal_ids())
+    dirty = set(index.xor_ids).union(
+        *(holders for holders in index.and_pairs.values() if len(holders) > 1))
     for _ in range(SHARING_SWEEP_CAP):
         changed = False
         heap = [(-nodes[nid].depth, nid) for nid in dirty]

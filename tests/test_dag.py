@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esopsyn import benchmarks
+from esopsyn import benchmarks, dag as dag_module
 from esopsyn.dag import (
     EsopDag, FAnd, FXor, T_AND, T_CONST, T_ID, T_XOR, _and_chain,
     build_dag_from_trees, dag_to_expressions, dump_text, validate_dag,
@@ -598,3 +598,33 @@ def test_cached_chains_match_the_reference_on_random_words(case, k, t):
     got = build_dag_from_trees(trees, n, t)
     assert dump_text(got) == dump_text(_reference_build(trees, n, t))
     assert dag_to_expressions(got) == [EsopExpression(n, w) for w in words]
+
+
+# -- the atom-keyed cube path: the reference for the mask-keyed chains --
+
+
+def _atom_keyed_node_of_cube(dag, made, mask, arity):
+    """The cube path before each chain level was keyed by its sub-mask:
+    one entry per whole cube mask, and on a miss `_and_chain`, whose
+    levels `_consed` keys by their atoms."""
+    nid = made.get(mask)
+    if nid is None:
+        if mask:
+            kids = [dag.var_node(i) for i in bit_support(mask)]
+            nid = _and_chain(dag, made, kids, arity)
+        else:
+            nid = dag.const_node(1)
+        made[mask] = nid
+    return nid
+
+
+def test_mask_keyed_cube_chains_build_the_atom_keyed_graph(monkeypatch):
+    # 2,000 random specs, half of their outputs products, and every
+    # digest spec: the same nodes, ids and edges as the atom-keyed path
+    from test_optimize import _builder_specs
+    for trees, n, params in _builder_specs(random.Random(47)):
+        got = build_dag_from_trees(trees, n, params.max_and_arity)
+        with monkeypatch.context() as m:
+            m.setattr(dag_module, "_node_of_cube", _atom_keyed_node_of_cube)
+            want = build_dag_from_trees(trees, n, params.max_and_arity)
+        assert dump_text(got) == dump_text(want)

@@ -88,6 +88,15 @@ CASES = {
         "3925469f9d8c3bed6d89f520a2704c0866302502fc8284f0af749f79576a338a"),
     "perm10-4100": (lambda: _permutation(10), "4100",
         "df40e87ed3786c5e69ae66c9f719bf71e100456b5807e597a279c9edc5877017"),
+    # wide and nodes: cube chains of two or three levels that end in one
+    # another, on the flat form of a 10-input permutation and on the
+    # kernel-factored largest built-in
+    "perm10-5100": (lambda: _permutation(10), "5100",
+        "88cece262350eac32458598af4a0f61793df2c39c8a2e758f53c6b04afd7d54e"),
+    "perm10-8100": (lambda: _permutation(10), "8100",
+        "8a6e30fcd8334f12a374168a6643c8a5b2272733f0097542a9fb518ad063be67"),
+    "aes_sbox-6130": (lambda: benchmarks.get("aes_sbox"), "6130",
+        "9263613ace9f9bef2f9b41e22899231301839992e3f0e69ecf51760bc0bb6d6f"),
 }
 
 

@@ -151,10 +151,13 @@ def test_pla_header_without_an_integer_is_a_format_error(text):
 @pytest.mark.parametrize("text, message", [
     (".i 0\n.o 1\n", ".i must be at least 1"),
     (".i 2\n.o 0\n", ".o must be at least 1"),
-    (".i 2\n.o 1\n.ilb a\n00 1\n", ".ilb lists 1 names, the header declares 2"),
-    (".i 2\n.o 1\n.ilb a b c\n", ".ilb lists 3 names"),
-    (".ob p q\n.i 2\n.o 1\n", ".ob lists 2 names, the header declares 1"),
-    # names a circuit file would split at ',' or ':' (TruthTable's rule)
+    # TruthTable holds every name rule
+    (".i 2\n.o 1\n.ilb a\n00 1\n", "1 input names given, 2 expected"),
+    (".i 2\n.o 1\n.ilb a b c\n", "3 input names given, 2 expected"),
+    (".ob p q\n.i 2\n.o 1\n", "2 output names given, 1 expected"),
+    (".i 2\n.o 1\n.ilb a a\n", "input name 'a' given twice"),
+    (".i 2\n.o 2\n.ob p p\n", "output name 'p' given twice"),
+    # names a circuit file would split at ',' or ':'
     (".i 2\n.o 1\n.ilb a,x b\n", "input name 'a,x' is empty, holds ','"),
     (".i 2\n.o 1\n.ilb a b:x\n", "input name 'b:x' is empty, holds ','"),
     (".i 2\n.o 2\n.ob p,q r\n", "output name 'p,q' is empty, holds ','"),
