@@ -203,22 +203,6 @@ _add("5xp1", lambda: _seeded_table("5xp1", 7, 10))
 _add("wim", lambda: _seeded_table("wim", 4, 7))
 _add("z4ml", lambda: _seeded_table("z4ml", 7, 4))
 
-TABLE_ESOP_COMPARISON = [
-    "2of5", "3_17", "4_49", "4mod5", "5one013", "5one245", "5xp1",
-    "6one135", "6one0246", "alu", "bw", "decod24", "f51m", "graycode6",
-    "majority3", "majority5", "mod5adder", "ham3", "ham7", "hwb4",
-    "rd32", "rd53", "rd73", "sqr6", "wim", "xor5", "z4ml",
-]
-
-TABLE_BEST_KNOWN = [
-    "2of5", "3_17", "4_49", "4mod5", "5mod5", "6sym", "9sym", "cycle10_2",
-    "ham3", "ham7", "hwb4", "hwb5", "hwb6", "hwb7", "hwb8",
-    "nth_prime_3_inc", "nth_prime_4_inc", "nth_prime_5_inc",
-    "nth_prime_6_inc", "nth_prime_7_inc", "nth_prime_8_inc",
-    "rd32", "rd73", "rd84", "xor5",
-]
-
-
 def names() -> list[str]:
     return sorted(_REGISTRY)
 

@@ -6,11 +6,10 @@ t_constant.  A node's children are a list; its parents are a multiset
 (parent id -> edge count, in insertion order), so removing an edge is
 O(1) even from a variable with thousands of parents.  There is one node
 per variable and per constant, and the builder hash-conses, so identical
-subterms reuse one node: each level of a cube's and-chain is keyed by
-the sub-mask of variables it covers, so a cube or chain tail already
-built costs one int lookup, a product's and nodes by their atoms and xor
-nodes by their child sets (`build_dag_from_trees`).  Later passes create
-nodes with `add`.
+subterms reuse one node: every and node is keyed by its atoms, by the
+mask of its variables when it has no other atom, so a cube or chain tail
+already built costs one int lookup, and xor nodes by their child sets
+(`build_dag_from_trees`).  Later passes create nodes with `add`.
 Depth labels are the longest path from the root: the graph passes
 recompute them when they finish, and collapsing a mapped node into an
 identifier updates only the depths below it, its internal nodes through a
@@ -18,8 +17,7 @@ heap by old depth and its leaves after the heap drains: a leaf's parents
 are internal nodes (or the root), so by then each has its final depth.
 `recompute_depths` relabels the nodes whose parents changed since the log
 was last cleared and the nodes below them, deletes those the root no
-longer reaches, and returns their ids and the old depth of each internal
-node it moved.
+longer reaches, and returns the old depth of each internal node it moved.
 
 Every edit goes through one of five helpers (`add`, `set_children`,
 `to_identifier`, `_delete`, `recompute_depths`), and each notes what it
@@ -253,10 +251,10 @@ class EsopDag:
 
     # -- depth / pruning -----------------------------------------------------
 
-    def recompute_depths(self) -> tuple[list[int], dict[int, int]]:
+    def recompute_depths(self) -> dict[int, int]:
         """Relabel each depth as the longest path from the root and delete
-        the nodes the root no longer reaches; returns the deleted ids and
-        the old depth of each internal node whose depth changed.
+        the nodes the root no longer reaches; returns the old depth of
+        each internal node whose depth changed.
 
         A node can lose its root or change depth only below a node whose
         parents changed, and `touched` records each of those, so only the
@@ -268,7 +266,7 @@ class EsopDag:
         """
         nodes, touched = self.nodes, self.touched
         if not touched:
-            return [], {}
+            return {}
         cone = {i for i in touched if i in nodes}
         stack = list(cone)
         while stack:
@@ -288,13 +286,11 @@ class EsopDag:
                     d = nodes[p].depth + 1
             indeg[nid], depth[nid] = k, d
         queue = [nid for nid, k in indeg.items() if not k]
-        dead = []
         moved = {}
         while queue:
             u = queue.pop()
             un = nodes[u]
             if u != self.root and not un.parents:
-                dead.append(u)
                 self._delete(u)
             else:
                 d = depth[u]
@@ -315,7 +311,7 @@ class EsopDag:
             self.reshaped.clear()
         else:
             touched.update(moved)
-        return dead, moved
+        return moved
 
     def internal_ids(self) -> list[int]:
         return sorted(
@@ -577,24 +573,16 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     literals is decomposed into a chain of T-1-ary and nodes, so every
     eventual Toffoli spans at most T lines.
 
-    Identical subterms share one node, through one table, the graph's only
-    hash-consing, with two families of keys.  Each level of a cube's
-    and-chain is keyed by the sub-mask of variables it covers
-    (`_node_of_cube`), so a repeated cube, or one whose chain ends in a
-    chain already built, costs one int lookup.  The and nodes of product
-    chains (`_and_chain`) are keyed by their atoms, the non-and nodes they
-    reach through and nodes only, and xor nodes by their child sets
-    (`_consed`).  The families never meet: a cube chain's atoms are
-    variables, while every level of a product chain reaches an xor node.
-    The last kids of a product, which its innermost level holds, are its
-    factors, a kernel or a quotient of two or more cubes, and a factor's
-    node is an xor node or the and node of a product that, by the same
-    argument, reaches one.  So no two and nodes hold one atom set.  A build
-    deletes no node, so no entry goes stale: the parts of a factored xor
-    are words and products, never xors, and a product's node is an and
-    node, for it has two or more distinct children (a kernel, and a
-    quotient that holds the nonempty co-kernel cube).  The graph holds no
-    twins, two nodes of one kind with one child set
+    Identical subterms share one node through one table, the graph's
+    only hash-consing: the builder keys every and level by its atoms, the
+    non-and nodes it reaches through and nodes (`_and_chain`; a product's
+    factors are xor nodes or the nodes of products, never of cubes), and
+    every xor node by its child set, so no two and nodes reach one atom
+    set.  A build deletes no node, so no entry goes stale: the parts of a
+    factored xor are words and products, never xors, and a product's node
+    is an and node, for it has two or more distinct children (a kernel,
+    and a quotient that holds the nonempty co-kernel cube).  The graph
+    holds no twins, two nodes of one kind with one child set
     (`optimize.common_cube_sharing`).
     """
     if max_and_arity < 2:
@@ -607,7 +595,7 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     # floor is 2 even when T = 2.
     arity = max(2, max_and_arity - 1)
     dag = EsopDag(n_vars)
-    made: dict[tuple | int, int | frozenset] = {}
+    made: dict[int | tuple, int | tuple] = {}
     tops = []
     for tree in trees:
         top = _node_of_tree(dag, made, tree, arity)
@@ -619,29 +607,9 @@ def build_dag_from_trees(trees, n_vars: int, max_and_arity: int,
     return dag
 
 
-def _consed(dag: EsopDag, made: dict, kind: str, kids: list[int]) -> int:
-    """The node of `kind` over `kids`: an xor node keyed by their set, an
-    and node of a product chain by its atoms, the non-and nodes it reaches
-    through and nodes only.  Cube chains are keyed by mask instead
-    (`_node_of_cube`)."""
-    key = frozenset(kids)
-    if kind == T_AND:
-        for k in kids:
-            if ~k in made:
-                key = key - {k} | made[~k]
-    nid = made.get((kind, key))
-    if nid is None:
-        nid = made[kind, key] = dag.add(kind, kids)
-        if kind == T_AND:
-            made[~nid] = key    # cube masks, the other int keys, are >= 0
-    return nid
-
-
 def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
     if isinstance(tree, FAnd):
-        kids = [dag.var_node(i) for i in bit_support(tree.cube_mask)]
-        kids += [_node_of_tree(dag, made, s, arity) for s in tree.subs]
-        return _and_chain(dag, made, kids, arity)
+        return _and_chain(dag, made, tree.cube_mask, tree.subs, arity)
     if isinstance(tree, int):
         parts = (tree,)
     elif isinstance(tree, FXor):
@@ -656,71 +624,84 @@ def _node_of_tree(dag: EsopDag, made: dict, tree, arity: int) -> int:
     for part in parts:
         if isinstance(part, int):
             # a word's cubes join this xor directly: no xor node of its own
-            kids += [_node_of_cube(dag, made, m, arity)
-                     for m in cube_order(bit_support(part))]
+            for m in cube_order(bit_support(part)):
+                kids.append(_and_chain(dag, made, m, (), arity))
         else:
             kids.append(_node_of_tree(dag, made, part, arity))
     if not kids:
         return dag.const_node(0)
     if len(kids) == 1:
         return kids[0]
-    return _consed(dag, made, T_XOR, kids)
-
-
-def _node_of_cube(dag: EsopDag, made: dict, mask: int, arity: int) -> int:
-    """The node of one cube: the constant 1, a variable, or the and-chain
-    `_and_chain` would give its variables in ascending order, each level
-    keyed in `made` by the sub-mask it covers (`_cube_level`)."""
-    nid = made.get(mask)
+    key = T_XOR, frozenset(kids)
+    nid = made.get(key)
     if nid is None:
-        if mask & (mask - 1):
-            bits = bit_support(mask)
-            kids = [dag.var_node(i) for i in bits]
-            nid = _cube_level(dag, made, mask, bits, kids, 0, arity - 1)
-        else:
+        nid = made[key] = dag.add(T_XOR, kids)
+    return nid
+
+
+def _and_chain(dag: EsopDag, made: dict, mask: int, subs: tuple,
+               arity: int) -> int:
+    """The node of the product of the variables of `mask` and the trees
+    `subs`.  A bare cube of at most one variable is the constant 1 or that
+    variable; any other product is the and-chain over its kids, the
+    variables in ascending order and then the nodes of the subs, built
+    after them: the and of its first arity - 1 kids and the chain of the
+    rest, or of all of them once they fit the arity bound.
+
+    Each level is keyed by its atoms (`build_dag_from_trees`): by the
+    mask of its variables when it has no other atom, else by that mask
+    and the frozenset of the others, which `~id` also records so that a
+    level over it reaches through it.  The levels are looked up outermost
+    first, so a built cube, or one whose chain ends in a built chain,
+    costs one int lookup, and only the missing levels are made, innermost
+    first."""
+    if not subs:
+        nid = made.get(mask)
+        if nid is not None:
+            return nid
+        if not mask & (mask - 1):
             nid = made[mask] = dag.var_node(mask.bit_length() - 1) if mask \
                 else dag.const_node(1)
+            return nid
+    bits = bit_support(mask)
+    # plain loops: a comprehension's closure would cost every call, hits too
+    kids = []
+    for i in bits:
+        kids.append(dag.var_node(i))
+    if subs:
+        for tree in subs:
+            kids.append(_node_of_tree(dag, made, tree, arity))
+        kids = list(dict.fromkeys(kids))
+        if len(kids) == 1:
+            return kids[0]
+    n_bits, step = len(bits), arity - 1
+    inner = (len(kids) - 2) // step * step   # the innermost level's start
+    missing = []    # the keys of the levels to make, outermost first
+    for start in range(0, inner + 1, step):
+        key = mask >> bits[start] << bits[start] if start < n_bits else 0
+        if subs:
+            others = set()
+            for k in kids[max(start, n_bits):]:
+                reach = made.get(~k)
+                if reach is None:
+                    others.add(k)
+                else:
+                    key |= reach[0]
+                    others |= reach[1]
+            if others:
+                key = key, frozenset(others)
+        nid = made.get(key)
+        if nid is not None:
+            break
+        missing.append(key)
+    while missing:
+        key = missing.pop()
+        start = len(missing) * step
+        nid = made[key] = dag.add(T_AND, kids[start:] if nid is None
+                                  else kids[start:start + step] + [nid])
+        if isinstance(key, tuple):
+            made[~nid] = key    # cube masks, the other int keys, are >= 0
     return nid
-
-
-def _cube_level(dag: EsopDag, made: dict, mask: int, bits: list[int],
-                kids: list[int], start: int, step: int) -> int:
-    """The level of a cube's chain over kids[start:], the variables
-    bits[start:] of the mask: the and of the first `step` of them and the
-    level over the rest, or of all of them once they fit the arity bound.
-    It is keyed by the sub-mask of those variables, so a cube whose chain
-    ends in one already built finds it with one int lookup, and only the
-    levels still missing are made, innermost first, as `_and_chain` makes
-    them.  No product chain level has the atoms of one of these
-    (`build_dag_from_trees`)."""
-    sub = mask >> bits[start] << bits[start]
-    nid = made.get(sub)
-    if nid is None:
-        if len(kids) - start > step + 1:
-            rest = _cube_level(dag, made, mask, bits, kids, start + step, step)
-            nid = dag.add(T_AND, kids[start:start + step] + [rest])
-        else:
-            nid = dag.add(T_AND, kids[start:])
-        made[sub] = nid
-    return nid
-
-
-def _and_chain(dag: EsopDag, made: dict, kids: list[int], arity: int) -> int:
-    """The and-chain of a product: the and of its first arity - 1 kids and
-    the chain of the rest, or of all of them once they fit the arity
-    bound, each level hash-consed by `_consed`.  `_node_of_cube` follows
-    the same shape over a cube's variables."""
-    kids = list(dict.fromkeys(kids))
-    if len(kids) == 1:
-        return kids[0]
-    # the innermost and takes the last 2..arity kids and is built first;
-    # each one above takes arity - 1 kids and the and below it
-    step = arity - 1
-    start = (len(kids) - 2) // step * step
-    node = _consed(dag, made, T_AND, kids[start:])
-    for start in range(start - step, -1, -step):
-        node = _consed(dag, made, T_AND, kids[start:start + step] + [node])
-    return node
 
 
 # -- read-back / validation ----------------------------------------------------

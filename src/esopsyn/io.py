@@ -13,7 +13,8 @@ Three spec formats are accepted:
     rows covering one input must agree.
   * permutations: a single line ``perm v0 v1 ...``.
   * cube lists: one output per line, products joined by ``^``
-    (e.g. ``1 ^ x1 ^ x1x2``).
+    (e.g. ``1 ^ x1 ^ x1x2``), 2^N * M at most ``MAX_TABLE_BITS`` for N
+    the highest variable index and M the line count.
 
 Circuits use a Toffoli-cascade text format: ``t<k> c1,...,target`` with
 ``t1``/``t2`` as NOT/CNOT and ``f<k>`` for controlled swaps, preceded by
@@ -52,6 +53,15 @@ def _check_inputs(n: int, origin: str) -> int:
         raise SpecFormatError(
             f"{origin}: {n} inputs exceeds the limit {DEFAULT_INPUT_LIMIT}")
     return n
+
+
+def _check_table(n: int, m: int, origin: str):
+    """Reject a table of 2^n rows by m outputs over ``MAX_TABLE_BITS``
+    before anything of its size is built."""
+    if m << n > MAX_TABLE_BITS:
+        raise SpecFormatError(
+            f"{origin}: a table of 2^{n} rows by {m} outputs ({m << n} bits) "
+            f"exceeds the limit of {MAX_TABLE_BITS} bits")
 
 
 def _read_text(path: str) -> str:
@@ -156,10 +166,7 @@ def _parse_pla(lines, origin) -> TruthTable:
             rows.append((inbits, value))
     if n is None or m is None:
         raise SpecFormatError(f"{origin}: missing .i/.o header")
-    if m << n > MAX_TABLE_BITS:
-        raise SpecFormatError(
-            f"{origin}: a table of 2^{n} rows by {m} outputs ({m << n} bits) "
-            f"exceeds the limit of {MAX_TABLE_BITS} bits")
+    _check_table(n, m, origin)
     # an ESOP's rows are cubes whose outputs xor; under f and fd a 0 output
     # bit only leaves the input out of that output's ON-set, so the outputs
     # of the rows covering one input are ORed; under fr or no .type those
@@ -250,6 +257,7 @@ def _parse_cubes(lines, origin) -> TruthTable:
                 n_vars = max(n_vars, v)
             masks.append(mask)
         per_output.append(masks)
+    _check_table(n_vars, len(per_output), origin)
     return TruthTable.from_columns(n_vars, [
         mobius_bits(EsopExpression.from_masks(n_vars, masks).coeffs, n_vars)
         for masks in per_output])

@@ -528,11 +528,8 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
     distinct functions: each is the node of `_factor(w)` for the word w it
     computes, `_factor` depends only on w, and equal trees build equal kids.
     (b) Its and nodes hold distinct atom sets, an and node's atoms being the
-    non-and nodes it reaches through and nodes only: the builder keys each
-    level of a cube's chain by the mask of the variables it reaches, its
-    atoms, and each level of a product chain by its atoms, and no level of
-    one family has the atoms of a level of the other, for every product
-    chain level reaches an xor node (`dag.build_dag_from_trees`).  (c) A
+    non-and nodes it reaches through and nodes only: the builder keys
+    every and level by its atoms (`dag.build_dag_from_trees`).  (c) A
     share creates and deletes no node, changes no node's function and
     keeps every and node's atoms: the node it hoists, i or s, has exactly
     the children it replaces, and each path it removes, j->c or i->c, gets
@@ -595,7 +592,7 @@ def common_cube_sharing(dag: EsopDag) -> MutationReport:
                 dirty.discard(i)
         if not changed:
             break
-        dirty.update(dag.recompute_depths()[1])
+        dirty.update(dag.recompute_depths())
     report.nodes_after = len(dag)
     return report
 

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from esopsyn import benchmarks, dag as dag_module
+from esopsyn import benchmarks
 from esopsyn.dag import (
-    EsopDag, FAnd, FXor, T_AND, T_CONST, T_ID, T_XOR, _and_chain,
-    build_dag_from_trees, dag_to_expressions, dump_text, validate_dag,
+    EsopDag, FAnd, FXor, T_AND, T_CONST, T_ID, T_XOR, build_dag_from_trees,
+    dag_to_expressions, dump_text, validate_dag,
 )
 from esopsyn.funcs import (
     EsopExpression, Permutation, anf_from_truth_table, bit_support, cube_order,
@@ -274,13 +274,15 @@ def test_recompute_on_fresh_depths_returns_at_once():
     assert dag.index is None and not dag.touched and not dag.reshaped
     top = dag.nodes[dag.root].children[0]
     dag.nodes[top].depth = 7        # a direct write the log cannot see
-    assert dag.recompute_depths() == ([], {})
+    ids = set(dag.nodes)
+    assert dag.recompute_depths() == {}
     assert dag.nodes[top].depth == 7
     x1 = dag.var_node(0)
     dag.set_children(dag.root, [top, x1])
     assert dag.touched
-    assert dag.recompute_depths() == ([], {top: 7})
+    assert dag.recompute_depths() == {top: 7}
     assert not dag.touched and dag.nodes[top].depth == 1
+    assert set(dag.nodes) == ids      # neither relabel deleted a node
 
 
 def _reference_depths(dag):
@@ -313,14 +315,15 @@ def _moved(dag, was):
 
 def _check_recompute(dag, recompute):
     """Run `recompute` (the graph's own recompute_depths) and check it
-    against the reference; returns what it returned."""
+    against the reference: the nodes left are those the root reaches, at
+    their depths; returns what it returned."""
     want, dead = _reference_depths(dag)
     was = {nid: n.depth for nid, n in dag.nodes.items() if n.children}
-    pruned, moved = got = recompute()
-    assert sorted(pruned) == sorted(dead)
+    moved = recompute()
+    assert dead.isdisjoint(dag.nodes)
     assert {nid: node.depth for nid, node in dag.nodes.items()} == want
     assert moved == _moved(dag, was)
-    return got
+    return moved
 
 
 def test_recompute_depths_matches_the_longest_path_reference():
@@ -346,7 +349,9 @@ def test_recompute_depths_matches_the_longest_path_reference():
                 dag.set_children(dag.root,
                                  rng.sample(live, rng.randint(1, min(3, len(live)))))
             else:
-                pruned += len(_check_recompute(dag, dag.recompute_depths)[0])
+                before = len(dag.nodes)
+                _check_recompute(dag, dag.recompute_depths)
+                pruned += before - len(dag.nodes)
                 live = [k for k in live if k in dag.nodes]
                 live += [dag.var_node(v) for v in range(6)
                          if dag.var_node(v) not in live]
@@ -426,13 +431,13 @@ def test_relabel_matches_a_whole_graph_relabel(monkeypatch, tckp, runs):
         dead = _whole_graph_relabel(fresh, dag.root)
         was = {nid: n.depth for nid, n in dag.nodes.items() if n.children}
         got = real(dag)
-        assert sorted(got[0]) == dead
+        assert dag.nodes.keys().isdisjoint(dead)
         assert {nid: n.depth for nid, n in dag.nodes.items()} == \
             {nid: n.depth for nid, n in fresh.items()}
         # it returns the old depth of every internal node whose depth moved
-        assert got[1] == _moved(dag, was)
+        assert got == _moved(dag, was)
         if seen:    # the builder's relabel moves every depth
-            relabels[bool(got[1])] += 1
+            relabels[bool(got)] += 1
         seen.append(dag.index is not None)
         return got
 
@@ -500,6 +505,35 @@ def _reference_consed(dag, made, kind, kids):
     return nid
 
 
+def _atom_consed(dag, made, kids):
+    """The and node over `kids`, keyed by its atoms as one frozenset: the
+    non-and nodes it reaches through the and nodes this made, whose atoms
+    `~id` records."""
+    key = frozenset(kids)
+    for k in kids:
+        if ~k in made:
+            key = key - {k} | made[~k]
+    nid = made.get((T_AND, key))
+    if nid is None:
+        nid = made[T_AND, key] = dag.add(T_AND, kids)
+        made[~nid] = key
+    return nid
+
+
+def _atom_chain(dag, made, kids, arity):
+    """The builder's and-chain over `kids`, each level made or found by
+    `_atom_consed`, innermost first."""
+    kids = list(dict.fromkeys(kids))
+    if len(kids) == 1:
+        return kids[0]
+    step = arity - 1
+    start = (len(kids) - 2) // step * step
+    node = _atom_consed(dag, made, kids[start:])
+    for start in range(start - step, -1, -step):
+        node = _atom_consed(dag, made, kids[start:start + step] + [node])
+    return node
+
+
 def _reference_node(dag, made, tree, arity):
     """Every cube occurrence builds its whole and-chain again and leaves
     the hash-consing to find the nodes."""
@@ -507,11 +541,11 @@ def _reference_node(dag, made, tree, arity):
         if tree.mask == 0:
             return dag.const_node(1)
         kids = [dag.var_node(i) for i in bit_support(tree.mask)]
-        return _and_chain(dag, made, kids, arity)
+        return _atom_chain(dag, made, kids, arity)
     if isinstance(tree, FAnd):
         kids = [dag.var_node(i) for i in bit_support(tree.cube_mask)]
         kids += [_reference_node(dag, made, s, arity) for s in tree.subs]
-        return _and_chain(dag, made, kids, arity)
+        return _atom_chain(dag, made, kids, arity)
     parity: dict[int, int] = {}
     order: list[int] = []
     for part in tree.parts:
@@ -528,19 +562,25 @@ def _reference_node(dag, made, tree, arity):
     return _reference_consed(dag, made, T_XOR, kids)
 
 
-def _reference_build(trees, n_vars, max_and_arity):
+def _build_with(node_of, trees, n_vars, max_and_arity):
+    """`build_dag_from_trees` with `node_of` making each tree's node."""
     arity = max(2, max_and_arity - 1)
     dag = EsopDag(n_vars)
     made: dict = {}
     tops = []
     for tree in trees:
-        top = _reference_node(dag, made, _reference_tree(tree), arity)
+        top = node_of(dag, made, tree, arity)
         tops.append(top)
         if top not in dag.nodes[dag.root].children:
             dag.set_children(dag.root, dag.nodes[dag.root].children + [top])
     dag.output_order = [(f"y{i + 1}", top) for i, top in enumerate(tops)]
     dag.recompute_depths()
     return dag
+
+
+def _reference_build(trees, n_vars, max_and_arity):
+    return _build_with(_reference_node, list(map(_reference_tree, trees)),
+                       n_vars, max_and_arity)
 
 
 @functools.lru_cache(maxsize=None)
@@ -605,26 +645,48 @@ def test_cached_chains_match_the_reference_on_random_words(case, k, t):
 
 def _atom_keyed_node_of_cube(dag, made, mask, arity):
     """The cube path before each chain level was keyed by its sub-mask:
-    one entry per whole cube mask, and on a miss `_and_chain`, whose
-    levels `_consed` keys by their atoms."""
+    one entry per whole cube mask, and on a miss `_atom_chain`."""
     nid = made.get(mask)
     if nid is None:
         if mask:
             kids = [dag.var_node(i) for i in bit_support(mask)]
-            nid = _and_chain(dag, made, kids, arity)
+            nid = _atom_chain(dag, made, kids, arity)
         else:
             nid = dag.const_node(1)
         made[mask] = nid
     return nid
 
 
-def test_mask_keyed_cube_chains_build_the_atom_keyed_graph(monkeypatch):
+def _atom_keyed_node(dag, made, tree, arity):
+    """The builder's node of a tree with every and level keyed by its
+    atoms as one frozenset (`_atom_chain`) and each cube cached under its
+    whole mask."""
+    if isinstance(tree, FAnd):
+        kids = [dag.var_node(i) for i in bit_support(tree.cube_mask)]
+        kids += [_atom_keyed_node(dag, made, s, arity) for s in tree.subs]
+        return _atom_chain(dag, made, kids, arity)
+    kids = []
+    for part in (tree,) if isinstance(tree, int) else tree.parts:
+        if isinstance(part, int):
+            kids += [_atom_keyed_node_of_cube(dag, made, m, arity)
+                     for m in cube_order(bit_support(part))]
+        else:
+            kids.append(_atom_keyed_node(dag, made, part, arity))
+    if not kids:
+        return dag.const_node(0)
+    if len(kids) == 1:
+        return kids[0]
+    key = (T_XOR, frozenset(kids))
+    if key not in made:
+        made[key] = dag.add(T_XOR, kids)
+    return made[key]
+
+
+def test_mask_keyed_cube_chains_build_the_atom_keyed_graph():
     # 2,000 random specs, half of their outputs products, and every
-    # digest spec: the same nodes, ids and edges as the atom-keyed path
+    # digest spec: the same nodes, ids and edges as the atom-keyed build
     from test_optimize import _builder_specs
     for trees, n, params in _builder_specs(random.Random(47)):
         got = build_dag_from_trees(trees, n, params.max_and_arity)
-        with monkeypatch.context() as m:
-            m.setattr(dag_module, "_node_of_cube", _atom_keyed_node_of_cube)
-            want = build_dag_from_trees(trees, n, params.max_and_arity)
+        want = _build_with(_atom_keyed_node, trees, n, params.max_and_arity)
         assert dump_text(got) == dump_text(want)

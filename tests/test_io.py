@@ -128,6 +128,7 @@ def test_oversized_specs_are_rejected_before_allocating(text):
 @pytest.mark.parametrize("text, message", [
     (".i 1\n.o 1000000000\n", "exceeds the limit of 1048576 bits"),
     (".i 16\n.o 17\n", "2\\^16 rows by 17 outputs"),
+    ("x16\n" * 17, "2\\^16 rows by 17 outputs"),
 ])
 def test_oversized_tables_are_rejected_before_allocating(text, message):
     start = time.perf_counter()

@@ -1015,10 +1015,24 @@ def _builder_graphs(rng):
             yield build_dag_from_trees(trees, n, params.max_and_arity)
 
 
+def _atom_sets(dag):
+    """Each and node's atoms, the non-and nodes it reaches through and
+    nodes only, on a graph the builder made: it makes each child before
+    its parents, so in id order a child's atoms come first."""
+    atoms = {}
+    for nid in sorted(dag.nodes):
+        node = dag.nodes[nid]
+        if node.kind == T_AND:
+            atoms[nid] = frozenset().union(
+                *(atoms.get(c, (c,)) for c in node.children))
+    return atoms
+
+
 def test_builder_graphs_hold_no_twins_before_or_after_any_share(monkeypatch):
     # no two nodes of one kind share a child set in a graph the builder
     # makes, nor after any share of cube sharing on it (a share reshapes
-    # only the nodes it returns)
+    # only the nodes it returns); no two and nodes it makes reach one atom
+    # set, for it keys each by its atoms
     real = optimize._share
     shares = Counter()
 
@@ -1034,6 +1048,8 @@ def test_builder_graphs_hold_no_twins_before_or_after_any_share(monkeypatch):
     for dag in _builder_graphs(random.Random(47)):
         for nid in dag.internal_ids():
             assert _twin_of(dag, nid) is None, nid
+        atoms = _atom_sets(dag)
+        assert len(set(atoms.values())) == len(atoms)
         common_cube_sharing(dag)
     assert all(shares[kind, rule] >= 100 for kind in (T_AND, T_XOR)
                for rule in ("subset", "overlap")), shares
