@@ -33,9 +33,12 @@ class Gate:
 
     controls is a sorted tuple of line ids; targets has one entry for the
     Toffoli family (NOT/CNOT/Toffoli_k) and two for Fredkin (the swapped
-    pair).  One set over all the lines checks a valid gate; the message
-    is worked out only for an invalid one.  The fields are written
-    through the slot descriptors, which skips the frozen class's setattr.
+    pair).  A valid Toffoli-family gate passes one membership test (its
+    target is not a control), after a set over its controls when it has
+    two or more; any other gate is checked by one set over all its lines,
+    and the message is worked out only for an invalid one.  The fields
+    are written through the slot descriptors, which skips the frozen
+    class's setattr.
     """
 
     family: str
@@ -46,18 +49,20 @@ class Gate:
         controls, targets = tuple(controls), tuple(targets)
         if len(controls) > 1:
             controls = tuple(sorted(controls))
-        want = 1 if family == TOFFOLI else 2 if family == FREDKIN else None
-        if len(targets) != want \
-                or len(set(controls + targets)) != len(controls) + len(targets):
-            raise ValueError(
-                f"unknown gate family {family!r}" if want is None
-                else f"{family}-family gate needs {want} target(s)"
-                if len(targets) != want
-                else "duplicate control lines"
-                if len(set(controls)) != len(controls)
-                else "duplicate target lines"
-                if len(set(targets)) != len(targets)
-                else "target appears in control set")
+        if family != TOFFOLI or len(targets) != 1 or targets[0] in controls \
+                or len(controls) > 1 and len(set(controls)) < len(controls):
+            want = 1 if family == TOFFOLI else 2 if family == FREDKIN else None
+            if len(targets) != want or len(set(controls + targets)) \
+                    != len(controls) + len(targets):
+                raise ValueError(
+                    f"unknown gate family {family!r}" if want is None
+                    else f"{family}-family gate needs {want} target(s)"
+                    if len(targets) != want
+                    else "duplicate control lines"
+                    if len(set(controls)) != len(controls)
+                    else "duplicate target lines"
+                    if len(set(targets)) != len(targets)
+                    else "target appears in control set")
         _set_family(self, family)
         _set_controls(self, controls)
         _set_targets(self, targets)
@@ -226,7 +231,9 @@ def detect_peres(c: Circuit) -> list[tuple[int, int]]:
     i = 0
     while i < len(c.gates) - 1:
         a, b = c.gates[i], c.gates[i + 1]
-        if _peres_match(a, b) or _peres_match(b, a):
+        # a pair has one two-control and one one-control gate
+        if len(a.controls) + len(b.controls) == 3 \
+                and (_peres_match(a, b) or _peres_match(b, a)):
             pairs.append((i, i + 1))
             i += 2
         else:

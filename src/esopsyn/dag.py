@@ -26,11 +26,12 @@ nodes whose parents changed, the internal nodes whose depth changed and
 created and deleted nodes; `reshaped` holds the nodes whose children or
 kind changed.  The ready index (`ReadyIndex`, read by
 `mapper.find_target` and `optimize.parent_reduction_pass`) clears the
-log as it reads it; until the graph has one, `recompute_depths` clears
-it.  Either clears it only while every depth is right and the root
-reaches every node, so an empty `touched` means every depth is right, a
-node outside its downward cone needs no relabel, and a build's relabel,
-with every node in the log, covers the whole graph.
+log as it reads it, in one walk whose class changes cascade through the
+index's tallies; until the graph has one, `recompute_depths` clears it.
+Either clears it only while every depth is right and the root reaches
+every node, so an empty `touched` means every depth is right, a node
+outside its downward cone needs no relabel, and a build's relabel, with
+every node in the log, covers the whole graph.
 """
 
 from __future__ import annotations
@@ -176,9 +177,15 @@ class EsopDag:
         nodes, touched = self.nodes, self.touched
         node = nodes[nid]
         queued = set(node.children)
-        # a sorted list is already a heap
-        heap = sorted((nodes[c].depth, c) for c in queued if nodes[c].children)
-        leaves = [c for c in queued if not nodes[c].children]
+        heap, leaves = [], []
+        for c in queued:
+            child = nodes[c]
+            if child.children:
+                heap.append((child.depth, c))
+            else:
+                leaves.append(c)
+        if len(heap) > 1:
+            heap.sort()     # a sorted list is already a heap
         self.set_children(nid, [])
         node.kind, node.label, node.line = T_ID, label, line_id
         while heap or leaves:
@@ -368,7 +375,8 @@ class EsopDag:
             self.index = ReadyIndex()
             changed = reshaped = set(self.nodes)
         else:
-            changed, reshaped = self.touched | self.reshaped, self.reshaped
+            changed, reshaped = self.touched, self.reshaped
+            changed |= reshaped
         self.touched, self.reshaped = set(), set()
         index = self.index
         index.refresh(self, changed, reshaped)
@@ -405,9 +413,14 @@ class ReadyIndex:
     edit log (see the `mapper` module docstring).
 
     `cls` holds each node's class and `counts` tallies each and/xor node's
-    children by class; a tally is rebuilt when the node's own children
-    change and otherwise moves by the delta of a child whose class
-    changed.  `depth` and `buckets` hold the internal nodes by depth,
+    children by class.  A refresh walks the log once: it works out the
+    class of the reshaped and new nodes only (`_class`) and collects the
+    nodes `_update` must see.  A class change then cascades through the
+    tallies: each parent's tally moves by the delta, and an and node
+    whose tally comes to count only identifiers becomes flat, which moves
+    its own parents' tallies in turn.  The tallies of reshaped and new
+    nodes are dropped before the cascade, which skips them, and rebuilt
+    after it.  `depth` and `buckets` hold the internal nodes by depth,
     `keys` the branch-3 key of each ready node and `heap` those keys,
     lazily invalidated: an entry is live only while it equals its node's
     key.
@@ -416,8 +429,8 @@ class ReadyIndex:
     (`EsopDag.refreshed_index`); from then on it holds the identifiers
     with two non-root parents that a rewrite fits (`parent_rewrites`): an
     edit to the kind or children of a leaf's parent touches the leaf.
-    Until then a refresh skips the changed nodes with no `counts` or
-    `depth` entry, so no leaf is tested for a rewrite.
+    Until then a refresh skips the changed nodes with no `depth` entry,
+    so no leaf is tested for a rewrite.
     """
 
     def __init__(self):
@@ -433,53 +446,51 @@ class ReadyIndex:
         """Bring the index up to date with edits to the `changed` nodes,
         of which `reshaped` got new children or a new kind."""
         nodes, cls, counts = dag.nodes, self.cls, self.counts
-        moved: dict[int, int] = {}   # node -> its class before this refresh
-        above: list[int] = []        # parents of new identifiers
-        recount = set()
+        depth, keys = self.depth, self.keys
+        every = self.parent_candidates is not None   # leaves need _update too
+        update = []     # the nodes _update must see
+        moved = []      # (node, class before, class after)
+        recount = []
         for nid in changed:
             node = nodes.get(nid)
             if node is None:
                 cls.pop(nid, None)
                 counts.pop(nid, None)
-                continue
-            if nid in reshaped or nid not in cls:
+            elif nid in reshaped or nid not in cls:
                 old = cls.get(nid)
                 new = cls[nid] = _class(nodes, node)
                 if old is not None and old != new:
-                    moved[nid] = old
-                    if new == C_ID:
-                        above.extend(node.parents)
+                    moved.append((nid, old, new))
+                # no stale tally until the recount: the cascade skips it
+                counts.pop(nid, None)
                 if node.kind in (T_AND, T_XOR):
-                    recount.add(nid)
-                else:
-                    counts.pop(nid, None)
-        for p in above:     # an and over a new identifier may now be flat
-            node = nodes[p]
-            if node.kind == T_AND:
-                new = _class(nodes, node)
-                if new != cls[p]:
-                    moved.setdefault(p, cls[p])
-                    cls[p] = new
+                    recount.append(nid)
+                    update.append(nid)
+                    continue
+            # every internal node holds a depth entry, and so does one
+            # deleted or collapsed since the last refresh
+            if every or nid in depth:
+                update.append(nid)
+        for nid, old, new in moved:     # grows as ands become flat
+            for p in nodes[nid].parents:
+                tally = counts.get(p)
+                if tally is None:
+                    continue
+                tally[old] -= 1
+                tally[new] += 1
+                pn = nodes[p]
+                if new == C_ID and pn.kind == T_AND and cls[p] != C_FLAT \
+                        and tally[C_ID] == len(pn.children):
+                    cls[p] = C_FLAT
+                    moved.append((p, C_OTHER, C_FLAT))
+                # a node neither ready before nor after keeps no key
+                if p in keys or _ready(pn, tally):
+                    update.append(p)
         for nid in recount:
             tally = counts[nid] = [0, 0, 0, 0]
             for c in nodes[nid].children:
                 tally[cls[c]] += 1
-        for nid, old in moved.items():
-            new = cls[nid]
-            for p in nodes[nid].parents:
-                tally = counts.get(p)
-                if tally is not None and p not in recount:
-                    tally[old] -= 1
-                    tally[new] += 1
-                    # a node neither ready before nor after keeps no key
-                    if p in self.keys or _ready(nodes[p], tally):
-                        changed.add(p)
-        if self.parent_candidates is None:
-            # a deleted node is gone from counts but may still hold a
-            # depth entry
-            changed = [nid for nid in changed
-                       if nid in counts or nid in self.depth]
-        for nid in changed:
+        for nid in update:
             self._update(dag, nid)
 
     def _update(self, dag: EsopDag, nid: int):

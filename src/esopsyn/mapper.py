@@ -22,17 +22,19 @@ and whose children are all identifiers, or an xor whose children are
 identifiers, constants and such flat ands.  The index counts each and/xor
 node's children by those classes, so readiness and the leaf-child count
 are O(1) reads.  A tally is rebuilt only when the node's own children
-change; when a child changes class (a mapped node becomes an identifier,
-and an and above it may become flat) its parents' tallies move by the
-delta.  The index also holds depth buckets of the internal nodes
-(branches 1 and 2 read the level one above the deepest leaves from them:
-with fresh depths the deepest node is a leaf one below the deepest
-internal node), and a lazily invalidated heap of the branch-3 keys of the
-ready nodes, both updated for the changed nodes only.  Once
-`parent_reduction_pass` first asks for them (P on), it also keeps the
-identifiers that the pass tries (two non-root parents that a rewrite
-fits, `dag.parent_rewrites`); a graph mapped with P off never tests a
-leaf for a rewrite.
+change.  When a child changes class, its parents' tallies move by the
+delta, and the change cascades: a mapped node becomes an identifier, and
+an and above it whose tally then counts only identifiers becomes flat,
+which moves the tallies above it.  The index also holds depth buckets of
+the internal nodes (branches 1 and 2 read the level one above the
+deepest leaves from them: with fresh depths the deepest node is a leaf
+one below the deepest internal node, and branch 2 runs only when the
+level above that holds a ready xor), and a lazily invalidated heap of
+the branch-3 keys of the ready nodes, both updated for the changed nodes
+only.  Once `parent_reduction_pass` first asks for them (P on), it also
+keeps the identifiers that the pass tries (two non-root parents that a
+rewrite fits, `dag.parent_rewrites`); a graph mapped with P off never
+tests a leaf for a rewrite.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ def find_target(dag: EsopDag) -> TargetChoice | None:
         if dag.nodes[nid].kind == T_XOR and nid in ready \
                 and _single_parent_leaf(dag, nid) is not None:
             return TargetChoice(nid, RULE_XOR_SINGLE)
-    if depth_max >= 3:
+    # branch 2 maps a ready xor at depth_max - 2; with none, it cannot fire
+    if depth_max >= 3 and any(p in ready and dag.nodes[p].kind == T_XOR
+                              for p in index.buckets.get(depth_max - 2, ())):
         for nid in level:
             if dag.nodes[nid].kind != T_AND:
                 continue

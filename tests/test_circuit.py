@@ -136,6 +136,47 @@ def test_peres_inverse_order_and_greedy_scan():
     assert quantum_cost(c).quantum_cost == 4 + 5
 
 
+def _reference_peres_pairs(gates):
+    """The greedy pairwise scan without the control-count test: both
+    orders of every adjacent pair go through the full match."""
+    def match(tof, cn):
+        return (tof.family == "t" and len(tof.controls) == 2
+                and cn.family == "t" and len(cn.controls) == 1
+                and {cn.controls[0], cn.targets[0]} == set(tof.controls))
+
+    pairs, i = [], 0
+    while i < len(gates) - 1:
+        if match(gates[i], gates[i + 1]) or match(gates[i + 1], gates[i]):
+            pairs.append((i, i + 1))
+            i += 2
+        else:
+            i += 1
+    return pairs
+
+
+@st.composite
+def _gate_lists(draw):
+    """Gates on four lines, so Toffoli_3 / CNOT pairs on one control set
+    are common: NOT, CNOT, Toffoli with two or three controls, Fredkin."""
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        lines = draw(st.permutations(range(4)))
+        k = draw(st.integers(0, 4))
+        if k == 4:
+            gates.append(fredkin(lines[:1], lines[1], lines[2]))
+        else:
+            gates.append(toffoli(lines[:k], lines[k]))
+    return gates
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gate_lists())
+@example([toffoli([0, 1], 2), cnot(1, 0), cnot(0, 1)])
+@example([fredkin([0], 1, 2), cnot(1, 2), toffoli([1, 2], 3)])
+def test_peres_scan_matches_the_pairwise_reference(gates):
+    assert detect_peres(Circuit(4, gates)) == _reference_peres_pairs(gates)
+
+
 def test_cost_report_counts():
     c = Circuit(4, [cnot(0, 1), cnot(1, 2), cnot(2, 3), cnot(3, 1)])
     rep = quantum_cost(c)

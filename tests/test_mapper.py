@@ -9,8 +9,8 @@ from esopsyn.circuit import (
     LineState, line_functions, simulate,
 )
 from esopsyn.dag import (
-    EsopDag, T_AND, T_CONST, T_ID, T_ROOT, T_XOR, build_dag_from_trees,
-    parent_rewrites, validate_dag,
+    EsopDag, ReadyIndex, T_AND, T_CONST, T_ID, T_ROOT, T_XOR,
+    build_dag_from_trees, parent_rewrites, validate_dag,
 )
 from esopsyn.funcs import (
     EsopExpression, Permutation, TruthTable, anf_from_truth_table,
@@ -359,12 +359,27 @@ def _reference_find_target(dag):
     return TargetChoice(best, RULE_MAX_CHILD)
 
 
+def _index_state(index):
+    """What a refresh must leave right: classes, tallies, depth buckets
+    and the live branch-3 keys."""
+    return index.cls, index.counts, index.depth, index.buckets, index.keys
+
+
+def _rebuilt_index_state(dag):
+    """The state of a ready index built from every node, as the graph's
+    first refresh builds it."""
+    index = ReadyIndex()
+    index.refresh(dag, set(dag.nodes), set(dag.nodes))
+    return _index_state(index)
+
+
 def test_indexed_find_target_matches_the_all_nodes_scan(monkeypatch):
     # random interleavings of one-sweep cube sharing, parent reduction,
     # mapping and collapsing an arbitrary internal node (which moves the
     # depths of internal descendants); the indexed choice must equal the
     # full scan's after every step, and so must the parent-reduction
-    # candidates once the first pass has asked the index for them
+    # candidates once the first pass has asked the index for them.  The
+    # refreshed index itself must equal one rebuilt from every node
     monkeypatch.setattr(optimize, "SHARING_SWEEP_CAP", 1)
     rng = random.Random(1618)
     steps = checked = 0
@@ -391,6 +406,7 @@ def test_indexed_find_target_matches_the_all_nodes_scan(monkeypatch):
                     dag.to_identifier(rng.choice(internal), line, f"@{line}")
             choice = find_target(dag)
             assert choice == _reference_find_target(dag)
+            assert _index_state(dag.index) == _rebuilt_index_state(dag)
             if reducing:
                 assert sorted((dag.nodes[nid].line, nid)
                               for nid in dag.index.parent_candidates) \
