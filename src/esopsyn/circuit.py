@@ -177,23 +177,31 @@ def simulate(c: Circuit, bits: int) -> int:
     return bits
 
 
-def line_functions(c: Circuit) -> list[int]:
+def line_functions(c: Circuit, resume: tuple[list[int], int] | None = None
+                   ) -> list[int]:
     """Function carried by every line, as 2^n-bit integers over the n
     variables of the circuit's `INPUT` lines (the first of them is x1).
 
     Symbolic bit-parallel simulation: one big-int op per gate line instead
-    of a loop over assignments.
+    of a loop over assignments.  `resume=(words, k)` picks a simulation up
+    where it stopped: `words` are the words of the first lines, the input
+    lines among them, after the gates before k; every line appended since
+    starts at its constant value, and only the gates from k on are
+    simulated.  `words` is left as it was.
     """
     inputs = c.input_lines()
     full = (1 << (1 << len(inputs))) - 1
-    funcs = []
-    for line in c.lines:
+    words, start = resume if resume is not None else ((), 0)
+    funcs = list(words)
+    for line in c.lines[len(funcs):]:
         funcs.append(full if line.origin == CONSTANT and line.init else 0)
-    for line, pattern in zip(inputs, variable_patterns(len(inputs))):
-        funcs[line.line_id] = pattern
-    for g in c.gates:
-        ctl = full
-        for cid in g.controls:
+    if resume is None:
+        for line, pattern in zip(inputs, variable_patterns(len(inputs))):
+            funcs[line.line_id] = pattern
+    for g in c.gates[start:]:
+        controls = g.controls
+        ctl = funcs[controls[0]] if controls else full
+        for cid in controls[1:]:
             ctl &= funcs[cid]
         if g.family == TOFFOLI:
             funcs[g.targets[0]] ^= ctl
@@ -266,14 +274,14 @@ def quantum_cost(c: Circuit, runtime: float = 0.0) -> CostReport:
     gate_count is the raw gate-list length; Peres pairs are reported
     separately and only collapse the quantum cost (an n-line benchmark
     reported as QC 6 / 4 gates contains a paired Toffoli/CNOT plus two
-    more unit gates).
+    more unit gates).  Every gate is priced by `gate_cost`; each pair then
+    trades its two gates' prices for `PERES_COST`.
     """
+    gates = c.gates
     pairs = detect_peres(c)
-    paired = {i for p in pairs for i in p}
-    qc = PERES_COST * len(pairs)
-    for i, g in enumerate(c.gates):
-        if i not in paired:
-            qc += gate_cost(g)
+    qc = sum(map(gate_cost, gates))
+    for i, j in pairs:
+        qc += PERES_COST - gate_cost(gates[i]) - gate_cost(gates[j])
     garbage = sum(1 for l in c.lines if l.role == ROLE_GARBAGE)
     ancilla = sum(1 for l in c.lines if l.role == ROLE_ANCILLA)
     return CostReport(qc, len(c.gates), c.n_lines, garbage, ancilla,
@@ -290,13 +298,16 @@ class Verdict:
         return self.equivalent
 
 
-def verify_equivalence(c: Circuit, spec: TruthTable) -> Verdict:
+def verify_equivalence(c: Circuit, spec: TruthTable,
+                       words: list[int] | None = None) -> Verdict:
     """Check the circuit against a truth table on its declared output lines,
     and check that every declared ancilla line ends at its init value.
 
     Always exhaustive: one bit-parallel simulation (`line_functions`) gives
-    every line's function over all 2^n inputs.  A counterexample is the
-    lowest mismatching input, with the outputs the circuit gives there.
+    every line's function over all 2^n inputs.  A caller that has just
+    simulated the whole circuit passes that result as `words` instead, and
+    it is read as the simulation's.  A counterexample is the lowest
+    mismatching input, with the outputs the circuit gives there.
     """
     n = spec.n_inputs
     k = len(c.input_lines())
@@ -306,7 +317,7 @@ def verify_equivalence(c: Circuit, spec: TruthTable) -> Verdict:
     missing = [name for name in spec.output_names if name not in out_lines]
     if missing:
         raise ValueError(f"circuit lacks output lines for {missing}")
-    funcs = line_functions(c)
+    funcs = line_functions(c) if words is None else words
     outs = [funcs[out_lines[name]] for name in spec.output_names]
     mismatch = 0
     for f, col in zip(outs, spec.columns):

@@ -678,7 +678,11 @@ def _and_chain(dag: EsopDag, made: dict, mask: int, subs: tuple,
     # plain loops: a comprehension's closure would cost every call, hits too
     kids = []
     for i in bits:
-        kids.append(dag.var_node(i))
+        # a variable is the bare cube of its bit: one int lookup
+        nid = made.get(1 << i)
+        if nid is None:
+            nid = made[1 << i] = dag.var_node(i)
+        kids.append(nid)
     if subs:
         for tree in subs:
             kids.append(_node_of_tree(dag, made, tree, arity))

@@ -63,6 +63,8 @@ RULE_MAX_CHILD = "MaxChildMinParent"
 
 DEFAULT_INPUT_LIMIT = 16
 
+_LOW_BITS = (1 << 64) - 1
+
 
 class SynthesisError(Exception):
     pass
@@ -172,7 +174,11 @@ def synthesize(
 
     Every returned circuit has passed an exhaustive check against the
     spec; a failure is an internal-consistency bug and raises
-    VerificationError.  The report's runtime includes the check.  A
+    VerificationError.  The report's runtime includes the check.  One
+    simulation serves claiming, roles and the check: the mapped circuit
+    is simulated once, claiming reads those words, and the simulation is
+    resumed over whatever gates claiming appended, so every gate is
+    simulated once over all 2^n inputs.  A
     `trace` callable gets one line per cube-sharing pass, parent-reduction
     pass that changed the graph, and mapping iteration (`iter k:`).
     """
@@ -215,8 +221,12 @@ def synthesize(
         if iterations > guard:
             raise SynthesisError("mapping loop exceeded its iteration bound")
 
-    order_outputs(circuit, tt)
-    verdict = verify_equivalence(circuit, tt)
+    mapped = len(circuit.gates)
+    words = line_functions(circuit)
+    order_outputs(circuit, tt, words)
+    words = line_functions(circuit, resume=(words, mapped))
+    assign_spare_roles(circuit, words)
+    verdict = verify_equivalence(circuit, tt, words)
     if not verdict:
         raise VerificationError(
             f"emitted circuit disagrees with the spec at input "
@@ -224,41 +234,58 @@ def synthesize(
     return circuit, quantum_cost(circuit, time.perf_counter() - t0)
 
 
-def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
-    """Label the lines carrying the spec's outputs, name the fresh lines
-    and re-derive every role.
+def order_outputs(circuit: Circuit, spec: TruthTable,
+                  words: list[int] | None = None) -> Circuit:
+    """Label the lines carrying the spec's outputs and name the fresh lines.
 
-    Relabeling is free; only an output whose function no unclaimed line
-    carries costs a fresh line (a copy, or an inverter for constant 1).
-    Candidate lines are grouped by the function they carry, so claiming in
-    output order already claims as many lines as possible.  Every other
-    line gets its role from `assign_spare_roles`.  The fresh lines, in
+    `words` are the lines' functions, as `line_functions` gives them for
+    the circuit as passed (simulated here when omitted).  Relabeling is
+    free; only an output whose function no unclaimed line carries costs a
+    fresh line (a copy, or an inverter for constant 1).  Output j claims
+    the lowest unclaimed line carrying its column, so claiming in output
+    order claims as many lines as possible; each line is probed against
+    the m columns, not keyed itself.  Every other line is marked garbage:
+    the claim gates are not simulated here, so `assign_spare_roles` tells
+    the restored constants among them once they are.  The fresh lines, in
     line order, take the lowest names w<k> that no other line uses.
     """
-    funcs = line_functions(circuit)
+    if words is None:
+        words = line_functions(circuit)
     full = (1 << (1 << spec.n_inputs)) - 1
-    carriers: dict[int, list[int]] = {}
-    for lid, f in enumerate(funcs):
-        carriers.setdefault(f, []).append(lid)
-    claims = [carriers[w].pop(0) if carriers.get(w) else None
-              for w in spec.columns]
+    columns = spec.columns
+    # the outputs not yet claimed, by the low 64 bits of their column: a
+    # probe costs no hash of a whole 2^n-bit word
+    pending: dict[int, list[int]] = {}
+    for j, w in enumerate(columns):
+        pending.setdefault(w & _LOW_BITS, []).append(j)
+    claims: list[int | None] = [None] * len(columns)
+    for lid, f in enumerate(words):
+        outs = pending.get(f & _LOW_BITS, ())
+        for j in outs:
+            if columns[j] == f:
+                outs.remove(j)
+                claims[j] = lid
+                break
     for l in circuit.lines:
         l.role = ROLE_GARBAGE
         l.output_name = None
-    for name, want, line_id in zip(spec.output_names, spec.columns, claims):
+    first: dict[int, int] = {}   # column -> the line of its first output
+    for name, want, line_id in zip(spec.output_names, columns, claims):
         if line_id is None:
             # a constant or a duplicate output: a fresh line, which already
             # carries 0, or a copy / an inverter onto one
             line_id = _fresh_line(circuit)
             if want != 0:
-                src = next((i for i, f in enumerate(funcs) if f == want), None)
+                # the lowest line carrying the column, if any, is the one
+                # its first output holds
+                src = first.get(want)
                 if src is not None:
                     circuit.append(cnot(src, line_id))
                 elif want == full:
                     circuit.append(not_gate(line_id))
                 else:
                     raise SynthesisError(f"no line carries output {name}")
-            funcs.append(want)
+        first.setdefault(want, line_id)
         circuit.lines[line_id].role = ROLE_OUTPUT
         circuit.lines[line_id].output_name = name
     used = {l.name for l in circuit.lines}
@@ -266,7 +293,6 @@ def order_outputs(circuit: Circuit, spec: TruthTable) -> Circuit:
     for l in circuit.lines:
         if l.name is None:
             l.name = next(free)
-    assign_spare_roles(circuit, funcs)
     return circuit
 
 

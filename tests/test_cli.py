@@ -493,8 +493,8 @@ def test_a_corrupted_circuit_fails_verification_in_both_engines(
         mod5, monkeypatch, capsys):
     real_order_outputs = mapper.order_outputs
 
-    def flips_an_output(circuit, spec):
-        real_order_outputs(circuit, spec)
+    def flips_an_output(circuit, spec, words):
+        real_order_outputs(circuit, spec, words)
         circuit.append(not_gate(next(iter(circuit.output_map().values()))))
         return circuit
 
@@ -519,9 +519,9 @@ def test_report_runtime_includes_verification(monkeypatch):
     for module in (mapper, ancilla_free):
         real = module.verify_equivalence
 
-        def slow(circuit, spec, real=real):
+        def slow(circuit, spec, *words, real=real):
             time.sleep(0.05)
-            return real(circuit, spec)
+            return real(circuit, spec, *words)
 
         monkeypatch.setattr(module, "verify_equivalence", slow)
     _, report = synthesize(benchmarks.get("rd53"))

@@ -11,9 +11,10 @@ import random
 
 import pytest
 
-from esopsyn import benchmarks
+from esopsyn import benchmarks, circuit as circuit_module, mapper
 from esopsyn.ancilla_free import NonConvergenceError, POLICY_COMMON_CONTROL, \
     POLICY_UNIQUE_PAIR, ancilla_free_synthesize
+from esopsyn.circuit import line_functions
 from esopsyn.cli import run_cli
 from esopsyn.funcs import Permutation, TruthTable
 from esopsyn.io import format_circuit, parse_circuit_text
@@ -111,6 +112,31 @@ def _digest(circuit, report) -> str:
 def test_synthesized_circuit_digest(case):
     build, code, golden = CASES[case]
     assert _digest(*synthesize(build(), _tckp(code))) == golden
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_synthesize_simulates_each_gate_once(case, monkeypatch):
+    # one simulation of the mapped circuit, resumed over the claim gates:
+    # every gate once, and verification reads exactly what a fresh
+    # simulation of the returned circuit gives
+    build, code, _ = CASES[case]
+    real_sim, real_verify = line_functions, mapper.verify_equivalence
+    simulated, read = [], []
+
+    def counted(c, resume=None):
+        simulated.append(len(c.gates) - (resume[1] if resume else 0))
+        return real_sim(c, resume)
+
+    def reads(c, spec, words=None):
+        read.append(words)
+        return real_verify(c, spec, words)
+
+    for module in (mapper, circuit_module):
+        monkeypatch.setattr(module, "line_functions", counted)
+    monkeypatch.setattr(mapper, "verify_equivalence", reads)
+    circuit, _ = synthesize(build(), _tckp(code))
+    assert sum(simulated) == len(circuit.gates)
+    assert read == [real_sim(circuit)]
 
 
 def test_ancilla_free_circuit_digest():

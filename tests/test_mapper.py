@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from esopsyn import dag as dag_module, mapper, optimize
 from esopsyn.circuit import (
     CONSTANT, INPUT, ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, Circuit,
-    LineState, line_functions, simulate,
+    LineState, VerificationError, cnot, line_functions, simulate,
 )
 from esopsyn.dag import (
     EsopDag, ReadyIndex, T_AND, T_CONST, T_ID, T_ROOT, T_XOR,
@@ -188,6 +188,25 @@ def test_all_constant_outputs():
     assert sorted(circ.output_map()) == ["y1", "y2", "y3"]
     zero = synthesize(TruthTable(3, 1, (0,) * 8))[1]
     assert zero.gate_count == 0 and zero.garbage_count == 3
+
+
+def test_a_copy_from_the_wrong_line_fails_verification(monkeypatch):
+    # y2 = y1 = x1 x2: y1 claims the Toffoli's line and y2 is a copy of it
+    # onto a fresh line; a claimer that copies x1 instead must be caught,
+    # though the claim gates are simulated apart from the mapped circuit
+    tt = TruthTable(2, 2, (0, 0, 0, 3))
+    circ, _ = synthesize(tt)
+    assert str(circ.gates[-1]) == "t2 2,3"
+    real_order_outputs = mapper.order_outputs
+
+    def copies_x1(circuit, spec, words):
+        with monkeypatch.context() as patch:
+            patch.setattr(mapper, "cnot", lambda src, dst: cnot(0, dst))
+            return real_order_outputs(circuit, spec, words)
+
+    monkeypatch.setattr(mapper, "order_outputs", copies_x1)
+    with pytest.raises(VerificationError, match=r"at input \(1, 0, 2\)"):
+        synthesize(tt)
 
 
 def test_a_second_constant_zero_output_costs_nothing():

@@ -105,17 +105,23 @@ def test_circuit_text_round_trip_keeps_line_functions_and_roles(case):
          for l in circuit.lines]
 
 
+def _pointwise_ends(circuit):
+    """(x, the lines' values after the gates) for every input x, by the
+    `simulate` oracle."""
+    constants = sum(1 << l.line_id for l in circuit.lines
+                    if l.origin == CONSTANT and l.init)
+    for x in range(1 << len(_inputs(circuit))):
+        start = constants
+        for pos, lid in enumerate(_inputs(circuit)):
+            start |= (x >> pos & 1) << lid
+        yield x, simulate(circuit, start)
+
+
 def _pointwise_ok(circuit, table) -> bool:
     """The `simulate` oracle, input by input: every output line carries its
     column and every ancilla ends at its initial value."""
     outputs = circuit.output_map()
-    constants = sum(1 << l.line_id for l in circuit.lines
-                    if l.origin == CONSTANT and l.init)
-    for x in range(1 << table.n_inputs):
-        start = constants
-        for pos, lid in enumerate(_inputs(circuit)):
-            start |= (x >> pos & 1) << lid
-        end = simulate(circuit, start)
+    for x, end in _pointwise_ends(circuit):
         if any(end >> outputs[name] & 1 != table.rows[x] >> j & 1
                for j, name in enumerate(table.output_names)):
             return False
@@ -153,6 +159,29 @@ def test_every_single_flipped_gate_fails_verification(case):
         verdict = bool(verify_equivalence(broken, table))
         assert verdict == _pointwise_ok(broken, table), f"gate {i}"
         assert not (bijective and verdict), f"gate {i} flip passed"
+
+
+@given(emitted(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_resumed_simulation_equals_the_whole_and_the_pointwise_oracle(
+        case, data):
+    # the circuit's first k gates on the lines that existed by then (the
+    # inputs and every line those gates touch), then the rest resumed with
+    # the later lines appended at their initial values
+    circuit, _ = case
+    k = data.draw(st.integers(0, len(circuit.gates)), label="k")
+    touched = [lid for g in circuit.gates[:k] for lid in g.controls + g.targets]
+    first = 1 + max(_inputs(circuit) + touched)
+    n_head = data.draw(st.integers(first, circuit.n_lines), label="lines")
+    head = Circuit(n_head, circuit.gates[:k], circuit.lines[:n_head])
+    words = line_functions(head)
+    kept = list(words)
+    resumed = line_functions(circuit, resume=(words, k))
+    assert words == kept
+    assert resumed == line_functions(circuit)
+    for x, end in _pointwise_ends(circuit):
+        assert [w >> x & 1 for w in resumed] == \
+            [end >> lid & 1 for lid in range(circuit.n_lines)]
 
 
 def _column_by_rows(table, j: int) -> int:
