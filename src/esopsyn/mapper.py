@@ -235,22 +235,21 @@ def synthesize(
 
 
 def order_outputs(circuit: Circuit, spec: TruthTable,
-                  words: list[int] | None = None) -> Circuit:
+                  words: list[int]) -> Circuit:
     """Label the lines carrying the spec's outputs and name the fresh lines.
 
     `words` are the lines' functions, as `line_functions` gives them for
-    the circuit as passed (simulated here when omitted).  Relabeling is
-    free; only an output whose function no unclaimed line carries costs a
-    fresh line (a copy, or an inverter for constant 1).  Output j claims
-    the lowest unclaimed line carrying its column, so claiming in output
-    order claims as many lines as possible; each line is probed against
-    the m columns, not keyed itself.  Every other line is marked garbage:
-    the claim gates are not simulated here, so `assign_spare_roles` tells
-    the restored constants among them once they are.  The fresh lines, in
-    line order, take the lowest names w<k> that no other line uses.
+    the circuit as passed.  Relabeling is free; only an output whose
+    function no unclaimed line carries costs a fresh line (a copy, or an
+    inverter for constant 1).  Output j claims the lowest unclaimed line
+    carrying its column, so claiming in output order claims as many lines
+    as possible; each line is probed against the m columns, not keyed
+    itself.  Every other line is marked garbage, because the claim gates
+    are not simulated here: the caller must then run `assign_spare_roles`
+    on the final words, as `synthesize` does, to tell the restored
+    constants (ancillae) among them.  The fresh lines, in line order,
+    take the lowest names w<k> that no other line uses.
     """
-    if words is None:
-        words = line_functions(circuit)
     full = (1 << (1 << spec.n_inputs)) - 1
     columns = spec.columns
     # the outputs not yet claimed, by the low 64 bits of their column: a

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from esopsyn import dag as dag_module, mapper, optimize
 from esopsyn.circuit import (
     CONSTANT, INPUT, ROLE_ANCILLA, ROLE_GARBAGE, ROLE_OUTPUT, Circuit,
-    LineState, VerificationError, cnot, line_functions, simulate,
+    LineState, VerificationError, assign_spare_roles, cnot, line_functions,
+    quantum_cost, simulate, toffoli, verify_equivalence,
 )
 from esopsyn.dag import (
     EsopDag, ReadyIndex, T_AND, T_CONST, T_ID, T_ROOT, T_XOR,
@@ -178,7 +179,7 @@ def test_fresh_wire_names_skip_lines_appended_between_calls():
     circ.n_lines += 1
     fresh += [_fresh_line(circ) for _ in range(2)]
     assert [circ.lines[l].name for l in fresh] == [None] * 3
-    order_outputs(circ, TruthTable(2, 1, (0, 1, 0, 1)))
+    order_outputs(circ, TruthTable(2, 1, (0, 1, 0, 1)), line_functions(circ))
     assert [l.name for l in circ.lines] == ["x1", "w2", "w1", "w3", "w4", "w5"]
 
 
@@ -228,7 +229,7 @@ def test_relabeling_beats_copying():
     # emit any copy gates
     tt = TruthTable(2, 2, (0, 2, 1, 3))
     circ, _ = synthesize(tt)
-    circ2 = order_outputs(circ, tt)
+    circ2 = order_outputs(circ, tt, line_functions(circ))
     assert circ2.gates == circ.gates
     assert set(circ2.output_map()) == {"y1", "y2"}
 
@@ -240,10 +241,30 @@ def test_order_outputs_recovers_dropped_labels():
         if line.role == ROLE_OUTPUT:
             line.role = ROLE_GARBAGE
             line.output_name = None
-    fixed = order_outputs(circ, tt)
+    fixed = order_outputs(circ, tt, line_functions(circ))
     assert set(fixed.output_map()) == {"y1"}
     funcs = line_functions(fixed)
     assert funcs[fixed.output_map()["y1"]] == tt.columns[0]
+
+
+def test_spare_roles_after_a_standalone_order_outputs():
+    # order_outputs marks every spare line garbage, since it does not
+    # simulate its own claim gates; assign_spare_roles on the final words
+    # then tells the constant line the Toffoli pair restores
+    circ = Circuit(2)
+    work = _fresh_line(circ)
+    circ.append(toffoli([0, 1], work))
+    circ.append(toffoli([0, 1], work))
+    tt = TruthTable(2, 1, (0, 1, 0, 1))     # y1 = x1
+    order_outputs(circ, tt, line_functions(circ))
+    assert [l.role for l in circ.lines] == \
+        [ROLE_OUTPUT, ROLE_GARBAGE, ROLE_GARBAGE]
+    assign_spare_roles(circ, line_functions(circ))
+    assert [l.role for l in circ.lines] == \
+        [ROLE_OUTPUT, ROLE_GARBAGE, ROLE_ANCILLA]
+    rep = quantum_cost(circ)
+    assert (rep.garbage_count, rep.ancilla_count) == (1, 1)
+    assert verify_equivalence(circ, tt)
 
 
 def _pending_outputs(dag, circuit):
